@@ -97,7 +97,8 @@ progress(const core::StudyCell &cell)
 
 std::string
 writeBenchJson(const std::string &bench,
-               const std::vector<BenchMetric> &metrics)
+               const std::vector<BenchMetric> &metrics,
+               const BenchOptions *runConfig)
 {
     std::string path;
     if (const char *env = std::getenv("TPV_BENCH_JSON"))
@@ -133,11 +134,14 @@ writeBenchJson(const std::string &bench,
                  "    \"git_sha\": \"%s\",\n"
                  "    \"compiler\": \"%s\",\n"
                  "    \"build_type\": \"%s\",\n"
-                 "    \"hardware_concurrency\": %u\n  },\n"
-                 "  \"metrics\": [\n",
+                 "    \"hardware_concurrency\": %u",
                  bench.c_str(), TPV_GIT_SHA, compiler.c_str(),
-                 TPV_BUILD_TYPE,
-                 std::thread::hardware_concurrency());
+                 TPV_BUILD_TYPE, std::thread::hardware_concurrency());
+    if (runConfig)
+        std::fprintf(f, ",\n    \"runs\": %d,\n    \"duration_s\": %.6g",
+                     runConfig->runs,
+                     static_cast<double>(runConfig->duration) / 1e9);
+    std::fprintf(f, "\n  },\n  \"metrics\": [\n");
     for (std::size_t i = 0; i < metrics.size(); ++i) {
         std::fprintf(f,
                      "    {\"name\": \"%s\", \"value\": %.6g, "

@@ -80,10 +80,14 @@ struct BenchMetric
  * artifacts. The output path is taken from the TPV_BENCH_JSON
  * environment variable when set, else "BENCH_<bench>.json" in the
  * working directory.
+ * @param runConfig the run count and window the numbers came from,
+ *        recorded in the meta block; benches with their own fixed
+ *        loops pass none.
  * @return the path written.
  */
 std::string writeBenchJson(const std::string &bench,
-                           const std::vector<BenchMetric> &metrics);
+                           const std::vector<BenchMetric> &metrics,
+                           const BenchOptions *runConfig = nullptr);
 
 } // namespace bench
 } // namespace tpv

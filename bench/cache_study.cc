@@ -215,6 +215,6 @@ main()
                 identical ? "PASS" : "FAIL");
     metrics.push_back(
         {"serial_parallel_identical", identical ? 1.0 : 0.0, "bool"});
-    writeBenchJson("cache", metrics);
+    writeBenchJson("cache", metrics, &opt);
     return identical ? 0 : 1;
 }

@@ -170,6 +170,6 @@ main()
                 identical ? "PASS" : "FAIL");
     metrics.push_back(
         {"serial_parallel_identical", identical ? 1.0 : 0.0, "bool"});
-    writeBenchJson("failover", metrics);
+    writeBenchJson("failover", metrics, &opt);
     return identical ? 0 : 1;
 }

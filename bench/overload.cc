@@ -33,7 +33,6 @@
  * BENCH_overload.json tracks the headline numbers per commit.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -174,14 +173,18 @@ main()
     const double depthTop = goodputQps(
         grid.at(topLabel + "/" + cellTag(policies[1]), topQps).result,
         opt.duration);
-    // Floor the denominator at 1 QPS so a fully collapsed baseline
-    // yields a large finite ratio instead of a sentinel.
-    const double cliff = depthTop / std::max(noneTop, 1.0);
     std::printf("\nat %.0f QPS offered: none %.1fK goodput, depth-shed "
-                "%.1fK — shedding holds %.0fx more goodput past the "
-                "cliff\n",
-                topQps, noneTop / 1000.0, depthTop / 1000.0, cliff);
-    metrics.push_back({"cliff_goodput_ratio", cliff, "ratio"});
+                "%.1fK\n",
+                topQps, noneTop / 1000.0, depthTop / 1000.0);
+    // A ratio exists only while the baseline still answers something;
+    // past a full collapse the shedding goodput stands on its own.
+    const bool noneCollapsed = noneTop <= 0;
+    if (noneCollapsed)
+        metrics.push_back({"cliff_depth_goodput_qps", depthTop, "qps"});
+    else
+        metrics.push_back({"cliff_goodput_ratio", depthTop / noneTop, "ratio"});
+    metrics.push_back(
+        {"none_collapsed", noneCollapsed ? 1.0 : 0.0, "bool"});
 
     // Determinism: the shedding grid, re-run serially, must match the
     // (default-width) run above bit for bit.
@@ -200,6 +203,6 @@ main()
                 identical ? "PASS" : "FAIL");
     metrics.push_back(
         {"serial_parallel_identical", identical ? 1.0 : 0.0, "bool"});
-    writeBenchJson("overload", metrics);
+    writeBenchJson("overload", metrics, &opt);
     return identical ? 0 : 1;
 }

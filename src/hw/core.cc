@@ -167,9 +167,8 @@ HwThread::completeCurrent()
 Core::Core(Simulator &sim, Machine &machine, const HwConfig &cfg,
            const CStateTable &table, int id)
     : sim_(sim), machine_(machine), cfg_(&cfg), table_(&table),
-      governor_(table), freq_(
-          sim, cfg, [&machine] { return machine.activeCores(); },
-          [this] { refreshSpeeds(); }),
+      governor_(table),
+      freq_(sim, cfg, machine.activeCores_, [this] { refreshSpeeds(); }),
       id_(id)
 {
     freq_.setPreChangeHook([this] { accrueEnergy(); });

@@ -8,9 +8,9 @@ namespace tpv {
 namespace hw {
 
 FreqDomain::FreqDomain(Simulator &sim, const HwConfig &cfg,
-                       std::function<int()> activeCores,
+                       const int &activeCores,
                        std::function<void()> onChange)
-    : sim_(sim), cfg_(&cfg), activeCores_(std::move(activeCores)),
+    : sim_(sim), cfg_(&cfg), activeCores_(&activeCores),
       onChange_(std::move(onChange))
 {
     switch (cfg_->governor) {
@@ -28,19 +28,24 @@ FreqDomain::FreqDomain(Simulator &sim, const HwConfig &cfg,
 }
 
 double
-FreqDomain::maxAvailableGhz() const
+FreqDomain::turboBinGhz(const HwConfig &cfg, int activeCores)
 {
-    if (!cfg_->turbo)
-        return cfg_->nominalGhz;
+    if (!cfg.turbo)
+        return cfg.nominalGhz;
     // Active-core turbo bins: few busy cores get full turbo, half-busy
     // machines an intermediate bin, saturated machines nominal.
-    const int active = activeCores_();
-    const int total = cfg_->cores;
-    if (active * 4 <= total)
-        return cfg_->turboGhz;
-    if (active * 2 <= total)
-        return 0.5 * (cfg_->turboGhz + cfg_->nominalGhz);
-    return cfg_->nominalGhz;
+    const int total = cfg.cores;
+    if (activeCores * 4 <= total)
+        return cfg.turboGhz;
+    if (activeCores * 2 <= total)
+        return 0.5 * (cfg.turboGhz + cfg.nominalGhz);
+    return cfg.nominalGhz;
+}
+
+double
+FreqDomain::maxAvailableGhz() const
+{
+    return turboBinGhz(*cfg_, *activeCores_);
 }
 
 void
@@ -123,10 +128,16 @@ FreqDomain::onCoreIdle(Time busyDuration)
         sim_.cancel(rampEv_);
 }
 
+bool
+FreqDomain::followsTurboBin(const HwConfig &cfg)
+{
+    return cfg.turbo && cfg.governor == FreqGovernor::Performance;
+}
+
 void
 FreqDomain::refreshTarget()
 {
-    if (cfg_->governor == FreqGovernor::Performance)
+    if (followsTurboBin(*cfg_))
         setFreq(maxAvailableGhz());
 }
 

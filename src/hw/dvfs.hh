@@ -31,13 +31,12 @@ class FreqDomain
 {
   public:
     /**
-     * @param activeCores returns the machine's busy-core count, for
-     *        the turbo bins.
+     * @param activeCores the machine's busy-core count, read directly
+     *        for the turbo bins; must outlive the domain.
      * @param onChange invoked after every frequency change so the core
      *        can rescale in-flight work.
      */
-    FreqDomain(Simulator &sim, const HwConfig &cfg,
-               std::function<int()> activeCores,
+    FreqDomain(Simulator &sim, const HwConfig &cfg, const int &activeCores,
                std::function<void()> onChange);
 
     /** Current operating frequency. */
@@ -67,9 +66,19 @@ class FreqDomain
 
     /**
      * The machine's active-core count changed: re-evaluate the turbo
-     * bin for max-frequency governors.
+     * bin for domains that follow it. Such a domain's frequency moves
+     * only here and in onCoreWake(), and both set it to the current
+     * bin, so it always sits at the current bin; Machine relies on that
+     * to call this only when the bin changes.
      */
     void refreshTarget();
+
+    /**
+     * Whether domains of a machine configured as @p cfg track the
+     * active-core turbo bin: the Performance governor with turbo on.
+     * Every other domain ignores bin changes.
+     */
+    static bool followsTurboBin(const HwConfig &cfg);
 
     /** Number of frequency transitions performed. */
     std::uint64_t transitions() const { return transitions_; }
@@ -88,6 +97,13 @@ class FreqDomain
     double maxAvailableGhz() const;
 
     /**
+     * Highest frequency grantable on a machine of @p cfg with
+     * @p activeCores busy cores: the active-core turbo bin, or nominal
+     * with turbo off.
+     */
+    static double turboBinGhz(const HwConfig &cfg, int activeCores);
+
+    /**
      * Frequency a utilisation-driven ramp climbs to. Performance
      * claims the full turbo bin; powersave/ondemand settle at nominal
      * (intel_pstate's powersave energy-performance preference rarely
@@ -104,7 +120,7 @@ class FreqDomain
 
     Simulator &sim_;
     const HwConfig *cfg_;
-    std::function<int()> activeCores_;
+    const int *activeCores_;
     std::function<void()> onChange_;
     std::function<void()> preChange_;
     double currentGhz_;

@@ -40,14 +40,23 @@ MenuGovernor::typicalInterval() const
     for (std::size_t i = 0; i < n; ++i)
         vals[i] = static_cast<double>(history_[i]);
 
-    for (int pass = 0; pass < 8 && n >= 2; ++pass) {
+    for (;;) {
         double sum = 0;
         for (std::size_t i = 0; i < n; ++i)
             sum += vals[i];
-        const double avg = sum / static_cast<double>(n);
+        const double avg = sum / static_cast<double>(n ? n : 1);
+        if (n < 2)
+            return static_cast<Time>(avg);
+        // One pass: the variance (added in index order) and the
+        // first-index maximum, in case the set is rejected.
         double var = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            var += (vals[i] - avg) * (vals[i] - avg);
+        std::size_t maxIdx = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double d = vals[i] - avg;
+            var += d * d;
+            if (vals[i] > vals[maxIdx])
+                maxIdx = i;
+        }
         var /= static_cast<double>(n);
         // Consistent enough: stddev within a third of the average
         // (menu uses avg > 6 * stddev^2 heuristics; this captures the
@@ -55,18 +64,9 @@ MenuGovernor::typicalInterval() const
         if (var <= (avg / 3.0) * (avg / 3.0))
             return static_cast<Time>(avg);
         // Drop the largest value and retry.
-        std::size_t maxIdx = 0;
-        for (std::size_t i = 1; i < n; ++i) {
-            if (vals[i] > vals[maxIdx])
-                maxIdx = i;
-        }
         vals[maxIdx] = vals[n - 1];
         --n;
     }
-    double sum = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        sum += vals[i];
-    return static_cast<Time>(sum / static_cast<double>(n ? n : 1));
 }
 
 } // namespace hw

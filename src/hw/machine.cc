@@ -131,11 +131,18 @@ Machine::onCoreActiveChanged(int delta)
                "active core count out of range: ", activeCores_);
     if (delta > 0)
         lastPackageActivity_ = sim_.now();
-    // Active-core turbo bins may shift for every core on the package.
-    if (cfg_.turbo) {
-        for (auto &c : cores_)
-            c->freq().refreshTarget();
-    }
+    // A domain that follows the turbo bin always sits at the current
+    // bin (see FreqDomain::refreshTarget), so the cores need visiting
+    // only when the bin itself moves. The first call finds the sentinel
+    // and always pushes.
+    if (!FreqDomain::followsTurboBin(cfg_))
+        return;
+    const double bin = FreqDomain::turboBinGhz(cfg_, activeCores_);
+    if (bin == pushedBinGhz_)
+        return;
+    pushedBinGhz_ = bin;
+    for (auto &c : cores_)
+        c->freq().refreshTarget();
 }
 
 MachineStats

@@ -138,7 +138,11 @@ class Machine
   private:
     friend class Core;
 
-    /** Core active-count bookkeeping; refreshes turbo bins. */
+    /**
+     * Core active-count bookkeeping. Cores that follow the turbo bin
+     * (FreqDomain::followsTurboBin) always sit at the current bin, so
+     * they are refreshed only when the count moves the bin.
+     */
     void onCoreActiveChanged(int delta);
 
     /** Uncore DVFS penalty for I/O hitting an idle package. */
@@ -153,6 +157,8 @@ class Machine
     std::string name_;
     std::vector<std::unique_ptr<Core>> cores_;
     int activeCores_ = 0;
+    /** Turbo bin last pushed to the cores; no bin is negative. */
+    double pushedBinGhz_ = -1.0;
     int simDomain_ = 0;
     bool frozen_ = false;
     Time lastPackageActivity_ = 0;

@@ -2,8 +2,14 @@
 
 #include "hw/cstate.hh"
 #include "hw/idle_governor.hh"
+#include "sim/random.hh"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <set>
 
 namespace tpv {
 namespace hw {
@@ -124,6 +130,165 @@ TEST(MenuGovernor, MixedHistoryTracksTypicalInterval)
     auto &chosen = g.choose(msec(1));
     EXPECT_EQ(chosen.state, CState::C1E);
     EXPECT_EQ(g.lastPrediction(), usec(40));
+}
+
+/**
+ * The menu governor as it was before typicalInterval() became one
+ * fused loop per pass: the three-loop estimator (sum, variance, max
+ * scan), kept verbatim as the reference the fused one must match bit
+ * for bit.
+ */
+class ReferenceMenuGovernor
+{
+  public:
+    explicit ReferenceMenuGovernor(const CStateTable &table) : table_(&table)
+    {
+    }
+
+    const CStateSpec &
+    choose(Time timerHint)
+    {
+        Time predicted = timerHint;
+        if (histCount_ > 0)
+            predicted = std::min(predicted, typicalInterval());
+        if (predicted == kTimeNever)
+            predicted = 0;
+        lastPrediction_ = predicted;
+        return table_->deepestFor(predicted);
+    }
+
+    void
+    recordIdle(Time actualIdle)
+    {
+        history_[histNext_] = actualIdle;
+        histNext_ = (histNext_ + 1) % kWindow;
+        histCount_ = std::min(histCount_ + 1, kWindow);
+    }
+
+    Time lastPrediction() const { return lastPrediction_; }
+
+  private:
+    Time
+    typicalInterval() const
+    {
+        std::array<double, kWindow> vals{};
+        std::size_t n = histCount_;
+        for (std::size_t i = 0; i < n; ++i)
+            vals[i] = static_cast<double>(history_[i]);
+
+        for (int pass = 0; pass < 8 && n >= 2; ++pass) {
+            double sum = 0;
+            for (std::size_t i = 0; i < n; ++i)
+                sum += vals[i];
+            const double avg = sum / static_cast<double>(n);
+            double var = 0;
+            for (std::size_t i = 0; i < n; ++i)
+                var += (vals[i] - avg) * (vals[i] - avg);
+            var /= static_cast<double>(n);
+            if (var <= (avg / 3.0) * (avg / 3.0))
+                return static_cast<Time>(avg);
+            std::size_t maxIdx = 0;
+            for (std::size_t i = 1; i < n; ++i) {
+                if (vals[i] > vals[maxIdx])
+                    maxIdx = i;
+            }
+            vals[maxIdx] = vals[n - 1];
+            --n;
+        }
+        double sum = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            sum += vals[i];
+        return static_cast<Time>(sum / static_cast<double>(n ? n : 1));
+    }
+
+    static constexpr std::size_t kWindow = 8;
+    const CStateTable *table_;
+    std::array<Time, kWindow> history_{};
+    std::size_t histCount_ = 0;
+    std::size_t histNext_ = 0;
+    Time lastPrediction_ = 0;
+};
+
+/** One idle duration of history shape @p shape. */
+Time
+drawIdle(Rng &rng, int shape)
+{
+    switch (shape) {
+      case 0: // bimodal: response waits vs inter-send gaps
+        return (rng.chance(0.5) ? usec(40) : usec(500)) +
+               rng.uniformInt(-usec(5), usec(5));
+      case 1: // short cluster with the odd 1 s outlier
+        return rng.chance(0.1) ? seconds(1)
+                               : rng.uniformInt(usec(20), usec(60));
+      case 2: // at or above 2^50 ns: window sums pass 2^53
+        return (Time{1} << 50) + rng.uniformInt(0, Time{1} << 52);
+      case 3: // huge values mixed with ordinary ones
+        return rng.chance(0.5) ? (Time{1} << 50) + rng.uniformInt(0, 1000)
+                               : rng.uniformInt(0, msec(5));
+      default: // log-uniform from 1 ns to ~1 s, exact repeats included
+        return rng.chance(0.2)
+                   ? usec(100)
+                   : static_cast<Time>(std::exp(rng.uniform(0.0, 20.7)));
+    }
+}
+
+TEST(MenuGovernor, FusedEstimatorMatchesThreeLoopReference)
+{
+    // >= 100K seeded histories: fresh governors fed 1..20 idles (1-7
+    // is a partial window; beyond 8 the ring wraps), then one choose()
+    // under a random or absent timer hint. The fused estimator must
+    // agree with the reference on the state and the exact prediction.
+    CStateTable t = lpTable();
+    Rng rng(20240917);
+    std::set<CState> statesSeen;
+    int partialWindows = 0;
+    for (int trial = 0; trial < 120000; ++trial) {
+        MenuGovernor g(t);
+        ReferenceMenuGovernor ref(t);
+        const int shape = static_cast<int>(rng.uniformInt(0, 4));
+        const int entries = static_cast<int>(rng.uniformInt(1, 20));
+        partialWindows += entries < 8;
+        for (int i = 0; i < entries; ++i) {
+            const Time idle = drawIdle(rng, shape);
+            g.recordIdle(idle);
+            ref.recordIdle(idle);
+        }
+        const Time hint = rng.chance(0.3) ? kTimeNever
+                                          : rng.uniformInt(0, seconds(2));
+        const CState got = g.choose(hint).state;
+        const CState want = ref.choose(hint).state;
+        ASSERT_EQ(got, want) << "trial " << trial << " shape " << shape;
+        ASSERT_EQ(g.lastPrediction(), ref.lastPrediction())
+            << "trial " << trial << " shape " << shape;
+        statesSeen.insert(got);
+    }
+    EXPECT_GT(partialWindows, 20000);
+    EXPECT_EQ(statesSeen.size(), t.states().size()); // every state reached
+}
+
+TEST(MenuGovernor, FusedEstimatorMatchesReferenceOverLongSequences)
+{
+    // One governor per seed living through a long idle sequence with a
+    // choose() before every recordIdle(), as a core uses it, so every
+    // ring rotation is exercised.
+    CStateTable t = lpTable();
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed);
+        MenuGovernor g(t);
+        ReferenceMenuGovernor ref(t);
+        for (int step = 0; step < 2000; ++step) {
+            const Time hint = rng.chance(0.2) ? kTimeNever
+                                              : rng.uniformInt(0, msec(2));
+            ASSERT_EQ(g.choose(hint).state, ref.choose(hint).state)
+                << "seed " << seed << " step " << step;
+            ASSERT_EQ(g.lastPrediction(), ref.lastPrediction())
+                << "seed " << seed << " step " << step;
+            const Time idle =
+                drawIdle(rng, static_cast<int>(rng.uniformInt(0, 4)));
+            g.recordIdle(idle);
+            ref.recordIdle(idle);
+        }
+    }
 }
 
 } // namespace

@@ -19,8 +19,7 @@ struct DomainFixture
     FreqDomain
     make(const HwConfig &cfg)
     {
-        return FreqDomain(
-            sim, cfg, [this] { return active; }, [this] { ++changes; });
+        return FreqDomain(sim, cfg, active, [this] { ++changes; });
     }
 };
 
