@@ -8,7 +8,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
-#include "sim/partition.hh"
 #include "sim/simulator.hh"
 
 namespace tpv {
@@ -176,22 +175,12 @@ struct Relay : net::Endpoint
         TPV_ASSERT(target != nullptr, "relay used before binding");
         target->onMessage(m);
     }
-
-    int
-    partitionOf(const net::Message &m) const override
-    {
-        return target != nullptr ? target->partitionOf(m) : -1;
-    }
 };
 
-/**
- * One run at a given intra-run crew size. Split from runOnce() so a
- * conservative-invariant violation (astronomically rare: a lookahead
- * shortfall or sequence-key overflow) can re-run the whole experiment
- * serially and return bit-exact serial results.
- */
+} // namespace
+
 RunResult
-runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
+runOnce(const ExperimentConfig &cfg)
 {
     Simulator sim;
     Rng rootRng(cfg.seed);
@@ -265,53 +254,13 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
     }
     serverDoor.target = service.get();
 
-    // Intra-run parallelism: carve the service graph into event-queue
-    // domains (domain 0 stays the client/harness side) and switch the
-    // run to the conservative windowed engine before the generator
-    // schedules its first arrival. Service machines pack into at most
-    // intraThreads - 1 domains (domain 0 is the client's), and the
-    // window is sized by the tightest cross-domain edge the plan
-    // actually cuts — plus the client links, which always cross. Kept
-    // serial only when the crew would be size 1 or the shape is
-    // degenerate (< 2 domains, a cut edge with a zero delay floor);
-    // fault plans run partitioned (the injector homes every state
-    // flip in its owning domain) and so do non-tickless servers
-    // (their tick loops migrate into their machines' domains).
-    int intraDomains = 1;
-    if (intraThreads > 1) {
-        const int serviceDomains = serviceGraph->planPartitions(
-            1, std::max(1, intraThreads - 1));
-        const int domains = 1 + serviceDomains;
-        const Time lookahead =
-            std::min(net::Link::minDelayFloor(cfg.network),
-                     serviceGraph->minCutFloor());
-        const int threads = std::min(intraThreads, domains);
-        if (domains >= 2 && threads >= 2 && lookahead > 0 &&
-            domains < (1 << PartitionedEngine::kDomainBits)) {
-            // Pull construction-time tick loops off the setup queue
-            // before enablePartition() adopts it into domain 0, then
-            // re-home them into their machines' planned domains. The
-            // shape was checked above, so enablePartition() cannot
-            // refuse and leave the ticks detached.
-            serviceGraph->detachTicks();
-            const bool enabled =
-                sim.enablePartition(domains, lookahead, threads);
-            TPV_ASSERT(enabled, "partition refused a checked shape");
-            serviceGraph->attachTicks();
-            serviceGraph->shardStats(domains);
-            intraDomains = domains;
-        }
-    }
-
-    // Flight recorder: built once the run's domain count is final, so
-    // the per-domain slabs line up with the engine the run executes
-    // on. The client links' wire spans are hooked here (the graph owns
-    // only its internal links); both fire in the sending domain.
+    // Flight recorder. The client links' wire spans are hooked here
+    // (the graph owns only its internal links).
     std::unique_ptr<obs::TraceRecorder> trace;
     std::unique_ptr<obs::MetricsRegistry> metrics;
     if (cfg.obs.trace) {
         trace = std::make_unique<obs::TraceRecorder>(
-            cfg.obs.traceConfig(), cfg.seed, intraDomains);
+            cfg.obs.traceConfig(), cfg.seed);
         serviceGraph->setTrace(trace.get());
         auto wireObs = [&sim, tr = trace.get()](const net::Message &m,
                                                 Time delay, bool) {
@@ -325,10 +274,7 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
             rec.rootId = root;
             rec.arg = m.bytes;
             rec.kind = obs::SpanKind::Wire;
-            int d = 0;
-            if (sim.partitioned())
-                d = std::max(0, sim.currentDomain());
-            tr->record(d, rec);
+            tr->record(rec);
         };
         clientToServer.setObserver(wireObs);
         serverToClient.setObserver(wireObs);
@@ -359,15 +305,7 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
 
     sim.runUntil(horizon);
 
-    // A violated conservative invariant means the partitioned results
-    // cannot be trusted; the serial engine is always correct, so the
-    // re-run reproduces exactly what intraThreads=1 would have seen.
-    if (sim.partitionViolated())
-        return runOnceImpl(cfg, 1);
-
-    // Export hook: fires once per completed run (the violated-run
-    // path above re-runs serially and exports from that run's own
-    // fresh recorders instead).
+    // Export hook: fires once per completed run.
     if (cfg.obs.sink)
         cfg.obs.sink(trace.get(), metrics.get());
 
@@ -391,16 +329,7 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
         out.serverHw = serverMachine->stats();
     out.service = serviceStats();
     out.events = sim.executedEvents();
-    out.intraDomains = intraDomains;
     return out;
-}
-
-} // namespace
-
-RunResult
-runOnce(const ExperimentConfig &cfg)
-{
-    return runOnceImpl(cfg, cfg.intraThreads);
 }
 
 } // namespace core

@@ -84,21 +84,6 @@ struct ExperimentConfig
     obs::ObsOptions obs;
     std::uint64_t seed = 1;
 
-    /**
-     * Intra-run parallelism: crew threads advancing one run's
-     * event-queue domains in lookahead-sized windows (the
-     * conservative parallel engine in sim/partition.hh). 1 (the
-     * default) keeps the classic serial engine. Values > 1 pack the
-     * service graph's machine/tier groups into at most
-     * intraThreads - 1 domains (domain 0 is the client's) and run
-     * bit-identical to serial — fault plans and non-tickless servers
-     * included. runOnce falls back to serial automatically only when
-     * the topology yields < 2 domains or a cut edge allows zero
-     * lookahead, and re-runs serially in the astronomically unlikely
-     * event of a conservative-invariant violation.
-     */
-    int intraThreads = 1;
-
     /** Short human-readable tag for reports ("LP-SMToff"). */
     std::string label = "experiment";
 
@@ -179,9 +164,6 @@ struct RunResult
     svc::ServiceStats service;
     /** Simulated events executed (simulator cost diagnostics). */
     std::uint64_t events = 0;
-    /** Event-queue domains the run executed on: 1 = the serial engine
-     *  (intraThreads was 1 or a serial-fallback condition applied). */
-    int intraDomains = 1;
 
     double avgUs() const { return latency.mean; }
     double p99Us() const { return latency.p99; }

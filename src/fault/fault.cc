@@ -252,8 +252,8 @@ Injector::arm(Time horizon)
 
     // Materialise every spec's windows (rng draws in spec order, as
     // always) and lay their begin/detect/end out exactly as the
-    // serial engine would execute them: by time, ties in arm order
-    // (the serial queue pops same-instant events in insertion order).
+    // simulator would execute them: by time, ties in arm order (the
+    // queue pops same-instant events in insertion order).
     std::vector<SweepEntry> sweep;
     std::uint64_t order = 0;
     for (const FaultSpec &spec : plan_.faults) {
@@ -269,8 +269,7 @@ Injector::arm(Time horizon)
             ++windowsArmed_;
             if (obs::TraceRecorder *tr = graph_.trace()) {
                 // The window as a global marker (rootId 0), recorded
-                // offline into domain 0 — arm() runs before the crew
-                // exists, so no slab is shared with a live domain.
+                // offline.
                 obs::SpanRecord rec;
                 rec.start = clamped.start;
                 rec.end = clamped.end;
@@ -284,7 +283,7 @@ Injector::arm(Time horizon)
                     rec.replica =
                         static_cast<std::int16_t>(spec.replica);
                 }
-                tr->record(0, rec);
+                tr->record(rec);
             }
             sweep.push_back(SweepEntry{clamped.start, order++,
                                        SweepEntry::Begin, &spec});
@@ -314,9 +313,7 @@ Injector::arm(Time horizon)
     // Replay the timeline through the engage state machine and
     // schedule the concrete flips it implies. Everything the replay
     // decides (who flips, when, with what pause length) is settled
-    // here, offline; the scheduled ops just apply the flips — each in
-    // the event-queue domain owning the touched state, so a
-    // partitioned run never mutates another domain's state mid-window.
+    // here, offline; the scheduled ops just apply the flips.
     for (const SweepEntry &e : sweep) {
         switch (e.type) {
           case SweepEntry::Begin:
@@ -338,8 +335,7 @@ Injector::replayBegin(const SweepEntry &e)
     const FaultSpec &spec = *e.spec;
 
     if (spec.kind == FaultKind::LinkDegrade) {
-        // The window-open count lives on the harness domain.
-        sim_.atDomain(0, e.when, [this] {
+        sim_.at(e.when, [this] {
             ++graph_.mutableStats().faultsInjected;
         });
         for (std::size_t i = 0; i < graph_.linkCount(); ++i) {
@@ -351,22 +347,17 @@ Injector::replayBegin(const SweepEntry &e)
                 continue; // another window already holds the fault
             const Time added = spec.addedLatency;
             const double loss = spec.lossFraction;
-            // Homed where the link's sends draw rng: the loss counter
-            // binds to that domain's stats shard, where the drops
-            // will be counted.
-            sim_.atDomain(graph_.linkHomeDomain(i), e.when,
-                          [this, link, added, loss] {
-                              link->degrade(
-                                  added, loss,
-                                  &graph_.mutableStats().requestsLost);
-                          });
+            sim_.at(e.when, [this, link, added, loss] {
+                link->degrade(added, loss,
+                              &graph_.mutableStats().requestsLost);
+            });
         }
         return;
     }
 
     svc::Tier &tier = targetTier(spec);
     const int ti = tier.tierIndex();
-    sim_.atDomain(0, e.when, [this, ti] {
+    sim_.at(e.when, [this, ti] {
         svc::ServiceStats &stats = graph_.mutableStats();
         ++stats.faultsInjected;
         ++stats.tiers[static_cast<std::size_t>(ti)].faultsInjected;
@@ -375,10 +366,8 @@ Injector::replayBegin(const SweepEntry &e)
     svc::Tier *t = &tier;
     for (int r : targetReplicas(spec, tier)) {
         if (spec.kind == FaultKind::CacheFlush) {
-            // Instantaneous, engage-free: every window flushes. Runs
-            // on the replica's machine, whose workers own the cache.
-            sim_.atDomain(t->machine(r).simDomain(), e.when,
-                          [this, t, r] { graph_.flushCaches(*t, r); });
+            // Instantaneous, engage-free: every window flushes.
+            sim_.at(e.when, [this, t, r] { graph_.flushCaches(*t, r); });
             continue;
         }
         // Overlapping windows of the same kind on one replica
@@ -391,15 +380,12 @@ Injector::replayBegin(const SweepEntry &e)
             // The crash itself; detection (suspicion + re-issue of
             // outstanding subs) is the separate Detect entry,
             // detectDelay later.
-            sim_.atDomain(t->machine(r).simDomain(), e.when,
-                          [t, r] { t->setReplicaUp(r, false); });
+            sim_.at(e.when, [t, r] { t->setReplicaUp(r, false); });
             break;
           case FaultKind::ReplicaSlowdown: {
             const double factor = spec.slowFactor;
-            sim_.atDomain(t->machine(r).simDomain(), e.when,
-                          [t, r, factor] {
-                              t->setReplicaSlowdown(r, factor);
-                          });
+            sim_.at(e.when,
+                    [t, r, factor] { t->setReplicaSlowdown(r, factor); });
             break;
           }
           case FaultKind::Pause: {
@@ -410,8 +396,7 @@ Injector::replayBegin(const SweepEntry &e)
             // same as N specs.
             hw::Machine *m = &t->machine(r);
             frozenSince_[m] = e.when;
-            sim_.atDomain(m->simDomain(), e.when,
-                          [m] { m->setFrozen(true); });
+            sim_.at(e.when, [m] { m->setFrozen(true); });
             break;
           }
           case FaultKind::LinkDegrade:
@@ -424,12 +409,10 @@ Injector::replayBegin(const SweepEntry &e)
 void
 Injector::replayDetect(const SweepEntry &e)
 {
-    // One event on the fan-out parents' timeline — the domain that
-    // reads suspicion flags and re-issues outstanding sub-requests
-    // (planPartitions keeps all parents of one child together).
+    // Suspect the replicas and re-issue their outstanding
+    // sub-requests.
     const FaultSpec *s = e.spec;
-    svc::Tier &tier = targetTier(*s);
-    sim_.atDomain(graph_.detectDomainFor(tier), e.when, [this, s] {
+    sim_.at(e.when, [this, s] {
         svc::Tier &t = targetTier(*s);
         for (int r : targetReplicas(*s, t)) {
             t.setReplicaSuspected(r, true);
@@ -451,8 +434,7 @@ Injector::replayEnd(const SweepEntry &e)
             net::Link *link = &graph_.link(i);
             if (!engage(link, 0, spec.kind, false))
                 continue;
-            sim_.atDomain(graph_.linkHomeDomain(i), e.when,
-                          [link] { link->clearDegrade(); });
+            sim_.at(e.when, [link] { link->clearDegrade(); });
         }
         return;
     }
@@ -464,23 +446,17 @@ Injector::replayEnd(const SweepEntry &e)
             continue;
         switch (spec.kind) {
           case FaultKind::ReplicaCrash: {
-            // Restart: the up flip belongs to the replica's machine;
-            // the suspicion clear to the detectors' timeline (the
-            // flag's readers live there).
-            sim_.atDomain(t->machine(r).simDomain(), e.when,
-                          [t, r] { t->setReplicaUp(r, true); });
-            sim_.atDomain(graph_.detectDomainFor(tier), e.when,
-                          [t, r] { t->setReplicaSuspected(r, false); });
+            sim_.at(e.when, [t, r] { t->setReplicaUp(r, true); });
+            sim_.at(e.when, [t, r] { t->setReplicaSuspected(r, false); });
             break;
           }
           case FaultKind::ReplicaSlowdown:
-            sim_.atDomain(t->machine(r).simDomain(), e.when,
-                          [t, r] { t->setReplicaSlowdown(r, 1.0); });
+            sim_.at(e.when, [t, r] { t->setReplicaSlowdown(r, 1.0); });
             break;
           case FaultKind::Pause: {
             hw::Machine *m = &t->machine(r);
             const Time len = e.when - frozenSince_[m];
-            sim_.atDomain(m->simDomain(), e.when, [this, m, len] {
+            sim_.at(e.when, [this, m, len] {
                 graph_.mutableStats().pauseTime += len;
                 m->setFrozen(false);
             });

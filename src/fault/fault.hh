@@ -183,17 +183,10 @@ struct FaultPlan
  * the injector's rng (forked from the run seed), so serial and
  * parallel executions of a grid see identical fault timelines.
  *
- * Domain-aware: arm() replays the whole fault timeline *offline* —
- * every window begin/detect/end in serial execution order, through
- * the overlap-composition (engage) state machine — and schedules the
- * resulting concrete state flips as events homed in the domain that
- * owns the flipped state (a replica's machine for up/slowdown flips,
- * the fan-out parents' timeline for suspicion, a link's sender side
- * for degrades). A partitioned run therefore never flips another
- * domain's state mid-window, which is what lets faulty runs execute
- * on the parallel engine at all; the op decomposition is a pure
- * function of plan + topology, so serial and partitioned runs
- * execute identical event sets.
+ * arm() replays the whole fault timeline *offline* — every window
+ * begin/detect/end in execution order, through the overlap-composition
+ * (engage) state machine — and schedules only the resulting concrete
+ * state flips.
  */
 class Injector
 {
@@ -221,7 +214,7 @@ class Injector
 
   private:
     /** One begin/detect/end of the offline timeline replay, in the
-     *  order the serial engine would execute them. */
+     *  order the simulator would execute them. */
     struct SweepEntry
     {
         enum Type : std::uint8_t { Begin, Detect, End };
@@ -235,7 +228,7 @@ class Injector
     };
 
     /** Replay one sweep entry: advance the engage state machine and
-     *  schedule the concrete ops it implies into their domains. */
+     *  schedule the concrete ops it implies. */
     void replayBegin(const SweepEntry &e);
     void replayDetect(const SweepEntry &e);
     void replayEnd(const SweepEntry &e);

@@ -412,7 +412,7 @@ Core::startTickLoop()
     const Time phase =
         (cfg_->tickPeriod * (id_ % cfg_->cores)) / cfg_->cores;
     nextTick_ = sim_.now() + phase + cfg_->tickPeriod;
-    tickEvent_ = sim_.at(nextTick_, [this] { tick(); });
+    sim_.at(nextTick_, [this] { tick(); });
 }
 
 void
@@ -421,26 +421,7 @@ Core::tick()
     nextTick_ = sim_.now() + cfg_->tickPeriod;
     // The scheduling-clock interrupt runs on the core's first thread.
     threads_[0]->submit(cfg_->tickWork, nullptr);
-    // Re-armed with at(): a partitioned run keeps the loop in the
-    // domain it is executing in (the machine's own).
-    tickEvent_ = sim_.at(nextTick_, [this] { tick(); });
-}
-
-void
-Core::detachTick()
-{
-    if (sim_.pending(tickEvent_))
-        sim_.cancel(tickEvent_);
-    tickEvent_ = EventHandle{};
-}
-
-void
-Core::attachTick()
-{
-    if (cfg_->tickless || nextTick_ == kTimeNever)
-        return;
-    tickEvent_ = sim_.atDomain(machine_.simDomain(), nextTick_,
-                               [this] { tick(); });
+    sim_.at(nextTick_, [this] { tick(); });
 }
 
 } // namespace hw

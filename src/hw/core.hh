@@ -285,19 +285,6 @@ class Core
     Time timerHintDelta() const;
     void startTickLoop();
     void tick();
-
-    /**
-     * Pull the pending tick event out of the queue / re-arm it in the
-     * machine's event-queue domain. Machine::detachTicks() uses the
-     * pair to migrate construction-time tick loops onto the
-     * partitioned engine (they are scheduled before the partition
-     * plan exists, so they start on the setup timeline). nextTick_ is
-     * kept across the detach, so the re-armed loop fires at exactly
-     * the instants the serial engine would have.
-     */
-    void detachTick();
-    void attachTick();
-
     bool anyThreadBusy() const;
 
     Simulator &sim_;
@@ -320,8 +307,6 @@ class Core
      */
     std::vector<Time> armedTimers_;
     Time nextTick_ = kTimeNever;
-    /** The pending tick-loop event (invalid while tickless/detached). */
-    EventHandle tickEvent_;
     Stats stats_;
     bool countedActive_ = true;
     mutable double energyJ_ = 0;

@@ -110,28 +110,6 @@ class Machine
     /** The machine's display name. */
     const std::string &name() const { return name_; }
 
-    /**
-     * Event-queue domain of the intra-run parallel engine this
-     * machine's events run in; 0 (the client/harness domain) unless a
-     * partition plan assigned one (svc::ServiceGraph::planPartitions).
-     */
-    int simDomain() const { return simDomain_; }
-    void setSimDomain(int domain) { simDomain_ = domain; }
-
-    /**
-     * Tick-loop migration for partitioned runs: detachTicks() cancels
-     * every core's pending tick event (keeping its due time);
-     * attachTicks() re-arms them — via Simulator::atDomain — in this
-     * machine's simDomain(). Call detach before
-     * Simulator::enablePartition() adopts the setup queue and attach
-     * after, so a non-tickless server machine's ticks land on its own
-     * timeline instead of the client/harness domain. Core order is
-     * construction order, so re-armed events keep their serial
-     * same-instant ordering.
-     */
-    void detachTicks();
-    void attachTicks();
-
     /** Aggregated counters. */
     MachineStats stats() const;
 
@@ -159,7 +137,6 @@ class Machine
     int activeCores_ = 0;
     /** Turbo bin last pushed to the cores; no bin is negative. */
     double pushedBinGhz_ = -1.0;
-    int simDomain_ = 0;
     bool frozen_ = false;
     Time lastPackageActivity_ = 0;
     std::uint64_t irqsDelivered_ = 0;

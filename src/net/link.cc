@@ -1,10 +1,6 @@
 #include "net/link.hh"
 
-#include <cmath>
-#include <utility>
-
 #include "sim/logging.hh"
-#include "sim/partition.hh"
 
 namespace tpv {
 namespace net {
@@ -35,25 +31,6 @@ Link::sampleDelay(std::uint32_t bytes)
     const double serialization =
         static_cast<double>(bytes) * 8.0 / params_.bandwidthGbps;
     return static_cast<Time>(propagation + serialization);
-}
-
-Time
-Link::minDelayFloor(const Params &params)
-{
-    if (params.baseLatency <= 0)
-        return 0;
-    double mult = 1.0;
-    if (params.jitterFrac > 0) {
-        // Rng::lognormalMeanSd(1, frac) draws exp(mu + sigma * Z):
-        // sigma^2 = ln(1 + frac^2), mu = -sigma^2 / 2. Floor at
-        // Z = -12.
-        const double sigma2 =
-            std::log(1.0 + params.jitterFrac * params.jitterFrac);
-        const double sigma = std::sqrt(sigma2);
-        mult = std::exp(-sigma2 / 2.0 - 12.0 * sigma);
-    }
-    return static_cast<Time>(
-        static_cast<double>(params.baseLatency) * mult);
 }
 
 void
@@ -100,25 +77,6 @@ Link::send(Message msg, Endpoint &dst)
     if (observer_)
         observer_(msg, delay, false);
     totalDelay_ += delay;
-    if (sim_.partitioned()) {
-        const int src = sim_.currentDomain();
-        TPV_ASSERT(senderDomain_ < 0 || senderDomain_ == src,
-                   "link sent from two domains (", senderDomain_, " and ",
-                   src, "): its RNG stream would race");
-        senderDomain_ = src;
-        const int dstDomain = dst.partitionOf(msg);
-        const int target = dstDomain < 0 ? 0 : dstDomain;
-        if (target != src) {
-            // Cross-domain: stage in the sender's outbox; the crew
-            // leader schedules the delivery onto the target's queue
-            // at the window barrier. The delay (and any degrade
-            // draw above) came from this link's RNG *here*, in the
-            // sender's domain, in serial event order.
-            sim_.partition()->stageCross(target, sim_.now() + delay,
-                                         std::move(msg), &dst);
-            return;
-        }
-    }
     const std::uint32_t idx = inflight_.acquire(msg);
     Endpoint *d = &dst;
     sim_.schedule(delay, [this, idx, d] { deliver(idx, d); });

@@ -57,20 +57,6 @@ class Link
      *  advances the RNG exactly like an undegraded send()). */
     Time sampleDelay(std::uint32_t bytes);
 
-    const Params &params() const { return params_; }
-
-    /**
-     * Conservative lower bound on any delay sampleDelay() can draw
-     * under @p params: the base latency scaled by the lognormal
-     * multiplier 12 standard normal deviations below its median
-     * (P < 1e-33 per draw; the partitioned engine's merge check
-     * catches the astronomically unlikely shortfall and forces a
-     * serial re-run, so results are never wrong, merely re-computed).
-     * Serialization delay is additive and non-negative, so it is
-     * ignored. This is the window lookahead of the parallel engine.
-     */
-    static Time minDelayFloor(const Params &params);
-
     /**
      * Degrade the path (fault injection): every subsequent send pays
      * @p addedLatency on top of the modelled delay, and is dropped
@@ -93,10 +79,9 @@ class Link
 
     /**
      * Observer of every send: (message, sampled one-way delay,
-     * dropped-by-fault). Called from the sender's domain before the
-     * delivery is scheduled or staged — the flight recorder's wire
-     * spans. Null (the default) costs one branch per send; install
-     * only from run setup, never mid-run.
+     * dropped-by-fault). Called before the delivery is scheduled —
+     * the flight recorder's wire spans. Null (the default) costs one
+     * branch per send; install only from run setup, never mid-run.
      */
     using SendObserver =
         std::function<void(const Message &, Time, bool)>;
@@ -110,14 +95,6 @@ class Link
     Simulator &sim_;
     Rng rng_;
     Params params_;
-    /**
-     * Partitioned-run guard: the first domain that sends on this link
-     * claims it. A link's RNG stream must be drawn from exactly one
-     * domain (one thread) or both determinism and memory safety are
-     * gone — the topology layer's per-replica link fan-out is what
-     * keeps this true, and this assert is how a regression shows up.
-     */
-    int senderDomain_ = -1;
     /**
      * Messages in flight on this link. Parking the payload here lets
      * the delivery event capture a 4-byte slot index instead of the

@@ -113,19 +113,6 @@ class Endpoint
 
     /** A message arrived at this endpoint's NIC. */
     virtual void onMessage(const Message &msg) = 0;
-
-    /**
-     * Event-queue domain this endpoint would handle @p msg in, for
-     * the intra-run parallel engine's cross-domain routing; -1 (the
-     * default) means "domain 0" — the client/run-harness domain.
-     * Only consulted while a run is partitioned.
-     */
-    virtual int
-    partitionOf(const Message &msg) const
-    {
-        (void)msg;
-        return -1;
-    }
 };
 
 } // namespace net

@@ -24,9 +24,8 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** Canonical export order: pure span content, no sequence counters
- *  (per-domain counters differ numerically between the serial and
- *  partitioned engines even when behaviour is identical). */
+/** Canonical export order: pure span content, never recording
+ *  order. */
 bool
 contentLess(const SpanRecord &a, const SpanRecord &b)
 {
@@ -129,20 +128,14 @@ TraceRecorder::OpenKeyHash::operator()(const OpenKey &k) const
     return static_cast<std::size_t>(h);
 }
 
-TraceRecorder::TraceRecorder(const TraceConfig &cfg, std::uint64_t seed,
-                             int domains)
-    : cfg_(cfg), seedMix_(mix64(seed)),
-      logs_(static_cast<std::size_t>(domains > 0 ? domains : 1))
+TraceRecorder::TraceRecorder(const TraceConfig &cfg, std::uint64_t seed)
+    : cfg_(cfg), seedMix_(mix64(seed))
 {
-    // Pre-size each slab (fixed-size records, geometric growth only
-    // up to the cap) and the open tables, so steady-state recording
+    // Pre-size the slab (fixed-size records, geometric growth only up
+    // to the cap) and the open table, so steady-state recording
     // touches the allocator rarely and predictably.
-    const std::size_t slab =
-        std::min<std::size_t>(cfg_.maxSpansPerDomain, 1u << 15);
-    for (DomainLog &log : logs_) {
-        log.spans.reserve(slab);
-        log.open.reserve(1024);
-    }
+    spans_.reserve(std::min<std::size_t>(cfg_.maxSpans, 1u << 15));
+    open_.reserve(1024);
 }
 
 bool
@@ -154,36 +147,32 @@ TraceRecorder::sampled(std::uint64_t rootId) const
 }
 
 void
-TraceRecorder::record(int domain, const SpanRecord &span)
+TraceRecorder::record(const SpanRecord &span)
 {
-    DomainLog &log = logs_[static_cast<std::size_t>(domain)];
-    if (log.spans.size() >= cfg_.maxSpansPerDomain) {
-        if (!log.truncated) {
-            log.truncated = true;
-            warn("trace slab of domain ", domain, " full (",
-                 cfg_.maxSpansPerDomain,
+    if (spans_.size() >= cfg_.maxSpans) {
+        if (!truncated_) {
+            truncated_ = true;
+            warn("trace slab full (", cfg_.maxSpans,
                  " spans); further spans dropped");
         }
         return;
     }
-    log.spans.push_back(span);
+    spans_.push_back(span);
 }
 
 void
-TraceRecorder::begin(int domain, const OpenKey &key, Time start,
-                     std::uint64_t rootId, std::uint32_t arg)
+TraceRecorder::begin(const OpenKey &key, Time start, std::uint64_t rootId,
+                     std::uint32_t arg)
 {
-    DomainLog &log = logs_[static_cast<std::size_t>(domain)];
-    log.open[key] = OpenValue{start, rootId, arg};
+    open_[key] = OpenValue{start, rootId, arg};
 }
 
 bool
-TraceRecorder::end(int domain, const OpenKey &key, Time *start,
-                   std::uint64_t *rootId, std::uint32_t *arg)
+TraceRecorder::end(const OpenKey &key, Time *start, std::uint64_t *rootId,
+                   std::uint32_t *arg)
 {
-    DomainLog &log = logs_[static_cast<std::size_t>(domain)];
-    auto it = log.open.find(key);
-    if (it == log.open.end())
+    auto it = open_.find(key);
+    if (it == open_.end())
         return false;
     if (start != nullptr)
         *start = it->second.start;
@@ -191,27 +180,8 @@ TraceRecorder::end(int domain, const OpenKey &key, Time *start,
         *rootId = it->second.rootId;
     if (arg != nullptr)
         *arg = it->second.arg;
-    log.open.erase(it);
+    open_.erase(it);
     return true;
-}
-
-std::uint64_t
-TraceRecorder::recorded() const
-{
-    std::uint64_t n = 0;
-    for (const DomainLog &log : logs_)
-        n += log.spans.size();
-    return n;
-}
-
-bool
-TraceRecorder::truncated() const
-{
-    for (const DomainLog &log : logs_) {
-        if (log.truncated)
-            return true;
-    }
-    return false;
 }
 
 std::vector<SpanRecord>
@@ -223,11 +193,9 @@ TraceRecorder::exportSpans() const
     std::unordered_set<std::uint64_t> tail;
     if (cfg_.tailN > 0) {
         std::vector<const SpanRecord *> roots;
-        for (const DomainLog &log : logs_) {
-            for (const SpanRecord &s : log.spans) {
-                if (s.kind == SpanKind::Root)
-                    roots.push_back(&s);
-            }
+        for (const SpanRecord &s : spans_) {
+            if (s.kind == SpanKind::Root)
+                roots.push_back(&s);
         }
         std::sort(roots.begin(), roots.end(),
                   [](const SpanRecord *a, const SpanRecord *b) {
@@ -244,12 +212,9 @@ TraceRecorder::exportSpans() const
     }
 
     std::vector<SpanRecord> out;
-    for (const DomainLog &log : logs_) {
-        for (const SpanRecord &s : log.spans) {
-            if (s.rootId == 0 || sampled(s.rootId) ||
-                tail.count(s.rootId) != 0)
-                out.push_back(s);
-        }
+    for (const SpanRecord &s : spans_) {
+        if (s.rootId == 0 || sampled(s.rootId) || tail.count(s.rootId) != 0)
+            out.push_back(s);
     }
     std::sort(out.begin(), out.end(), contentLess);
     return out;
@@ -323,11 +288,9 @@ std::vector<TraceRecorder::TailRoot>
 TraceRecorder::slowestRoots(int n) const
 {
     std::vector<SpanRecord> roots;
-    for (const DomainLog &log : logs_) {
-        for (const SpanRecord &s : log.spans) {
-            if (s.kind == SpanKind::Root)
-                roots.push_back(s);
-        }
+    for (const SpanRecord &s : spans_) {
+        if (s.kind == SpanKind::Root)
+            roots.push_back(s);
     }
     std::sort(roots.begin(), roots.end(),
               [](const SpanRecord &a, const SpanRecord &b) {
@@ -345,11 +308,9 @@ TraceRecorder::slowestRoots(int n) const
     for (const SpanRecord &root : roots) {
         TailRoot entry;
         entry.root = root;
-        for (const DomainLog &log : logs_) {
-            for (const SpanRecord &s : log.spans) {
-                if (s.rootId == root.rootId)
-                    entry.spans.push_back(s);
-            }
+        for (const SpanRecord &s : spans_) {
+            if (s.rootId == root.rootId)
+                entry.spans.push_back(s);
         }
         std::sort(entry.spans.begin(), entry.spans.end(),
                   contentLess);

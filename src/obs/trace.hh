@@ -6,9 +6,7 @@
  * The TraceRecorder collects fixed-size span records — root request,
  * per-shard sub-request, hedge, retry, queue wait, service execution,
  * wire delay, cache hit/miss/fill, breaker and shed decisions, fault
- * windows — into per-domain append-only slabs, one per event-queue
- * domain, so a partitioned run's crew threads never share a buffer.
- * Recording sites pay one pointer test when tracing is off (the
+ * windows — into one append-only slab. Recording sites pay one pointer test when tracing is off (the
  * ServiceGraph's recorder pointer is null) and an early-out hash when
  * a root is not sampled, keeping the 0-allocs/event hot-path gates
  * intact for untraced runs.
@@ -16,9 +14,8 @@
  * Determinism: sampling is a pure seeded hash of the root id (no
  * recorder state), span content never includes host-thread or heap
  * identities, and the export orders spans by a canonical content key
- * — so the exported bytes are identical run-to-run and identical
- * between the serial and partitioned engines whenever the simulated
- * behaviour is (which the golden determinism suite pins).
+ * — so the exported bytes are identical run-to-run whenever the
+ * simulated behaviour is (which the golden determinism suite pins).
  *
  * Export is Chrome trace-event JSON ({"traceEvents":[...]}) using
  * nestable async events keyed by root id, loadable directly in
@@ -113,9 +110,9 @@ struct TraceConfig
      * > 0 the recorder records every root and filters at export.
      */
     int tailN = 0;
-    /** Per-domain span cap; the slab stops growing past it and the
-     *  recorder reports truncated(). */
-    std::size_t maxSpansPerDomain = std::size_t(1) << 20;
+    /** Span cap; the slab stops growing past it and the recorder
+     *  reports truncated(). */
+    std::size_t maxSpans = std::size_t(1) << 20;
 };
 
 /**
@@ -129,7 +126,7 @@ struct ObsOptions
     bool trace = false;
     std::uint32_t sampleEveryN = 1;
     int tailN = 0;
-    std::size_t maxSpansPerDomain = std::size_t(1) << 20;
+    std::size_t maxSpans = std::size_t(1) << 20;
     /** Timeline-metrics sampling period; 0 disables metrics. */
     Time metricsPeriod = 0;
     /**
@@ -148,15 +145,14 @@ struct ObsOptions
         TraceConfig t;
         t.sampleEveryN = sampleEveryN;
         t.tailN = tailN;
-        t.maxSpansPerDomain = maxSpansPerDomain;
+        t.maxSpans = maxSpans;
         return t;
     }
 };
 
 /**
- * Per-run span store. Construct once the run's domain count is known
- * (after partition planning), install on the ServiceGraph, export
- * after the run.
+ * Per-run span store. Construct before the run, install on the
+ * ServiceGraph, export after the run.
  */
 class TraceRecorder
 {
@@ -165,8 +161,7 @@ class TraceRecorder
      * Key of a span whose begin and end happen at different call
      * sites (root arrival/response, dispatch/completion, scatter/
      * reply). Exact-match composite — a hash collision degrades to a
-     * probe, never to a wrong pairing, so serial and partitioned
-     * runs pair identically.
+     * probe, never to a wrong pairing.
      */
     struct OpenKey
     {
@@ -196,11 +191,9 @@ class TraceRecorder
 
     /**
      * @param cfg sampling/tail/cap knobs; @p seed the run seed (the
-     * sampling hash mixes it); @p domains event-queue domain count
-     * (1 for serial runs).
+     * sampling hash mixes it).
      */
-    TraceRecorder(const TraceConfig &cfg, std::uint64_t seed,
-                  int domains);
+    TraceRecorder(const TraceConfig &cfg, std::uint64_t seed);
 
     /** Is @p rootId head-sampled? Pure function of (seed, rootId). */
     bool sampled(std::uint64_t rootId) const;
@@ -216,36 +209,34 @@ class TraceRecorder
         return cfg_.tailN > 0 || sampled(rootId);
     }
 
-    /** Append a finished span to @p domain's slab. */
-    void record(int domain, const SpanRecord &span);
+    /** Append a finished span to the slab. */
+    void record(const SpanRecord &span);
 
     /** Open a begin/end span; a duplicate key overwrites (a retry
      *  restarting a lane supersedes the dead attempt). */
-    void begin(int domain, const OpenKey &key, Time start,
-               std::uint64_t rootId, std::uint32_t arg);
+    void begin(const OpenKey &key, Time start, std::uint64_t rootId,
+               std::uint32_t arg);
 
     /**
      * Close an open span, filling @p start / @p rootId / @p arg from
      * the begin. @return false when no begin was recorded (the span
      * is then skipped).
      */
-    bool end(int domain, const OpenKey &key, Time *start,
-             std::uint64_t *rootId, std::uint32_t *arg);
+    bool end(const OpenKey &key, Time *start, std::uint64_t *rootId,
+             std::uint32_t *arg);
 
-    /** Spans recorded across all domains. */
-    std::uint64_t recorded() const;
+    /** Spans recorded. */
+    std::uint64_t recorded() const { return spans_.size(); }
 
-    /** True when any domain hit maxSpansPerDomain and dropped spans. */
-    bool truncated() const;
+    /** True when the slab hit maxSpans and dropped spans. */
+    bool truncated() const { return truncated_; }
 
     const TraceConfig &config() const { return cfg_; }
 
     /**
      * The export set: spans of sampled roots, of the tailN slowest
      * completed roots, and global markers — canonically ordered by
-     * content (start, rootId, kind, tier, shard, replica, end, arg),
-     * which is identical serial vs partitioned whenever the span
-     * multiset is.
+     * content (start, rootId, kind, tier, shard, replica, end, arg).
      */
     std::vector<SpanRecord> exportSpans() const;
 
@@ -270,18 +261,11 @@ class TraceRecorder
         std::uint32_t arg = 0;
     };
 
-    /** One domain's store, cache-line padded: each crew thread owns
-     *  exactly its domains' logs during a partitioned run. */
-    struct alignas(64) DomainLog
-    {
-        std::vector<SpanRecord> spans;
-        std::unordered_map<OpenKey, OpenValue, OpenKeyHash> open;
-        bool truncated = false;
-    };
-
     TraceConfig cfg_;
     std::uint64_t seedMix_ = 0;
-    std::vector<DomainLog> logs_;
+    std::vector<SpanRecord> spans_;
+    std::unordered_map<OpenKey, OpenValue, OpenKeyHash> open_;
+    bool truncated_ = false;
 };
 
 } // namespace obs

@@ -41,37 +41,6 @@ EventQueue::schedule(Time when, Callback cb)
     return EventHandle{slot, s.gen};
 }
 
-EventHandle
-EventQueue::scheduleSeq(Time when, std::uint64_t seq, Callback cb)
-{
-    TPV_ASSERT(cb != nullptr, "scheduling a null callback");
-    TPV_ASSERT(when >= 0, "scheduling at negative time ", when);
-
-    std::uint32_t slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-    } else {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-        // The free list can never outgrow the slot table, so sizing
-        // it alongside keeps runNext()'s push_back allocation-free:
-        // without this its capacity high-water (max simultaneously
-        // free slots) creeps up long after the slot count stops.
-        freeSlots_.reserve(slots_.capacity());
-    }
-
-    Slot &s = slots_[slot];
-    s.cb = std::move(cb);
-    s.active = true;
-    ++s.gen;
-
-    heap_.push_back(Entry{when, seq, slot, s.gen});
-    siftUp(heap_.size() - 1);
-    ++live_;
-    return EventHandle{slot, s.gen};
-}
-
 bool
 EventQueue::cancel(EventHandle h)
 {
@@ -167,26 +136,6 @@ EventQueue::runNext()
     ++executed_;
 
     cb();
-    return top.when;
-}
-
-Time
-EventQueue::takeNext(Callback &cb)
-{
-    skim();
-    TPV_ASSERT(!heap_.empty(), "takeNext() on an empty event queue");
-
-    const Entry top = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty())
-        siftDown(0);
-
-    Slot &s = slots_[top.slot];
-    cb = std::move(s.cb);
-    s.active = false;
-    freeSlots_.push_back(top.slot);
-    --live_;
     return top.when;
 }
 

@@ -72,16 +72,6 @@ class EventQueue
     EventHandle schedule(Time when, Callback cb);
 
     /**
-     * Schedule with an explicit ordering key instead of the queue's
-     * own insertion counter: the partitioned (parallel) engine derives
-     * @p seq from (scheduling instant, source domain, per-instant
-     * counter) so the pop order of a domain's queue is independent of
-     * the thread interleaving that filled it. Callers own uniqueness;
-     * the plain schedule() counter is not advanced.
-     */
-    EventHandle scheduleSeq(Time when, std::uint64_t seq, Callback cb);
-
-    /**
      * Cancel a previously scheduled event.
      * @return true if the event was still pending and is now cancelled.
      */
@@ -108,18 +98,6 @@ class EventQueue
      * @pre !empty()
      */
     Time runNext();
-
-    /**
-     * Pop the earliest live event *without* running it, handing its
-     * callback to the caller: the partition handoff that migrates
-     * construction-time events (non-tickless machines' tick loops)
-     * into the parallel engine's domain-0 queue. Pop order is the
-     * exact serial execution order, so re-scheduling in this order
-     * preserves it. Outstanding handles to the event are invalidated.
-     * @return the event's scheduled time.
-     * @pre !empty()
-     */
-    Time takeNext(Callback &cb);
 
     /**
      * Drop every pending event and release the heap, slot table and

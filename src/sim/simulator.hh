@@ -13,14 +13,11 @@
 #define TPV_SIM_SIMULATOR_HH
 
 #include <cstdint>
-#include <memory>
 
 #include "sim/event_queue.hh"
 #include "sim/time.hh"
 
 namespace tpv {
-
-class PartitionedEngine;
 
 /**
  * Discrete-event simulation executive.
@@ -28,24 +25,16 @@ class PartitionedEngine;
  * Components schedule callbacks with schedule()/at(); run() and
  * runUntil() drive the timeline forward. Time only advances at event
  * boundaries, so all model code observes a consistent now().
- *
- * A run may opt into intra-run parallelism with enablePartition():
- * scheduling calls are then routed to per-domain event queues (by the
- * calling crew thread's identity) and runUntil() drives the
- * conservative windowed engine in sim/partition.hh — model code is
- * unchanged either way.
  */
 class Simulator
 {
   public:
-    Simulator();
-    ~Simulator();
+    Simulator() = default;
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
-    /** Current simulated time (the calling domain's clock when
-     *  partitioned). */
-    Time now() const;
+    /** Current simulated time. */
+    Time now() const { return now_; }
 
     /**
      * Schedule @p cb to run @p delay after now().
@@ -59,20 +48,11 @@ class Simulator
      */
     EventHandle at(Time when, EventQueue::Callback cb);
 
-    /**
-     * Schedule @p cb at @p when into event-queue domain @p domain of a
-     * partitioned run (run setup only, from the main thread — fault
-     * injectors and tick re-homing use this to place events in the
-     * domain owning the touched state). Serial runs ignore the domain:
-     * there is only one timeline, so this is exactly at().
-     */
-    EventHandle atDomain(int domain, Time when, EventQueue::Callback cb);
-
     /** Cancel a pending event. @return true if it was still pending. */
-    bool cancel(EventHandle h);
+    bool cancel(EventHandle h) { return queue_.cancel(h); }
 
     /** @return true if @p h refers to a still-pending event. */
-    bool pending(EventHandle h) const;
+    bool pending(EventHandle h) const { return queue_.pending(h); }
 
     /**
      * Run until the queue drains or stop() is called.
@@ -87,61 +67,22 @@ class Simulator
      */
     Time runUntil(Time deadline);
 
-    /** Request that run()/runUntil() return after the current event.
-     *  Serial engine only. */
+    /** Request that run()/runUntil() return after the current event. */
     void stop() { stopRequested_ = true; }
 
     /** Number of live events in the queue. */
-    std::size_t pendingEvents() const;
+    std::size_t pendingEvents() const { return queue_.size(); }
 
     /** Total events executed so far (cheap progress / perf metric). */
-    std::uint64_t executedEvents() const;
+    std::uint64_t executedEvents() const { return queue_.executed(); }
 
     /** Direct queue access for advanced components (timers). */
     EventQueue &queue() { return queue_; }
-
-    // ---- intra-run parallelism ----
-
-    /**
-     * Switch this run to the conservative windowed parallel engine:
-     * @p domains event-queue domains advanced by @p threads crew
-     * threads in windows of @p lookahead. Call during setup, before
-     * the run starts: events already scheduled are adopted into
-     * domain 0 in serial order, so the caller must first detach any
-     * event belonging to another domain (ServiceGraph::detachTicks
-     * pulls server tick loops out; attachTicks re-homes them with
-     * atDomain after this returns) and ensure no EventHandle to an
-     * adopted event is retained. Refuses degenerate shapes (fewer
-     * than 2 domains or threads, zero lookahead) by returning false —
-     * the run then just stays serial.
-     */
-    bool enablePartition(int domains, Time lookahead, int threads);
-
-    /** True when enablePartition() succeeded for this run. */
-    bool partitioned() const { return part_ != nullptr; }
-
-    /**
-     * True when the partitioned run broke a conservative invariant
-     * (results untrustworthy; the caller re-runs serially).
-     */
-    bool partitionViolated() const;
-
-    /**
-     * Event-queue domain of the calling thread: 0 in serial runs and
-     * off the crew, the crew thread's current domain otherwise.
-     * Endpoint::partitionOf implementations and sharded counters key
-     * on this.
-     */
-    int currentDomain() const;
-
-    /** The engine while partitioned (net::Link's cross-domain path). */
-    PartitionedEngine *partition() { return part_.get(); }
 
   private:
     EventQueue queue_;
     Time now_ = 0;
     bool stopRequested_ = false;
-    std::unique_ptr<PartitionedEngine> part_;
 };
 
 } // namespace tpv

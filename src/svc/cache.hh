@@ -145,7 +145,7 @@ class CacheModel
      * Observe capacity events: called with false per eviction, true
      * per flush — the flight recorder's cache_evict markers. Null by
      * default (one branch per eviction, nothing on the hit path);
-     * install from run setup in the domain that owns the cache.
+     * install from run setup.
      */
     using Observer = std::function<void(bool flushed)>;
 

@@ -39,10 +39,6 @@ HdSearchCluster::HdSearchCluster(Simulator &sim,
     bktP.requestBytes = params_.subRequestBytes;
     bktP.responseBytes = params_.subResponseBytes;
     bktP.admission = params_.traffic.admission;
-    // Bucket replicas share no mutable state (stateless scans, CoDel
-    // state is per instance): the parallel engine may give each one
-    // its own event-queue domain.
-    bktP.partitionable = true;
     bucket_ = &graph_.addReplicatedTier(serverCfg, params_.replicas,
                                         std::move(bktP));
 

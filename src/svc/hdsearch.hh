@@ -90,12 +90,6 @@ class HdSearchCluster : public net::Endpoint
         graph_.onMessage(req);
     }
 
-    /** Requests enter at the midtier's event-queue domain. */
-    int partitionOf(const net::Message &msg) const override
-    {
-        return graph_.partitionOf(msg);
-    }
-
     const ServiceStats &stats() const { return graph_.stats(); }
     const HdSearchParams &params() const { return params_; }
 

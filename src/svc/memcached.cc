@@ -60,8 +60,7 @@ etcResponseBytes(const MemcachedParams &p, const net::Message &req,
 /**
  * Cache-event instant span (hit/miss/fill). The cache tier sits one
  * fan-out below the entry tier, so the sub-request's parentId IS the
- * root id; all three call sites run in the cache machine's domain
- * (workMut during dispatch, the store fan-out's completion).
+ * root id.
  */
 void
 traceCacheEvent(ServiceGraph &g, int tier, const net::Message &msg,
@@ -81,7 +80,7 @@ traceCacheEvent(ServiceGraph &g, int tier, const net::Message &msg,
     rec.tier = static_cast<std::uint8_t>(tier);
     rec.shard = static_cast<std::int16_t>(msg.shard);
     rec.replica = static_cast<std::int16_t>(msg.replica);
-    tr->record(g.traceDomain(), rec);
+    tr->record(rec);
 }
 
 } // namespace
@@ -337,10 +336,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                 caches_.back().resetCounters();
                 // Capacity churn as global markers (rootId 0): which
                 // replica/shard evicted or was flushed, not which
-                // request triggered it. Evictions run in the cache
-                // machine's domain (workMut / store completion);
-                // flushes in the fault action's, which targets the
-                // same replica.
+                // request triggered it.
                 caches_.back().setObserver(
                     [this, cacheTier, r, s](bool flushed) {
                         obs::TraceRecorder *tr = graph_.trace();
@@ -353,7 +349,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                         rec.tier = static_cast<std::uint8_t>(cacheTier);
                         rec.shard = static_cast<std::int16_t>(s);
                         rec.replica = static_cast<std::int16_t>(r);
-                        tr->record(graph_.traceDomain(), rec);
+                        tr->record(rec);
                     });
             }
         }
@@ -369,24 +365,23 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
         });
 
         // Per-replica cache hit rate on the metrics timeline: summed
-        // over the shards the replica owns, homed in its domain.
+        // over the shards the replica owns.
         graph_.onRegisterMetrics([this](obs::MetricsRegistry &m) {
             for (int r = 0; r < params_.replicas; ++r) {
-                m.add("cache_hitrate.r" + std::to_string(r),
-                      cache_->machine(r).simDomain(), [this, r]() {
-                          std::uint64_t hit = 0;
-                          std::uint64_t miss = 0;
-                          for (int s = 0; s < params_.shards; ++s) {
-                              CacheModel &c = cacheModel(r, s);
-                              hit += c.hits();
-                              miss += c.misses();
-                          }
-                          const std::uint64_t total = hit + miss;
-                          if (total == 0)
-                              return 0.0;
-                          return static_cast<double>(hit) /
-                                 static_cast<double>(total);
-                      });
+                m.add("cache_hitrate.r" + std::to_string(r), [this, r]() {
+                    std::uint64_t hit = 0;
+                    std::uint64_t miss = 0;
+                    for (int s = 0; s < params_.shards; ++s) {
+                        CacheModel &c = cacheModel(r, s);
+                        hit += c.hits();
+                        miss += c.misses();
+                    }
+                    const std::uint64_t total = hit + miss;
+                    if (total == 0)
+                        return 0.0;
+                    return static_cast<double>(hit) /
+                           static_cast<double>(total);
+                });
             }
         });
     }

@@ -139,12 +139,6 @@ class MemcachedCluster : public net::Endpoint
         graph_.onMessage(req);
     }
 
-    /** Requests enter at the router's event-queue domain. */
-    int partitionOf(const net::Message &msg) const override
-    {
-        return graph_.partitionOf(msg);
-    }
-
     const ServiceStats &stats() const { return graph_.stats(); }
     const MemcachedParams &params() const { return params_; }
 

@@ -57,12 +57,6 @@ class SingleTierServer : public net::Endpoint
         graph_.onMessage(req);
     }
 
-    /** Requests run in the server tier's event-queue domain. */
-    int partitionOf(const net::Message &msg) const final
-    {
-        return graph_.partitionOf(msg);
-    }
-
     /** Service counters. */
     const ServiceStats &stats() const { return graph_.stats(); }
 

@@ -27,10 +27,7 @@ SocialNetworkApp::SocialNetworkApp(Simulator &sim,
         t.responseBytes = params_.responseBytes;
         stages_.push_back(&graph_.addTier(machine, std::move(t)));
     }
-    // Both ends on the single app machine: never a cut edge, so its
-    // (typically tiny) loopback latency does not bound the parallel
-    // engine's window.
-    loopback_ = &graph_.addLink(params_.loopback, &machine, {&machine});
+    loopback_ = &graph_.addLink(params_.loopback);
 
     // Chain the stages over the loopback link; the last stage keeps
     // the default handler and replies to the client via the graph.

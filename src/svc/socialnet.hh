@@ -83,12 +83,6 @@ class SocialNetworkApp : public net::Endpoint
         graph_.onMessage(msg);
     }
 
-    /** Requests enter at the frontend stage's event-queue domain. */
-    int partitionOf(const net::Message &msg) const override
-    {
-        return graph_.partitionOf(msg);
-    }
-
     const ServiceStats &stats() const { return graph_.stats(); }
     const SocialNetworkParams &params() const { return params_; }
     hw::Machine &machine() { return stages_.front()->machine(); }

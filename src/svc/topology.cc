@@ -26,19 +26,13 @@ localRoot(const net::Message &m)
 }
 
 /** Generic endpoint adapter: forwards delivered messages to a bound
- *  function. Replaces the per-service Port/Merge adapter structs.
- *  @p home, when given, is the machine whose event-queue domain the
- *  bound function runs in (a fan-out's merge port belongs to the
- *  parent tier's machine). */
+ *  function. Replaces the per-service Port/Merge adapter structs. */
 class PortEndpoint : public net::Endpoint
 {
   public:
     using Fn = std::function<void(const net::Message &)>;
 
-    explicit PortEndpoint(Fn fn, const hw::Machine *home = nullptr)
-        : fn_(std::move(fn)), home_(home)
-    {
-    }
+    explicit PortEndpoint(Fn fn) : fn_(std::move(fn)) {}
 
     void
     onMessage(const net::Message &m) override
@@ -46,15 +40,8 @@ class PortEndpoint : public net::Endpoint
         fn_(m);
     }
 
-    int
-    partitionOf(const net::Message &) const override
-    {
-        return home_ != nullptr ? home_->simDomain() : -1;
-    }
-
   private:
     Fn fn_;
-    const hw::Machine *home_;
 };
 
 } // namespace
@@ -278,7 +265,7 @@ Tier::traceShed(const net::Message &msg, std::uint32_t reason)
     s.tier = static_cast<std::uint8_t>(tierIndex_);
     s.shard = static_cast<std::int16_t>(msg.shard);
     s.replica = static_cast<std::int16_t>(msg.replica);
-    tr->record(graph_.traceDomain(), s);
+    tr->record(s);
 }
 
 bool
@@ -450,8 +437,7 @@ Tier::dispatch(const net::Message &msgIn)
     // handler and reply will see; msg is the post-transform message
     // from here on. The copy is what every capture below took anyway.
     // Work draws come from the serving instance's own stream (forked
-    // at construction) so replicas on different event-queue domains
-    // never contend for — or reorder — one generator.
+    // at construction), so replicas never reorder one generator.
     net::Message msg = msgIn;
     Time work = params_.workMut ? params_.workMut(msg, inst.rng)
                                 : params_.work(msg, inst.rng);
@@ -473,8 +459,7 @@ Tier::dispatch(const net::Message &msgIn)
         tr != nullptr && traceLocal_) {
         const std::uint64_t root = localRoot(msg);
         if (tr->wants(root)) {
-            tr->begin(graph_.traceDomain(),
-                      obs::TraceRecorder::OpenKey{
+            tr->begin(obs::TraceRecorder::OpenKey{
                           msg.id, msg.parentId, obs::SpanKind::Service,
                           static_cast<std::uint8_t>(tierIndex_),
                           static_cast<std::int16_t>(msg.shard),
@@ -570,8 +555,7 @@ Tier::completeService(const net::Message &msg, Time work)
             static_cast<std::uint8_t>(tierIndex_),
             static_cast<std::int16_t>(msg.shard),
             static_cast<std::int16_t>(msg.replica)};
-        const int d = graph_.traceDomain();
-        if (tr->end(d, key, &start, &root, &arg)) {
+        if (tr->end(key, &start, &root, &arg)) {
             const Time now = graph_.sim().now();
             const Time svcStart = std::max(start, now - work);
             obs::SpanRecord s;
@@ -583,13 +567,13 @@ Tier::completeService(const net::Message &msg, Time work)
             s.end = svcStart;
             s.kind = obs::SpanKind::QueueWait;
             s.arg = 0;
-            tr->record(d, s);
+            tr->record(s);
             s.start = svcStart;
             s.end = now;
             s.kind = obs::SpanKind::Service;
             s.arg = static_cast<std::uint32_t>(
                 std::min<Time>(work, UINT32_MAX));
-            tr->record(d, s);
+            tr->record(s);
         }
     }
     if (handler_)
@@ -610,32 +594,15 @@ Tier::makeReply(const net::Message &msg, Time work)
     return resp;
 }
 
-namespace {
-
-/** Every host of @p tier, for link-edge endpoint declarations. */
-std::vector<hw::Machine *>
-tierHosts(Tier &tier)
-{
-    std::vector<hw::Machine *> hosts;
-    hosts.reserve(static_cast<std::size_t>(tier.replicaCount()));
-    for (int r = 0; r < tier.replicaCount(); ++r)
-        hosts.push_back(&tier.machine(r));
-    return hosts;
-}
-
-} // namespace
-
 Fanout::Fanout(ServiceGraph &graph, Tier &parent, Tier &child,
                FanoutParams params, Complete onComplete)
     : graph_(graph), parent_(parent), child_(child),
       params_(std::move(params)),
       policy_(resolveHedgePolicy(params_.policy, params_.hedgeDelay)),
       onComplete_(std::move(onComplete)),
-      toChild_(graph.addLink(params_.link, &parent.machine(0),
-                             tierHosts(child))),
+      toChild_(graph.addLink(params_.link)),
       mergePort_(std::make_unique<PortEndpoint>(
-          [this](const net::Message &m) { onReply(m); },
-          &parent.machine())),
+          [this](const net::Message &m) { onReply(m); })),
       replyP95_(0.95)
 {
     TPV_ASSERT(params_.shards >= 1, "fanout needs at least one shard");
@@ -666,18 +633,13 @@ Fanout::Fanout(ServiceGraph &graph, Tier &parent, Tier &child,
         breakerLatency_ = traffic_.breaker.latencyFactor > 0;
     }
     // One child->parent link per child replica instance, so replicas
-    // on different event-queue domains never share a link (a link's
-    // jitter RNG must be drawn in exactly one domain). Sub-request
-    // replicas beyond the instance count clamp to the last link,
-    // mirroring Tier::instanceFor.
+    // never interleave one link's jitter stream. Sub-request replicas
+    // beyond the instance count clamp to the last link, mirroring
+    // Tier::instanceFor.
     const int upLinks = std::max(child_.replicaCount(), 1);
     toParent_.reserve(static_cast<std::size_t>(upLinks));
-    for (int r = 0; r < upLinks; ++r) {
-        toParent_.push_back(&graph.addLink(
-            params_.link,
-            &child_.machine(std::min(r, child_.replicaCount() - 1)),
-            {&parent.machine(0)}));
-    }
+    for (int r = 0; r < upLinks; ++r)
+        toParent_.push_back(&graph.addLink(params_.link));
     // Hedge-rate budget: a token bucket (same machinery as the retry
     // budget) earning params_.hedgeBudget tokens per primary dispatch;
     // a hedge that finds the bucket empty is suppressed and counted.
@@ -837,7 +799,7 @@ Fanout::routeLive(std::uint64_t id, int shard, std::uint64_t traceRoot)
                         child_.tierIndex());
                     s.shard = static_cast<std::int16_t>(shard);
                     s.replica = static_cast<std::int16_t>(primary);
-                    graph_.trace()->record(graph_.traceDomain(), s);
+                    graph_.trace()->record(s);
                 }
                 return r;
             }
@@ -911,7 +873,7 @@ Fanout::scatter(const net::Message &req)
     // Flight recorder: trace this call when the edge is depth-gated
     // on (traceSubs_) and the root is wanted. The sub-request span
     // opens here (the scatter instant) and closes on the first
-    // accepted reply in onReply — both on the parent's domain.
+    // accepted reply in onReply.
     obs::TraceRecorder *tr = traceSubs_ ? graph_.trace() : nullptr;
     const std::uint64_t traceRoot =
         tr != nullptr && tr->wants(call.rootId) ? call.rootId : 0;
@@ -931,8 +893,7 @@ Fanout::scatter(const net::Message &req)
         }
         call.replicaOf[lane] = static_cast<std::uint8_t>(replica);
         if (traceRoot != 0) {
-            tr->begin(graph_.traceDomain(),
-                      obs::TraceRecorder::OpenKey{
+            tr->begin(obs::TraceRecorder::OpenKey{
                           slot, req.id, obs::SpanKind::SubRequest,
                           static_cast<std::uint8_t>(child_.tierIndex()),
                           static_cast<std::int16_t>(shard), -1},
@@ -994,7 +955,7 @@ Fanout::fireHedge(std::uint32_t slot, std::uint64_t parentId, int shard)
         s.tier = static_cast<std::uint8_t>(child_.tierIndex());
         s.shard = static_cast<std::int16_t>(shard);
         s.replica = static_cast<std::int16_t>(replica);
-        tr->record(graph_.traceDomain(), s);
+        tr->record(s);
     }
     toChild_.send(makeSub(call->request, slot, shard, replica, false),
                   child_);
@@ -1064,7 +1025,7 @@ Fanout::fireRetry(std::uint32_t slot, std::uint64_t parentId, int shard)
         s.tier = static_cast<std::uint8_t>(child_.tierIndex());
         s.shard = static_cast<std::int16_t>(shard);
         s.replica = static_cast<std::int16_t>(target);
-        tr->record(graph_.traceDomain(), s);
+        tr->record(s);
     }
     // A retry racing its own original can produce a duplicate reply:
     // reissues_ legalises it for the duplicate-discard assertion.
@@ -1263,8 +1224,8 @@ Fanout::onReply(const net::Message &reply)
     }
 
     // Flight recorder: the winning reply closes the lane's
-    // sub-request span (opened at scatter, on this same parent
-    // domain). The span records which replica actually won — hedges
+    // sub-request span (opened at scatter). The span records which
+    // replica actually won — hedges
     // and retries may have moved the lane — and the reply's size.
     if (obs::TraceRecorder *tr = traceSubs_ ? graph_.trace() : nullptr;
         tr != nullptr) {
@@ -1275,8 +1236,7 @@ Fanout::onReply(const net::Message &reply)
             slot, reply.parentId, obs::SpanKind::SubRequest,
             static_cast<std::uint8_t>(child_.tierIndex()),
             static_cast<std::int16_t>(reply.shard), -1};
-        const int d = graph_.traceDomain();
-        if (tr->end(d, key, &start, &root, &arg)) {
+        if (tr->end(key, &start, &root, &arg)) {
             obs::SpanRecord s;
             s.start = start;
             s.end = graph_.sim().now();
@@ -1286,7 +1246,7 @@ Fanout::onReply(const net::Message &reply)
             s.tier = static_cast<std::uint8_t>(child_.tierIndex());
             s.shard = static_cast<std::int16_t>(reply.shard);
             s.replica = static_cast<std::int16_t>(reply.replica);
-            tr->record(d, s);
+            tr->record(s);
         }
     }
 
@@ -1330,8 +1290,6 @@ Fanout::installTrace(int parentDepth)
     const auto childTier = static_cast<std::uint8_t>(child_.tierIndex());
     // Breaker transitions are run-level markers (rootId 0, always
     // exported) and need no root resolution: install at any depth.
-    // The observer runs wherever the breaker is driven — always the
-    // parent's domain (scatter, retry timers, merge replies).
     for (std::size_t r = 0; r < breakers_.size(); ++r) {
         breakers_[r].setObserver(
             [this, childTier, r](CircuitBreaker::State st) {
@@ -1344,14 +1302,13 @@ Fanout::installTrace(int parentDepth)
                 s.kind = obs::SpanKind::BreakerOpen;
                 s.tier = childTier;
                 s.replica = static_cast<std::int16_t>(r);
-                tr->record(graph_.traceDomain(), s);
+                tr->record(s);
             });
     }
     // Sub-request/hedge/retry spans and wire spans need the root id.
-    // Down-link sends resolve it through this fan-out's context pool
-    // — the observer runs in the sender's domain, which is the
-    // parent's, where the pool lives — so parent depth <= 1 (the
-    // parent's own messages carry the root) is the gate.
+    // Down-link sends resolve it through this fan-out's context pool,
+    // so parent depth <= 1 (the parent's own messages carry the root)
+    // is the gate.
     traceSubs_ = parentDepth <= 1;
     if (!traceSubs_)
         return;
@@ -1375,12 +1332,12 @@ Fanout::installTrace(int parentDepth)
         s.tier = childTier;
         s.shard = static_cast<std::int16_t>(m.shard);
         s.replica = static_cast<std::int16_t>(m.replica);
-        tr->record(graph_.traceDomain(), s);
+        tr->record(s);
     });
     // Up-link replies echo the sub-request (parentId = the parent's
     // request id), which is the root only when the parent is the
-    // entry tier; the sender is a child replica's domain, where the
-    // context pool must not be read — so depth 0 edges only.
+    // entry tier; up-link observers do not consult the context pool,
+    // so depth 0 edges only.
     if (parentDepth == 0) {
         const auto parentTier =
             static_cast<std::uint8_t>(parent_.tierIndex());
@@ -1402,7 +1359,7 @@ Fanout::installTrace(int parentDepth)
                 s.tier = parentTier;
                 s.shard = static_cast<std::int16_t>(m.shard);
                 s.replica = static_cast<std::int16_t>(m.replica);
-                tr->record(graph_.traceDomain(), s);
+                tr->record(s);
             });
         }
     }
@@ -1411,15 +1368,14 @@ Fanout::installTrace(int parentDepth)
 void
 Fanout::registerMetrics(obs::MetricsRegistry &m)
 {
-    const int home = parent_.machine(0).simDomain();
     const Fanout *self = this;
-    m.add("inflight." + child_.params().name, home,
+    m.add("inflight." + child_.params().name,
           [self] { return static_cast<double>(self->inFlight()); });
     for (std::size_t r = 0; r < breakers_.size(); ++r) {
         const CircuitBreaker *br = &breakers_[r];
         m.add("breaker." + child_.params().name + ".r" +
                   std::to_string(r + 1),
-              home, [br] {
+              [br] {
                   return static_cast<double>(
                       static_cast<int>(br->state()));
               });
@@ -1538,12 +1494,10 @@ ServiceGraph::absorbSubLoss(Tier &tier, const net::Message &msg)
 }
 
 net::Link &
-ServiceGraph::addLink(net::Link::Params params, hw::Machine *from,
-                      std::vector<hw::Machine *> to)
+ServiceGraph::addLink(net::Link::Params params)
 {
     links_.push_back(
         std::make_unique<net::Link>(sim_, rng_.fork(), params));
-    edges_.push_back(LinkEdge{from, std::move(to)});
     return *links_.back();
 }
 
@@ -1562,10 +1516,9 @@ ServiceGraph::onMessage(const net::Message &req)
     TPV_ASSERT(entry_ != nullptr, "service graph has no entry tier");
     ++mutableStats().requestsReceived;
     // Flight recorder: the root span opens at service arrival and
-    // closes in respond() — both on the entry tier's domain.
+    // closes in respond().
     if (trace_ != nullptr && trace_->wants(req.id)) {
-        trace_->begin(traceDomain(),
-                      obs::TraceRecorder::OpenKey{
+        trace_->begin(obs::TraceRecorder::OpenKey{
                           req.id, 0, obs::SpanKind::Root, 0xff, -1, -1},
                       sim_.now(), req.id, req.bytes);
     }
@@ -1583,302 +1536,17 @@ ServiceGraph::respond(net::Message resp)
         std::uint32_t arg = 0;
         const obs::TraceRecorder::OpenKey key{
             resp.id, 0, obs::SpanKind::Root, 0xff, -1, -1};
-        const int d = traceDomain();
-        if (trace_->end(d, key, &start, &root, &arg)) {
+        if (trace_->end(key, &start, &root, &arg)) {
             obs::SpanRecord s;
             s.start = start;
             s.end = sim_.now();
             s.rootId = root;
             s.arg = resp.bytes;
             s.kind = obs::SpanKind::Root;
-            trace_->record(d, s);
+            trace_->record(s);
         }
     }
     replyLink_.send(resp, client_);
-}
-
-namespace {
-
-void
-addInto(TierBreakdown &into, const TierBreakdown &from)
-{
-    into.requestsDispatched += from.requestsDispatched;
-    into.workDispatched += from.workDispatched;
-    into.requestsLost += from.requestsLost;
-    into.requestsShed += from.requestsShed;
-    into.faultsInjected += from.faultsInjected;
-    // At most one domain hosts the adaptive estimator that feeds a
-    // tier's replyP95; max() picks it out of the zero-valued shards.
-    into.replyP95 = std::max(into.replyP95, from.replyP95);
-    into.cacheHits += from.cacheHits;
-    into.cacheMisses += from.cacheMisses;
-    for (std::size_t i = 0; i < from.shardRequests.size(); ++i)
-        into.shardRequests[i] += from.shardRequests[i];
-    for (std::size_t i = 0; i < from.shardWork.size(); ++i)
-        into.shardWork[i] += from.shardWork[i];
-}
-
-void
-addInto(ServiceStats &into, const ServiceStats &from)
-{
-    into.requestsReceived += from.requestsReceived;
-    into.responsesSent += from.responsesSent;
-    into.serviceWorkDispatched += from.serviceWorkDispatched;
-    into.subRequestsSent += from.subRequestsSent;
-    into.hedgesSent += from.hedgesSent;
-    into.hedgesCancelled += from.hedgesCancelled;
-    into.duplicatesDiscarded += from.duplicatesDiscarded;
-    into.duplicateWorkDispatched += from.duplicateWorkDispatched;
-    into.hedgesSuppressed += from.hedgesSuppressed;
-    into.tiedSent += from.tiedSent;
-    into.tiedCancelledBeforeRun += from.tiedCancelledBeforeRun;
-    into.faultsInjected += from.faultsInjected;
-    into.requestsFailedOver += from.requestsFailedOver;
-    into.requestsLost += from.requestsLost;
-    into.pauseTime += from.pauseTime;
-    into.requestsRetried += from.requestsRetried;
-    into.retriesSuppressed += from.retriesSuppressed;
-    into.subRequestsDropped += from.subRequestsDropped;
-    into.requestsShedDepth += from.requestsShedDepth;
-    into.requestsShedDelay += from.requestsShedDelay;
-    into.breakerOpens += from.breakerOpens;
-    into.breakerSkips += from.breakerSkips;
-    into.breakerProbes += from.breakerProbes;
-    into.cacheHits += from.cacheHits;
-    into.cacheMisses += from.cacheMisses;
-    into.cacheFills += from.cacheFills;
-    into.cacheEvictions += from.cacheEvictions;
-    into.cacheFlushes += from.cacheFlushes;
-    for (std::size_t i = 0; i < from.tiers.size(); ++i)
-        addInto(into.tiers[i], from.tiers[i]);
-}
-
-} // namespace
-
-const ServiceStats &
-ServiceGraph::stats() const
-{
-    if (statShards_.empty())
-        return stats_;
-    // Start from stats_ (zero counters, but tier names / shard-vector
-    // shapes) and fold every domain shard in.
-    merged_ = stats_;
-    for (const ServiceStats &shard : statShards_)
-        addInto(merged_, shard);
-    return merged_;
-}
-
-ServiceStats &
-ServiceGraph::mutableStats()
-{
-    if (statShards_.empty())
-        return stats_;
-    return statShards_[static_cast<std::size_t>(sim_.currentDomain())];
-}
-
-void
-ServiceGraph::shardStats(int domains)
-{
-    TPV_ASSERT(statShards_.empty(), "stats already sharded");
-    // Each shard is a copy of the pre-traffic stats_ — all counters
-    // zero, but the per-tier names and shard-tracking vectors are in
-    // place so every bump site indexes identically in any shard.
-    statShards_.assign(static_cast<std::size_t>(domains), stats_);
-}
-
-std::vector<hw::Machine *>
-ServiceGraph::tierMachines()
-{
-    // Every machine hosting a tier instance, in deterministic
-    // (tier, replica) first-appearance order — covers machines owned
-    // by the graph and external ones (a single-tier server's host).
-    std::vector<hw::Machine *> machines;
-    std::unordered_map<const hw::Machine *, std::size_t> seen;
-    for (auto &t : tiers_) {
-        for (int r = 0; r < t->replicaCount(); ++r) {
-            hw::Machine *m = &t->machine(r);
-            if (seen.emplace(m, machines.size()).second)
-                machines.push_back(m);
-        }
-    }
-    return machines;
-}
-
-int
-ServiceGraph::planPartitions(int firstDomain, int maxDomains)
-{
-    std::vector<hw::Machine *> machines = tierMachines();
-    std::unordered_map<const hw::Machine *, std::size_t> index;
-    for (std::size_t i = 0; i < machines.size(); ++i)
-        index.emplace(machines[i], i);
-
-    // Union-find with path halving; machines that must share one
-    // event-queue timeline are merged.
-    std::vector<std::size_t> up(machines.size());
-    for (std::size_t i = 0; i < up.size(); ++i)
-        up[i] = i;
-    auto find = [&up](std::size_t i) {
-        while (up[i] != i) {
-            up[i] = up[up[i]];
-            i = up[i];
-        }
-        return i;
-    };
-    auto unite = [&up, &find](std::size_t a, std::size_t b) {
-        up[find(a)] = find(b);
-    };
-    auto machineIndex = [&index](const hw::Machine &m) {
-        return index.at(&m);
-    };
-
-    for (auto &t : tiers_) {
-        // A tier that has not been audited for cross-replica sharing
-        // (partitionable is opt-in) keeps all its instances together.
-        if (t->params().partitionable)
-            continue;
-        for (int r = 1; r < t->replicaCount(); ++r)
-            unite(machineIndex(t->machine(0)), machineIndex(t->machine(r)));
-    }
-    for (auto &f : fanouts_) {
-        // Scatter state (the RpcContext pool, merge-port handling,
-        // hedge timers, budgets) lives on the parent tier's timeline:
-        // all parent instances stay together.
-        Tier &p = f->parent();
-        for (int r = 1; r < p.replicaCount(); ++r)
-            unite(machineIndex(p.machine(0)), machineIndex(p.machine(r)));
-        // Tied requests: the tie arbiter runs on *child* workers but
-        // mutates parent-side context — one timeline for both tiers.
-        if (f->policy() == HedgePolicy::Tied) {
-            Tier &c = f->child();
-            for (int r = 0; r < c.replicaCount(); ++r)
-                unite(machineIndex(p.machine(0)),
-                      machineIndex(c.machine(r)));
-        }
-        // A crash detection against a child tier flips its suspicion
-        // flags from the parents' timeline (detectDomainFor): every
-        // fan-out feeding one child must share a parent domain.
-        for (auto &g : fanouts_) {
-            if (g.get() != f.get() && &g->child() == &f->child())
-                unite(machineIndex(f->parent().machine(0)),
-                      machineIndex(g->parent().machine(0)));
-        }
-    }
-
-    // Merged groups in first-appearance order, with a config-derived
-    // work weight: the tier workers hosted on the group's machines.
-    // Never timing-derived, so a config always yields the same plan.
-    std::vector<std::uint64_t> machineWeight(machines.size(), 0);
-    for (auto &t : tiers_) {
-        for (int r = 0; r < t->replicaCount(); ++r) {
-            machineWeight[machineIndex(t->machine(r))] +=
-                static_cast<std::uint64_t>(
-                    std::max(1, t->params().workers));
-        }
-    }
-    std::vector<std::size_t> groupOf(machines.size());
-    std::vector<std::uint64_t> groupWeight;
-    std::unordered_map<std::size_t, std::size_t> groupIndex;
-    for (std::size_t i = 0; i < machines.size(); ++i) {
-        const auto [it, fresh] =
-            groupIndex.emplace(find(i), groupWeight.size());
-        if (fresh)
-            groupWeight.push_back(0);
-        groupOf[i] = it->second;
-        groupWeight[it->second] += machineWeight[i];
-    }
-
-    const auto groups = groupWeight.size();
-    const auto bins =
-        maxDomains > 0
-            ? std::min(groups, static_cast<std::size_t>(maxDomains))
-            : groups;
-    std::vector<std::size_t> binOf(groups);
-    if (bins == groups) {
-        for (std::size_t g = 0; g < groups; ++g)
-            binOf[g] = g;
-    } else {
-        // Longest-processing-time greedy: place groups heaviest-first
-        // into the lightest bin. Deterministic tie-breaks — equal
-        // weights keep first-appearance order, equal bins take the
-        // lowest index — so the packing is a pure function of config.
-        std::vector<std::size_t> order(groups);
-        for (std::size_t g = 0; g < groups; ++g)
-            order[g] = g;
-        std::stable_sort(order.begin(), order.end(),
-                         [&groupWeight](std::size_t a, std::size_t b) {
-                             return groupWeight[a] > groupWeight[b];
-                         });
-        std::vector<std::uint64_t> binWeight(bins, 0);
-        for (std::size_t g : order) {
-            std::size_t lightest = 0;
-            for (std::size_t b = 1; b < bins; ++b) {
-                if (binWeight[b] < binWeight[lightest])
-                    lightest = b;
-            }
-            binOf[g] = lightest;
-            binWeight[lightest] += groupWeight[g];
-        }
-    }
-
-    for (std::size_t i = 0; i < machines.size(); ++i) {
-        machines[i]->setSimDomain(
-            firstDomain + static_cast<int>(binOf[groupOf[i]]));
-    }
-    return static_cast<int>(bins);
-}
-
-Time
-ServiceGraph::minCutFloor() const
-{
-    Time floor = kTimeNever;
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-        const LinkEdge &e = edges_[i];
-        bool cut = e.from == nullptr || e.to.empty();
-        if (!cut) {
-            for (const hw::Machine *m : e.to) {
-                if (m->simDomain() != e.from->simDomain()) {
-                    cut = true;
-                    break;
-                }
-            }
-        }
-        if (cut) {
-            floor = std::min(
-                floor, net::Link::minDelayFloor(links_[i]->params()));
-        }
-    }
-    return floor;
-}
-
-int
-ServiceGraph::detectDomainFor(Tier &tier)
-{
-    for (auto &f : fanouts_) {
-        if (&f->child() == &tier)
-            return f->parent().machine(0).simDomain();
-    }
-    return tier.machine(0).simDomain();
-}
-
-int
-ServiceGraph::linkHomeDomain(std::size_t i) const
-{
-    const LinkEdge &e = edges_.at(i);
-    return e.from != nullptr ? e.from->simDomain() : 0;
-}
-
-void
-ServiceGraph::detachTicks()
-{
-    for (hw::Machine *m : tierMachines())
-        m->detachTicks();
-}
-
-void
-ServiceGraph::attachTicks()
-{
-    for (hw::Machine *m : tierMachines())
-        m->attachTicks();
 }
 
 void
@@ -1904,10 +1572,9 @@ ServiceGraph::setTrace(obs::TraceRecorder *recorder)
     // Fan-out depth below the entry tier: 0 = entry, 1 = a direct
     // fan-out child. Messages on depth <= 1 tiers carry the root
     // request id in (parentId ? parentId : id); deeper tiers carry a
-    // fan-out slot id there, and resolving it would mean reading
-    // another domain's context pool — so their per-dispatch hooks
-    // stay off (depth-gated), keeping partitioned tracing race-free
-    // and byte-identical to serial.
+    // fan-out slot id there, and resolving it to the root would need a
+    // lookup in the parent fan-out's context pool, which no hook does
+    // yet — so their per-dispatch hooks stay off (depth-gated).
     constexpr int kUnknown = 1 << 20;
     std::vector<int> depth(tiers_.size(), kUnknown);
     if (entry_ != nullptr)
@@ -1940,38 +1607,27 @@ ServiceGraph::onRegisterMetrics(
 void
 ServiceGraph::registerMetrics(obs::MetricsRegistry &m)
 {
-    // Per-replica worker-queue depth, homed where the queues live.
+    // Per-replica worker-queue depth.
     for (auto &t : tiers_) {
         for (int r = 0; r < t->replicaCount(); ++r) {
             std::string name = "qdepth." + t->params().name;
             if (t->replicaCount() > 1)
                 name += ".r" + std::to_string(r + 1);
             WorkerPool *pool = &t->pool(r);
-            m.add(std::move(name), t->machine(r).simDomain(), [pool] {
+            m.add(std::move(name), [pool] {
                 return static_cast<double>(pool->queuedTotal());
             });
         }
     }
-    // Per-edge in-flight calls and breaker states (parent domains).
+    // Per-edge in-flight calls and breaker states.
     for (auto &f : fanouts_)
         f->registerMetrics(m);
-    // Cumulative dispatched service work per counter shard — the
-    // utilisation numerator; differentiate adjacent rows for a rate.
-    if (statShards_.empty()) {
-        const ServiceStats *st = &stats_;
-        m.add("work_ns", 0, [st] {
-            return static_cast<double>(st->serviceWorkDispatched);
-        });
-    } else {
-        for (std::size_t d = 0; d < statShards_.size(); ++d) {
-            const ServiceStats *st = &statShards_[d];
-            m.add("work_ns.d" + std::to_string(d),
-                  static_cast<int>(d), [st] {
-                      return static_cast<double>(
-                          st->serviceWorkDispatched);
-                  });
-        }
-    }
+    // Cumulative dispatched service work — the utilisation numerator;
+    // differentiate adjacent rows for a rate.
+    const ServiceStats *st = &stats_;
+    m.add("work_ns", [st] {
+        return static_cast<double>(st->serviceWorkDispatched);
+    });
     for (auto &fn : metricRegistrars_)
         fn(m);
 }

@@ -33,7 +33,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/machine.hh"
@@ -293,15 +292,6 @@ struct TierParams
      * caller must not strand.
      */
     AdmissionPolicy admission{};
-    /**
-     * Whether the intra-run parallel engine may place this tier's
-     * replica instances in *separate* event-queue domains. Only safe
-     * when the tier's work/response models keep no state shared
-     * across instances (the per-instance RNG, queues and CoDel state
-     * are always instance-local). Default off: the tier's instances
-     * stay one domain, which is always correct.
-     */
-    bool partitionable = false;
 };
 
 class ServiceGraph;
@@ -351,15 +341,6 @@ class Tier : public net::Endpoint
     void setTieArbiter(TieArbiter fn) { tieArbiter_ = std::move(fn); }
 
     void onMessage(const net::Message &msg) override;
-
-    /** Event-queue domain of the replica instance serving @p msg. */
-    int
-    partitionOf(const net::Message &msg) const override
-    {
-        const auto idx = std::min<std::size_t>(msg.replica,
-                                               instances_.size() - 1);
-        return instances_[idx]->machine->simDomain();
-    }
 
     /**
      * Reply this tier would send for @p msg: echoes the request with
@@ -439,10 +420,8 @@ class Tier : public net::Endpoint
         /**
          * Per-instance random stream (forked from the graph rng at
          * construction): work-model and response-size draws are a
-         * property of the replica serving the request, so replicas
-         * in different event-queue domains never share a stream —
-         * the intra-run parallel engine depends on this for
-         * bit-identical serial/parallel execution.
+         * property of the replica serving the request, so a replica's
+         * stream does not depend on its siblings' traffic.
          */
         Rng rng;
         /** False while a crash fault holds the replica down. */
@@ -797,13 +776,13 @@ class Fanout
     /**
      * Flight recorder (called by ServiceGraph::setTrace): install
      * breaker observers and — when @p parentDepth <= 1, so the root
-     * id is resolvable without cross-domain reads — wire observers on
-     * this edge's links, and enable sub-request/hedge/retry spans.
+     * id is the message's parentId — wire observers on this edge's
+     * links, and enable sub-request/hedge/retry spans.
      */
     void installTrace(int parentDepth);
 
     /** Register this edge's timeline probes (in-flight calls,
-     *  breaker states) with @p m, homed in the parent's domain. */
+     *  breaker states) with @p m. */
     void registerMetrics(obs::MetricsRegistry &m);
 
     ServiceGraph &graph_;
@@ -815,11 +794,10 @@ class Fanout
     net::Link &toChild_;
     /**
      * One child->parent link per child replica instance. A link's
-     * jitter draws happen at send time on the sender's event-queue
-     * domain, so a link shared by every replica would interleave the
-     * replicas' streams; one link per replica keeps each stream a
-     * function of that replica's own reply order (and gives the
-     * parallel engine a single sender domain per link).
+     * jitter draws happen at send time, so a link shared by every
+     * replica would interleave the replicas' streams; one link per
+     * replica keeps each stream a function of that replica's own
+     * reply order.
      */
     std::vector<net::Link *> toParent_;
     /** Adapter delivering child replies back into onReply(). */
@@ -891,16 +869,8 @@ class ServiceGraph : public net::Endpoint
     Tier &addReplicatedTier(const hw::HwConfig &cfg, int replicas,
                             TierParams params);
 
-    /**
-     * Add an intra-cluster link owned by the graph. @p from / @p to
-     * name the machines whose domains the link connects (sender side /
-     * possible receiver sides) so the partition planner can tell cut
-     * edges from intra-domain ones; a link added without endpoints is
-     * conservatively treated as cut by every plan.
-     */
-    net::Link &addLink(net::Link::Params params,
-                       hw::Machine *from = nullptr,
-                       std::vector<hw::Machine *> to = {});
+    /** Add an intra-cluster link owned by the graph. */
+    net::Link &addLink(net::Link::Params params);
 
     /** Add a scatter-gather edge from @p parent to @p child. */
     Fanout &addFanout(Tier &parent, Tier &child, FanoutParams params,
@@ -912,71 +882,8 @@ class ServiceGraph : public net::Endpoint
     /** Front door: client request arrives at the service. */
     void onMessage(const net::Message &req) override;
 
-    /** Requests enter at the entry tier's domain. */
-    int
-    partitionOf(const net::Message &msg) const override
-    {
-        return entry_ != nullptr ? entry_->partitionOf(msg) : -1;
-    }
-
     /** Send @p resp to the client (stamps serverDoneTime, counts). */
     void respond(net::Message resp);
-
-    // ---- intra-run parallelism (conservative parallel DES) ----
-
-    /**
-     * Assign every machine hosting this graph's tiers to an
-     * event-queue domain, numbered from @p firstDomain. Machines that
-     * must share a timeline are merged (union-find): all instances of
-     * a non-partitionable tier, every fan-out's parent tier (the
-     * scatter pool and merge path live there), all parents feeding one
-     * child tier (a crash detection flips the child's suspicion flags
-     * from the parents' timeline, so multiple readers must share it),
-     * and — under the Tied policy — the fan-out's parent and child
-     * (the tie arbiter runs on child workers but mutates the
-     * parent-side context).
-     *
-     * When @p maxDomains > 0 and the merged groups outnumber it, the
-     * groups are packed into exactly @p maxDomains domains by
-     * longest-processing-time greedy binning on a config-derived
-     * weight (the tier worker counts hosted on each machine — never a
-     * timing measurement, so the same config always packs the same
-     * way). Groups of equal weight pack in first-appearance order and
-     * ties go to the lowest bin, keeping the plan deterministic.
-     * @return the number of domains assigned.
-     */
-    int planPartitions(int firstDomain, int maxDomains = 0);
-
-    /**
-     * Smallest delay floor over the intra-cluster links the *current
-     * partition plan actually cuts* (endpoint domains differ), the
-     * lookahead bound the windowed engine advances by. Call after
-     * planPartitions(). Links with unknown endpoints count as cut;
-     * kTimeNever when no graph link crosses domains (the client links
-     * then bound the window alone). 0 when a cut link can deliver
-     * instantly — the graph is then not partitionable.
-     */
-    Time minCutFloor() const;
-
-    /**
-     * Tick-loop migration (see hw::Machine::detachTicks): detach every
-     * tier-hosting machine's pending tick events before
-     * Simulator::enablePartition() adopts the setup queue; re-home
-     * them into their machines' planned domains after. Machine order
-     * is deterministic (tier, replica) first appearance — construction
-     * order for every topology in the tree — so same-instant ticks
-     * keep their serial ordering.
-     */
-    void detachTicks();
-    void attachTicks();
-
-    /**
-     * Shard the service counters per event-queue domain (@p domains
-     * total) so concurrent domains never write one cache line.
-     * Call only while the counters are still zero (before traffic);
-     * stats() merges the shards on read.
-     */
-    void shardStats(int domains);
 
     /** This run's service-time environment factor. */
     double envFactor() const { return envFactor_; }
@@ -1002,25 +909,9 @@ class ServiceGraph : public net::Endpoint
     void notifyReplicaDown(Tier &tier, int replica);
 
     /**
-     * Domain that must run a failure *detection* against @p tier: the
-     * parent timeline of the fan-outs feeding it — suspicion flags and
-     * the fail-over re-issue state are read there (planPartitions
-     * unites all such parents). Falls back to the tier's own machine
-     * when nothing fans out to it (the flags then have no reader
-     * outside the tier). Meaningful after planPartitions(); 0 before.
-     */
-    int detectDomainFor(Tier &tier);
-
-    /** Domain whose timeline owns graph link @p i (its sender-side
-     *  machine; 0 when the endpoints were not declared). Link state
-     *  flips (degrade/clear) must run there. */
-    int linkHomeDomain(std::size_t i) const;
-
-    /**
      * CacheFlush fault surface: a service owning per-replica caches
      * (MemcachedCluster) registers the wipe here; flushCaches() — run
-     * by the injector in the replica machine's domain — invokes it
-     * and counts ServiceStats::cacheFlushes. Without a hook a flush
+     * by the injector — invokes it and counts ServiceStats::cacheFlushes. Without a hook a flush
      * only counts (nothing to wipe).
      */
     using CacheFlushHook = std::function<void(Tier &, int)>;
@@ -1049,32 +940,21 @@ class ServiceGraph : public net::Endpoint
     /**
      * Install @p recorder as this run's flight recorder (nullptr
      * disables — the default, costing one pointer test per hook).
-     * Call after planPartitions() (wire observers and span hooks are
-     * gated on domain-safe root resolution, which depends on the
-     * graph's fan-out depth). The recorder must outlive the run.
+     * Call once the graph is fully built: per-dispatch and wire span
+     * hooks are gated on the graph's fan-out depth, because resolving
+     * a deep tier's root id needs the fan-out context pool. The
+     * recorder must outlive the run.
      */
     void setTrace(obs::TraceRecorder *recorder);
 
     /** The run's flight recorder; nullptr when tracing is off. */
     obs::TraceRecorder *trace() const { return trace_; }
 
-    /** Event-queue domain recording hooks write to: the current crew
-     *  domain in partitioned runs, 0 (clamped) otherwise. */
-    int
-    traceDomain() const
-    {
-        if (!sim_.partitioned())
-            return 0;
-        const int d = sim_.currentDomain();
-        return d < 0 ? 0 : d;
-    }
-
     /**
      * Register this graph's timeline probes with @p m: per-replica
      * worker-queue depth, per-edge in-flight calls and breaker
-     * states, per-domain cumulative dispatched work, plus anything
-     * hooked in via onRegisterMetrics. Call after planPartitions()
-     * and shardStats() (probe homes are the planned domains).
+     * states, cumulative dispatched work, plus anything hooked in via
+     * onRegisterMetrics.
      */
     void registerMetrics(obs::MetricsRegistry &m);
 
@@ -1082,33 +962,13 @@ class ServiceGraph : public net::Endpoint
      *  rates): @p fn runs at the end of registerMetrics(). */
     void onRegisterMetrics(std::function<void(obs::MetricsRegistry &)> fn);
 
-    /**
-     * Service counters. Serial runs read `stats_` directly; a
-     * partitioned run merges the per-domain shards on every call
-     * (cheap relative to how rarely results are read).
-     */
-    const ServiceStats &stats() const;
-
-    /** Counter shard of the calling event-queue domain. */
-    ServiceStats &mutableStats();
+    const ServiceStats &stats() const { return stats_; }
+    ServiceStats &mutableStats() { return stats_; }
 
     Simulator &sim() { return sim_; }
     Rng &rng() { return rng_; }
 
   private:
-    /** Partition-plan view of one graph link: which machine's domain
-     *  sends on it and which can receive. Parallel to links_. */
-    struct LinkEdge
-    {
-        hw::Machine *from = nullptr;
-        std::vector<hw::Machine *> to;
-    };
-
-    /** Tier-hosting machines in (tier, replica) first-appearance
-     *  order — the deterministic enumeration planPartitions and the
-     *  tick migration share. */
-    std::vector<hw::Machine *> tierMachines();
-
     Simulator &sim_;
     net::Link &replyLink_;
     net::Endpoint &client_;
@@ -1118,7 +978,6 @@ class ServiceGraph : public net::Endpoint
     std::vector<std::unique_ptr<hw::Machine>> machines_;
     std::vector<std::unique_ptr<Tier>> tiers_;
     std::vector<std::unique_ptr<net::Link>> links_;
-    std::vector<LinkEdge> edges_;
     CacheFlushHook cacheFlushHook_;
     std::vector<std::unique_ptr<Fanout>> fanouts_;
     /** Flight recorder of the current run (null = tracing off). */
@@ -1127,10 +986,6 @@ class ServiceGraph : public net::Endpoint
     std::vector<std::function<void(obs::MetricsRegistry &)>>
         metricRegistrars_;
     ServiceStats stats_;
-    /** Per-domain counter shards (empty in serial runs). */
-    std::vector<ServiceStats> statShards_;
-    /** Scratch for the merged view returned by stats(). */
-    mutable ServiceStats merged_;
 };
 
 } // namespace svc

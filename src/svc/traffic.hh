@@ -210,9 +210,7 @@ class CircuitBreaker
     /**
      * Observe state transitions (old != new): the flight recorder's
      * breaker spans. Null by default — one branch per transition,
-     * nothing per admitted request. Install from run setup; the
-     * observer runs in whatever domain drives the breaker (the
-     * fan-out parent's).
+     * nothing per admitted request. Install from run setup.
      */
     using Observer = std::function<void(State)>;
 

@@ -21,10 +21,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "core/study.hh"
+#include "fault/fault.hh"
 
 namespace tpv {
 namespace {
@@ -119,6 +122,263 @@ TEST(GoldenDeterminism, SerialMatchesGoldenToo)
         EXPECT_EQ(result.runs[i].latency.mean, kGolden[i].latencyMean);
         EXPECT_EQ(result.runs[i].events, kGolden[i].events);
     }
+}
+
+/** Every observable a run reports, as one line: floats in hexfloat,
+ *  then the request/event counts, the service counters and the
+ *  per-tier counters. */
+std::string
+runFingerprint(const core::RunResult &r)
+{
+    const svc::ServiceStats &s = r.service;
+    std::ostringstream os;
+    os << std::hexfloat << "lat " << r.latency.mean << ' ' << r.latency.p99
+       << ' ' << r.latency.max << " late " << r.sendLateness.mean
+       << std::dec << " io " << r.sent << ' ' << r.received << ' '
+       << r.events << " svc " << s.requestsReceived << ' '
+       << s.responsesSent << ' ' << s.serviceWorkDispatched << ' '
+       << s.subRequestsSent << " hedge " << s.hedgesSent << ' '
+       << s.hedgesCancelled << ' ' << s.hedgesSuppressed << ' '
+       << s.duplicatesDiscarded << ' ' << s.duplicateWorkDispatched
+       << " shed " << s.requestsShedDepth << ' ' << s.requestsShedDelay
+       << ' ' << s.requestsLost << " fault " << s.faultsInjected << ' '
+       << s.requestsFailedOver << ' ' << s.pauseTime << " cache "
+       << s.cacheHits << ' ' << s.cacheMisses << ' ' << s.cacheEvictions
+       << ' ' << s.cacheFlushes;
+    for (const auto &t : s.tiers)
+        os << " | " << t.name << ' ' << t.requestsDispatched << ' '
+           << t.workDispatched << ' ' << t.requestsShed;
+    return os.str();
+}
+
+/** Short HDSearch cell: fan-out 4, replicas 2, 300us hedge. */
+core::ExperimentConfig
+hdsearchCell()
+{
+    auto cfg = core::ExperimentConfig::forHdSearch(20000);
+    cfg.gen.warmup = msec(2);
+    cfg.gen.duration = msec(12);
+    core::applyTopology(cfg, svc::TopologyShape{4, 2, usec(300)});
+    return cfg;
+}
+
+/** memcached s4r2 with a 4K-key keyspace and 256-entry shard caches. */
+core::ExperimentConfig
+cachedMemcachedCell()
+{
+    auto cfg = core::ExperimentConfig::forMemcached(40000);
+    cfg.gen.warmup = msec(2);
+    cfg.gen.duration = msec(12);
+    svc::TopologyShape shape{4, 2, 0};
+    shape.cache.keys = 4096;
+    shape.cache.capacityEntries = 256;
+    core::applyTopology(cfg, shape);
+    return cfg;
+}
+
+struct GoldenShape
+{
+    const char *name;
+    core::ExperimentConfig (*make)();
+    const char *fingerprint;
+};
+
+// Captured at commit 5bac912, the last build that could also run these
+// shapes on the intra-run parallel engine (which matched them bit for
+// bit): one run per shape, default seed. Together the shapes drive
+// every service policy (hedging, budgets, caches, shedding, the
+// socialnet chain), every fault path (kill, slowdown, pause,
+// stochastic windows, cache flush) and periodic server ticks.
+const GoldenShape kShapes[] = {
+    {"hedged_s4r2", hdsearchCell,
+     "lat 0x1.2fa7843d46b26p+14 0x1.1ca11a915379ep+15 "
+     "0x1.22fed9999999ap+15 late 0x1p+0 io 298 298 18645 svc 298 298 "
+     "747780606 1192 hedge 1184 8 0 1184 362109837 shed 0 0 0 fault "
+     "0 0 0 cache 0 0 0 0 | hds-midtier 298 11920000 0 | hds-bucket "
+     "2376 717384606 0"},
+    {"adaptive_hedge_budget",
+     [] {
+         auto cfg = core::ExperimentConfig::forHdSearch(20000);
+         cfg.gen.warmup = msec(2);
+         cfg.gen.duration = msec(12);
+         svc::TopologyShape shape{4, 2, usec(300)};
+         shape.policy = svc::HedgePolicy::Adaptive;
+         shape.hedgeBudget = 0.05;
+         core::applyTopology(cfg, shape);
+         return cfg;
+     },
+     "lat 0x1.06938c6d612c6p+13 0x1.00a9cb33daf8dp+14 "
+     "0x1.0dc8676c8b439p+14 late 0x1p+0 io 298 298 13924 svc 298 298 "
+     "413122759 1192 hedge 73 57 1062 73 21748929 shed 0 0 0 fault 0 "
+     "0 0 cache 0 0 0 0 | hds-midtier 298 11920000 0 | hds-bucket "
+     "1265 382726759 0"},
+    {"cached_memcached", cachedMemcachedCell,
+     "lat 0x1.93cb127f92af3p+7 0x1.217611dbca969p+10 "
+     "0x1.64825e353f7cfp+10 late 0x1.bf92de079c919p+5 io 593 593 "
+     "19270 svc 593 593 50656872 679 hedge 0 0 0 0 0 shed 0 0 0 "
+     "fault 0 0 0 cache 487 86 88 0 | mc-router 593 1186000 0 | "
+     "mc-cache 593 5171589 0 | mc-store 86 43534283 0"},
+    {"load_shedding",
+     [] {
+         // Overloads the leaf tier so CoDel and depth shedding engage.
+         auto cfg = core::ExperimentConfig::forHdSearch(60000);
+         cfg.gen.warmup = msec(2);
+         cfg.gen.duration = msec(12);
+         svc::TopologyShape shape{4, 2, usec(300)};
+         shape.traffic.admission.maxQueueDepth = 32;
+         shape.traffic.admission.codelTarget = usec(500);
+         core::applyTopology(cfg, shape);
+         return cfg;
+     },
+     "lat 0x1.287d91d14e3bdp+13 0x1.417babe8bc16ap+13 "
+     "0x1.421072b020c4ap+13 late 0x1.01974c8329fedp+0 io 847 34 "
+     "27430 svc 847 34 363988352 3388 hedge 3381 7 0 141 42053089 "
+     "shed 5234 464 0 fault 0 0 0 cache 0 0 0 0 | hds-midtier 847 "
+     "33880000 0 | hds-bucket 1071 321648352 5698"},
+    {"socialnet_chain",
+     [] {
+         auto cfg = core::ExperimentConfig::forSocialNetwork(2000);
+         cfg.gen.warmup = msec(2);
+         cfg.gen.duration = msec(12);
+         return cfg;
+     },
+     "lat 0x1.5b1fb4286e75dp+12 0x1.5c8b59e83e425p+13 "
+     "0x1.6d733126e978dp+13 late 0x1.40a6fa626fa63p+6 io 34 34 2693 "
+     "svc 34 34 63884918 0 hedge 0 0 0 0 0 shed 0 0 0 fault 0 0 0 "
+     "cache 0 0 0 0 | frontend 34 6565861 0 | user-timeline 34 "
+     "20013964 0 | post-storage-1 34 13487295 0 | post-storage-2 34 "
+     "12302790 0 | post-storage-3 34 11515008 0"},
+    {"replica_kill",
+     [] {
+         auto cfg = hdsearchCell();
+         cfg.faultPlan = fault::FaultPlan::replicaKill(
+             "hds-bucket", 0, msec(4), msec(4), usec(500));
+         return cfg;
+     },
+     "lat 0x1.d339c85c24c3ep+13 0x1.84a3258255b03p+14 "
+     "0x1.9354b33333333p+14 late 0x1p+0 io 298 298 17451 svc 298 298 "
+     "655259646 1192 hedge 894 8 0 801 239867619 shed 0 0 233 fault "
+     "1 281 0 cache 0 0 0 0 | hds-midtier 298 11920000 0 | "
+     "hds-bucket 2064 624863646 0"},
+    {"kill_slowdown_pause",
+     [] {
+         // Overlapping windows: a detected kill, a slowdown on the
+         // sibling replica and a stop-the-world pause on the mid tier.
+         auto cfg = hdsearchCell();
+         fault::FaultPlan plan = fault::FaultPlan::replicaKill(
+             "hds-bucket", 0, msec(4), msec(3), usec(500));
+         plan.add(fault::FaultPlan::replicaSlowdown("hds-bucket", 1, 8.0,
+                                                    msec(5), msec(3))
+                      .faults[0]);
+         plan.add(fault::FaultPlan::pause("hds-midtier", 0, msec(6),
+                                          msec(1))
+                      .faults[0]);
+         cfg.faultPlan = plan;
+         return cfg;
+     },
+     "lat 0x1.2976d7afde0a5p+14 0x1.840810bcbe61ep+15 "
+     "0x1.b7b76e147ae14p+15 late 0x1p+0 io 298 268 17226 svc 298 268 "
+     "935982941 1192 hedge 1035 9 0 797 282127560 shed 0 0 219 fault "
+     "3 202 1000000 cache 0 0 0 0 | hds-midtier 298 11920000 0 | "
+     "hds-bucket 2068 906950941 0"},
+    {"flaky",
+     [] {
+         auto cfg = hdsearchCell();
+         cfg.faultPlan =
+             fault::FaultPlan::flaky("hds-bucket", 0, msec(4), msec(2));
+         return cfg;
+     },
+     "lat 0x1.7f1f2691bbe83p+14 0x1.84eaabce8533bp+15 "
+     "0x1.88820083126e9p+15 late 0x1p+0 io 298 293 17211 svc 298 293 "
+     "604532345 1192 hedge 709 8 0 552 167619140 shed 0 0 455 fault "
+     "16 513 0 cache 0 0 0 0 | hds-midtier 298 11920000 0 | "
+     "hds-bucket 1909 574326345 0"},
+    {"periodic_ticks",
+     [] {
+         auto cfg = hdsearchCell();
+         cfg.server.tickless = false;
+         return cfg;
+     },
+     "lat 0x1.323d70c996b76p+14 0x1.1c00aee631f8ap+15 "
+     "0x1.22da35c28f5c3p+15 late 0x1p+0 io 298 298 23521 svc 298 298 "
+     "747780606 1192 hedge 1184 8 0 1184 361338029 shed 0 0 0 fault "
+     "0 0 0 cache 0 0 0 0 | hds-midtier 298 11920000 0 | hds-bucket "
+     "2376 717384606 0"},
+    {"cache_flush",
+     [] {
+         auto cfg = cachedMemcachedCell();
+         cfg.faultPlan =
+             fault::FaultPlan::cacheFlush("mc-cache", -1, msec(6));
+         return cfg;
+     },
+     "lat 0x1.399ba2d1f5127p+11 0x1.4ce1af6944673p+13 "
+     "0x1.5cfccac083127p+13 late 0x1.d3fbf428e4c73p+5 io 593 593 "
+     "20858 svc 593 593 145098734 865 hedge 0 0 0 0 0 shed 0 0 0 "
+     "fault 1 0 0 cache 301 272 32 2 | mc-router 593 1186000 0 | "
+     "mc-cache 593 5056577 0 | mc-store 272 137719157 0"},
+};
+
+/** Runs the shape named @p name once and compares its fingerprint. */
+void
+expectShapeMatchesGolden(const std::string &name)
+{
+    for (const GoldenShape &g : kShapes) {
+        if (name != g.name)
+            continue;
+        EXPECT_EQ(runFingerprint(core::runOnce(g.make())), g.fingerprint);
+        return;
+    }
+    FAIL() << "no golden shape named " << name;
+}
+
+TEST(GoldenDeterminism, HedgedHdSearchShapeMatchesGolden)
+{
+    expectShapeMatchesGolden("hedged_s4r2");
+}
+
+TEST(GoldenDeterminism, AdaptiveHedgingWithABudgetMatchesGolden)
+{
+    expectShapeMatchesGolden("adaptive_hedge_budget");
+}
+
+TEST(GoldenDeterminism, CachedMemcachedClusterMatchesGolden)
+{
+    expectShapeMatchesGolden("cached_memcached");
+}
+
+TEST(GoldenDeterminism, LoadSheddingMatchesGolden)
+{
+    expectShapeMatchesGolden("load_shedding");
+}
+
+TEST(GoldenDeterminism, SocialNetworkChainMatchesGolden)
+{
+    expectShapeMatchesGolden("socialnet_chain");
+}
+
+TEST(GoldenDeterminism, ReplicaKillMatchesGolden)
+{
+    expectShapeMatchesGolden("replica_kill");
+}
+
+TEST(GoldenDeterminism, CompoundFaultPlanMatchesGolden)
+{
+    expectShapeMatchesGolden("kill_slowdown_pause");
+}
+
+TEST(GoldenDeterminism, StochasticFaultProcessMatchesGolden)
+{
+    expectShapeMatchesGolden("flaky");
+}
+
+TEST(GoldenDeterminism, PeriodicServerTicksMatchesGolden)
+{
+    expectShapeMatchesGolden("periodic_ticks");
+}
+
+TEST(GoldenDeterminism, CacheFlushFaultMatchesGolden)
+{
+    expectShapeMatchesGolden("cache_flush");
 }
 
 } // namespace

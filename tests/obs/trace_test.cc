@@ -5,16 +5,15 @@
  * The recorder's contract is threefold: tracing OFF changes nothing
  * (the run's results are bit-identical to an obs-free config),
  * tracing ON is deterministic (the exported JSON is byte-identical
- * run-to-run), and the export is engine-independent (serial and
- * partitioned executions of the same run produce the same bytes, the
- * per-domain slabs notwithstanding). All three are exercised on a
- * hedged, faulty scatter-gather scenario — the hardest case, since
- * hedges, retries, failover and fault windows all emit spans from
- * different domains.
+ * run-to-run), and the exported bytes are pinned to golden digests.
+ * All three are exercised on a hedged, faulty scatter-gather scenario
+ * — the hardest case, since hedges, retries, failover and fault
+ * windows all emit spans.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "core/experiment.hh"
@@ -49,12 +48,10 @@ struct Export
 };
 
 Export
-runTraced(core::ExperimentConfig cfg, int intraThreads,
-          std::uint32_t sampleEveryN = 1, int tailN = 4,
-          Time metricsPeriod = msec(1))
+runTraced(core::ExperimentConfig cfg, std::uint32_t sampleEveryN = 1,
+          int tailN = 4, Time metricsPeriod = msec(1))
 {
     Export out;
-    cfg.intraThreads = intraThreads;
     cfg.obs.trace = true;
     cfg.obs.sampleEveryN = sampleEveryN;
     cfg.obs.tailN = tailN;
@@ -73,33 +70,35 @@ runTraced(core::ExperimentConfig cfg, int intraThreads,
 
 TEST(TraceDeterminism, ExportIsByteIdenticalRunToRun)
 {
-    const Export a = runTraced(tracedConfig(), 1);
-    const Export b = runTraced(tracedConfig(), 1);
+    const Export a = runTraced(tracedConfig());
+    const Export b = runTraced(tracedConfig());
     ASSERT_GT(a.recorded, 0u);
     EXPECT_EQ(a.traceJson, b.traceJson);
     EXPECT_EQ(a.metricsCsv, b.metricsCsv);
 }
 
-TEST(TraceDeterminism, SerialAndParallelExportsMatch)
+/** 64-bit FNV-1a digest of @p s. */
+std::uint64_t
+fnv1a(const std::string &s)
 {
-    const Export serial = runTraced(tracedConfig(), 1);
-    const Export parallel = runTraced(tracedConfig(), 4);
-    // The parallel run must actually have partitioned — otherwise
-    // this test silently degenerates to run-to-run determinism.
-    ASSERT_GE(parallel.result.intraDomains, 2);
-    EXPECT_EQ(serial.result.latency.mean, parallel.result.latency.mean);
-    EXPECT_EQ(serial.result.latency.p99, parallel.result.latency.p99);
-    EXPECT_EQ(serial.result.received, parallel.result.received);
-    // The trace export is engine-independent to the byte: per-domain
-    // slabs land in canonical content order regardless of how many
-    // slabs there were. (The metrics CSV is NOT compared across
-    // engines: partitioned runs shard the cumulative work_ns column
-    // per domain by design, so the schemas differ.)
-    EXPECT_EQ(serial.traceJson, parallel.traceJson);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
 
-    // Each engine's CSV is still byte-deterministic run-to-run.
-    const Export parallel2 = runTraced(tracedConfig(), 4);
-    EXPECT_EQ(parallel.metricsCsv, parallel2.metricsCsv);
+TEST(TraceDeterminism, ExportsMatchGoldenDigests)
+{
+    // Captured at commit 5bac912, whose intra-run parallel engine
+    // exported the same trace bytes: the JSON and CSV are pinned to
+    // the byte, not just to their run-to-run agreement.
+    const Export e = runTraced(tracedConfig());
+    EXPECT_EQ(e.traceJson.size(), 7057304u);
+    EXPECT_EQ(fnv1a(e.traceJson), 0xaa457fe2c462fa8dull);
+    EXPECT_EQ(e.metricsCsv.size(), 3508u);
+    EXPECT_EQ(fnv1a(e.metricsCsv), 0x226b9c1753bd7fabull);
 }
 
 TEST(TraceDeterminism, TracingOffChangesNothing)
@@ -108,7 +107,7 @@ TEST(TraceDeterminism, TracingOffChangesNothing)
     // Trace-only (no metrics ticks): recording rides entirely inside
     // existing event callbacks, so even the executed-event count must
     // be untouched.
-    const Export traced = runTraced(tracedConfig(), 1, 1, 4, 0);
+    const Export traced = runTraced(tracedConfig(), 1, 4, 0);
     EXPECT_EQ(plain.latency.mean, traced.result.latency.mean);
     EXPECT_EQ(plain.latency.p99, traced.result.latency.p99);
     EXPECT_EQ(plain.sent, traced.result.sent);
@@ -120,7 +119,7 @@ TEST(TraceDeterminism, TracingOffChangesNothing)
 
     // Metrics ticks add their own (inert) events — everything but the
     // event count still matches the untraced run.
-    const Export metered = runTraced(tracedConfig(), 1);
+    const Export metered = runTraced(tracedConfig());
     EXPECT_EQ(plain.latency.mean, metered.result.latency.mean);
     EXPECT_EQ(plain.latency.p99, metered.result.latency.p99);
     EXPECT_EQ(plain.received, metered.result.received);
@@ -130,7 +129,7 @@ TEST(TraceDeterminism, TracingOffChangesNothing)
 
 TEST(TraceDeterminism, ExportContainsTheExpectedSpanTaxonomy)
 {
-    const Export e = runTraced(tracedConfig(), 1);
+    const Export e = runTraced(tracedConfig());
     // Roots, sub-requests, queue/service splits and wire hops always
     // appear; the killed replica's window guarantees a fault marker,
     // and 300us hedging at this load guarantees hedges.
@@ -148,15 +147,14 @@ TEST(TraceDeterminism, ExportContainsTheExpectedSpanTaxonomy)
 TEST(TraceDeterminism, SamplingReducesRecordingTailKeepsSlowest)
 {
     // Head sampling with no tail ring: 1-in-8 roots recorded.
-    const Export sampled = runTraced(tracedConfig(), 1, 8, 0);
-    const Export full = runTraced(tracedConfig(), 1, 1, 0);
+    const Export sampled = runTraced(tracedConfig(), 8, 0);
+    const Export full = runTraced(tracedConfig(), 1, 0);
     ASSERT_GT(sampled.recorded, 0u);
     EXPECT_LT(sampled.recorded, full.recorded / 2);
 
     // A tail ring records everything and filters at export; the
     // explainer then names the N slowest roots.
     core::ExperimentConfig cfg = tracedConfig();
-    cfg.intraThreads = 1;
     cfg.obs.trace = true;
     cfg.obs.sampleEveryN = 64; // sparse head sampling...
     cfg.obs.tailN = 3;         // ...but the 3 slowest always survive
@@ -179,7 +177,7 @@ TEST(TraceDeterminism, SamplingReducesRecordingTailKeepsSlowest)
 
 TEST(TraceDeterminism, MetricsCsvHasProbesAndTicks)
 {
-    const Export e = runTraced(tracedConfig(), 1);
+    const Export e = runTraced(tracedConfig());
     EXPECT_NE(e.metricsCsv.find("time_ns"), std::string::npos);
     EXPECT_NE(e.metricsCsv.find("qdepth.hds-bucket"), std::string::npos);
     EXPECT_NE(e.metricsCsv.find("inflight.hds-bucket"),
