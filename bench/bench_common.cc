@@ -1,7 +1,10 @@
 #include "bench_common.hh"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "sim/logging.hh"
@@ -9,21 +12,55 @@
 namespace tpv {
 namespace bench {
 
+namespace {
+
+/** Parse integer env knob @p name; fatal() unless the whole value is
+ *  an integer in [lo, hi]. */
+int
+envInt(const char *name, const char *text, long lo, long hi)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0')
+        fatal(name, "='", text, "' is not an integer");
+    if (errno == ERANGE || v < lo || v > hi)
+        fatal(name, "='", text, "' is out of range [", lo, ", ", hi, "]");
+    return static_cast<int>(v);
+}
+
+/** Parse positive, finite real env knob @p name or fatal(). */
+double
+envPositive(const char *name, const char *text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0')
+        fatal(name, "='", text, "' is not a number");
+    if (errno == ERANGE || !(v > 0) || !std::isfinite(v))
+        fatal(name, "='", text, "' must be positive and finite");
+    return v;
+}
+
+} // namespace
+
 BenchOptions
 BenchOptions::fromEnv()
 {
+    constexpr long kIntMax = std::numeric_limits<int>::max();
     BenchOptions opt;
+    // Two runs is the least that gives a run-to-run spread.
     if (const char *runs = std::getenv("TPV_RUNS"))
-        opt.runs = std::max(2, std::atoi(runs));
+        opt.runs = envInt("TPV_RUNS", runs, 2, kIntMax);
     if (const char *dur = std::getenv("TPV_DURATION_S")) {
-        const double s = std::atof(dur);
-        if (s > 0) {
-            opt.duration = seconds(s);
-            opt.warmup = seconds(s / 10.0);
-        }
+        const double s = envPositive("TPV_DURATION_S", dur);
+        opt.duration = seconds(s);
+        opt.warmup = seconds(s / 10.0);
     }
+    // 0 means one worker per hardware thread.
     if (const char *par = std::getenv("TPV_PARALLEL"))
-        opt.parallelism = std::atoi(par);
+        opt.parallelism = envInt("TPV_PARALLEL", par, 0, kIntMax);
     return opt;
 }
 

@@ -34,7 +34,9 @@ struct BenchOptions
     /** Worker threads for parallel runs (TPV_PARALLEL). */
     int parallelism = 0;
 
-    /** Read TPV_RUNS / TPV_DURATION_S / TPV_PARALLEL. */
+    /** Read TPV_RUNS (integer >= 2) / TPV_DURATION_S (seconds > 0) /
+     *  TPV_PARALLEL (integer >= 0, 0 = all cores); fatal() on a value
+     *  that does not parse whole or is out of range. */
     static BenchOptions fromEnv();
 
     /** RunnerOptions with these settings. */

@@ -145,7 +145,7 @@ main()
         return cfg;
     };
 
-    const auto grid = sweepCacheShapes({"HP"}, shapes, factory,
+    const auto grid = sweep<CacheAxis>({"HP"}, shapes, factory,
                                        opt.runner(), progress);
     auto cellOf = [&](const svc::CacheShape &s) -> const StudyCell & {
         return grid.at("HP/" + s.label(), kQps);
@@ -203,7 +203,7 @@ main()
     // match the parallel run above bit for bit.
     RunnerOptions serial = opt.runner();
     serial.parallelism = 1;
-    const auto check = sweepCacheShapes({"HP"}, shapes, factory, serial);
+    const auto check = sweep<CacheAxis>({"HP"}, shapes, factory, serial);
     bool identical = grid.cells.size() == check.cells.size();
     for (std::size_t i = 0; identical && i < grid.cells.size(); ++i) {
         identical = grid.cells[i].result.avgPerRun ==

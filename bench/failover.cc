@@ -112,8 +112,8 @@ main()
     };
 
     const auto grid =
-        sweepFaultPlans(policyNames, plans, factory, opt.runner(),
-                        progress);
+        sweep<FaultPlanAxis>(policyNames, plans, factory, opt.runner(),
+                             progress);
     const std::string faultTag = plans[1].label();
 
     TableReporter table("p99 under a mid-run replica kill, by policy");
@@ -157,7 +157,7 @@ main()
     RunnerOptions serial = opt.runner();
     serial.parallelism = 1;
     const auto check =
-        sweepFaultPlans(policyNames, plans, factory, serial);
+        sweep<FaultPlanAxis>(policyNames, plans, factory, serial);
     bool identical = grid.cells.size() == check.cells.size();
     for (std::size_t i = 0; identical && i < grid.cells.size(); ++i) {
         identical =

@@ -56,8 +56,7 @@ main()
             specs[buf] = CellSpec{lowPower, d};
         }
     }
-    const ConfigFactory factory = [&](const std::string &label,
-                                      double qps) {
+    const auto factory = [&](const std::string &label, double qps) {
         const CellSpec &spec = specs.at(label);
         auto cfg = withTiming(
             ExperimentConfig::forSynthetic(qps, spec.delay), opt);

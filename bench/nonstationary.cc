@@ -55,8 +55,8 @@ main()
                 "%d runs x %.2fs window\n",
                 baseQps / 1e3, opt.runs, toSec(opt.duration));
 
-    const auto grid = sweepProfiles({"LP", "HP"}, profiles, factory,
-                                    opt.runner(), progress);
+    const auto grid = sweep<ProfileAxis>({"LP", "HP"}, profiles, factory,
+                                         opt.runner(), progress);
 
     TableReporter avgTable("Median per-run avg latency (us) by load shape");
     TableReporter p99Table("Median per-run p99 latency (us) by load shape");

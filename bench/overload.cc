@@ -134,9 +134,9 @@ main()
         return tag.empty() ? std::string("none") : tag;
     };
 
-    const auto grid = sweepTrafficPolicies(loadLabels, policyList,
-                                           factory, opt.runner(),
-                                           progress);
+    const auto grid = sweep<TrafficPolicyAxis>(loadLabels, policyList,
+                                               factory, opt.runner(),
+                                               progress);
 
     TableReporter table("goodput (KQPS within SLO) vs offered load");
     table.header({"offered_qps", "none", "depth", "codel",
@@ -191,7 +191,7 @@ main()
     RunnerOptions serial = opt.runner();
     serial.parallelism = 1;
     const auto check =
-        sweepTrafficPolicies(loadLabels, policyList, factory, serial);
+        sweep<TrafficPolicyAxis>(loadLabels, policyList, factory, serial);
     bool identical = grid.cells.size() == check.cells.size();
     for (std::size_t i = 0; identical && i < grid.cells.size(); ++i) {
         identical = grid.cells[i].result.avgPerRun ==

@@ -44,7 +44,7 @@ main()
         {8, 2, 0},           {8, 2, usec(900)},  {8, 2, usec(400)},
     };
 
-    const auto grid = sweepTopologies(
+    const auto grid = sweep<TopologyAxis>(
         {"HP"}, shapes,
         [&](const std::string &label, const svc::TopologyShape &) {
             auto cfg = withTiming(ExperimentConfig::forHdSearch(qps), opt);

@@ -56,7 +56,7 @@ struct ExperimentConfig
     /**
      * Service-topology knobs (shards / replicas / hedge delay), the
      * record of what applyTopology() configured. Sweep this axis with
-     * core::sweepTopologies().
+     * core::sweep<TopologyAxis>().
      */
     svc::TopologyShape topology;
     /**
@@ -64,7 +64,7 @@ struct ExperimentConfig
      * healthy baseline, bit-identical to pre-fault builds). Windows
      * are in simulated run time (0 = run start); stochastic windows
      * draw from a run-seed-derived stream. Sweep this axis with
-     * core::sweepFaultPlans().
+     * core::sweep<FaultPlanAxis>().
      */
     fault::FaultPlan faultPlan;
     /**
@@ -125,7 +125,7 @@ void applyTopology(ExperimentConfig &cfg,
  * land on the workload's fan-out edge, admission control on its leaf
  * tier. Recorded in cfg.topology.traffic so cell labels and reports
  * can name the policy. Sweep this axis with
- * core::sweepTrafficPolicies().
+ * core::sweep<TrafficPolicyAxis>().
  */
 void applyTrafficPolicy(ExperimentConfig &cfg,
                         const svc::TrafficPolicy &policy);
@@ -138,7 +138,7 @@ void applyTrafficPolicy(ExperimentConfig &cfg,
  * one — every request draws a Zipf rank over shape.keys and carries
  * it in Message::key. A disabled shape records itself and leaves the
  * historical unkeyed model in place. Sweep this axis with
- * core::sweepCacheShapes().
+ * core::sweep<CacheAxis>().
  */
 void applyCacheShape(ExperimentConfig &cfg,
                      const svc::CacheShape &shape);

@@ -63,7 +63,8 @@ std::vector<RepeatedResult>
 runManyBatch(const std::vector<ExperimentConfig> &cfgs,
              const RunnerOptions &opt, const BatchProgress &progress)
 {
-    TPV_ASSERT(opt.runs >= 1, "need at least one run");
+    if (opt.runs < 1)
+        fatal("RunnerOptions::runs must be >= 1, got ", opt.runs);
     const std::size_t runs = static_cast<std::size_t>(opt.runs);
 
     std::vector<RepeatedResult> results(cfgs.size());

@@ -23,7 +23,8 @@ namespace core {
 /** Options for repeated execution. */
 struct RunnerOptions
 {
-    /** Repetitions; the paper uses 50 (20 for the synthetic study). */
+    /** Repetitions, >= 1 (fewer is fatal()); the paper uses 50 (20
+     *  for the synthetic study). */
     int runs = 50;
     /** Base seed; run i uses a deterministic derivation of it. */
     std::uint64_t baseSeed = 42;

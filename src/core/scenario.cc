@@ -20,18 +20,6 @@ Scenario::label() const
         out += ", load ";
         out += toString(loadShape);
     }
-    if (topology.shards > 1 || topology.replicas > 1 ||
-        topology.hedgeDelay > 0 ||
-        (topology.policy != svc::HedgePolicy::Auto &&
-         topology.policy != svc::HedgePolicy::None) ||
-        topology.cache.enabled()) {
-        out += ", topo ";
-        out += topology.label();
-    }
-    if (!faultPlan.empty()) {
-        out += ", fault ";
-        out += faultPlan.label();
-    }
     return out;
 }
 
@@ -48,8 +36,8 @@ tableIIIScenarios()
 {
     using loadgen::MeasurePoint;
     using loadgen::SendMode;
-    // Row builder over the defaulted Scenario, so new defaulted
-    // fields (loadShape, topology) need no per-row mention.
+    // Row builder over the defaulted Scenario, so defaulted fields
+    // (loadShape) need no per-row mention.
     const auto row = [](SendMode ia, bool tuned, bool big,
                         const char *sections) {
         Scenario s;
@@ -80,142 +68,6 @@ nonstationaryScenarios()
             Scenario s = base;
             s.loadShape = shape;
             s.sections = "non-stationary extension";
-            out.push_back(std::move(s));
-        }
-    }
-    return out;
-}
-
-std::vector<Scenario>
-topologyScenarios()
-{
-    const std::vector<svc::TopologyShape> shapes = {
-        {8, 1, 0},          // wide sharded fan-out
-        {8, 2, 0},          // ... with a replica per shard
-        {8, 2, usec(500)},  // ... and hedged slow shards
-    };
-    std::vector<Scenario> out;
-    for (const Scenario &base : tableIIIScenarios()) {
-        for (const svc::TopologyShape &shape : shapes) {
-            Scenario s = base;
-            s.topology = shape;
-            s.sections = "topology extension";
-            out.push_back(std::move(s));
-        }
-    }
-    return out;
-}
-
-std::vector<Scenario>
-faultScenarios()
-{
-    // A replicated, adaptively hedged shape that every fault plan can
-    // exercise: kills need a backup, hedging needs a policy to react
-    // with.
-    const svc::TopologyShape shape{4, 3, usec(400),
-                                   svc::HedgePolicy::Adaptive};
-    const std::vector<fault::FaultPlan> plans = {
-        fault::FaultPlan::replicaKill("hds-bucket", 0, msec(20),
-                                      msec(40)),
-        fault::FaultPlan::replicaSlowdown("hds-bucket", 0, 8.0,
-                                          msec(20), msec(40)),
-        fault::FaultPlan::pause("hds-bucket", 0, msec(20), msec(5)),
-    };
-    std::vector<Scenario> out;
-    for (const Scenario &base : tableIIIScenarios()) {
-        for (const fault::FaultPlan &plan : plans) {
-            Scenario s = base;
-            s.topology = shape;
-            s.faultPlan = plan;
-            s.sections = "fault extension";
-            out.push_back(std::move(s));
-        }
-        // The compound row: a mid-run cache flush during a flash
-        // crowd (the Step load shape). Each alone is survivable —
-        // together the refill misses land exactly when the offered
-        // load steps up, the cache-wall worst case. Needs the
-        // finite-cache memcached tier, so this row carries its own
-        // keyed, capacity-bounded topology instead of `shape`.
-        Scenario s = base;
-        s.topology = svc::TopologyShape{4, 2, usec(400),
-                                        svc::HedgePolicy::Adaptive};
-        s.topology.cache.keys = 1 << 16;
-        s.topology.cache.capacityEntries = 1 << 12;
-        s.faultPlan =
-            fault::FaultPlan::cacheFlush("mc-cache", -1, msec(30));
-        s.loadShape = loadgen::LoadProfileKind::Step;
-        s.sections = "fault extension";
-        out.push_back(std::move(s));
-    }
-    return out;
-}
-
-std::vector<Scenario>
-trafficScenarios()
-{
-    // A replicated shape with an undetected-crash-style fault plan —
-    // the regime where the traffic layer earns its keep — crossed
-    // with the self-defence policies: none (the stranded-request
-    // baseline), deadlines+retries, retries plus depth shedding, and
-    // the full stack with breakers.
-    svc::TopologyShape shape{4, 2, 0};
-    svc::TrafficPolicy retries;
-    retries.retry.deadline = msec(2);
-    svc::TrafficPolicy shedding = retries;
-    shedding.admission.maxQueueDepth = 64;
-    svc::TrafficPolicy full = shedding;
-    full.breaker.failureThreshold = 3;
-    const std::vector<svc::TrafficPolicy> policies = {
-        svc::TrafficPolicy{}, retries, shedding, full};
-    // detectDelay outlives the crash window: the failure detector
-    // never fires, so only the traffic policies can recover.
-    const fault::FaultPlan plan = fault::FaultPlan::replicaKill(
-        "hds-bucket", 0, msec(10), msec(5), msec(60));
-    std::vector<Scenario> out;
-    for (const Scenario &base : tableIIIScenarios()) {
-        for (const svc::TrafficPolicy &policy : policies) {
-            Scenario s = base;
-            s.topology = shape;
-            s.topology.traffic = policy;
-            s.faultPlan = plan;
-            s.sections = "traffic extension";
-            out.push_back(std::move(s));
-        }
-    }
-    return out;
-}
-
-std::vector<Scenario>
-cacheScenarios()
-{
-    // A sharded, key-pinned memcached tier behind finite caches: the
-    // swept shapes cross capacity (comfortable vs. starved) with the
-    // eviction axis on a skewed keyspace. Small response times keep
-    // cache hits inside the client-overhead regime; the miss cascade
-    // to the backing store is what pushes rows out of it.
-    const auto shaped = [](std::uint64_t capacity,
-                           svc::EvictionPolicy eviction, bool cold) {
-        svc::CacheShape c;
-        c.keys = 1 << 16;
-        c.skew = 0.99;
-        c.capacityEntries = capacity;
-        c.eviction = eviction;
-        c.coldStart = cold;
-        return c;
-    };
-    const std::vector<svc::CacheShape> shapes = {
-        shaped(1 << 14, svc::EvictionPolicy::Lru, false),
-        shaped(1 << 10, svc::EvictionPolicy::Lru, false),
-        shaped(1 << 10, svc::EvictionPolicy::Slru, false),
-        shaped(1 << 14, svc::EvictionPolicy::Lru, true),
-    };
-    std::vector<Scenario> out;
-    for (const Scenario &base : tableIIIScenarios()) {
-        for (const svc::CacheShape &shape : shapes) {
-            Scenario s = base;
-            s.topology = svc::TopologyShape{8, 1, 0};
-            s.topology.cache = shape;
-            s.sections = "cache extension";
             out.push_back(std::move(s));
         }
     }

@@ -11,11 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault.hh"
 #include "loadgen/load_profile.hh"
 #include "loadgen/params.hh"
 #include "sim/time.hh"
-#include "svc/topology.hh"
 
 namespace tpv {
 namespace core {
@@ -39,21 +37,6 @@ struct Scenario
      * under diurnal, flash-crowd, and MMPP arrival schedules.
      */
     loadgen::LoadProfileKind loadShape = loadgen::LoadProfileKind::Constant;
-    /**
-     * Service topology under test. The paper's rows all use the
-     * benchmarks' stock shapes (the default 1-shard, 1-replica,
-     * unhedged TopologyShape); the topology extensions re-evaluate
-     * each row under sharded, replicated, and hedged clusters.
-     */
-    svc::TopologyShape topology;
-    /**
-     * Faults injected during the run. The paper's rows all run
-     * healthy (an empty plan); the fault extensions re-evaluate each
-     * row under replica kills, slowdowns and stop-the-world pauses —
-     * the transient variability sources whose tails the measurement
-     * methodology is supposed to survive.
-     */
-    fault::FaultPlan faultPlan;
 
     /** Human-readable row label. */
     std::string label() const;
@@ -78,52 +61,6 @@ std::vector<Scenario> tableIIIScenarios();
  * load point.
  */
 std::vector<Scenario> nonstationaryScenarios();
-
-/**
- * Table III's rows crossed with representative service topologies
- * (sharded fan-out, replication, hedged requests): every paper row
- * re-stated for a scaled-out service. Fan-out raises the response
- * time (the tier waits on the slowest shard), so wide topologies push
- * rows toward the paper's "big response time" regime — but hedging
- * pulls the tail back down, which is exactly when client-side
- * measurement error becomes visible again.
- */
-std::vector<Scenario> topologyScenarios();
-
-/**
- * Table III's rows crossed with representative fault plans on a
- * replicated, hedged topology: a mid-run replica kill (with
- * restart), a replica pinned slow, and a stop-the-world pause. Fault
- * windows stretch response times far beyond the client-side
- * overheads — which looks like it should wash out client
- * configuration effects, except that hedged recovery pulls most
- * requests back into the small-response regime where the pitfalls
- * return.
- */
-std::vector<Scenario> faultScenarios();
-
-/**
- * Table III's rows crossed with traffic-management policies (none /
- * deadlines+retries / retries+shedding / the full stack with circuit
- * breakers) on a replicated topology under a short undetected replica
- * kill. The no-policy rows pin the stranded-request baseline — losses
- * the fault plan inflicts that nothing recovers; the policy rows show
- * the same plan with the service defending itself, which shortens the
- * loss tail back into the regime where client-side measurement error
- * matters again.
- */
-std::vector<Scenario> trafficScenarios();
-
-/**
- * Table III's rows crossed with finite-cache shapes on a sharded,
- * key-pinned memcached tier: a comfortable LRU cache, a starved one,
- * the starved capacity under SLRU, and a cold start. Cache hits keep
- * the service response small — squarely in the regime where
- * client-side measurement error matters — while the miss cascade to
- * the backing store stretches the tail the way a real cache wall
- * does.
- */
-std::vector<Scenario> cacheScenarios();
 
 /**
  * Classify an arbitrary setup the way Table III would: services with

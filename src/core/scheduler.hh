@@ -15,10 +15,9 @@
  * at any parallelism level.
  *
  * Worker threads are spawned once per process and park on a condition
- * variable between batches, so studies made of many small cells
- * (Table IV-style iteration sweeps) pay no thread-spawn cost per
- * forEach() call. Constructing a Scheduler is free: it only records
- * the requested width; the threads belong to the shared Executor.
+ * variable between batches. Constructing a Scheduler is free: it only
+ * records the requested width; the threads belong to the shared
+ * Executor.
  */
 
 #ifndef TPV_CORE_SCHEDULER_HH
@@ -50,6 +49,9 @@ deriveRunSeed(std::uint64_t baseSeed, int rep)
  * The process-wide pool behind every Scheduler. Helper threads are
  * spawned lazily up to the widest batch ever requested, park on a
  * condition variable between batches, and are joined at process exit.
+ * The pool persists for memory, not speed: spawning threads per
+ * batch measures about as fast (≈1.0x), but raised perfbench's
+ * peak_rss_mb by 5-9% (see BUILDING.md, "Executor lifetime").
  * Batches from different caller threads are serialised: one batch owns
  * the pool at a time (simulation batches are long; queueing them is
  * the intended behaviour, not a bottleneck).

@@ -68,69 +68,6 @@ runGridCells(StudyGrid &grid,
 
 } // namespace detail
 
-StudyGrid
-sweep(const std::vector<std::string> &configs,
-      const std::vector<double> &loads, const ConfigFactory &factory,
-      const RunnerOptions &opt,
-      const std::function<void(const StudyCell &)> &progress)
-{
-    return sweepAxis<LoadAxis>(configs, loads, factory, opt, progress);
-}
-
-StudyGrid
-sweepTopologies(const std::vector<std::string> &configs,
-                const std::vector<svc::TopologyShape> &shapes,
-                const TopologyConfigFactory &factory,
-                const RunnerOptions &opt,
-                const std::function<void(const StudyCell &)> &progress)
-{
-    return sweepAxis<TopologyAxis>(configs, shapes, factory, opt,
-                                   progress);
-}
-
-StudyGrid
-sweepTrafficPolicies(const std::vector<std::string> &configs,
-                     const std::vector<svc::TrafficPolicy> &policies,
-                     const TrafficConfigFactory &factory,
-                     const RunnerOptions &opt,
-                     const std::function<void(const StudyCell &)> &progress)
-{
-    return sweepAxis<TrafficPolicyAxis>(configs, policies, factory, opt,
-                                        progress);
-}
-
-StudyGrid
-sweepFaultPlans(const std::vector<std::string> &configs,
-                const std::vector<fault::FaultPlan> &plans,
-                const FaultConfigFactory &factory,
-                const RunnerOptions &opt,
-                const std::function<void(const StudyCell &)> &progress)
-{
-    return sweepAxis<FaultPlanAxis>(configs, plans, factory, opt,
-                                    progress);
-}
-
-StudyGrid
-sweepProfiles(const std::vector<std::string> &configs,
-              const std::vector<loadgen::LoadProfileParams> &profiles,
-              const ProfileConfigFactory &factory,
-              const RunnerOptions &opt,
-              const std::function<void(const StudyCell &)> &progress)
-{
-    return sweepAxis<ProfileAxis>(configs, profiles, factory, opt,
-                                  progress);
-}
-
-StudyGrid
-sweepCacheShapes(const std::vector<std::string> &configs,
-                 const std::vector<svc::CacheShape> &shapes,
-                 const CacheConfigFactory &factory,
-                 const RunnerOptions &opt,
-                 const std::function<void(const StudyCell &)> &progress)
-{
-    return sweepAxis<CacheAxis>(configs, shapes, factory, opt, progress);
-}
-
 double
 slowdownAvg(const RepeatedResult &numerator,
             const RepeatedResult &denominator)

@@ -41,10 +41,6 @@ struct StudyGrid
     std::vector<double> loads() const;
 };
 
-/** Builds an ExperimentConfig for a (label, qps) pair. */
-using ConfigFactory =
-    std::function<ExperimentConfig(const std::string &label, double qps)>;
-
 namespace detail {
 
 /**
@@ -59,11 +55,10 @@ void runGridCells(StudyGrid &grid,
 } // namespace detail
 
 // ---------------------------------------------------------------------
-// The generic sweep axis. Every sweep*() helper below is a thin
-// wrapper over sweepAxis<Axis>() — one Axis struct per sweepable
-// dimension names the swept Value and says how a value labels its
-// cells, how it lands on a materialised config, and which QPS the
-// cell records. There is exactly one sweep-grid loop in the tree.
+// The sweep axes. sweep<Axis>() is the one sweep-grid entry point; one
+// Axis struct per sweepable dimension names the swept Value and says
+// how a value labels its cells, how it lands on a materialised config,
+// and which QPS the cell records.
 // ---------------------------------------------------------------------
 
 /** Axis of stationary load points (the original sweep dimension).
@@ -171,23 +166,34 @@ struct CacheAxis
 
 /**
  * Run the grid of configurations x axis values — the one sweep-grid
- * loop behind every sweep*() helper. Cells are labelled
- * "<config>/<Axis::label(value)>" (bare "<config>" when the label is
- * empty, as on the load axis), with repeated labels disambiguated
- * ("diurnal", "diurnal#2", ...). The factory materialises each cell
- * first, then Axis::apply() lands the value on it, so factories may
- * set other axes (topology, faults) and the swept value wins on its
- * own. Cells are materialised config-major up front and executed as
- * one flat bag of (cell, repetition) tasks: workers never idle at a
- * cell boundary while another cell still has repetitions to run, and
- * grids are bit-identical at any parallelism.
+ * loop in the tree. The default axis is stationary load, so
+ * sweep(configs, loads, factory, opt) runs configurations x QPS points;
+ * other studies name their axis, e.g. sweep<TopologyAxis>(configs,
+ * shapes, factory, opt) or sweep<FaultPlanAxis>(...).
+ *
+ * Cells are labelled "<config>/<Axis::label(value)>" (bare "<config>"
+ * when the label is empty, as on the load axis), with repeated labels
+ * disambiguated ("diurnal", "diurnal#2", ...). The factory is called
+ * as factory(config, value) and materialises each cell first, then
+ * Axis::apply() lands the value on it, so factories may set other axes
+ * (topology, faults) and the swept value wins on its own. Cells are
+ * materialised config-major up front and executed as one flat bag of
+ * (cell, repetition) tasks: workers never idle at a cell boundary
+ * while another cell still has repetitions to run, and grids are
+ * bit-identical at any parallelism.
+ *
+ * @param configs configuration labels, e.g. {"LP-SMToff", ...}.
+ * @param values the swept axis values, e.g. Figure 2's 10K..500K QPS.
+ * @param factory materialises an ExperimentConfig per cell.
+ * @param opt repetition settings.
+ * @param progress optional callback fired after each finished cell.
  */
-template <typename Axis, typename Factory>
+template <typename Axis = LoadAxis, typename Factory>
 StudyGrid
-sweepAxis(const std::vector<std::string> &configs,
-          const std::vector<typename Axis::Value> &values,
-          const Factory &factory, const RunnerOptions &opt,
-          const std::function<void(const StudyCell &)> &progress = nullptr)
+sweep(const std::vector<std::string> &configs,
+      const std::vector<typename Axis::Value> &values,
+      const Factory &factory, const RunnerOptions &opt,
+      const std::function<void(const StudyCell &)> &progress = nullptr)
 {
     // Two passes over the labels: repeats are counted against the
     // *raw* labels so an already-suffixed "diurnal#2" never shifts
@@ -228,133 +234,6 @@ sweepAxis(const std::vector<std::string> &configs,
     detail::runGridCells(grid, cellCfgs, opt, progress);
     return grid;
 }
-
-/**
- * Run the full grid of configurations x loads.
- * @param configs configuration labels, e.g. {"LP-SMToff", ...}.
- * @param loads QPS points, e.g. Figure 2's 10K..500K.
- * @param factory materialises an ExperimentConfig per cell.
- * @param opt repetition settings.
- * @param progress optional callback fired after each finished cell.
- */
-StudyGrid sweep(const std::vector<std::string> &configs,
-                const std::vector<double> &loads,
-                const ConfigFactory &factory, const RunnerOptions &opt,
-                const std::function<void(const StudyCell &)> &progress =
-                    nullptr);
-
-/** Builds an ExperimentConfig for a (label, topology shape) pair. */
-using TopologyConfigFactory = std::function<ExperimentConfig(
-    const std::string &label, const svc::TopologyShape &shape)>;
-
-/**
- * Run the grid of configurations x service topologies: the swept axis
- * is the *shape of the service* (shard count, replica count, hedge
- * delay) instead of a load point. Cells are labelled
- * "<config>/<shape.label()>" (e.g. "HP/s8r2+h500us") and keep the
- * base QPS the factory configured; applyTopology() lands the shape on
- * the materialised config after the factory runs, and execution goes
- * through the same flat task bag, so grids are bit-identical at any
- * parallelism.
- */
-StudyGrid
-sweepTopologies(const std::vector<std::string> &configs,
-                const std::vector<svc::TopologyShape> &shapes,
-                const TopologyConfigFactory &factory,
-                const RunnerOptions &opt,
-                const std::function<void(const StudyCell &)> &progress =
-                    nullptr);
-
-/** Builds an ExperimentConfig for a (label, traffic policy) pair. */
-using TrafficConfigFactory = std::function<ExperimentConfig(
-    const std::string &label, const svc::TrafficPolicy &policy)>;
-
-/**
- * Run the grid of configurations x traffic policies: the swept axis
- * is *how the service defends itself* (deadlines/retries, admission
- * control, circuit breakers) at a fixed load, topology and fault
- * plan. Cells are labelled "<config>/<policy.label()>" with the empty
- * all-off policy rendered as "none" (e.g. "HP/none",
- * "HP/+rt2000usx3+q64"). applyTrafficPolicy() lands the policy on the
- * materialised config after the factory runs (so the factory may set
- * topology and faults first), and execution goes through the same
- * flat task bag, so grids are bit-identical at any parallelism.
- */
-StudyGrid
-sweepTrafficPolicies(const std::vector<std::string> &configs,
-                     const std::vector<svc::TrafficPolicy> &policies,
-                     const TrafficConfigFactory &factory,
-                     const RunnerOptions &opt,
-                     const std::function<void(const StudyCell &)> &progress =
-                         nullptr);
-
-/** Builds an ExperimentConfig for a (label, fault plan) pair. */
-using FaultConfigFactory = std::function<ExperimentConfig(
-    const std::string &label, const fault::FaultPlan &plan)>;
-
-/**
- * Run the grid of configurations x fault plans: the swept axis is
- * *what breaks* during the run (replica kills, slowdowns, link
- * degradation, pauses — or the empty healthy baseline) at a fixed
- * load and topology. Cells are labelled "<config>/<plan.label()>"
- * (e.g. "HP/kill-r0@30ms", "HP/none"). Fault windows materialise per
- * repetition from the run seed and execution goes through the same
- * flat task bag, so faulty grids stay bit-identical at any
- * parallelism — the golden-determinism guarantee extends to failure
- * studies. Compose with applyTopology() in the factory to cross
- * topology x fault plan in one study.
- */
-StudyGrid
-sweepFaultPlans(const std::vector<std::string> &configs,
-                const std::vector<fault::FaultPlan> &plans,
-                const FaultConfigFactory &factory,
-                const RunnerOptions &opt,
-                const std::function<void(const StudyCell &)> &progress =
-                    nullptr);
-
-/** Builds an ExperimentConfig for a (label, load profile) pair. */
-using ProfileConfigFactory = std::function<ExperimentConfig(
-    const std::string &label, const loadgen::LoadProfileParams &profile)>;
-
-/**
- * Run the grid of configurations x load profiles: the non-stationary
- * counterpart of sweep(), where the swept axis is the *shape* of the
- * offered load (constant / diurnal / flash crowd / MMPP) at a fixed
- * base rate instead of a stationary QPS point. Cells are labelled
- * "<config>/<profile>" and keep the base QPS the factory configured;
- * execution goes through the same flat task bag, so grids are
- * bit-identical at any parallelism.
- */
-StudyGrid
-sweepProfiles(const std::vector<std::string> &configs,
-              const std::vector<loadgen::LoadProfileParams> &profiles,
-              const ProfileConfigFactory &factory, const RunnerOptions &opt,
-              const std::function<void(const StudyCell &)> &progress =
-                  nullptr);
-
-/** Builds an ExperimentConfig for a (label, cache shape) pair. */
-using CacheConfigFactory = std::function<ExperimentConfig(
-    const std::string &label, const svc::CacheShape &shape)>;
-
-/**
- * Run the grid of configurations x cache shapes: the swept axis is
- * the *memory hierarchy* of the memcached tier (keyspace size, Zipf
- * skew, per-shard capacity, eviction policy, cold vs. prewarmed) at a
- * fixed load and topology. Cells are labelled
- * "<config>/<shape.label()>" with the disabled shape rendered as
- * "nocache" (e.g. "HP/z0.99k64Kc4K-lru", "HP/nocache").
- * applyCacheShape() lands the shape on the materialised config after
- * the factory runs (so the factory may set topology first), and
- * execution goes through the same flat task bag, so grids are
- * bit-identical at any parallelism.
- */
-StudyGrid
-sweepCacheShapes(const std::vector<std::string> &configs,
-                 const std::vector<svc::CacheShape> &shapes,
-                 const CacheConfigFactory &factory,
-                 const RunnerOptions &opt,
-                 const std::function<void(const StudyCell &)> &progress =
-                     nullptr);
 
 /**
  * The paper's slowdown metric: ratio of mean per-run averages of two

@@ -23,9 +23,9 @@ LatencyRecorder::reserveFor(double perSecond, Time window)
     // 25% headroom over the expectation: bursts (and non-stationary
     // profiles) overshoot the mean; one slightly generous block beats
     // a realloc + copy mid-measurement. Capped, because the estimate
-    // can be far above what a run can physically record (a
-    // closed-loop population with a tiny think time is still bounded
-    // by service rate) and sweeps run many recorders concurrently —
+    // can be far above what a run can physically record (an
+    // overloaded service answers at its own rate, not the offered
+    // one) and sweeps run many recorders concurrently —
     // beyond the cap a few amortised doublings are the lesser evil.
     constexpr std::size_t kMaxReserve = std::size_t(1) << 22;
     const auto expected = static_cast<std::size_t>(

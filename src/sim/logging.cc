@@ -23,13 +23,13 @@ fatalImpl(const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    obs::logWrite(obs::LogLevel::Warn, msg);
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void
 informImpl(const std::string &msg)
 {
-    obs::logWrite(obs::LogLevel::Info, msg);
+    std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace detail

@@ -12,8 +12,6 @@
 #include <sstream>
 #include <string>
 
-#include "obs/log.hh"
-
 namespace tpv {
 
 namespace detail {
@@ -57,48 +55,22 @@ fatal(Args &&...args)
     detail::fatalImpl(detail::concat(std::forward<Args>(args)...));
 }
 
-/**
- * Report a suspicious-but-survivable condition through the obs log
- * layer (stderr by default). The level gate runs before any
- * formatting: a silenced level costs one load and no string work.
- */
+/** Report a suspicious-but-survivable condition ("warn: ..." on
+ *  stderr). */
 template <typename... Args>
 void
 warn(Args &&...args)
 {
-    if (!obs::logEnabled(obs::LogLevel::Warn))
-        return;
     detail::warnImpl(detail::concat(std::forward<Args>(args)...));
 }
 
-/** Report normal operating status (obs log layer, level Info). */
+/** Report normal operating status ("info: ..." on stderr). */
 template <typename... Args>
 void
 inform(Args &&...args)
 {
-    if (!obs::logEnabled(obs::LogLevel::Info))
-        return;
     detail::informImpl(detail::concat(std::forward<Args>(args)...));
 }
-
-/**
- * Debug diagnostics: level-gated at runtime and compiled out
- * entirely (arguments never evaluated) when TPV_NO_DEBUG_LOG is
- * defined — the compiled-out-cheap tier of the diagnostics door.
- */
-#ifdef TPV_NO_DEBUG_LOG
-#define TPV_DEBUG(...)                                                   \
-    do {                                                                 \
-    } while (0)
-#else
-#define TPV_DEBUG(...)                                                   \
-    do {                                                                 \
-        if (::tpv::obs::logEnabled(::tpv::obs::LogLevel::Debug)) {       \
-            ::tpv::obs::logWrite(::tpv::obs::LogLevel::Debug,            \
-                                 ::tpv::detail::concat(__VA_ARGS__));    \
-        }                                                                \
-    } while (0)
-#endif
 
 /** panic() unless the given invariant holds. */
 #define TPV_ASSERT(cond, ...)                                            \

@@ -1,0 +1,89 @@
+/** @file Tests for the bench drivers' environment knobs. */
+
+#include "bench_common.hh"
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+
+namespace tpv {
+namespace bench {
+namespace {
+
+class BenchOptionsEnv : public ::testing::Test
+{
+  protected:
+    void SetUp() override { clear(); }
+    void TearDown() override { clear(); }
+
+    static void clear()
+    {
+        unsetenv("TPV_RUNS");
+        unsetenv("TPV_DURATION_S");
+        unsetenv("TPV_PARALLEL");
+    }
+};
+
+TEST_F(BenchOptionsEnv, UnsetKeepsDefaults)
+{
+    const BenchOptions opt = BenchOptions::fromEnv();
+    EXPECT_EQ(opt.runs, 20);
+    EXPECT_EQ(opt.duration, msec(200));
+    EXPECT_EQ(opt.warmup, msec(20));
+    EXPECT_EQ(opt.parallelism, 0);
+}
+
+TEST_F(BenchOptionsEnv, WellFormedValuesParse)
+{
+    setenv("TPV_RUNS", "5", 1);
+    setenv("TPV_DURATION_S", "0.05", 1);
+    setenv("TPV_PARALLEL", "3", 1);
+    const BenchOptions opt = BenchOptions::fromEnv();
+    EXPECT_EQ(opt.runs, 5);
+    EXPECT_EQ(opt.duration, seconds(0.05));
+    EXPECT_EQ(opt.warmup, seconds(0.05 / 10.0));
+    EXPECT_EQ(opt.parallelism, 3);
+}
+
+// Each bad value exits through fatal() naming the variable; the
+// death-test child sets the variable, so the parent stays clean.
+void
+expectRejected(const char *name, const char *value)
+{
+    EXPECT_EXIT(
+        {
+            setenv(name, value, 1);
+            BenchOptions::fromEnv();
+        },
+        ::testing::ExitedWithCode(1), std::string("fatal: ") + name)
+        << name << "=" << value;
+}
+
+TEST_F(BenchOptionsEnv, UnparsableValuesAreFatal)
+{
+    expectRejected("TPV_RUNS", "abc");
+    expectRejected("TPV_RUNS", "");
+    expectRejected("TPV_PARALLEL", "four");
+    expectRejected("TPV_DURATION_S", "fast");
+}
+
+TEST_F(BenchOptionsEnv, TrailingCharactersAreFatal)
+{
+    expectRejected("TPV_RUNS", "10x");
+    expectRejected("TPV_PARALLEL", "2 cores");
+    expectRejected("TPV_DURATION_S", "0.2s");
+}
+
+TEST_F(BenchOptionsEnv, OutOfRangeValuesAreFatal)
+{
+    expectRejected("TPV_RUNS", "1");
+    expectRejected("TPV_RUNS", "99999999999999999999");
+    expectRejected("TPV_PARALLEL", "-1");
+    expectRejected("TPV_DURATION_S", "0");
+    expectRejected("TPV_DURATION_S", "-0.1");
+    expectRejected("TPV_DURATION_S", "inf");
+}
+
+} // namespace
+} // namespace bench
+} // namespace tpv

@@ -1,6 +1,6 @@
 /** @file End-to-end keyed cache runs through the study layer:
  *  serial-vs-parallel bit-identical grids, hit/miss plumbing into
- *  ServiceStats, and the sweepCacheShapes cell labels. */
+ *  ServiceStats, and the sweep<CacheAxis> cell labels. */
 
 #include "core/study.hh"
 
@@ -8,8 +8,6 @@
 
 #include <string>
 #include <vector>
-
-#include "core/scenario.hh"
 
 namespace tpv {
 namespace core {
@@ -36,7 +34,7 @@ quickKeyedConfig(double qps)
     return cfg;
 }
 
-CacheConfigFactory
+auto
 quickFactory()
 {
     return [](const std::string &label, const svc::CacheShape &) {
@@ -120,9 +118,9 @@ TEST(CacheGrid, SerialAndParallelCacheGridsAreIdentical)
     parallel.parallelism = 4;
 
     const auto a =
-        sweepCacheShapes(configs, shapes, quickFactory(), serial);
+        sweep<CacheAxis>(configs, shapes, quickFactory(), serial);
     const auto b =
-        sweepCacheShapes(configs, shapes, quickFactory(), parallel);
+        sweep<CacheAxis>(configs, shapes, quickFactory(), parallel);
     ASSERT_EQ(a.cells.size(), b.cells.size());
     for (std::size_t c = 0; c < a.cells.size(); ++c) {
         const StudyCell &ca = a.cells[c];
@@ -152,24 +150,10 @@ TEST(CacheGrid, SweepLabelsNameTheShapes)
         svc::CacheShape{}, // disabled: the "nocache" control cell
         cacheShape(1 << 16, 1 << 12),
     };
-    const auto grid =
-        sweepCacheShapes({"HP"}, shapes, quickFactory(), opt);
+    const auto grid = sweep<CacheAxis>({"HP"}, shapes, quickFactory(), opt);
     EXPECT_EQ(grid.configs(),
               (std::vector<std::string>{"HP/nocache",
                                         "HP/z0.99k64Kc4K-lru"}));
-}
-
-TEST(CacheGrid, ScenarioLabelsNameTheCacheAxis)
-{
-    // cacheScenarios() rows carry the cache shape in their topology
-    // label so reports can tell the rows apart.
-    bool sawCacheLabel = false;
-    for (const auto &s : cacheScenarios()) {
-        EXPECT_EQ(s.sections, "cache extension");
-        if (s.label().find("c16K-lru") != std::string::npos)
-            sawCacheLabel = true;
-    }
-    EXPECT_TRUE(sawCacheLabel);
 }
 
 } // namespace

@@ -86,6 +86,15 @@ TEST(Runner, CIsAreNonDegenerate)
     EXPECT_LT(ci.lower, ci.upper);
 }
 
+TEST(Runner, ZeroRunsIsAConfigurationError)
+{
+    // A caller's bad option exits through fatal(), not an abort.
+    RunnerOptions opt;
+    opt.runs = 0;
+    EXPECT_EXIT(runMany(quickConfig(), opt), ::testing::ExitedWithCode(1),
+                "runs must be >= 1, got 0");
+}
+
 } // namespace
 } // namespace core
 } // namespace tpv

@@ -87,29 +87,6 @@ TEST(Scenario, LabelsAreDescriptive)
     EXPECT_NE(rows[2].label().find("time-insensitive"), std::string::npos);
 }
 
-TEST(Scenario, TopologyRowsCrossEveryPaperRowWithShapes)
-{
-    const auto rows = topologyScenarios();
-    EXPECT_EQ(rows.size(), tableIIIScenarios().size() * 3);
-    for (const auto &s : rows) {
-        // Every topology row names a non-default shape.
-        EXPECT_GT(s.topology.shards, 1);
-        EXPECT_NE(s.label().find("topo s"), std::string::npos);
-    }
-    // The risk rule ignores topology: the same rows stay risky.
-    const auto base = tableIIIScenarios();
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        EXPECT_EQ(risky(rows[i]), risky(base[i / 3]));
-}
-
-TEST(Scenario, DefaultTopologyKeepsLabelUnchanged)
-{
-    Scenario s;
-    EXPECT_EQ(s.label().find("topo"), std::string::npos);
-    s.topology = svc::TopologyShape{8, 2, usec(500)};
-    EXPECT_NE(s.label().find("s8r2+h500us"), std::string::npos);
-}
-
 } // namespace
 } // namespace core
 } // namespace tpv

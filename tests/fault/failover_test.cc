@@ -327,7 +327,7 @@ TEST(Failover, FaultyGridBitIdenticalAcrossParallelism)
 }
 
 // Same guarantee for the stochastic (seeded) crash/restart process,
-// swept through the sweepFaultPlans() grid API.
+// swept through the sweep<FaultPlanAxis>() grid API.
 TEST(Failover, StochasticFaultSweepBitIdenticalAcrossParallelism)
 {
     const std::vector<FaultPlan> plans = {
@@ -347,9 +347,10 @@ TEST(Failover, StochasticFaultSweepBitIdenticalAcrossParallelism)
     core::RunnerOptions parallel = serial;
     parallel.parallelism = 4;
 
-    const auto a = core::sweepFaultPlans({"HP"}, plans, factory, serial);
+    const auto a =
+        core::sweep<core::FaultPlanAxis>({"HP"}, plans, factory, serial);
     const auto b =
-        core::sweepFaultPlans({"HP"}, plans, factory, parallel);
+        core::sweep<core::FaultPlanAxis>({"HP"}, plans, factory, parallel);
     ASSERT_EQ(a.cells.size(), 2u);
     ASSERT_EQ(b.cells.size(), 2u);
     EXPECT_EQ(a.cells[0].config, "HP/none");

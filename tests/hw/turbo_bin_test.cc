@@ -29,19 +29,6 @@ struct Drive
     std::uint64_t instants = 0;
 };
 
-/** The paper's HP client widened to the 40 generator cores the
- *  memcached study gives it; @p idlePoll off adds C-state sleeps, so
- *  wake-time frequency selection (onCoreWake) is exercised too. */
-HwConfig
-wideHp(bool idlePoll)
-{
-    HwConfig cfg = HwConfig::clientHP();
-    cfg.cores = 40;
-    cfg.idlePoll = idlePoll;
-    if (!idlePoll)
-        cfg.cstates = {CState::C0, CState::C1, CState::C1E, CState::C6};
-    return cfg;
-}
 
 Drive
 drive(const HwConfig &cfg, std::uint64_t seed)
@@ -98,13 +85,54 @@ drive(const HwConfig &cfg, std::uint64_t seed)
     return d;
 }
 
+/**
+ * One drive and the counters it must reproduce. gtest appends a byte
+ * dump of the param to each case name, so the struct has no padding
+ * (padding holds whatever the stack held, and the names would change
+ * from build to build): the machine knobs fill the first eight bytes.
+ */
 struct Golden
 {
     bool idlePoll;
+    bool uncoreDynamic;
+    bool turbo;
+    bool smt;
+    int cores;
     std::uint64_t seed;
     std::uint64_t freqTransitions;
     double energyJoules;
 };
+static_assert(sizeof(Golden) == 4 * sizeof(bool) + sizeof(int) +
+                                    2 * sizeof(std::uint64_t) +
+                                    sizeof(double),
+              "Golden must have no padding bytes");
+
+/** The paper's HP client widened to the 40 generator cores the
+ *  memcached study gives it; idlePoll off adds C-state sleeps, so
+ *  wake-time frequency selection (onCoreWake) is exercised too. */
+HwConfig
+wideHp(const Golden &g)
+{
+    HwConfig cfg = HwConfig::clientHP();
+    cfg.cores = g.cores;
+    cfg.smt = g.smt;
+    cfg.turbo = g.turbo;
+    cfg.uncoreDynamic = g.uncoreDynamic;
+    cfg.idlePoll = g.idlePoll;
+    if (!g.idlePoll)
+        cfg.cstates = {CState::C0, CState::C1, CState::C1E, CState::C6};
+    return cfg;
+}
+
+/** A golden on the HP client's knobs (turbo and SMT on, fixed uncore)
+ *  at 40 cores. */
+Golden
+hpGolden(bool idlePoll, std::uint64_t seed, std::uint64_t freqTransitions,
+         double energyJoules)
+{
+    return Golden{idlePoll, false, true, true, 40,
+                  seed, freqTransitions, energyJoules};
+}
 
 class TurboBin : public ::testing::TestWithParam<Golden>
 {
@@ -113,7 +141,7 @@ class TurboBin : public ::testing::TestWithParam<Golden>
 TEST_P(TurboBin, PerformanceCoresSitAtCurrentBin)
 {
     const Golden g = GetParam();
-    const Drive d = drive(wideHp(g.idlePoll), g.seed);
+    const Drive d = drive(wideHp(g), g.seed);
     ASSERT_FALSE(HasFailure());
     // The drive is only a test if the bin actually moved.
     EXPECT_EQ(d.binsSeen.size(), 3u);
@@ -127,10 +155,10 @@ TEST_P(TurboBin, PerformanceCoresSitAtCurrentBin)
 
 INSTANTIATE_TEST_SUITE_P(
     Goldens, TurboBin,
-    ::testing::Values(Golden{true, 11, 32600, 0x1.55d74f9dd26a5p+2},
-                      Golden{false, 11, 33480, 0x1.685f59f884477p+1},
-                      Golden{true, 29, 31720, 0x1.503f3912a5376p+2},
-                      Golden{false, 29, 31880, 0x1.5f4f349403939p+1}),
+    ::testing::Values(hpGolden(true, 11, 32600, 0x1.55d74f9dd26a5p+2),
+                      hpGolden(false, 11, 33480, 0x1.685f59f884477p+1),
+                      hpGolden(true, 29, 31720, 0x1.503f3912a5376p+2),
+                      hpGolden(false, 29, 31880, 0x1.5f4f349403939p+1)),
     [](const ::testing::TestParamInfo<Golden> &info) {
         return std::string(info.param.idlePoll ? "poll" : "cstates") +
                "_seed" + std::to_string(info.param.seed);

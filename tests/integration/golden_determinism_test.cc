@@ -7,7 +7,7 @@
  * not move a single bit of any result: the (time, seq) pop order, the
  * RNG stream consumption, and the summary arithmetic are all
  * unchanged by construction. This test pins that claim to numbers: a
- * sweepTopologies() cell — fan-out, replication and hedging all
+ * sweep<TopologyAxis>() cell — fan-out, replication and hedging all
  * exercised — must reproduce the per-run fingerprints captured from
  * the pre-rewrite implementation exactly (hexfloat, no tolerance).
  *
@@ -67,7 +67,7 @@ TEST(GoldenDeterminism, SweepTopologiesCellIsBitIdenticalToPreRewrite)
     opt.runs = 3;
     opt.parallelism = 2;
     opt.baseSeed = 42;
-    auto grid = core::sweepTopologies(
+    auto grid = core::sweep<core::TopologyAxis>(
         {"HP"}, {svc::TopologyShape{4, 2, usec(300)}},
         [](const std::string &, const svc::TopologyShape &) {
             auto cfg = core::ExperimentConfig::forHdSearch(20000);

@@ -79,9 +79,9 @@ TEST(Nonstationary, ProfileGridIsParallelDeterministic)
     RunnerOptions parallel = serial;
     parallel.parallelism = 6;
 
-    const auto a = sweepProfiles({"LP", "HP"}, profiles, factory, serial);
+    const auto a = sweep<ProfileAxis>({"LP", "HP"}, profiles, factory, serial);
     const auto b =
-        sweepProfiles({"LP", "HP"}, profiles, factory, parallel);
+        sweep<ProfileAxis>({"LP", "HP"}, profiles, factory, parallel);
     ASSERT_EQ(a.cells.size(), 8u);
     ASSERT_EQ(b.cells.size(), 8u);
     for (std::size_t c = 0; c < a.cells.size(); ++c) {
@@ -118,7 +118,7 @@ TEST(Nonstationary, DuplicateProfileKindsGetDistinctCells)
         cfg.gen.duration = msec(20);
         return cfg;
     };
-    const auto grid = sweepProfiles({"LP"}, profiles, factory, opt);
+    const auto grid = sweep<ProfileAxis>({"LP"}, profiles, factory, opt);
     ASSERT_EQ(grid.cells.size(), 2u);
     EXPECT_EQ(grid.cells[0].config, "LP/diurnal");
     EXPECT_EQ(grid.cells[1].config, "LP/diurnal#2");

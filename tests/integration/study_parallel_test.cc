@@ -14,7 +14,7 @@ namespace tpv {
 namespace core {
 namespace {
 
-ConfigFactory
+auto
 quickFactory()
 {
     return [](const std::string &label, double qps) {

@@ -1,7 +1,7 @@
 /** @file Tests for the traffic-management layer: retry-budget and
  *  circuit-breaker unit behaviour, policy labels, load shedding at
  *  tier queues (depth- and CoDel-style), breaker-driven routing on
- *  the fan-out edge, and the sweepTrafficPolicies study axis with its
+ *  the fan-out edge, and the sweep<TrafficPolicyAxis> study axis with its
  *  serial/parallel bit-identity guarantee. */
 
 #include "svc/traffic.hh"
@@ -309,7 +309,7 @@ TEST(Breaker, RoutesAroundAnUndetectedDeadReplica)
 
 // -------------------------------------------------------- study axis
 
-// The sweepTrafficPolicies axis: cells are labelled
+// The sweep<TrafficPolicyAxis> study axis: cells are labelled
 // "<config>/<policy>" with the all-off policy rendered "none", and
 // the grid is bit-identical between serial and parallel execution —
 // retries, sheds and breakers all advance inside simulated events.
@@ -319,7 +319,7 @@ TEST(TrafficStudy, SweepLabelsCellsAndStaysBitIdentical)
     retries.retry.deadline = msec(2);
     const std::vector<TrafficPolicy> policies = {TrafficPolicy{},
                                                  retries};
-    const core::TrafficConfigFactory factory =
+    const auto factory =
         [](const std::string &, const TrafficPolicy &) {
             auto cfg = core::ExperimentConfig::forHdSearch(4000);
             cfg.gen.warmup = msec(2);
@@ -338,10 +338,11 @@ TEST(TrafficStudy, SweepLabelsCellsAndStaysBitIdentical)
     core::RunnerOptions parallel = serial;
     parallel.parallelism = 4;
 
+    using core::TrafficPolicyAxis;
     const auto a =
-        core::sweepTrafficPolicies({"HP"}, policies, factory, serial);
+        core::sweep<TrafficPolicyAxis>({"HP"}, policies, factory, serial);
     const auto b =
-        core::sweepTrafficPolicies({"HP"}, policies, factory, parallel);
+        core::sweep<TrafficPolicyAxis>({"HP"}, policies, factory, parallel);
 
     ASSERT_EQ(a.cells.size(), 2u);
     EXPECT_EQ(a.cells[0].config, "HP/none");
