@@ -3,18 +3,20 @@
  * Hot-path events/sec driver: the tracked perf baseline behind the
  * zero-allocation simulator rewrite.
  *
- * Measures the event queue under the three shapes the simulator
- * actually runs — steady-state schedule/fire with a Message payload
- * (one event in, one event out, constant queue depth: the inner loop
- * of every simulated run), batch schedule-then-drain, and the
- * cancel-heavy hedge-timer pattern — plus a full simulated memcached
- * run, and writes the numbers to BENCH_hotpath.json so the perf
- * trajectory is tracked from commit to commit.
+ * Measures the event queue under the shapes the simulator actually
+ * runs — steady-state schedule/fire with a Message payload (one event
+ * in, one event out, constant queue depth: the inner loop of every
+ * simulated run), the same with a re-clock (reschedule) per event,
+ * batch schedule-then-drain, and the cancel-heavy hedge-timer
+ * pattern — plus a full simulated memcached run, and writes the
+ * numbers to BENCH_hotpath.json so the perf trajectory is tracked
+ * from commit to commit.
  *
  * It is also the allocation gate: a replaced operator new counts
  * every heap allocation, and the driver *fails* (exit 1) if the
- * steady-state schedule/fire loop allocates at all once warm. Use
- * this in CI so the zero-allocation property cannot silently rot.
+ * steady-state schedule/fire or re-clock loop allocates at all once
+ * warm. Use this in CI so the zero-allocation property cannot
+ * silently rot.
  */
 
 #include <algorithm>
@@ -94,6 +96,50 @@ steadyMessageEvents(long total, int depth, std::uint64_t *allocs)
     return static_cast<double>(total - depth * 4) / secs;
 }
 
+/**
+ * Steady-state re-clocking: every fired event schedules its successor
+ * and then moves one pending event (possibly that successor) to a new
+ * time — what an SMT sibling's start or stop, a DVFS step or a turbo-
+ * bin move does to a hardware thread's in-flight completion. Holds
+ * the queue at @p depth.
+ * @return events per second; *allocs gets the allocations performed
+ *         after warmup (must be zero).
+ */
+double
+steadyReclockEvents(long total, int depth, std::uint64_t *allocs)
+{
+    EventQueue q;
+    std::vector<EventHandle> handles(static_cast<std::size_t>(depth));
+    std::uint64_t rnd = 12345;
+    auto draw = [&rnd](std::uint64_t bound) {
+        rnd = rnd * 6364136223846793005ULL + 1442695040888963407ULL;
+        return static_cast<Time>((rnd >> 33) % bound);
+    };
+
+    auto arm = [&](auto &&self, std::size_t k, Time when) -> void {
+        handles[k] = q.schedule(when, [k, when, &self, &q, &handles,
+                                       &draw] {
+            self(self, k, when + 1 + draw(1024));
+            const auto j = static_cast<std::size_t>(
+                draw(static_cast<std::uint64_t>(handles.size())));
+            handles[j] = q.reschedule(handles[j], when + 1 + draw(1024));
+        });
+    };
+    for (int i = 0; i < depth; ++i)
+        arm(arm, static_cast<std::size_t>(i), i);
+
+    long fired = 0;
+    for (; fired < depth * 4; ++fired)
+        q.runNext();
+    const std::uint64_t allocs0 = g_allocs.load();
+    const auto t0 = Clock::now();
+    for (; fired < total; ++fired)
+        q.runNext();
+    const double secs = secondsSince(t0);
+    *allocs = g_allocs.load() - allocs0;
+    return static_cast<double>(total - depth * 4) / secs;
+}
+
 /** Batch schedule-then-drain with Message payloads. */
 double
 batchMessageEvents(long reps, int batch)
@@ -121,7 +167,7 @@ batchMessageEvents(long reps, int batch)
 
 /**
  * The hedge-timer shape: most scheduled events are cancelled before
- * they fire (exercising the eager dead-entry compaction), the rest
+ * they fire (each cancel removes its heap entry at once), the rest
  * fire in order.
  */
 double
@@ -307,6 +353,9 @@ main()
     std::uint64_t steadyAllocs = ~0ULL;
     const double steady =
         steadyMessageEvents(5'000'000, 512, &steadyAllocs);
+    std::uint64_t reclockAllocs = ~0ULL;
+    const double reclock =
+        steadyReclockEvents(5'000'000, 512, &reclockAllocs);
     const double batch = batchMessageEvents(2000, 1024);
     const double cancel = scheduleCancelEvents(500, 4096);
     const double run = simulatedRunEvents(5);
@@ -323,6 +372,8 @@ main()
     std::printf("  %-34s %10.2f Mev/s\n",
                 "steady-state Message schedule/fire", steady / 1e6);
     std::printf("  %-34s %10.2f Mev/s\n",
+                "steady-state schedule/re-clock", reclock / 1e6);
+    std::printf("  %-34s %10.2f Mev/s\n",
                 "batch Message schedule/drain", batch / 1e6);
     std::printf("  %-34s %10.2f Mev/s\n", "schedule/cancel (hedge shape)",
                 cancel / 1e6);
@@ -338,12 +389,14 @@ main()
     std::printf("  %-34s %10.2f Mev/s (1/64 sampled)\n",
                 "big run, traced", bigTraced / 1e6);
     std::printf("  %-34s %10llu\n", "steady-state heap allocations",
-                static_cast<unsigned long long>(steadyAllocs));
+                static_cast<unsigned long long>(steadyAllocs +
+                                                reclockAllocs));
 
     tpv::bench::writeBenchJson(
         "hotpath",
         {
             {"steady_message_events_per_sec", steady, "events/s"},
+            {"steady_reclock_events_per_sec", reclock, "events/s"},
             {"batch_message_events_per_sec", batch, "events/s"},
             {"schedule_cancel_events_per_sec", cancel, "events/s"},
             {"memcached_run_events_per_sec", run, "events/s"},
@@ -352,8 +405,8 @@ main()
              "allocs/event"},
             {"big_run_events_per_sec", big, "events/s"},
             {"big_run_events_per_sec_traced", bigTraced, "events/s"},
-            {"steady_state_allocs", static_cast<double>(steadyAllocs),
-             "allocs"},
+            {"steady_state_allocs",
+             static_cast<double>(steadyAllocs + reclockAllocs), "allocs"},
         });
 
     if (steadyAllocs != 0) {
@@ -361,6 +414,13 @@ main()
                      "FAIL: EventQueue::schedule hot loop performed "
                      "%llu heap allocations in steady state\n",
                      static_cast<unsigned long long>(steadyAllocs));
+        return 1;
+    }
+    if (reclockAllocs != 0) {
+        std::fprintf(stderr,
+                     "FAIL: EventQueue::reschedule hot loop performed "
+                     "%llu heap allocations in steady state\n",
+                     static_cast<unsigned long long>(reclockAllocs));
         return 1;
     }
     if (steadyRunAllocs != 0) {

@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 // Allocation counter for the event-queue benchmarks: the hot path
 // promises zero steady-state allocations, and the "allocs/event"
 // counter below makes a regression visible in every run. (The hard
@@ -99,6 +101,51 @@ BM_EventQueueSteadyMessage(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueSteadyMessage)->Arg(64)->Arg(512);
 
+/**
+ * Steady-state re-clocking: every fired event schedules its successor
+ * and moves one pending event to a new time, as a hardware thread's
+ * completion moves on every speed change of its core. The queue holds
+ * a constant depth and "allocs/event" must read 0.00 once warm.
+ */
+void
+BM_EventQueueReschedule(benchmark::State &state)
+{
+    const int depth = static_cast<int>(state.range(0));
+    EventQueue q;
+    std::vector<EventHandle> handles(static_cast<std::size_t>(depth));
+    std::uint64_t rnd = 12345;
+    auto draw = [&rnd](std::uint64_t bound) {
+        rnd = rnd * 6364136223846793005ULL + 1442695040888963407ULL;
+        return static_cast<Time>((rnd >> 33) % bound);
+    };
+
+    auto arm = [&](auto &&self, std::size_t k, Time when) -> void {
+        handles[k] = q.schedule(when, [k, when, &self, &q, &handles,
+                                       &draw] {
+            self(self, k, when + 1 + draw(1024));
+            const auto j = static_cast<std::size_t>(
+                draw(static_cast<std::uint64_t>(handles.size())));
+            handles[j] = q.reschedule(handles[j], when + 1 + draw(1024));
+        });
+    };
+    for (int i = 0; i < depth; ++i)
+        arm(arm, static_cast<std::size_t>(i), i);
+    for (int i = 0; i < depth * 4; ++i)
+        q.runNext(); // reach the high-water mark
+    const std::uint64_t allocs0 = g_allocs.load();
+    std::int64_t fired = 0;
+    for (auto _ : state) {
+        q.runNext();
+        ++fired;
+    }
+    state.SetItemsProcessed(fired);
+    state.counters["allocs/event"] =
+        fired ? static_cast<double>(g_allocs.load() - allocs0) /
+                    static_cast<double>(fired)
+              : 0;
+}
+BENCHMARK(BM_EventQueueReschedule)->Arg(64)->Arg(512);
+
 /** Batch Message-capturing schedule-then-drain. */
 void
 BM_EventQueueBatchMessage(benchmark::State &state)
@@ -128,7 +175,7 @@ BENCHMARK(BM_EventQueueBatchMessage)->Arg(1024);
 
 /**
  * Interleaved schedule/cancel/fire at the hedge-timer ratio (15 of
- * 16 events cancel), driving the eager dead-entry compaction.
+ * 16 events cancel); every cancel removes its heap entry at once.
  */
 void
 BM_EventQueueScheduleCancelFire(benchmark::State &state)

@@ -1,6 +1,7 @@
 #include "hw/config.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -105,6 +106,21 @@ HwConfig::validate() const
         fatal("HwConfig '", name, "': smtThroughput must be in (0, 1]");
     if (!tickless && tickPeriod <= 0)
         fatal("HwConfig '", name, "': tick period must be positive");
+    const std::pair<const char *, double> costs[] = {
+        {"irqWork", static_cast<double>(irqWork)},
+        {"tickWork", static_cast<double>(tickWork)},
+        {"ctxSwitch", static_cast<double>(ctxSwitch)},
+        {"dvfsTransition", static_cast<double>(dvfsTransition)},
+        {"psSamplePeriod", static_cast<double>(psSamplePeriod)},
+        {"uncoreWake", static_cast<double>(uncoreWake)},
+        {"uncoreIdleThreshold", static_cast<double>(uncoreIdleThreshold)},
+        {"exitLatencyJitter", exitLatencyJitter},
+    };
+    for (const auto &[field, value] : costs) {
+        if (value < 0)
+            fatal("HwConfig '", name, "': ", field,
+                  " must not be negative");
+    }
     if (idlePoll && cstates.size() > 1)
         warn("HwConfig '", name,
              "': idle=poll set; enabled C-states beyond C0 are ignored");

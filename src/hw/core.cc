@@ -134,11 +134,11 @@ HwThread::applySpeed(double newSpeed)
 void
 HwThread::scheduleCompletion()
 {
-    if (sim_.pending(completionEv_))
-        sim_.cancel(completionEv_);
-    const double delay = remaining_ / speed_;
-    completionEv_ = sim_.schedule(static_cast<Time>(std::ceil(delay)),
-                                  [this] { completeCurrent(); });
+    const auto delay = static_cast<Time>(std::ceil(remaining_ / speed_));
+    // A speed change re-clocks the in-flight task in place.
+    completionEv_ = sim_.pending(completionEv_)
+                        ? sim_.reschedule(completionEv_, delay)
+                        : sim_.schedule(delay, [this] { completeCurrent(); });
 }
 
 void

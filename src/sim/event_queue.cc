@@ -7,37 +7,69 @@
 
 namespace tpv {
 
-EventHandle
-EventQueue::schedule(Time when, Callback cb)
+std::uint32_t
+EventQueue::acquireSlot()
 {
-    TPV_ASSERT(cb != nullptr, "scheduling a null callback");
+    if (!freeSlots_.empty()) {
+        const std::uint32_t slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        return slot;
+    }
+    TPV_ASSERT(slots_.size() <= kSlotMask,
+               "more than 2^24 events pending in one queue");
+    if (slots_.capacity() == 0) {
+        // The heap holds no dead entries to lend it headroom, so a
+        // small queue would otherwise keep reallocating its tables
+        // step by step long after a run reaches its steady state.
+        heap_.reserve(kInitialCapacity);
+        slots_.reserve(kInitialCapacity);
+        pos_.reserve(kInitialCapacity);
+    }
+    const auto slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+    pos_.push_back(kNotQueued);
+    // The free list can never outgrow the slot table, so sizing it
+    // alongside keeps cancel() and runNext() allocation-free: without
+    // this its capacity high-water (max simultaneously free slots)
+    // creeps up long after the slot count stops.
+    freeSlots_.reserve(slots_.capacity());
+    return slot;
+}
+
+EventQueue::Entry
+EventQueue::makeEntry(Time when, std::uint32_t slot)
+{
     // Entry::key() reinterprets the time as unsigned for the
     // branchless heap compare; negative times would silently sort
     // last instead of first, so reject them at the door.
     TPV_ASSERT(when >= 0, "scheduling at negative time ", when);
+    TPV_ASSERT(nextSeq_ < kMaxSeq,
+               "more than 2^40 events scheduled on one queue");
+    return Entry{static_cast<std::uint64_t>(when),
+                 nextSeq_++ << kSlotBits | slot};
+}
 
-    std::uint32_t slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-    } else {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-        // The free list can never outgrow the slot table, so sizing
-        // it alongside keeps runNext()'s push_back allocation-free:
-        // without this its capacity high-water (max simultaneously
-        // free slots) creeps up long after the slot count stops.
-        freeSlots_.reserve(slots_.capacity());
-    }
-
+EventHandle
+EventQueue::schedule(Time when, Callback cb)
+{
+    TPV_ASSERT(cb != nullptr, "scheduling a null callback");
+    const std::uint32_t slot = acquireSlot();
     Slot &s = slots_[slot];
     s.cb = std::move(cb);
-    s.active = true;
     ++s.gen;
 
-    heap_.push_back(Entry{when, nextSeq_++, slot, s.gen});
-    siftUp(heap_.size() - 1);
-    ++live_;
+    const Entry e = makeEntry(when, slot);
+    if (held_) {
+        // Hold model: the fired event's entry still sits at the root
+        // and is smaller than everything else, so overwrite it and
+        // sift down once instead of popping it and pushing e.
+        held_ = 0;
+        place(0, e);
+        siftDown(0);
+    } else {
+        heap_.push_back(e);
+        siftUp(heap_.size() - 1);
+    }
     return EventHandle{slot, s.gen};
 }
 
@@ -46,97 +78,79 @@ EventQueue::cancel(EventHandle h)
 {
     if (!pending(h))
         return false;
-    Slot &s = slots_[h.slot];
-    s.active = false;
-    s.cb = nullptr;
-    --live_;
-    // The heap entry stays behind and is skimmed off lazily; the slot
-    // is only recycled once its stale entry has left the heap, so the
-    // generation check in pending() stays sound. Under cancel-heavy
-    // load (hedge timers that almost always cancel), dead entries
-    // would dominate the heap and stretch every sift — compact as
-    // soon as they outnumber the live ones.
-    if (heap_.size() - live_ > live_ && heap_.size() > 64)
-        compact();
+    const std::size_t i = pos_[h.slot];
+    pos_[h.slot] = kNotQueued;
+    slots_[h.slot].cb = nullptr;
+    freeSlots_.push_back(h.slot);
+
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (i < heap_.size()) {
+        place(i, last);
+        resift(i);
+    }
     return true;
 }
 
-bool
-EventQueue::pending(EventHandle h) const
+EventHandle
+EventQueue::reschedule(EventHandle h, Time when)
 {
-    return h.valid() && h.slot < slots_.size() &&
-           slots_[h.slot].gen == h.gen && slots_[h.slot].active;
-}
-
-void
-EventQueue::skim()
-{
-    while (!heap_.empty()) {
-        const Entry &top = heap_.front();
-        if (!dead(top))
-            return;
-        // Dead entry: recycle the slot now that its entry is leaving
-        // the heap.
-        freeSlots_.push_back(top.slot);
-        heap_.front() = heap_.back();
-        heap_.pop_back();
-        if (!heap_.empty())
-            siftDown(0);
-    }
-}
-
-void
-EventQueue::compact()
-{
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
-        if (dead(heap_[i])) {
-            freeSlots_.push_back(heap_[i].slot);
-        } else {
-            heap_[kept++] = heap_[i];
-        }
-    }
-    heap_.resize(kept);
-    // Re-heapify bottom-up from the last parent. (time, seq) is a
-    // total order, so the pop sequence — and therefore every run —
-    // is unchanged.
-    if (kept >= 2) {
-        for (std::size_t i = (kept - 2) / kArity + 1; i-- > 0;)
-            siftDown(i);
-    }
+    TPV_ASSERT(pending(h), "rescheduling an event that is not pending");
+    // A held root must stay the minimum, or popping it would pop the
+    // wrong entry.
+    TPV_ASSERT(!held_ || static_cast<std::uint64_t>(when) >= heap_[0].when,
+               "rescheduling before the running event's time");
+    Slot &s = slots_[h.slot];
+    ++s.gen;
+    const std::size_t i = pos_[h.slot];
+    place(i, makeEntry(when, h.slot));
+    resift(i);
+    return EventHandle{h.slot, s.gen};
 }
 
 Time
-EventQueue::nextTime()
+EventQueue::nextTime() const
 {
-    skim();
+    TPV_ASSERT(!firing_, "nextTime() called from inside an event");
     TPV_ASSERT(!heap_.empty(), "nextTime() on an empty event queue");
-    return heap_.front().when;
+    return static_cast<Time>(heap_.front().when);
 }
 
 Time
 EventQueue::runNext()
 {
-    skim();
+    TPV_ASSERT(!firing_, "runNext() called from inside an event");
     TPV_ASSERT(!heap_.empty(), "runNext() on an empty event queue");
 
     const Entry top = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty())
-        siftDown(0);
-
-    Slot &s = slots_[top.slot];
+    const std::uint32_t slot = top.slot();
     // Move the callback out before invoking: the slot is recycled
     // first, so the callback may freely schedule into it.
-    Callback cb = std::move(s.cb);
-    s.active = false;
-    freeSlots_.push_back(top.slot);
-    --live_;
+    Callback cb = std::move(slots_[slot].cb);
+    pos_[slot] = kNotQueued;
+    freeSlots_.push_back(slot);
     ++executed_;
 
+    // The entry stays at the root while the callback runs; settle it
+    // however the callback leaves — normally or by throwing — so the
+    // queue stays consistent.
+    struct Release
+    {
+        EventQueue &q;
+        ~Release()
+        {
+            q.firing_ = false;
+            if (q.held_) {
+                q.held_ = 0;
+                q.popRoot();
+            }
+        }
+    };
+    held_ = 1;
+    firing_ = true;
+    const Release release{*this};
     cb();
-    return top.when;
+    return static_cast<Time>(top.when);
 }
 
 void
@@ -144,8 +158,29 @@ EventQueue::clear()
 {
     heap_ = std::vector<Entry>();
     slots_ = std::vector<Slot>();
+    pos_ = std::vector<std::uint32_t>();
     freeSlots_ = std::vector<std::uint32_t>();
-    live_ = 0;
+    held_ = 0;
+}
+
+void
+EventQueue::popRoot()
+{
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+        place(0, last);
+        siftDown(0);
+    }
+}
+
+void
+EventQueue::resift(std::size_t i)
+{
+    if (i > 0 && heap_[(i - 1) / kArity].key() > heap_[i].key())
+        siftUp(i);
+    else
+        siftDown(i);
 }
 
 void
@@ -154,14 +189,15 @@ EventQueue::siftUp(std::size_t i)
     // Hole insertion: carry the moving entry in a register and shift
     // parents down, instead of swapping at every level.
     const Entry e = heap_[i];
+    const auto ekey = e.key();
     while (i > 0) {
         const std::size_t parent = (i - 1) / kArity;
-        if (!(heap_[parent] > e))
+        if (!(heap_[parent].key() > ekey))
             break;
-        heap_[i] = heap_[parent];
+        place(i, heap_[parent]);
         i = parent;
     }
-    heap_[i] = e;
+    place(i, e);
 }
 
 void
@@ -188,10 +224,10 @@ EventQueue::siftDown(std::size_t i)
         }
         if (ekey <= skey)
             break;
-        heap_[i] = heap_[smallest];
+        place(i, heap_[smallest]);
         i = smallest;
     }
-    heap_[i] = e;
+    place(i, e);
 }
 
 } // namespace tpv

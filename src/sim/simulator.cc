@@ -14,6 +14,13 @@ Simulator::schedule(Time delay, EventQueue::Callback cb)
 }
 
 EventHandle
+Simulator::reschedule(EventHandle h, Time delay)
+{
+    TPV_ASSERT(delay >= 0, "negative delay ", delay);
+    return queue_.reschedule(h, now_ + delay);
+}
+
+EventHandle
 Simulator::at(Time when, EventQueue::Callback cb)
 {
     TPV_ASSERT(when >= now_, "scheduling into the past: when=", when,

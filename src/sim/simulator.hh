@@ -48,6 +48,14 @@ class Simulator
      */
     EventHandle at(Time when, EventQueue::Callback cb);
 
+    /**
+     * Move pending event @p h to @p delay after now(), keeping its
+     * callback; orders exactly like cancel() plus a fresh schedule().
+     * @pre pending(h) and delay >= 0
+     * @return the event's new handle; @p h goes stale.
+     */
+    EventHandle reschedule(EventHandle h, Time delay);
+
     /** Cancel a pending event. @return true if it was still pending. */
     bool cancel(EventHandle h) { return queue_.cancel(h); }
 

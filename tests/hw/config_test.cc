@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace tpv {
 namespace hw {
 namespace {
@@ -116,6 +118,32 @@ TEST(HwConfigDeathTest, RejectsZeroCores)
     HwConfig c;
     c.cores = 0;
     EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1), "cores");
+}
+
+TEST(HwConfigDeathTest, RejectsNegativeTimeCosts)
+{
+    const std::pair<const char *, Time HwConfig::*> fields[] = {
+        {"irqWork", &HwConfig::irqWork},
+        {"tickWork", &HwConfig::tickWork},
+        {"ctxSwitch", &HwConfig::ctxSwitch},
+        {"dvfsTransition", &HwConfig::dvfsTransition},
+        {"psSamplePeriod", &HwConfig::psSamplePeriod},
+        {"uncoreWake", &HwConfig::uncoreWake},
+        {"uncoreIdleThreshold", &HwConfig::uncoreIdleThreshold},
+    };
+    for (const auto &[field, member] : fields) {
+        HwConfig c;
+        c.*member = -1;
+        EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1), field);
+    }
+}
+
+TEST(HwConfigDeathTest, RejectsNegativeExitLatencyJitter)
+{
+    HwConfig c;
+    c.exitLatencyJitter = -0.1;
+    EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1),
+                "exitLatencyJitter");
 }
 
 } // namespace

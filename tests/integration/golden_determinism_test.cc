@@ -2,10 +2,12 @@
  * @file
  * Golden determinism test for the simulator hot path.
  *
- * The zero-allocation rewrite (inline event callbacks, the 4-ary
- * event heap, pooled in-flight messages, sorted-once statistics) must
- * not move a single bit of any result: the (time, seq) pop order, the
- * RNG stream consumption, and the summary arithmetic are all
+ * The hot-path rewrites (inline event callbacks, the indexed 4-ary
+ * event heap with eager cancel, in-place reschedule and the held
+ * root, pooled in-flight messages, sorted-once statistics) must not
+ * move a single bit of any result: the (time, seq) pop order — a
+ * reschedule takes a fresh seq exactly as cancel plus schedule did —
+ * the RNG stream consumption, and the summary arithmetic are all
  * unchanged by construction. This test pins that claim to numbers: a
  * sweep<TopologyAxis>() cell — fan-out, replication and hedging all
  * exercised — must reproduce the per-run fingerprints captured from

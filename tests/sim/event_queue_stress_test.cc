@@ -1,10 +1,11 @@
 /**
  * @file
- * Stress tests guarding the event queue's d-ary heap and inline
- * callback slot table: randomized schedule/cancel/fire interleavings
- * against a reference model, FIFO tie-break order under fire-while-
- * scheduling, handle-generation safety across slot reuse, and the
- * cancel-heavy compaction path.
+ * Stress tests guarding the event queue's indexed d-ary heap and
+ * inline callback slot table: randomized schedule/cancel/reschedule/
+ * fire interleavings (also from inside firing callbacks) against a
+ * reference model, FIFO tie-break order under fire-while-scheduling,
+ * handle-generation safety across slot reuse, and cancel-heavy eager
+ * removal.
  */
 
 #include "sim/event_queue.hh"
@@ -22,7 +23,7 @@ namespace {
 /**
  * Reference model: a sorted multimap of (time, insertion-seq) -> id.
  * Unlike the one in event_queue_property_test, this model also pops,
- * so fires interleave with schedules and cancels.
+ * so fires interleave with schedules, cancels and reschedules.
  */
 struct RefModel
 {
@@ -67,82 +68,158 @@ class EventQueueStress : public ::testing::TestWithParam<int>
 {
 };
 
-TEST_P(EventQueueStress, RandomScheduleCancelFireMatchesReference)
+/**
+ * Randomized schedule/cancel/reschedule/fire driver that applies
+ * every operation to the queue and the reference model in lockstep.
+ * Firing callbacks issue operations too, so the held-root path (an
+ * event's first schedule() taking the fired entry's root) and
+ * cancels and reschedules around a held root are exercised.
+ */
+struct StressHarness
 {
-    Rng rng(static_cast<std::uint64_t>(GetParam()) * 0x51ed + 3);
-    EventQueue q;
-    RefModel ref;
-    std::vector<int> fired;
-    std::vector<int> refFired;
-
     struct Live
     {
         EventHandle handle;
         std::pair<Time, std::uint64_t> key;
+        int id;
     };
+
+    explicit StressHarness(std::uint64_t seed) : rng(seed) {}
+
+    EventQueue q;
+    RefModel ref;
+    Rng rng;
+    std::vector<int> fired;
+    std::vector<int> refFired;
     std::vector<Live> live;
-    std::vector<EventHandle> spent; // fired or cancelled handles
+    std::vector<EventHandle> spent; // fired, cancelled or rescheduled
     Time clock = 0;
     int nextId = 0;
 
-    for (int op = 0; op < 6000; ++op) {
-        const double dice = rng.uniform01();
-        if (live.empty() || dice < 0.5) {
-            // Schedule. Coarse times force plenty of (time, seq) ties
-            // so the FIFO tie-break is genuinely exercised.
-            const Time when = clock + rng.uniformInt(0, 40);
-            const int id = nextId++;
-            EventHandle h =
-                q.schedule(when, [&fired, id] { fired.push_back(id); });
-            live.push_back(Live{h, ref.add(when, id)});
-        } else if (dice < 0.8) {
-            // Cancel a random handle — sometimes one already spent,
-            // which must fail on both sides.
-            if (rng.uniform01() < 0.2 && !spent.empty()) {
-                const auto idx = static_cast<std::size_t>(rng.uniformInt(
-                    0, static_cast<std::int64_t>(spent.size()) - 1));
-                EXPECT_FALSE(q.cancel(spent[idx]));
-                EXPECT_FALSE(q.pending(spent[idx]));
-            } else {
-                const auto idx = static_cast<std::size_t>(rng.uniformInt(
-                    0, static_cast<std::int64_t>(live.size()) - 1));
-                EXPECT_TRUE(q.cancel(live[idx].handle));
-                EXPECT_TRUE(ref.cancel(live[idx].key));
-                spent.push_back(live[idx].handle);
-                live.erase(live.begin() + static_cast<long>(idx));
-            }
-        } else {
-            // Fire the earliest event on both sides.
-            ASSERT_FALSE(q.empty());
-            const Time expect = ref.nextTime();
-            ASSERT_GE(expect, clock);
-            clock = expect;
-            refFired.push_back(ref.pop());
-            EXPECT_EQ(q.runNext(), expect);
-            ASSERT_EQ(fired, refFired);
-            // Drop the fired handle from the live set.
-            for (std::size_t i = 0; i < live.size(); ++i) {
-                if (!q.pending(live[i].handle)) {
-                    spent.push_back(live[i].handle);
-                    live.erase(live.begin() + static_cast<long>(i));
-                    break;
-                }
-            }
-        }
-        ASSERT_EQ(q.size(), ref.events.size());
-        // Generation safety: every live handle still pends, every
-        // spent one does not — however the heap reshuffles slots.
-        for (const Live &l : live)
-            ASSERT_TRUE(q.pending(l.handle));
-        for (const EventHandle &h : spent)
-            ASSERT_FALSE(q.pending(h));
+    std::size_t
+    pick(std::size_t n)
+    {
+        return static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
     }
 
-    while (!q.empty()) {
-        refFired.push_back(ref.pop());
-        q.runNext();
+    void
+    schedule()
+    {
+        // Coarse times force plenty of (time, seq) ties so the FIFO
+        // tie-break is genuinely exercised.
+        const Time when = clock + rng.uniformInt(0, 40);
+        const int id = nextId++;
+        EventHandle h = q.schedule(when, [this, id] { onFire(id); });
+        live.push_back(Live{h, ref.add(when, id), id});
     }
-    EXPECT_EQ(fired, refFired);
+
+    void
+    cancel()
+    {
+        // Sometimes cancel a handle already spent, which must fail on
+        // both sides.
+        if (live.empty() || (rng.uniform01() < 0.2 && !spent.empty())) {
+            if (spent.empty())
+                return;
+            const EventHandle h = spent[pick(spent.size())];
+            EXPECT_FALSE(q.cancel(h));
+            EXPECT_FALSE(q.pending(h));
+            return;
+        }
+        const std::size_t idx = pick(live.size());
+        EXPECT_TRUE(q.cancel(live[idx].handle));
+        EXPECT_TRUE(ref.cancel(live[idx].key));
+        spent.push_back(live[idx].handle);
+        live.erase(live.begin() + static_cast<long>(idx));
+    }
+
+    void
+    reschedule()
+    {
+        // The reference treats it as cancel + add with a fresh seq.
+        if (live.empty())
+            return;
+        Live &l = live[pick(live.size())];
+        const Time when = clock + rng.uniformInt(0, 40);
+        const EventHandle h = q.reschedule(l.handle, when);
+        EXPECT_FALSE(q.pending(l.handle));
+        EXPECT_TRUE(ref.cancel(l.key));
+        spent.push_back(l.handle);
+        l.handle = h;
+        l.key = ref.add(when, l.id);
+    }
+
+    void
+    onFire(int id)
+    {
+        fired.push_back(id);
+        const auto it = std::find_if(
+            live.begin(), live.end(),
+            [id](const Live &l) { return l.id == id; });
+        ASSERT_NE(it, live.end());
+        // The fired event is no longer pending, and size()/empty()
+        // count only the rest, even while its entry holds the root.
+        EXPECT_FALSE(q.pending(it->handle));
+        spent.push_back(it->handle);
+        live.erase(it);
+        EXPECT_EQ(q.size(), ref.events.size());
+        EXPECT_EQ(q.empty(), ref.events.empty());
+        const int nested = static_cast<int>(rng.uniformInt(0, 3));
+        for (int i = 0; i < nested; ++i) {
+            const double dice = rng.uniform01();
+            if (dice < 0.45)
+                schedule();
+            else if (dice < 0.7)
+                cancel();
+            else
+                reschedule();
+            EXPECT_EQ(q.size(), ref.events.size());
+            EXPECT_EQ(q.empty(), ref.events.empty());
+        }
+    }
+
+    void
+    fire()
+    {
+        const Time expect = ref.nextTime();
+        ASSERT_GE(expect, clock);
+        clock = expect;
+        refFired.push_back(ref.pop());
+        EXPECT_EQ(q.runNext(), expect);
+    }
+};
+
+TEST_P(EventQueueStress, RandomScheduleCancelFireMatchesReference)
+{
+    StressHarness t(static_cast<std::uint64_t>(GetParam()) * 0x51ed + 3);
+
+    for (int op = 0; op < 6000; ++op) {
+        const double dice = t.rng.uniform01();
+        if (t.live.empty() || dice < 0.45) {
+            t.schedule();
+        } else if (dice < 0.65) {
+            t.cancel();
+        } else if (dice < 0.8) {
+            t.reschedule();
+        } else {
+            ASSERT_FALSE(t.q.empty());
+            t.fire();
+            ASSERT_EQ(t.fired, t.refFired);
+        }
+        ASSERT_EQ(t.q.size(), t.ref.events.size());
+        // Generation safety: every live handle still pends, every
+        // spent one does not — however the heap reshuffles slots.
+        for (const StressHarness::Live &l : t.live)
+            ASSERT_TRUE(t.q.pending(l.handle));
+        for (const EventHandle &h : t.spent)
+            ASSERT_FALSE(t.q.pending(h));
+    }
+
+    while (!t.q.empty())
+        t.fire();
+    EXPECT_TRUE(t.ref.events.empty());
+    EXPECT_EQ(t.fired, t.refFired);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueStress, ::testing::Range(1, 7));
@@ -169,8 +246,9 @@ TEST(EventQueueStress, FifoTieBreakSurvivesInterleavedFires)
 
 TEST(EventQueueStress, CancelHeavyCompactionKeepsOrderAndHandles)
 {
-    // Arm far more events than survive — the hedge-timer pattern that
-    // triggers eager compaction — and check order and handle safety.
+    // Arm far more events than survive — the hedge-timer pattern,
+    // where every cancel removes its entry from the heap at once —
+    // and check order and handle safety.
     EventQueue q;
     std::vector<int> order;
     std::vector<EventHandle> cancelled;
@@ -200,8 +278,8 @@ TEST(EventQueueStress, CancelHeavyCompactionKeepsOrderAndHandles)
 
 TEST(EventQueueStress, CancelEverythingCompactsToEmpty)
 {
-    // Compaction with zero survivors: the queue must end up empty and
-    // stay usable (guards the heapify-on-empty edge).
+    // Eager removal down to zero survivors: the last cancels empty
+    // the heap outright, and the queue must stay usable afterwards.
     EventQueue q;
     std::vector<EventHandle> handles;
     for (int i = 0; i < 500; ++i)
