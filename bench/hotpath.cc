@@ -8,14 +8,16 @@
  * in, one event out, constant queue depth: the inner loop of every
  * simulated run), the same with a re-clock (reschedule) per event,
  * batch schedule-then-drain, and the cancel-heavy hedge-timer
- * pattern — plus a full simulated memcached run, and writes the
- * numbers to BENCH_hotpath.json so the perf trajectory is tracked
- * from commit to commit.
+ * pattern — plus full simulated runs (memcached, hedged HDSearch, a
+ * 34-machine HDSearch, and two paper memcached cells whose sleeping
+ * client cores cross C-states, DVFS and turbo bins on every request),
+ * and writes the numbers to BENCH_hotpath.json so the perf trajectory
+ * is tracked from commit to commit.
  *
  * It is also the allocation gate: a replaced operator new counts
  * every heap allocation, and the driver *fails* (exit 1) if the
- * steady-state schedule/fire or re-clock loop allocates at all once
- * warm. Use this in CI so the zero-allocation property cannot
+ * steady-state schedule/fire or re-clock loop, or a warm HDSearch or
+ * paper-cell run, allocates at all. Use this in CI so the zero-allocation property cannot
  * silently rot.
  */
 
@@ -35,6 +37,7 @@
 #include "sim/event_queue.hh"
 #include "sim/fixed_containers.hh"
 #include "svc/hdsearch.hh"
+#include "svc/memcached.hh"
 
 namespace {
 
@@ -305,6 +308,49 @@ hdsearchSteadyAllocsPerEvent(std::uint64_t *steadyAllocs)
 }
 
 /**
+ * One cell of the paper's memcached grid (Figs 2-3, Table IV), built
+ * as runOnce builds it: 40 blocking generator threads on a client
+ * that sleeps between requests, so every request crosses the client's
+ * C-state, governor, DVFS and turbo-bin path — the path the busy-wait
+ * rows above never take. Warms through half the run, then measures
+ * events per wall second and heap allocations (must be zero) over the
+ * rest, drain included.
+ */
+double
+paperCellEventsPerSec(const char *label, double qps,
+                      std::uint64_t *steadyAllocs)
+{
+    core::ExperimentConfig cfg = bench::configFor(
+        label, core::ExperimentConfig::forMemcached(qps));
+    cfg.gen.warmup = msec(10);
+    cfg.gen.duration = msec(200);
+    Simulator sim;
+    Rng rootRng(7);
+    hw::HwConfig clientCfg = cfg.client;
+    clientCfg.cores = std::max(clientCfg.cores, cfg.gen.threads);
+    hw::Machine client(sim, clientCfg, "client", rootRng.u64());
+    net::Link toServer(sim, rootRng.fork(), cfg.network);
+    net::Link toClient(sim, rootRng.fork(), cfg.network);
+    LateBound door;
+    loadgen::OpenLoopGenerator gen(sim, client, toServer, door, cfg.gen,
+                                   rootRng.fork());
+    hw::Machine server(sim, cfg.server, "server", rootRng.u64());
+    svc::MemcachedServer service(sim, server, toClient, gen,
+                                 rootRng.fork(), cfg.memcached);
+    door.target = &service;
+    gen.start();
+
+    sim.runUntil(gen.windowEnd() / 2);
+    const std::uint64_t events0 = sim.executedEvents();
+    const std::uint64_t allocs0 = g_allocs.load();
+    const auto t0 = Clock::now();
+    sim.runUntil(gen.windowEnd() + msec(5));
+    const double secs = secondsSince(t0);
+    *steadyAllocs = g_allocs.load() - allocs0;
+    return static_cast<double>(sim.executedEvents() - events0) / secs;
+}
+
+/**
  * One *large* HDSearch topology (32 shards over 32 bucket machines +
  * midtier + client) at datacenter link latencies: events per wall
  * second of a serial run. 5K QPS keeps the shape sustainable — every
@@ -368,6 +414,11 @@ main()
     const double big = bigRunEventsPerSec(false, &bigSent, &bigReceived);
     std::uint64_t trSent = 0, trReceived = 0;
     const double bigTraced = bigRunEventsPerSec(true, &trSent, &trReceived);
+    std::uint64_t lpCellAllocs = ~0ULL, hpCellAllocs = ~0ULL;
+    const double lpCell =
+        paperCellEventsPerSec("LP-SMToff", 100e3, &lpCellAllocs);
+    const double hpCell =
+        paperCellEventsPerSec("HP-SMToff", 300e3, &hpCellAllocs);
 
     std::printf("  %-34s %10.2f Mev/s\n",
                 "steady-state Message schedule/fire", steady / 1e6);
@@ -388,6 +439,12 @@ main()
                 static_cast<unsigned long long>(bigSent));
     std::printf("  %-34s %10.2f Mev/s (1/64 sampled)\n",
                 "big run, traced", bigTraced / 1e6);
+    std::printf("  %-34s %10.2f Mev/s (%llu allocs)\n",
+                "paper cell LP-SMToff @ 100K", lpCell / 1e6,
+                static_cast<unsigned long long>(lpCellAllocs));
+    std::printf("  %-34s %10.2f Mev/s (%llu allocs)\n",
+                "paper cell HP-SMToff @ 300K", hpCell / 1e6,
+                static_cast<unsigned long long>(hpCellAllocs));
     std::printf("  %-34s %10llu\n", "steady-state heap allocations",
                 static_cast<unsigned long long>(steadyAllocs +
                                                 reclockAllocs));
@@ -405,6 +462,10 @@ main()
              "allocs/event"},
             {"big_run_events_per_sec", big, "events/s"},
             {"big_run_events_per_sec_traced", bigTraced, "events/s"},
+            {"paper_lp_smtoff_100k_events_per_sec", lpCell, "events/s"},
+            {"paper_hp_smtoff_300k_events_per_sec", hpCell, "events/s"},
+            {"paper_cell_steady_allocs",
+             static_cast<double>(lpCellAllocs + hpCellAllocs), "allocs"},
             {"steady_state_allocs",
              static_cast<double>(steadyAllocs + reclockAllocs), "allocs"},
         });
@@ -428,6 +489,15 @@ main()
                      "FAIL: warm HDSearch run performed %llu heap "
                      "allocations in steady state\n",
                      static_cast<unsigned long long>(steadyRunAllocs));
+        return 1;
+    }
+    if (lpCellAllocs != 0 || hpCellAllocs != 0) {
+        std::fprintf(stderr,
+                     "FAIL: warm paper cells performed %llu (LP-SMToff "
+                     "@ 100K) and %llu (HP-SMToff @ 300K) heap "
+                     "allocations in steady state\n",
+                     static_cast<unsigned long long>(lpCellAllocs),
+                     static_cast<unsigned long long>(hpCellAllocs));
         return 1;
     }
     if (bigReceived < bigSent || trReceived < trSent) {

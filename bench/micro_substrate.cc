@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the substrates: event queue
- * throughput, RNG draws, statistics kernels, and a full
+ * throughput, the client-hardware hot path (turbo-bin moves, thread
+ * submit/complete), RNG draws, statistics kernels, and a full
  * simulated-second of the memcached experiment. These guard the
  * simulator's wall-clock cost, which caps how much of the paper's
  * 2-minute x 50-run protocol is affordable.
@@ -18,6 +19,7 @@
 #include "alloc_counter.hh"
 
 #include "core/experiment.hh"
+#include "hw/machine.hh"
 #include "net/message.hh"
 #include "sim/event_queue.hh"
 #include "sim/fixed_containers.hh"
@@ -240,6 +242,91 @@ BM_RngLognormal(benchmark::State &state)
     benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_RngLognormal);
+
+/** The same draw with its parameters built once, as the draw sites do. */
+void
+BM_RngLognormalPrecomputed(benchmark::State &state)
+{
+    Rng rng(1);
+    const Rng::Lognormal p(10.0, 2.0);
+    double acc = 0;
+    for (auto _ : state)
+        acc += rng.lognormal(p);
+    benchmark::DoNotOptimize(acc);
+}
+BENCHMARK(BM_RngLognormalPrecomputed);
+
+/**
+ * Turbo-bin moves on the HP client (10 cores, performance governor,
+ * turbo): two cores run endless tasks, so the machine sits at the
+ * top bin's edge, and each iteration runs a short task on a third
+ * core — the bin drops when it starts and returns when it completes.
+ * Each move visits all ten frequency domains and re-clocks the
+ * running threads.
+ */
+void
+BM_TurboBinMove(benchmark::State &state)
+{
+    Simulator sim;
+    hw::HwConfig cfg = hw::HwConfig::clientHP();
+    cfg.tickless = true;
+    hw::Machine m(sim, cfg);
+    m.core(0).thread(0).submit(seconds(1000000), nullptr);
+    m.core(1).thread(0).submit(seconds(1000000), nullptr);
+    hw::HwThread &toggled = m.core(2).thread(0);
+    for (auto _ : state) {
+        toggled.submit(usec(1), nullptr);
+        sim.runUntil(sim.now() + usec(2));
+    }
+    state.SetItemsProcessed(state.iterations() * 2);
+    state.counters["transitions/iter"] = benchmark::Counter(
+        static_cast<double>(m.stats().freqTransitions) /
+        static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_TurboBinMove);
+
+/**
+ * Submit/complete on one hardware thread, each task submitted from
+ * the previous one's completion — the response path's shape (IRQ
+ * work, then the handler's follow-up work) — with a full Message in
+ * the capture, as the server dispatch path carries.
+ */
+void
+BM_HwThreadSubmitComplete(benchmark::State &state)
+{
+    Simulator sim;
+    hw::HwConfig cfg = hw::HwConfig::clientHP();
+    cfg.tickless = true;
+    cfg.turbo = false;
+    hw::Machine m(sim, cfg);
+    struct Chain
+    {
+        hw::HwThread *t;
+        long left = 0;
+        net::Message msg;
+
+        void
+        next()
+        {
+            if (left-- <= 0)
+                return;
+            ++msg.id;
+            t->submit(100, [this, msg = msg] {
+                benchmark::DoNotOptimize(msg.id);
+                next();
+            });
+        }
+    };
+    Chain chain{&m.core(0).thread(0), 0, net::Message{}};
+    const long perIter = 1000;
+    for (auto _ : state) {
+        chain.left = perIter;
+        chain.next();
+        sim.run();
+    }
+    state.SetItemsProcessed(state.iterations() * perIter);
+}
+BENCHMARK(BM_HwThreadSubmitComplete);
 
 std::vector<double>
 samples(int n)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <tuple>
 
 #include "loadgen/openloop.hh"
 #include "obs/metrics.hh"
@@ -310,14 +311,14 @@ runOnce(const ExperimentConfig &cfg)
         cfg.obs.sink(trace.get(), metrics.get());
 
     RunResult out;
-    out.latency = gen.recorder().latencySummary();
-    out.sendLateness = gen.recorder().latenessSummary();
+    std::tie(out.latency, out.sendLateness) =
+        gen.recorder().summarizeInPlace();
     out.sent = gen.recorder().sent();
     out.received = gen.recorder().received();
     if (cfg.sloLatency > 0) {
-        // Goodput numerator: recorded latencies are in us, sorted
+        // Goodput numerator: recorded latencies are in us, now sorted
         // ascending, so the SLO cut is one binary search.
-        const auto &xs = gen.recorder().sortedLatencies();
+        const auto &xs = gen.recorder().latencies();
         const double sloUs =
             static_cast<double>(cfg.sloLatency) / 1000.0;
         out.receivedWithinSlo = static_cast<std::uint64_t>(

@@ -26,16 +26,24 @@ HwThread::HwThread(Simulator &sim, Core &core, int idx)
 }
 
 void
-HwThread::submit(Time nominalWork, Callback done)
+HwThread::submit(Time nominalWork, Callback &&done)
 {
     TPV_ASSERT(nominalWork >= 0, "negative work submitted");
+    if (!running_ && queue_.empty() &&
+        core_.power_ == Core::PowerState::Active) {
+        // Nothing ahead of it and the core can execute: start it now,
+        // exactly as the trySchedule() behind onThreadQueued() would,
+        // without parking the callback in the run queue on the way.
+        start(static_cast<double>(nominalWork), std::move(done));
+        return;
+    }
     queue_.push_back(Task{static_cast<double>(nominalWork),
                           std::move(done), kNoGuard});
     core_.onThreadQueued(*this);
 }
 
 void
-HwThread::submitGuarded(Time nominalWork, Callback done, Guard guard)
+HwThread::submitGuarded(Time nominalWork, Callback &&done, Guard guard)
 {
     TPV_ASSERT(nominalWork >= 0, "negative work submitted");
     TPV_ASSERT(static_cast<bool>(guard), "guarded submit needs a guard");
@@ -89,21 +97,27 @@ HwThread::trySchedule()
                 continue;
             }
         }
-        running_ = true;
-        remaining_ = task.remaining;
-        workCompleted_ += static_cast<Time>(task.remaining);
-        currentDone_ = std::move(task.done);
-        lastUpdate_ = sim_.now();
-        // The run-state change re-clocks every thread on the core
-        // (SMT contention) and schedules this task's completion via
-        // applySpeed().
-        core_.onThreadRunChanged();
+        start(task.remaining, std::move(task.done));
         return;
     }
     // Every queued task was abandoned by its guard: the wake was for
     // nothing, so let the core settle back into its idle state.
     if (dropped)
         core_.maybeEnterIdle();
+}
+
+void
+HwThread::start(double nominalWork, Callback &&done)
+{
+    running_ = true;
+    remaining_ = nominalWork;
+    workCompleted_ += static_cast<Time>(nominalWork);
+    currentDone_ = std::move(done);
+    lastUpdate_ = sim_.now();
+    // The run-state change re-clocks the running threads on the core
+    // (SMT contention), this one included, which schedules this task's
+    // completion via applySpeed().
+    core_.onThreadRunChanged();
 }
 
 void
@@ -122,10 +136,6 @@ void
 HwThread::applySpeed(double newSpeed)
 {
     TPV_ASSERT(newSpeed > 0, "thread speed must be positive");
-    if (!running_) {
-        speed_ = newSpeed;
-        return;
-    }
     updateProgress();
     speed_ = newSpeed;
     scheduleCompletion();
@@ -168,10 +178,8 @@ Core::Core(Simulator &sim, Machine &machine, const HwConfig &cfg,
            const CStateTable &table, int id)
     : sim_(sim), machine_(machine), cfg_(&cfg), table_(&table),
       governor_(table),
-      freq_(sim, cfg, machine.activeCores_, [this] { refreshSpeeds(); }),
-      id_(id)
+      freq_(sim, cfg, machine.activeCores_, this), id_(id)
 {
-    freq_.setPreChangeHook([this] { accrueEnergy(); });
     const int nthreads = cfg.smt ? 2 : 1;
     for (int i = 0; i < nthreads; ++i)
         threads_.push_back(std::make_unique<HwThread>(sim, *this, i));
@@ -256,8 +264,12 @@ Core::speedFor(const HwThread &t) const
 void
 Core::refreshSpeeds()
 {
-    for (auto &t : threads_)
-        t->applySpeed(speedFor(*t));
+    // A stopped thread's speed is never read: a task that starts is
+    // re-clocked by the onThreadRunChanged() that starts it.
+    for (auto &t : threads_) {
+        if (t->running_)
+            t->applySpeed(speedFor(*t));
+    }
 }
 
 void
@@ -297,7 +309,6 @@ Core::beginWake()
     accrueEnergy(); // close out the sleep interval at C-state power
     const Time idleDur = sim_.now() - idleStart_;
     governor_.recordIdle(idleDur);
-    stats_.residency[cstate_] += idleDur;
     ++stats_.wakes;
 
     if (!countedActive_) {
@@ -362,7 +373,6 @@ Core::maybeEnterIdle()
                                               : CState::C0;
         break;
     }
-    ++stats_.entries[cstate_];
     idleStart_ = sim_.now();
     power_ = PowerState::Sleeping;
     freq_.onCoreIdle(sim_.now() - lastWakeEnd_);

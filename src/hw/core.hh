@@ -10,9 +10,11 @@
  *
  *     speed = (currentGhz / nominalGhz) * (sibling busy ? smtThroughput : 1)
  *
- * Speed changes (DVFS ramps, sibling start/stop) re-clock in-flight
- * work, which is how C-state exits, powersave frequency dips, and SMT
- * contention all end up inside measured latencies — the paper's
+ * Speed changes (DVFS ramps, turbo-bin moves, sibling start/stop)
+ * re-clock in-flight work — the task of each *running* thread; a
+ * stopped thread picks up the current speed when its next task
+ * starts. That is how C-state exits, powersave frequency dips, and
+ * SMT contention all end up inside measured latencies — the paper's
  * central mechanism.
  */
 
@@ -20,7 +22,6 @@
 #define TPV_HW_CORE_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -75,16 +76,17 @@ class HwThread
      * Enqueue @p nominalWork of CPU work; @p done fires at completion.
      * Wakes the core if it is sleeping (paying the C-state exit).
      * Zero-work submissions complete after the core is awake and the
-     * task reaches the head of the queue.
+     * task reaches the head of the queue. A submission to a stopped
+     * thread with an empty queue on an active core starts at once.
      */
-    void submit(Time nominalWork, Callback done);
+    void submit(Time nominalWork, Callback &&done);
 
     /**
      * Guarded submission: like submit(), but @p guard is consulted
      * when the task is about to start running. A false return drops
      * the task (its completion callback is discarded unfired).
      */
-    void submitGuarded(Time nominalWork, Callback done, Guard guard);
+    void submitGuarded(Time nominalWork, Callback &&done, Guard guard);
 
     /**
      * Timer-armed sleep: at absolute time @p when, run
@@ -166,7 +168,11 @@ class HwThread
     /** Start the head-of-queue task if the core allows execution. */
     void trySchedule();
 
-    /** Re-clock the in-flight task for a new speed factor. */
+    /** Make @p nominalWork the in-flight task; @p done fires at its end. */
+    void start(double nominalWork, Callback &&done);
+
+    /** Re-clock the in-flight task for a new speed factor.
+     *  @pre running() */
     void applySpeed(double newSpeed);
 
     /** Fold elapsed progress into remaining_. */
@@ -187,6 +193,7 @@ class HwThread
     bool running_ = false;
     double remaining_ = 0;
     Callback currentDone_;
+    /** Speed of the in-flight task; stale while the thread is stopped. */
     double speed_ = 1.0;
     Time lastUpdate_ = 0;
     EventHandle completionEv_{};
@@ -202,13 +209,16 @@ class HwThread
 class Core
 {
   public:
-    /** Per-core counters used by tests and by run reports. */
+    /**
+     * Per-core wake counters, summed into MachineStats for run
+     * reports (hw.client_wakes_per_req, hw.exit_us_per_req).
+     */
     struct Stats
     {
+        /** Wakes from a sleeping C-state. */
         std::uint64_t wakes = 0;
+        /** C-state exit latency paid over those wakes. */
         Time exitLatencyPaid = 0;
-        std::map<CState, std::uint64_t> entries;
-        std::map<CState, Time> residency;
     };
 
     /**
@@ -268,6 +278,7 @@ class Core
   private:
     friend class HwThread;
     friend class Machine;
+    friend class FreqDomain;
 
     enum class PowerState { Active, PollIdle, Sleeping, Waking };
 

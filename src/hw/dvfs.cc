@@ -2,16 +2,15 @@
 
 #include <algorithm>
 
+#include "hw/core.hh"
 #include "sim/logging.hh"
 
 namespace tpv {
 namespace hw {
 
 FreqDomain::FreqDomain(Simulator &sim, const HwConfig &cfg,
-                       const int &activeCores,
-                       std::function<void()> onChange)
-    : sim_(sim), cfg_(&cfg), activeCores_(&activeCores),
-      onChange_(std::move(onChange))
+                       const int &activeCores, Core *owner)
+    : sim_(sim), cfg_(&cfg), activeCores_(&activeCores), owner_(owner)
 {
     switch (cfg_->governor) {
       case FreqGovernor::Performance:
@@ -53,12 +52,12 @@ FreqDomain::setFreq(double ghz)
 {
     if (ghz == currentGhz_)
         return;
-    if (preChange_)
-        preChange_();
+    if (owner_ != nullptr)
+        owner_->accrueEnergy();
     currentGhz_ = ghz;
     ++transitions_;
-    if (onChange_)
-        onChange_();
+    if (owner_ != nullptr)
+        owner_->refreshSpeeds();
 }
 
 double
@@ -132,13 +131,6 @@ bool
 FreqDomain::followsTurboBin(const HwConfig &cfg)
 {
     return cfg.turbo && cfg.governor == FreqGovernor::Performance;
-}
-
-void
-FreqDomain::refreshTarget()
-{
-    if (followsTurboBin(*cfg_))
-        setFreq(maxAvailableGhz());
 }
 
 } // namespace hw

@@ -15,7 +15,6 @@
 #define TPV_HW_DVFS_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "hw/config.hh"
 #include "sim/simulator.hh"
@@ -23,6 +22,8 @@
 
 namespace tpv {
 namespace hw {
+
+class Core;
 
 /**
  * One frequency/voltage domain (per physical core on Skylake).
@@ -33,11 +34,15 @@ class FreqDomain
     /**
      * @param activeCores the machine's busy-core count, read directly
      *        for the turbo bins; must outlive the domain.
-     * @param onChange invoked after every frequency change so the core
-     *        can rescale in-flight work.
+     * @param owner the core this domain clocks, or null for a
+     *        standalone domain. Every frequency change calls the owner
+     *        directly: Core::accrueEnergy() just before it commits, so
+     *        the elapsed interval is billed at the old power level,
+     *        and Core::refreshSpeeds() just after, so the running
+     *        threads' in-flight work re-clocks to the new frequency.
      */
     FreqDomain(Simulator &sim, const HwConfig &cfg, const int &activeCores,
-               std::function<void()> onChange);
+               Core *owner = nullptr);
 
     /** Current operating frequency. */
     double currentGhz() const { return currentGhz_; }
@@ -65,13 +70,14 @@ class FreqDomain
     double utilization() const { return util_; }
 
     /**
-     * The machine's active-core count changed: re-evaluate the turbo
-     * bin for domains that follow it. Such a domain's frequency moves
-     * only here and in onCoreWake(), and both set it to the current
-     * bin, so it always sits at the current bin; Machine relies on that
-     * to call this only when the bin changes.
+     * The machine's turbo bin moved to @p binGhz (turboBinGhz() of the
+     * new active-core count): move there. Only for domains that follow
+     * the bin (followsTurboBin()). Such a domain's frequency moves only
+     * here and in onCoreWake(), and both set it to the current bin, so
+     * it always sits at the current bin; Machine relies on that to call
+     * this only when the bin changes.
      */
-    void refreshTarget();
+    void onTurboBinChanged(double binGhz) { setFreq(binGhz); }
 
     /**
      * Whether domains of a machine configured as @p cfg track the
@@ -82,16 +88,6 @@ class FreqDomain
 
     /** Number of frequency transitions performed. */
     std::uint64_t transitions() const { return transitions_; }
-
-    /**
-     * Hook invoked immediately *before* a frequency change commits —
-     * used by the core's energy accounting to bill the elapsed
-     * interval at the old power level.
-     */
-    void setPreChangeHook(std::function<void()> hook)
-    {
-        preChange_ = std::move(hook);
-    }
 
     /** Highest frequency currently grantable (turbo bins). */
     double maxAvailableGhz() const;
@@ -121,8 +117,7 @@ class FreqDomain
     Simulator &sim_;
     const HwConfig *cfg_;
     const int *activeCores_;
-    std::function<void()> onChange_;
-    std::function<void()> preChange_;
+    Core *owner_;
     double currentGhz_;
     double util_ = 0.0;
     Time lastBusy_ = 0;

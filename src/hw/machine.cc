@@ -65,7 +65,7 @@ Machine::thread(std::size_t globalIdx)
 
 void
 Machine::deliverIrq(std::size_t threadIdx, Time irqWork,
-                    HwThread::Callback handler)
+                    HwThread::Callback &&handler)
 {
     ++irqsDelivered_;
     const Time penalty = uncorePenalty();
@@ -102,8 +102,9 @@ Machine::setFrozen(bool frozen)
     if (frozen_ == frozen)
         return;
     frozen_ = frozen;
-    // Re-clock every thread: in-flight completions reschedule at the
-    // new (near-zero or restored) speed.
+    // Re-clock every running thread: in-flight completions reschedule
+    // at the new (near-zero or restored) speed. Stopped threads pick
+    // up the speed when their next task starts.
     for (auto &c : cores_)
         c->refreshSpeeds();
 }
@@ -118,9 +119,10 @@ Machine::onCoreActiveChanged(int delta)
     if (delta > 0)
         lastPackageActivity_ = sim_.now();
     // A domain that follows the turbo bin always sits at the current
-    // bin (see FreqDomain::refreshTarget), so the cores need visiting
-    // only when the bin itself moves. The first call finds the sentinel
-    // and always pushes.
+    // bin (see FreqDomain::onTurboBinChanged), so the cores need
+    // visiting only when the bin itself moves, and then each is handed
+    // the bin computed here. The first call finds the sentinel and
+    // always pushes.
     if (!FreqDomain::followsTurboBin(cfg_))
         return;
     const double bin = FreqDomain::turboBinGhz(cfg_, activeCores_);
@@ -128,7 +130,7 @@ Machine::onCoreActiveChanged(int delta)
         return;
     pushedBinGhz_ = bin;
     for (auto &c : cores_)
-        c->freq().refreshTarget();
+        c->freq().onTurboBinChanged(bin);
 }
 
 MachineStats

@@ -84,7 +84,7 @@ class Machine
      * @p handler. This is how NIC receive processing lands on a core.
      */
     void deliverIrq(std::size_t threadIdx, Time irqWork,
-                    HwThread::Callback handler);
+                    HwThread::Callback &&handler);
 
     /** Busy physical cores (for turbo bins). */
     int activeCores() const { return activeCores_; }
@@ -119,7 +119,8 @@ class Machine
     /**
      * Core active-count bookkeeping. Cores that follow the turbo bin
      * (FreqDomain::followsTurboBin) always sit at the current bin, so
-     * they are refreshed only when the count moves the bin.
+     * they are visited only when the count moves the bin, and each
+     * domain is handed the new bin instead of re-deriving it.
      */
     void onCoreActiveChanged(int delta);
 

@@ -36,6 +36,12 @@ OpenLoopGenerator::OpenLoopGenerator(Simulator &sim, hw::Machine &client,
     perThreadGapMean_ =
         static_cast<Time>(static_cast<double>(kSecond) / perThreadRate);
     TPV_ASSERT(perThreadGapMean_ > 0, "per-thread rate too high");
+    if (params_.lognormalCv < 0) {
+        fatal("OpenLoopParams::lognormalCv must be >= 0, got ",
+              params_.lognormalCv);
+    }
+    const auto gapMean = static_cast<double>(perThreadGapMean_);
+    lognormalGap_ = Rng::Lognormal(gapMean, params_.lognormalCv * gapMean);
 
     // Materialise a non-constant load profile up front (MMPP samples
     // its burst trajectory here, so the whole schedule is fixed by the
@@ -92,11 +98,8 @@ OpenLoopGenerator::drawGap(GenThread &g, Time from)
         // rate-scaled renewal process).
         const double m = std::max(profile_->multiplierAt(since), 1e-6);
         Time gap = perThreadGapMean_;
-        if (params_.interarrival == InterarrivalKind::Lognormal) {
-            const auto mean = static_cast<double>(perThreadGapMean_);
-            gap = static_cast<Time>(
-                g.rng.lognormalMeanSd(mean, params_.lognormalCv * mean));
-        }
+        if (params_.interarrival == InterarrivalKind::Lognormal)
+            gap = static_cast<Time>(g.rng.lognormal(lognormalGap_));
         return std::max<Time>(
             1, static_cast<Time>(static_cast<double>(gap) / m));
     }
@@ -105,11 +108,8 @@ OpenLoopGenerator::drawGap(GenThread &g, Time from)
         return g.rng.exponentialTime(perThreadGapMean_);
       case InterarrivalKind::Fixed:
         return perThreadGapMean_;
-      case InterarrivalKind::Lognormal: {
-        const auto mean = static_cast<double>(perThreadGapMean_);
-        return static_cast<Time>(
-            g.rng.lognormalMeanSd(mean, params_.lognormalCv * mean));
-      }
+      case InterarrivalKind::Lognormal:
+        return static_cast<Time>(g.rng.lognormal(lognormalGap_));
     }
     return perThreadGapMean_;
 }

@@ -99,6 +99,9 @@ class OpenLoopGenerator : public net::Endpoint
     /** Sim time of start(); profile times are relative to this. */
     Time profileEpoch_ = 0;
     Time perThreadGapMean_ = 0;
+    /** Lognormal inter-arrival gap: mean perThreadGapMean_, sd
+     *  lognormalCv times that. */
+    Rng::Lognormal lognormalGap_;
     Time sendDeadline_ = 0;
     Time windowEnd_ = 0;
     /**

@@ -76,7 +76,7 @@ struct OpenLoopParams
     CompletionMode completion = CompletionMode::Blocking;
     MeasurePoint measure = MeasurePoint::InApp;
     InterarrivalKind interarrival = InterarrivalKind::Exponential;
-    /** cv of the lognormal inter-arrival option. */
+    /** cv of the lognormal inter-arrival option (>= 0). */
     double lognormalCv = 0.5;
     /** Samples sent before this offset are warmup and not recorded. */
     Time warmup = msec(100);

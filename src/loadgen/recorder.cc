@@ -15,6 +15,15 @@ LatencyRecorder::setWindow(Time start, Time end)
     end_ = end;
 }
 
+std::pair<stats::Summary, stats::Summary>
+LatencyRecorder::summarizeInPlace()
+{
+    std::sort(latencies_.begin(), latencies_.end());
+    std::sort(lateness_.begin(), lateness_.end());
+    return {stats::Summary::ofSorted(latencies_),
+            stats::Summary::ofSorted(lateness_)};
+}
+
 void
 LatencyRecorder::reserveFor(double perSecond, Time window)
 {

@@ -10,6 +10,7 @@
 #define TPV_LOADGEN_RECORDER_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hh"
@@ -88,6 +89,17 @@ class LatencyRecorder
     {
         return stats::Summary::of(lateness_);
     }
+
+    /**
+     * latencySummary() and latenessSummary() for the end of a run:
+     * sorts both sample vectors in place instead of sorting a copy of
+     * each, so summarising adds nothing to the run's peak memory (a
+     * 500K QPS cell holds ~100K samples per vector). The summaries are
+     * the same bits. Afterwards latencies() and lateness() are in
+     * ascending order, not arrival order.
+     * @return the latency and the lateness summary.
+     */
+    std::pair<stats::Summary, stats::Summary> summarizeInPlace();
 
     std::uint64_t sent() const { return sent_; }
     std::uint64_t received() const { return received_; }

@@ -8,10 +8,20 @@ namespace net {
 Link::Link(Simulator &sim, Rng rng) : Link(sim, rng, Params()) {}
 
 Link::Link(Simulator &sim, Rng rng, Params params)
-    : sim_(sim), rng_(rng), params_(params)
+    : sim_(sim), rng_(rng), params_(params), jitter_(1.0, params.jitterFrac)
 {
-    TPV_ASSERT(params_.baseLatency >= 0, "negative link latency");
-    TPV_ASSERT(params_.bandwidthGbps > 0, "non-positive link bandwidth");
+    if (params_.baseLatency < 0) {
+        fatal("net::Link::Params::baseLatency must be >= 0, got ",
+              params_.baseLatency);
+    }
+    if (!(params_.bandwidthGbps > 0)) {
+        fatal("net::Link::Params::bandwidthGbps must be positive, got ",
+              params_.bandwidthGbps);
+    }
+    if (params_.jitterFrac < 0) {
+        fatal("net::Link::Params::jitterFrac must be >= 0, got ",
+              params_.jitterFrac);
+    }
     // Pre-size the in-flight pool past any occupancy a sanely-loaded
     // link reaches (bench/hotpath gates on zero steady-state heap
     // allocations); slot order is unchanged by the reservation, so
@@ -22,9 +32,8 @@ Link::Link(Simulator &sim, Rng rng, Params params)
 Time
 Link::sampleDelay(std::uint32_t bytes)
 {
-    double mult = 1.0;
-    if (params_.jitterFrac > 0)
-        mult = rng_.lognormalMeanSd(1.0, params_.jitterFrac);
+    // jitterFrac == 0 multiplies by exactly 1 without a draw.
+    const double mult = rng_.lognormal(jitter_);
     const double propagation =
         static_cast<double>(params_.baseLatency) * mult;
     // bytes * 8 bits / (Gbps) = ns

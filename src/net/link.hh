@@ -33,7 +33,7 @@ class Link
     {
         /** Median one-way latency. */
         Time baseLatency = usec(5);
-        /** Relative sd of the lognormal latency multiplier. */
+        /** Relative sd of the lognormal latency multiplier (>= 0). */
         double jitterFrac = 0.10;
         /** Line rate for serialization delay. */
         double bandwidthGbps = 10.0;
@@ -42,6 +42,8 @@ class Link
     /** Build a link with default parameters. */
     Link(Simulator &sim, Rng rng);
 
+    /** fatal() on a negative latency or jitter, or a non-positive
+     *  bandwidth. */
     Link(Simulator &sim, Rng rng, Params params);
 
     /** Deliver @p msg to @p dst after the modelled delay. */
@@ -95,6 +97,8 @@ class Link
     Simulator &sim_;
     Rng rng_;
     Params params_;
+    /** The latency multiplier, lognormal(1, jitterFrac). */
+    Rng::Lognormal jitter_;
     /**
      * Messages in flight on this link. Parking the payload here lets
      * the delivery event capture a 4-byte slot index instead of the

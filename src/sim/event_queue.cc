@@ -50,7 +50,7 @@ EventQueue::makeEntry(Time when, std::uint32_t slot)
 }
 
 EventHandle
-EventQueue::schedule(Time when, Callback cb)
+EventQueue::schedule(Time when, Callback &&cb)
 {
     TPV_ASSERT(cb != nullptr, "scheduling a null callback");
     const std::uint32_t slot = acquireSlot();

@@ -83,11 +83,13 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
 
     /**
-     * Schedule @p cb to run at absolute time @p when.
+     * Schedule @p cb to run at absolute time @p when. Taken by rvalue
+     * reference so the callback relocates once, straight into its
+     * slot.
      * @pre when >= 0 (the heap's packed key is unsigned).
      * @return a handle that can cancel the event before it fires.
      */
-    EventHandle schedule(Time when, Callback cb);
+    EventHandle schedule(Time when, Callback &&cb);
 
     /**
      * Cancel a previously scheduled event.

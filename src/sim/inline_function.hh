@@ -12,6 +12,13 @@
  * their callbacks with zero steady-state allocation, the way gem5's
  * intrusive events do.
  *
+ * A callback moves several times on its way to firing (into the event
+ * queue's slot, along a run queue), so relocation is hot too. A
+ * trivially copyable capture — pointers, integers, a net::Message —
+ * relocates with one fixed-size memcpy of the buffer and needs no
+ * destroy; only a capture with a non-trivial member pays an indirect
+ * relocate thunk per move and a destroy thunk at the end.
+ *
  * The capacity is a hard budget: a capture that does not fit fails to
  * compile (static_assert) instead of silently spilling to the heap.
  * When that fires, first try to shrink the capture — capture a field
@@ -24,6 +31,7 @@
 #define TPV_SIM_INLINE_FUNCTION_HH
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -119,12 +127,18 @@ class InplaceFunction
     reset() noexcept
     {
         if (ops_) {
-            ops_->destroy(buf_);
+            if (ops_->destroy)
+                ops_->destroy(buf_);
             ops_ = nullptr;
         }
     }
 
   private:
+    /**
+     * Type-erased operations. relocate and destroy are null for a
+     * trivially copyable target: it moves by memcpy and needs no
+     * destructor call.
+     */
     struct Ops
     {
         R (*invoke)(void *);
@@ -136,15 +150,24 @@ class InplaceFunction
     static const Ops *
     opsFor()
     {
-        static constexpr Ops table{
-            [](void *p) -> R { return (*static_cast<Fn *>(p))(); },
-            [](void *dst, void *src) {
-                ::new (dst) Fn(std::move(*static_cast<Fn *>(src)));
-                static_cast<Fn *>(src)->~Fn();
-            },
-            [](void *p) { static_cast<Fn *>(p)->~Fn(); },
-        };
-        return &table;
+        if constexpr (std::is_trivially_copyable_v<Fn>) {
+            static constexpr Ops table{
+                [](void *p) -> R { return (*static_cast<Fn *>(p))(); },
+                nullptr,
+                nullptr,
+            };
+            return &table;
+        } else {
+            static constexpr Ops table{
+                [](void *p) -> R { return (*static_cast<Fn *>(p))(); },
+                [](void *dst, void *src) {
+                    ::new (dst) Fn(std::move(*static_cast<Fn *>(src)));
+                    static_cast<Fn *>(src)->~Fn();
+                },
+                [](void *p) { static_cast<Fn *>(p)->~Fn(); },
+            };
+            return &table;
+        }
     }
 
     /** Relocate other's target into this (empty) object. */
@@ -152,7 +175,10 @@ class InplaceFunction
     moveFrom(InplaceFunction &other) noexcept
     {
         if (other.ops_) {
-            other.ops_->relocate(buf_, other.buf_);
+            if (other.ops_->relocate)
+                other.ops_->relocate(buf_, other.buf_);
+            else
+                std::memcpy(buf_, other.buf_, Capacity);
             ops_ = other.ops_;
             other.ops_ = nullptr;
         }

@@ -124,16 +124,31 @@ Rng::normal(double mean, double sd)
     return mean + sd * standardNormal();
 }
 
+Rng::Lognormal::Lognormal(double mean, double sd)
+{
+    TPV_ASSERT(mean > 0, "lognormal mean must be positive");
+    if (sd <= 0) {
+        fixed = mean;
+        return;
+    }
+    const double variance = sd * sd;
+    const double sigma2 = std::log(1.0 + variance / (mean * mean));
+    mu = std::log(mean) - 0.5 * sigma2;
+    sigma = std::sqrt(sigma2);
+}
+
+double
+Rng::lognormal(const Lognormal &p)
+{
+    if (p.fixed > 0)
+        return p.fixed;
+    return std::exp(p.mu + p.sigma * standardNormal());
+}
+
 double
 Rng::lognormalMeanSd(double mean, double sd)
 {
-    TPV_ASSERT(mean > 0, "lognormal mean must be positive");
-    if (sd <= 0)
-        return mean;
-    const double variance = sd * sd;
-    const double sigma2 = std::log(1.0 + variance / (mean * mean));
-    const double mu = std::log(mean) - 0.5 * sigma2;
-    return std::exp(mu + std::sqrt(sigma2) * standardNormal());
+    return lognormal(Lognormal(mean, sd));
 }
 
 double

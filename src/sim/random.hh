@@ -54,10 +54,35 @@ class Rng
     double normal(double mean, double sd);
 
     /**
-     * Lognormal parameterised by the mean and standard deviation of
-     * the *resulting variable* (not of the underlying normal). This is
-     * the natural way to say "service time ~10us, sd ~3us".
+     * Parameters of a lognormal given by the mean and standard
+     * deviation of the *resulting variable* (not of the underlying
+     * normal) — the natural way to say "service time ~10us, sd ~3us".
+     * Build one per draw site when the mean and sd are fixed, so each
+     * draw skips the logs and square root.
      */
+    struct Lognormal
+    {
+        /** The constant 1: Lognormal(1, 0). */
+        Lognormal() : fixed(1) {}
+
+        /**
+         * sd <= 0 gives the constant @p mean, drawn without consuming
+         * the stream.
+         * @pre mean > 0
+         */
+        Lognormal(double mean, double sd);
+
+        /** Mean and sd of the underlying normal. */
+        double mu = 0;
+        double sigma = 0;
+        /** The constant value when sd <= 0, else 0. */
+        double fixed = 0;
+    };
+
+    /** Lognormal draw: exp(mu + sigma * standardNormal()). */
+    double lognormal(const Lognormal &p);
+
+    /** One-off lognormal draw: lognormal(Lognormal(mean, sd)). */
     double lognormalMeanSd(double mean, double sd);
 
     /** Classic Pareto: scale * U^(-1/shape). */

@@ -7,7 +7,7 @@
 namespace tpv {
 
 EventHandle
-Simulator::schedule(Time delay, EventQueue::Callback cb)
+Simulator::schedule(Time delay, EventQueue::Callback &&cb)
 {
     TPV_ASSERT(delay >= 0, "negative delay ", delay);
     return queue_.schedule(now_ + delay, std::move(cb));
@@ -21,7 +21,7 @@ Simulator::reschedule(EventHandle h, Time delay)
 }
 
 EventHandle
-Simulator::at(Time when, EventQueue::Callback cb)
+Simulator::at(Time when, EventQueue::Callback &&cb)
 {
     TPV_ASSERT(when >= now_, "scheduling into the past: when=", when,
                " now=", now_);

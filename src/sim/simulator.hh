@@ -40,13 +40,13 @@ class Simulator
      * Schedule @p cb to run @p delay after now().
      * @pre delay >= 0
      */
-    EventHandle schedule(Time delay, EventQueue::Callback cb);
+    EventHandle schedule(Time delay, EventQueue::Callback &&cb);
 
     /**
      * Schedule @p cb at absolute time @p when.
      * @pre when >= now()
      */
-    EventHandle at(Time when, EventQueue::Callback cb);
+    EventHandle at(Time when, EventQueue::Callback &&cb);
 
     /**
      * Move pending event @p h to @p delay after now(), keeping its

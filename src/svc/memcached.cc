@@ -23,19 +23,33 @@ namespace {
 constexpr std::uint8_t kMissFlag = 0x80;
 
 /**
+ * The lognormal base-time distribution of the memcached work model,
+ * built once per server or cache tier.
+ */
+Rng::Lognormal
+baseWorkModel(const MemcachedParams &p)
+{
+    if (p.serviceTimeSd < 0) {
+        fatal("MemcachedParams::serviceTimeSd must be >= 0, got ",
+              p.serviceTimeSd);
+    }
+    return Rng::Lognormal(static_cast<double>(p.baseServiceTime),
+                          static_cast<double>(p.serviceTimeSd));
+}
+
+/**
  * The memcached work model shared by the single-tier server and the
  * sharded cluster's cache tier, so the two deployments stay provably
- * identical: lognormal base time plus a per-byte cost of the
- * ETC-sampled value (stored through @p valueBytes for the response
- * size), SETs paying the store/LRU extra.
+ * identical: lognormal base time (@p base, from baseWorkModel()) plus
+ * a per-byte cost of the ETC-sampled value (stored through
+ * @p valueBytes for the response size), SETs paying the store/LRU
+ * extra.
  */
 Time
-etcServiceWork(const MemcachedParams &p, const net::Message &req,
-               std::uint32_t *valueBytes, Rng &rng)
+etcServiceWork(const MemcachedParams &p, const Rng::Lognormal &base,
+               const net::Message &req, std::uint32_t *valueBytes, Rng &rng)
 {
-    const auto base = static_cast<double>(p.baseServiceTime);
-    const auto sd = static_cast<double>(p.serviceTimeSd);
-    Time work = static_cast<Time>(rng.lognormalMeanSd(base, sd));
+    Time work = static_cast<Time>(rng.lognormal(base));
 
     // The value is sampled at service time: GETs pay to read and copy
     // it into the response; SETs pay to store it plus bookkeeping.
@@ -91,14 +105,14 @@ MemcachedServer::MemcachedServer(Simulator &sim, hw::Machine &machine,
                                  MemcachedParams params)
     : SingleTierServer(sim, machine, replyLink, client, params.workers,
                        rng, params.runVariability),
-      params_(params)
+      params_(params), baseWork_(baseWorkModel(params_))
 {
 }
 
 Time
 MemcachedServer::serviceWork(const net::Message &req, Rng &rng)
 {
-    return etcServiceWork(params_, req, &lastValueBytes_, rng);
+    return etcServiceWork(params_, baseWork_, req, &lastValueBytes_, rng);
 }
 
 std::uint32_t
@@ -146,6 +160,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
     // store/LRU extra.
     const bool keyed = params_.cache.enabled();
     const MemcachedParams p = params_;
+    const Rng::Lognormal baseWork = baseWorkModel(p);
     TierParams cacheP;
     cacheP.name = "mc-cache";
     cacheP.workers = p.workers;
@@ -157,8 +172,9 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
         // response-size hook, like the single-tier server's
         // lastValueBytes_.
         auto lastValue = std::make_shared<std::uint32_t>(0);
-        cacheP.work = [p, lastValue](const net::Message &req, Rng &r) {
-            return etcServiceWork(p, req, lastValue.get(), r);
+        cacheP.work = [p, baseWork, lastValue](const net::Message &req,
+                                               Rng &r) {
+            return etcServiceWork(p, baseWork, req, lastValue.get(), r);
         };
         cacheP.responseBytesFn = [p, lastValue](const net::Message &req,
                                                 Rng &) {
@@ -171,10 +187,8 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
         // for the response hook; a miss marks the opcode so the
         // completion handler cascades to the backing store instead
         // of replying. SETs store through the cache.
-        cacheP.workMut = [this, p](net::Message &req, Rng &r) {
-            auto work = static_cast<Time>(r.lognormalMeanSd(
-                static_cast<double>(p.baseServiceTime),
-                static_cast<double>(p.serviceTimeSd)));
+        cacheP.workMut = [this, p, baseWork](net::Message &req, Rng &r) {
+            auto work = static_cast<Time>(r.lognormal(baseWork));
             CacheModel &c = cacheFor(req);
             ServiceStats &s = graph_.mutableStats();
             TierBreakdown &tb = s.tiers[static_cast<std::size_t>(

@@ -27,6 +27,7 @@ struct MemcachedParams
      * lands near the ~10 us server-side time the paper cites [4],[7].
      */
     Time baseServiceTime = usec(8);
+    /** Lognormal sd of the base time (>= 0; 0 = fixed). */
     Time serviceTimeSd = usec(2.5);
     /** memcpy-ish cost per value byte. */
     double nsPerValueByte = 2.0;
@@ -107,6 +108,8 @@ class MemcachedServer : public SingleTierServer
 
   private:
     MemcachedParams params_;
+    /** Lognormal(baseServiceTime, serviceTimeSd). */
+    Rng::Lognormal baseWork_;
     std::uint32_t lastValueBytes_ = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "svc/synthetic.hh"
 
+#include "sim/logging.hh"
+
 namespace tpv {
 namespace svc {
 
@@ -9,20 +11,23 @@ SyntheticServer::SyntheticServer(Simulator &sim, hw::Machine &machine,
                                  SyntheticParams params)
     : SingleTierServer(sim, machine, replyLink, client, params.workers,
                        rng, params.runVariability),
-      params_(params)
+      params_(params),
+      baseWork_(static_cast<double>(params_.baseServiceTime),
+                static_cast<double>(params_.serviceTimeSd))
 {
+    if (params_.serviceTimeSd < 0) {
+        fatal("SyntheticParams::serviceTimeSd must be >= 0, got ",
+              params_.serviceTimeSd);
+    }
 }
 
 Time
 SyntheticServer::serviceWork(const net::Message &req, Rng &rng)
 {
     (void)req;
-    const auto base = static_cast<double>(params_.baseServiceTime);
-    const auto sd = static_cast<double>(params_.serviceTimeSd);
     // Busy-wait extension: accounted as service time on the worker,
     // never as idle time (paper Section IV-B).
-    return static_cast<Time>(rng.lognormalMeanSd(base, sd)) +
-           params_.addedDelay;
+    return static_cast<Time>(rng.lognormal(baseWork_)) + params_.addedDelay;
 }
 
 std::uint32_t

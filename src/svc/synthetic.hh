@@ -20,6 +20,7 @@ struct SyntheticParams
     int workers = 10;
     /** Base processing time before the added delay. */
     Time baseServiceTime = usec(10);
+    /** Lognormal sd of the base time (>= 0; 0 = fixed). */
     Time serviceTimeSd = usec(2);
     /**
      * The paper's input parameter: how long the processing of a
@@ -54,6 +55,8 @@ class SyntheticServer : public SingleTierServer
 
   private:
     SyntheticParams params_;
+    /** Lognormal(baseServiceTime, serviceTimeSd). */
+    Rng::Lognormal baseWork_;
 };
 
 } // namespace svc

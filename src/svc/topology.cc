@@ -121,9 +121,10 @@ fixedWork(Time work)
 TierWork
 lognormalWork(Time mean, Time sd)
 {
-    return [mean, sd](const net::Message &, Rng &rng) {
-        return static_cast<Time>(rng.lognormalMeanSd(
-            static_cast<double>(mean), static_cast<double>(sd)));
+    const Rng::Lognormal dist(static_cast<double>(mean),
+                              static_cast<double>(sd));
+    return [dist](const net::Message &, Rng &rng) {
+        return static_cast<Time>(rng.lognormal(dist));
     };
 }
 

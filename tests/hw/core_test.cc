@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -125,6 +127,63 @@ TEST(HwThread, SleepUntilDispatchWorkDelaysCallback)
     m.thread(0).sleepUntil(usec(100), usec(5), [&] { fired = sim.now(); });
     sim.run();
     EXPECT_EQ(fired, usec(105));
+}
+
+TEST(HwThread, DirectStartKeepsFifoForSubmitsFromCompletions)
+{
+    // A submission starts at once only while the thread is stopped
+    // with nothing queued; a completion callback that submits while
+    // earlier work waits must queue behind it.
+    Simulator sim;
+    Machine m(sim, plainConfig());
+    HwThread &t = m.thread(0);
+    std::vector<std::pair<char, Time>> done;
+    auto mark = [&](char c) { done.emplace_back(c, sim.now()); };
+    t.submit(usec(5), [&] {
+        mark('A');
+        t.submit(usec(1), [&] { mark('C'); });
+        t.submit(usec(1), [&] {
+            mark('D');
+            // Stopped thread, empty queue, active core: starts now.
+            t.submit(usec(3), [&] { mark('E'); });
+        });
+    });
+    t.submit(usec(2), [&] { mark('B'); });
+    sim.run();
+    const std::vector<std::pair<char, Time>> want = {
+        {'A', usec(5)}, {'B', usec(7)}, {'C', usec(8)},
+        {'D', usec(9)}, {'E', usec(12)}};
+    EXPECT_EQ(done, want);
+    EXPECT_EQ(t.tasksCompleted(), 5u);
+    EXPECT_EQ(t.workCompleted(), usec(12));
+}
+
+TEST(HwThread, GuardedAndUnguardedSubmissionsKeepFifo)
+{
+    Simulator sim;
+    Machine m(sim, plainConfig());
+    HwThread &t = m.thread(0);
+    std::vector<std::pair<int, Time>> done;
+    auto mark = [&](int i) { done.emplace_back(i, sim.now()); };
+    t.submit(usec(5), [&] {
+        mark(1);
+        // From a completion with work still queued: a guarded and an
+        // unguarded submission land behind it, in order.
+        t.submitGuarded(usec(1), [&] { mark(6); }, [] { return true; });
+        t.submit(usec(1), [&] { mark(7); });
+    });
+    t.submitGuarded(usec(2), [&] { mark(2); }, [] { return true; });
+    t.submit(usec(1), [&] { mark(3); });
+    t.submitGuarded(usec(4), [&] { mark(-1); }, [] { return false; });
+    t.submit(usec(1), [&] { mark(4); });
+    t.submitGuarded(usec(1), [&] { mark(5); }, [] { return true; });
+    sim.run();
+    const std::vector<std::pair<int, Time>> want = {
+        {1, usec(5)},  {2, usec(7)},  {3, usec(8)}, {4, usec(9)},
+        {5, usec(10)}, {6, usec(11)}, {7, usec(12)}};
+    EXPECT_EQ(done, want);
+    // The refused task spent no work.
+    EXPECT_EQ(t.workCompleted(), usec(12));
 }
 
 // --- C-state wake latency --------------------------------------------
@@ -256,6 +315,47 @@ TEST(Core, SmtLateArrivalSlowsInFlightWork)
     sim.run();
     // A: 50us alone + 50us remaining at 0.65 = 50 + 76.9 = 126.9us.
     EXPECT_NEAR(toUsec(a), 50.0 + 50.0 / 0.65, 0.2);
+}
+
+TEST(Core, ThreadStartingAfterTurboBinMoveRunsAtNewBin)
+{
+    // Bin moves re-clock running threads only; a thread that was
+    // stopped through them picks up the current bin when it starts.
+    // Here the SMT sibling of a busy core starts after the machine
+    // drained from the nominal bin back to full turbo.
+    Simulator sim;
+    HwConfig cfg = HwConfig::clientHP(); // 10 cores, turbo, performance
+    cfg.tickless = true;
+    Machine m(sim, cfg);
+    HwThread &busy = m.core(9).thread(0);
+    HwThread &sibling = m.core(9).thread(1);
+    busy.submit(msec(1), nullptr);
+    // Six more busy cores push the bin down to nominal ...
+    for (std::size_t c = 0; c < 6; ++c)
+        m.core(c).thread(0).submit(usec(50), nullptr);
+    // ... while the sibling runs one task there and stops.
+    Time firstDone = -1;
+    sibling.submit(usec(1), [&] { firstDone = sim.now(); });
+    ASSERT_EQ(m.activeCores(), 7);
+    ASSERT_DOUBLE_EQ(m.core(9).freq().currentGhz(), cfg.nominalGhz);
+
+    // By 200us the six have drained: one busy core, full turbo.
+    const Time work = usec(10) + 7; // not a multiple of the speed
+    const Time start = usec(200);
+    Time doneAt = -1;
+    sim.at(start, [&] {
+        ASSERT_EQ(m.activeCores(), 1);
+        ASSERT_DOUBLE_EQ(m.core(9).freq().currentGhz(), cfg.turboGhz);
+        ASSERT_FALSE(sibling.running());
+        sibling.submit(work, [&] { doneAt = sim.now(); });
+    });
+    sim.runUntil(usec(300));
+    ASSERT_GT(firstDone, 0);
+    const double speed =
+        (cfg.turboGhz / cfg.nominalGhz) * cfg.smtThroughput;
+    EXPECT_EQ(doneAt,
+              start + static_cast<Time>(std::ceil(
+                          static_cast<double>(work) / speed)));
 }
 
 TEST(Core, SingleThreadUnaffectedWithoutSibling)

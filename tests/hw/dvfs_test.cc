@@ -10,16 +10,16 @@ namespace tpv {
 namespace hw {
 namespace {
 
+/** Standalone (owner-less) domains: no core re-clocks or bills energy. */
 struct DomainFixture
 {
     Simulator sim;
     int active = 1;
-    int changes = 0;
 
     FreqDomain
     make(const HwConfig &cfg)
     {
-        return FreqDomain(sim, cfg, active, [this] { ++changes; });
+        return FreqDomain(sim, cfg, active);
     }
 };
 
@@ -161,16 +161,18 @@ TEST(FreqDomain, TurboBinsByActiveCores)
     cfg.turbo = true; // 10 cores: <=2 active -> 3.0, <=5 -> 2.6, else 2.2
     auto d = f.make(cfg);
 
+    // Machine hands each domain the bin of the new active-core count.
     f.active = 1;
-    d.refreshTarget();
+    d.onTurboBinChanged(FreqDomain::turboBinGhz(cfg, f.active));
     EXPECT_DOUBLE_EQ(d.currentGhz(), cfg.turboGhz);
+    EXPECT_DOUBLE_EQ(d.maxAvailableGhz(), cfg.turboGhz);
 
     f.active = 5;
-    d.refreshTarget();
+    d.onTurboBinChanged(FreqDomain::turboBinGhz(cfg, f.active));
     EXPECT_DOUBLE_EQ(d.currentGhz(), 0.5 * (cfg.turboGhz + cfg.nominalGhz));
 
     f.active = 9;
-    d.refreshTarget();
+    d.onTurboBinChanged(FreqDomain::turboBinGhz(cfg, f.active));
     EXPECT_DOUBLE_EQ(d.currentGhz(), cfg.nominalGhz);
 }
 
@@ -179,21 +181,27 @@ TEST(FreqDomain, NoTurboIgnoresActiveCores)
     DomainFixture f;
     HwConfig cfg = perfConfig();
     auto d = f.make(cfg);
+    EXPECT_FALSE(FreqDomain::followsTurboBin(cfg));
     f.active = 1;
-    d.refreshTarget();
+    EXPECT_DOUBLE_EQ(FreqDomain::turboBinGhz(cfg, f.active), cfg.nominalGhz);
+    EXPECT_DOUBLE_EQ(d.maxAvailableGhz(), cfg.nominalGhz);
     EXPECT_DOUBLE_EQ(d.currentGhz(), cfg.nominalGhz);
 }
 
-TEST(FreqDomain, TransitionsCountedAndCallbackFires)
+TEST(FreqDomain, TransitionsCounted)
 {
     DomainFixture f;
     HwConfig cfg = powersaveConfig();
     auto d = f.make(cfg);
-    const int before = f.changes;
+    EXPECT_EQ(d.transitions(), 0u);
     d.onCoreWake(msec(1));
     f.sim.runUntil(msec(1));
-    EXPECT_GE(d.transitions(), 1u);
-    EXPECT_GT(f.changes, before);
+    const std::uint64_t after = d.transitions();
+    EXPECT_GE(after, 1u);
+    // A move to the frequency the domain already runs at is no
+    // transition.
+    d.onTurboBinChanged(d.currentGhz());
+    EXPECT_EQ(d.transitions(), after);
 }
 
 TEST(FreqDomain, SpeedFactorMatchesRatio)

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
+
+#include "sim/random.hh"
+
 namespace tpv {
 namespace loadgen {
 namespace {
@@ -66,6 +73,34 @@ TEST(RecorderDeathTest, RejectsEmptyWindow)
 {
     LatencyRecorder r;
     EXPECT_DEATH(r.setWindow(usec(10), usec(10)), "empty");
+}
+
+TEST(Recorder, SummarizeInPlaceMatchesCopyingSummaries)
+{
+    LatencyRecorder r;
+    r.setWindow(0, usec(1000));
+    Rng rng(17);
+    for (int i = 0; i < 5000; ++i) {
+        r.recordLatency(usec(i % 900), rng.lognormalMeanSd(60.0, 25.0));
+        r.recordLateness(usec(i % 900), rng.exponential(3.0));
+    }
+    const stats::Summary lat = r.latencySummary();
+    const stats::Summary late = r.latenessSummary();
+    const auto [latIn, lateIn] = r.summarizeInPlace();
+    // Bit for bit: the sums run over the same sorted order.
+    for (const auto &[a, b] : {std::pair{lat, latIn}, std::pair{late, lateIn}}) {
+        EXPECT_EQ(a.count, b.count);
+        for (auto f : {&stats::Summary::mean, &stats::Summary::stdev,
+                       &stats::Summary::min, &stats::Summary::max,
+                       &stats::Summary::median, &stats::Summary::p90,
+                       &stats::Summary::p95, &stats::Summary::p99}) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.*f),
+                      std::bit_cast<std::uint64_t>(b.*f));
+        }
+    }
+    EXPECT_TRUE(std::is_sorted(r.latencies().begin(), r.latencies().end()));
+    EXPECT_TRUE(std::is_sorted(r.lateness().begin(), r.lateness().end()));
+    EXPECT_EQ(r.sortedLatencies(), r.latencies());
 }
 
 } // namespace

@@ -256,6 +256,20 @@ TEST(OpenLoopDeathTest, RejectsTooManyThreads)
                 ::testing::ExitedWithCode(1), "client threads");
 }
 
+TEST(OpenLoopDeathTest, RejectsNegativeLognormalCv)
+{
+    Simulator sim;
+    hw::Machine client(sim, hw::HwConfig::clientHP());
+    net::Link up(sim, Rng(1));
+    DelayServer server;
+    OpenLoopParams p;
+    p.threads = 2;
+    p.interarrival = InterarrivalKind::Lognormal;
+    p.lognormalCv = -0.5;
+    EXPECT_EXIT(OpenLoopGenerator(sim, client, up, server, p, Rng(1)),
+                ::testing::ExitedWithCode(1), "OpenLoopParams::lognormalCv");
+}
+
 } // namespace
 } // namespace loadgen
 } // namespace tpv

@@ -142,6 +142,23 @@ TEST(Link, DeterministicForEqualSeeds)
         EXPECT_EQ(a.sampleDelay(100), b.sampleDelay(100));
 }
 
+TEST(LinkDeathTest, RejectsInvalidParams)
+{
+    Simulator sim;
+    Link::Params p;
+    p.jitterFrac = -0.1;
+    EXPECT_EXIT(Link(sim, Rng(1), p), ::testing::ExitedWithCode(1),
+                "jitterFrac");
+    p = Link::Params();
+    p.baseLatency = -1;
+    EXPECT_EXIT(Link(sim, Rng(1), p), ::testing::ExitedWithCode(1),
+                "baseLatency");
+    p = Link::Params();
+    p.bandwidthGbps = 0;
+    EXPECT_EXIT(Link(sim, Rng(1), p), ::testing::ExitedWithCode(1),
+                "bandwidthGbps");
+}
+
 } // namespace
 } // namespace net
 } // namespace tpv

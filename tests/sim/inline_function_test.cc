@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
+
+#include "net/message.hh"
+#include "sim/fixed_containers.hh"
 
 namespace tpv {
 namespace {
@@ -131,6 +136,110 @@ TEST(InplaceCallback, SelfMoveAssignIsSafe)
     ASSERT_TRUE(static_cast<bool>(cb));
     cb();
     EXPECT_EQ(hits, 1);
+}
+
+// --- relocation: memcpy for trivially copyable targets ----------------
+
+TEST(InplaceCallback, TriviallyCopyableCaptureSurvivesRepeatedMoves)
+{
+    // The hot-path capture shape: pointers, integers and a whole
+    // net::Message, all trivially copyable, so every move is a memcpy.
+    net::Message msg;
+    msg.id = 0x0123456789abcdefULL;
+    msg.bytes = 4096;
+    msg.kind = 3;
+    std::uint64_t out = 0;
+    std::uint64_t *sink = &out;
+    const std::uint32_t idx = 77;
+    auto fn = [msg, sink, idx] { *sink = msg.id ^ msg.bytes ^ msg.kind ^ idx; };
+    static_assert(std::is_trivially_copyable_v<decltype(fn)>);
+    InplaceCallback<80> a(fn);
+    for (int i = 0; i < 100; ++i) {
+        InplaceCallback<80> b(std::move(a));
+        EXPECT_FALSE(static_cast<bool>(a));
+        a = std::move(b);
+        EXPECT_FALSE(static_cast<bool>(b));
+    }
+    a();
+    EXPECT_EQ(out, msg.id ^ msg.bytes ^ msg.kind ^ idx);
+}
+
+TEST(InplaceCallback, TriviallyCopyableCapturesSurviveRingGrowth)
+{
+    // Push far past the ring's initial capacity with a rotating head,
+    // so the captures relocate through several regrowths.
+    RingQueue<InplaceCallback<64>> ring;
+    std::int64_t sum = 0;
+    std::int64_t want = 0;
+    int next = 0;
+    for (int round = 0; round < 6; ++round) {
+        for (int i = 0; i < 40; ++i, ++next) {
+            const std::int64_t v = next * 7 + 1;
+            ring.push_back([v, &sum] { sum += v; });
+        }
+        for (int i = 0; i < 15; ++i) {
+            InplaceCallback<64> cb = ring.pop_front();
+            cb();
+        }
+    }
+    while (!ring.empty()) {
+        InplaceCallback<64> cb = ring.pop_front();
+        cb();
+    }
+    for (int i = 0; i < next; ++i)
+        want += static_cast<std::int64_t>(i) * 7 + 1;
+    EXPECT_EQ(sum, want);
+}
+
+/** Counts destructions of live (not moved-from) copies. */
+struct DtorCounter
+{
+    int *destroyed;
+    bool live = true;
+
+    explicit DtorCounter(int *d) : destroyed(d) {}
+    DtorCounter(DtorCounter &&o) noexcept : destroyed(o.destroyed)
+    {
+        o.live = false;
+    }
+    DtorCounter(const DtorCounter &) = delete;
+    ~DtorCounter()
+    {
+        if (live)
+            ++*destroyed;
+    }
+};
+
+TEST(InplaceCallback, NonTrivialCaptureDestroyedOnceAfterMoves)
+{
+    int destroyed = 0;
+    {
+        auto fn = [c = DtorCounter(&destroyed)] { (void)c; };
+        static_assert(!std::is_trivially_copyable_v<decltype(fn)>);
+        InplaceCallback<64> a(std::move(fn));
+        for (int i = 0; i < 10; ++i) {
+            InplaceCallback<64> b(std::move(a));
+            a = std::move(b);
+        }
+        EXPECT_EQ(destroyed, 0);
+    }
+    EXPECT_EQ(destroyed, 1);
+}
+
+TEST(InplaceCallback, NonTrivialCaptureDestroyedOnceOnReset)
+{
+    int destroyed = 0;
+    InplaceCallback<64> a([c = DtorCounter(&destroyed)] { (void)c; });
+    for (int i = 0; i < 5; ++i) {
+        InplaceCallback<64> b(std::move(a));
+        a = std::move(b);
+    }
+    a.reset();
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_FALSE(static_cast<bool>(a));
+    a.reset();
+    a = nullptr;
+    EXPECT_EQ(destroyed, 1);
 }
 
 } // namespace

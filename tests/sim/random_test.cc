@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -140,6 +142,53 @@ TEST(Rng, LognormalZeroSdIsConstant)
 {
     Rng rng(31);
     EXPECT_DOUBLE_EQ(rng.lognormalMeanSd(12.0, 0.0), 12.0);
+}
+
+/**
+ * The precomputed parameters draw exactly what lognormalMeanSd()
+ * always drew: the same bits as its original inline formula on a
+ * twin stream, and the same stream position afterwards.
+ */
+void
+expectLognormalBitIdentical(double mean, double sd, std::uint64_t seed)
+{
+    Rng a(seed), b(seed), ref(seed);
+    const Rng::Lognormal p(mean, sd);
+    for (int i = 0; i < 10000; ++i) {
+        const double x = a.lognormal(p);
+        const double y = b.lognormalMeanSd(mean, sd);
+        const double variance = sd * sd;
+        const double sigma2 = std::log(1.0 + variance / (mean * mean));
+        const double mu = std::log(mean) - 0.5 * sigma2;
+        const double z =
+            std::exp(mu + std::sqrt(sigma2) * ref.standardNormal());
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(x),
+                  std::bit_cast<std::uint64_t>(y))
+            << "draw " << i;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(x),
+                  std::bit_cast<std::uint64_t>(z))
+            << "draw " << i;
+    }
+    EXPECT_EQ(a.u64(), ref.u64());
+}
+
+TEST(Rng, LognormalParamsMatchMeanSdBitForBit)
+{
+    expectLognormalBitIdentical(1.0, 0.1, 41);        // net::Link jitter
+    expectLognormalBitIdentical(8000.0, 2500.0, 43);  // memcached base
+    // Open-loop lognormal gap: 10 threads at 100K QPS, cv 0.5.
+    expectLognormalBitIdentical(100000.0, 50000.0, 47);
+}
+
+TEST(Rng, LognormalZeroSdParamsDrawNothing)
+{
+    Rng a(53), b(53);
+    const Rng::Lognormal p(12.0, 0.0);
+    EXPECT_EQ(a.lognormal(p), 12.0);
+    EXPECT_EQ(a.u64(), b.u64());
+    // The default is the constant 1, Lognormal(1, 0).
+    EXPECT_EQ(a.lognormal(Rng::Lognormal()), 1.0);
+    EXPECT_EQ(a.u64(), b.u64());
 }
 
 TEST(Rng, ParetoRespectsScale)

@@ -173,6 +173,25 @@ TEST(MemcachedServer, TenWorkersByDefault)
     EXPECT_EQ(rig.server.pool().workers(), 10);
 }
 
+TEST(MemcachedDeathTest, RejectsNegativeServiceTimeSd)
+{
+    MemcachedParams p;
+    p.serviceTimeSd = -1;
+    EXPECT_EXIT(Rig rig(p), ::testing::ExitedWithCode(1),
+                "MemcachedParams::serviceTimeSd");
+    // The sharded cluster's cache tier builds the same work model.
+    p.shards = 2;
+    EXPECT_EXIT(
+        {
+            Simulator sim;
+            net::Link link(sim, Rng(1));
+            ClientSink client;
+            MemcachedCluster cluster(sim, serverCfg(), link, client, Rng(2),
+                                     p);
+        },
+        ::testing::ExitedWithCode(1), "MemcachedParams::serviceTimeSd");
+}
+
 } // namespace
 } // namespace svc
 } // namespace tpv

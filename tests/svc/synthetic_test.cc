@@ -120,6 +120,21 @@ TEST(SyntheticServer, WorkAccountedAsServiceTime)
               p.baseServiceTime + p.addedDelay);
 }
 
+TEST(SyntheticDeathTest, RejectsNegativeServiceTimeSd)
+{
+    SyntheticParams p;
+    p.serviceTimeSd = -1;
+    EXPECT_EXIT(
+        {
+            Simulator sim;
+            hw::Machine machine(sim, serverCfg());
+            net::Link link(sim, Rng(1));
+            ClientSink client(sim);
+            SyntheticServer server(sim, machine, link, client, Rng(2), p);
+        },
+        ::testing::ExitedWithCode(1), "SyntheticParams::serviceTimeSd");
+}
+
 } // namespace
 } // namespace svc
 } // namespace tpv
