@@ -113,12 +113,10 @@ applyTopology(ExperimentConfig &cfg, const svc::TopologyShape &shape)
     cfg.hdsearch.replicas = shape.replicas;
     cfg.hdsearch.hedgeDelay = shape.hedgeDelay;
     cfg.hdsearch.hedgePolicy = shape.policy;
-    cfg.hdsearch.hedgeBudget = shape.hedgeBudget;
     cfg.memcached.shards = shape.shards;
     cfg.memcached.replicas = shape.replicas;
     cfg.memcached.hedgeDelay = shape.hedgeDelay;
     cfg.memcached.hedgePolicy = shape.policy;
-    cfg.memcached.hedgeBudget = shape.hedgeBudget;
     cfg.hdsearch.traffic = shape.traffic;
     cfg.memcached.traffic = shape.traffic;
     if (shape.cache.enabled())
@@ -264,7 +262,7 @@ runOnce(const ExperimentConfig &cfg)
             cfg.obs.traceConfig(), cfg.seed);
         serviceGraph->setTrace(trace.get());
         auto wireObs = [&sim, tr = trace.get()](const net::Message &m,
-                                                Time delay, bool) {
+                                                Time delay) {
             const std::uint64_t root =
                 m.parentId != 0 ? m.parentId : m.id;
             if (!tr->wants(root))
@@ -294,13 +292,13 @@ runOnce(const ExperimentConfig &cfg)
     }
 
     // Fault injection: armed only for a non-empty plan, so healthy
-    // runs consume no extra randomness and stay bit-identical to
+    // runs schedule no extra events and stay bit-identical to
     // pre-fault builds. The injector outlives runUntil() — its
     // scheduled window events call back into it.
     std::unique_ptr<fault::Injector> injector;
     if (!cfg.faultPlan.empty()) {
-        injector = std::make_unique<fault::Injector>(
-            sim, *serviceGraph, cfg.faultPlan, rootRng.fork());
+        injector = std::make_unique<fault::Injector>(sim, *serviceGraph,
+                                                     cfg.faultPlan);
         injector->arm(horizon);
     }
 

@@ -60,11 +60,10 @@ struct ExperimentConfig
      */
     svc::TopologyShape topology;
     /**
-     * Faults injected into the service during the run (empty = the
-     * healthy baseline, bit-identical to pre-fault builds). Windows
-     * are in simulated run time (0 = run start); stochastic windows
-     * draw from a run-seed-derived stream. Sweep this axis with
-     * core::sweep<FaultPlanAxis>().
+     * Replica crashes injected into the service during the run
+     * (empty = the healthy baseline, bit-identical to pre-fault
+     * builds). Windows are in simulated run time (0 = run start).
+     * Sweep this axis with core::sweep<FaultPlanAxis>().
      */
     fault::FaultPlan faultPlan;
     /**

@@ -250,15 +250,7 @@ Core::speedFor(const HwThread &t) const
         if (sibling.running())
             smtFactor = cfg_->smtThroughput;
     }
-    double speed = freq_.speedFactor() * smtFactor;
-    // A frozen machine (stop-the-world pause: GC, SMI) makes no
-    // forward progress; speeds must stay positive, so in-flight work
-    // crawls at a factor that amounts to sub-nanosecond progress over
-    // any realistic pause window. Machine::setFrozen() re-clocks every
-    // thread when the window opens and closes.
-    if (machine_.frozen())
-        speed *= kFrozenSpeedFactor;
-    return speed;
+    return freq_.speedFactor() * smtFactor;
 }
 
 void

@@ -97,19 +97,6 @@ Machine::uncorePenalty()
 }
 
 void
-Machine::setFrozen(bool frozen)
-{
-    if (frozen_ == frozen)
-        return;
-    frozen_ = frozen;
-    // Re-clock every running thread: in-flight completions reschedule
-    // at the new (near-zero or restored) speed. Stopped threads pick
-    // up the speed when their next task starts.
-    for (auto &c : cores_)
-        c->refreshSpeeds();
-}
-
-void
 Machine::onCoreActiveChanged(int delta)
 {
     activeCores_ += delta;

@@ -19,14 +19,6 @@
 namespace tpv {
 namespace hw {
 
-/**
- * Execution-speed multiplier applied to every hardware thread of a
- * frozen machine. Positive (the speed math divides by it) but small
- * enough that a pause window sees effectively zero progress: 1e-9
- * nominal speed means one nanosecond of work per simulated second.
- */
-inline constexpr double kFrozenSpeedFactor = 1e-9;
-
 /** Aggregated machine counters for run reports. */
 struct MachineStats
 {
@@ -89,21 +81,6 @@ class Machine
     /** Busy physical cores (for turbo bins). */
     int activeCores() const { return activeCores_; }
 
-    /**
-     * Stop-the-world pause control (GC pauses, SMIs): while frozen,
-     * every hardware thread's execution speed drops to
-     * kFrozenSpeedFactor — in-flight work stalls, queued work waits,
-     * and arriving IRQs enqueue but make no progress. Unfreezing
-     * re-clocks all in-flight work so it resumes where it stopped.
-     * Timer events (C-state exits, armed sleeps) still fire on time:
-     * the freeze models the package's execution stalling, not the
-     * platform clock.
-     */
-    void setFrozen(bool frozen);
-
-    /** True while a stop-the-world pause is in effect. */
-    bool frozen() const { return frozen_; }
-
     /** The machine's configuration. */
     const HwConfig &config() const { return cfg_; }
 
@@ -138,7 +115,6 @@ class Machine
     int activeCores_ = 0;
     /** Turbo bin last pushed to the cores; no bin is negative. */
     double pushedBinGhz_ = -1.0;
-    bool frozen_ = false;
     Time lastPackageActivity_ = 0;
     std::uint64_t irqsDelivered_ = 0;
     std::uint64_t uncoreWakePenalties_ = 0;

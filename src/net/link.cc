@@ -43,48 +43,12 @@ Link::sampleDelay(std::uint32_t bytes)
 }
 
 void
-Link::degrade(Time addedLatency, double lossFraction,
-              std::uint64_t *lostCounter)
-{
-    TPV_ASSERT(addedLatency >= 0, "negative degrade latency");
-    TPV_ASSERT(lossFraction >= 0.0 && lossFraction <= 1.0,
-               "loss fraction outside [0, 1]: ", lossFraction);
-    degraded_ = true;
-    degradeLatency_ = addedLatency;
-    degradeLoss_ = lossFraction;
-    degradeLostCounter_ = lostCounter;
-}
-
-void
-Link::clearDegrade()
-{
-    degraded_ = false;
-    degradeLatency_ = 0;
-    degradeLoss_ = 0.0;
-    degradeLostCounter_ = nullptr;
-}
-
-void
 Link::send(Message msg, Endpoint &dst)
 {
-    Time delay = sampleDelay(msg.bytes);
+    const Time delay = sampleDelay(msg.bytes);
     ++messagesSent_;
-    if (degraded_) {
-        // Loss first, so an undropped message still pays the added
-        // latency. Extra rng draws happen only while degraded, so
-        // healthy runs keep their exact pre-fault streams.
-        if (degradeLoss_ > 0 && rng_.chance(degradeLoss_)) {
-            ++messagesDropped_;
-            if (degradeLostCounter_ != nullptr)
-                ++*degradeLostCounter_;
-            if (observer_)
-                observer_(msg, delay, true);
-            return;
-        }
-        delay += degradeLatency_;
-    }
     if (observer_)
-        observer_(msg, delay, false);
+        observer_(msg, delay);
     totalDelay_ += delay;
     const std::uint32_t idx = inflight_.acquire(msg);
     Endpoint *d = &dst;

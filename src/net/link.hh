@@ -56,37 +56,16 @@ class Link
     Time totalDelay() const { return totalDelay_; }
 
     /** Compute the delay this link would draw for @p bytes (test hook:
-     *  advances the RNG exactly like an undegraded send()). */
+     *  advances the RNG exactly like send()). */
     Time sampleDelay(std::uint32_t bytes);
 
     /**
-     * Degrade the path (fault injection): every subsequent send pays
-     * @p addedLatency on top of the modelled delay, and is dropped
-     * outright with probability @p lossFraction (drawn from the
-     * link's own rng, so degraded runs stay seed-deterministic).
-     * @p lostCounter, when non-null, is incremented per drop — the
-     * injector points it at ServiceStats::requestsLost.
+     * Observer of every send: (message, sampled one-way delay).
+     * Called before the delivery is scheduled — the flight recorder's
+     * wire spans. Null (the default) costs one branch per send;
+     * install only from run setup, never mid-run.
      */
-    void degrade(Time addedLatency, double lossFraction,
-                 std::uint64_t *lostCounter = nullptr);
-
-    /** Restore the healthy path. */
-    void clearDegrade();
-
-    /** True while degrade() is in effect. */
-    bool degraded() const { return degraded_; }
-
-    /** Messages dropped by an injected loss fault. */
-    std::uint64_t messagesDropped() const { return messagesDropped_; }
-
-    /**
-     * Observer of every send: (message, sampled one-way delay,
-     * dropped-by-fault). Called before the delivery is scheduled —
-     * the flight recorder's wire spans. Null (the default) costs one
-     * branch per send; install only from run setup, never mid-run.
-     */
-    using SendObserver =
-        std::function<void(const Message &, Time, bool)>;
+    using SendObserver = std::function<void(const Message &, Time)>;
 
     void setObserver(SendObserver obs) { observer_ = std::move(obs); }
 
@@ -108,12 +87,6 @@ class Link
     SlotPool<Message> inflight_;
     std::uint64_t messagesSent_ = 0;
     Time totalDelay_ = 0;
-    /** Fault-injection state (degrade() / clearDegrade()). */
-    bool degraded_ = false;
-    Time degradeLatency_ = 0;
-    double degradeLoss_ = 0.0;
-    std::uint64_t *degradeLostCounter_ = nullptr;
-    std::uint64_t messagesDropped_ = 0;
     SendObserver observer_;
 };
 

@@ -34,8 +34,8 @@ struct Message
     std::uint16_t shard = 0;
     /**
      * Replica chosen to serve (or hedge) the shard. A byte keeps
-     * Message inside its 64-byte budget now that deadlines ride
-     * along; 255 replicas per shard is far past any studied shape.
+     * Message inside its 64-byte budget; 255 replicas per shard is
+     * far past any studied shape (svc::Fanout rejects more).
      */
     std::uint8_t replica = 0;
     /** Application-specific opcode (e.g. GET/SET). */
@@ -73,17 +73,9 @@ struct Message
      * this response; lets an aggregator account the work of a
      * discarded (hedged loser) reply as duplicate. 32 bits bound one
      * request's work at ~4.29 simulated seconds — orders of magnitude
-     * above any per-request work model here — and free the bytes the
-     * deadline needs.
+     * above any per-request work model here.
      */
     std::uint32_t serviceWork = 0;
-    /**
-     * Per-attempt deadline (nanoseconds, relative to appSendTime)
-     * the sender armed for this sub-request; 0 = none. Carried on
-     * the wire so an admission controller can shed a request whose
-     * deadline already expired before queueing it.
-     */
-    std::uint32_t deadlineNs = 0;
 
     /**
      * When the generator's application code issued the request —

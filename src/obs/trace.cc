@@ -244,8 +244,9 @@ TraceRecorder::exportJson() const
             static_cast<unsigned long long>(s.rootId);
         const char *name = toString(s.kind);
         if (s.kind == SpanKind::Fault) {
-            // Fault windows: complete events on their own process
-            // row; arg is the fault::FaultKind.
+            // Fault windows (replica crashes): complete events on
+            // their own process row. args.kind is always 0, kept so
+            // exported traces keep their schema.
             append(out,
                    ",\n{\"ph\":\"X\",\"pid\":2,\"tid\":%d,"
                    "\"name\":\"fault\",\"ts\":%.3f,\"dur\":%.3f,"

@@ -63,7 +63,7 @@ enum class SpanKind : std::uint8_t
     CacheMiss,
     /** Store reply filled the cache (instant). */
     CacheFill,
-    /** The cache evicted a victim, or was flushed (instant). */
+    /** The cache evicted a victim (instant). */
     CacheEvict,
     /** A lane skipped a replica behind an open breaker (instant). */
     BreakerSkip,
@@ -89,7 +89,8 @@ struct SpanRecord
     Time end = 0;
     /** Root request this span belongs to; 0 = global marker. */
     std::uint64_t rootId = 0;
-    /** Kind-specific payload (bytes, attempt, reason, fault kind). */
+    /** Kind-specific payload (bytes, attempt, reason; 0 for faults
+     *  and evictions). */
     std::uint32_t arg = 0;
     SpanKind kind = SpanKind::Root;
     /** Tier index; 0xff = outside any tier (client side). */

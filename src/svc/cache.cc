@@ -220,7 +220,7 @@ CacheModel::evictOne()
     removeSlot(victim);
     ++evictions_;
     if (observer_)
-        observer_(false);
+        observer_();
 }
 
 CacheModel::Result
@@ -271,19 +271,6 @@ CacheModel::put(std::uint64_t key, std::uint32_t valueBytes)
     while (overCapacity() && index_.size() > 1)
         evictOne();
     return evictions_ - before;
-}
-
-void
-CacheModel::flush()
-{
-    slots_.clear();
-    freeSlots_.clear();
-    index_.clear();
-    head_[0] = head_[1] = tail_[0] = tail_[1] = -1;
-    segSize_[0] = segSize_[1] = 0;
-    bytesUsed_ = 0;
-    if (observer_)
-        observer_(true);
 }
 
 } // namespace svc

@@ -133,21 +133,11 @@ class CacheModel
     void resetCounters() { hits_ = misses_ = evictions_ = 0; }
 
     /**
-     * Drop every resident entry — the fault::FaultKind::CacheFlush
-     * action (restart-without-state, accidental invalidation). The
-     * hit/miss/eviction counters survive (flushed keys are not
-     * evictions; the refill misses that follow are the fault's
-     * signature), as does the eviction rng stream.
+     * Observe evictions: called once per victim — the flight
+     * recorder's cache_evict markers. Null by default (one branch per
+     * eviction, nothing on the hit path); install from run setup.
      */
-    void flush();
-
-    /**
-     * Observe capacity events: called with false per eviction, true
-     * per flush — the flight recorder's cache_evict markers. Null by
-     * default (one branch per eviction, nothing on the hit path);
-     * install from run setup.
-     */
-    using Observer = std::function<void(bool flushed)>;
+    using Observer = std::function<void()>;
 
     void setObserver(Observer obs) { observer_ = std::move(obs); }
 

@@ -15,8 +15,14 @@ HdSearchCluster::HdSearchCluster(Simulator &sim,
     : params_(params),
       graph_(sim, replyLink, client, rng, params.runVariability)
 {
-    TPV_ASSERT(params_.fanout >= 1, "fanout needs at least one shard");
-    TPV_ASSERT(params_.replicas >= 1, "need at least one replica");
+    if (params_.fanout < 1) {
+        fatal("HdSearchParams::fanout must be >= 1, got ",
+              params_.fanout);
+    }
+    if (params_.replicas < 1) {
+        fatal("HdSearchParams::replicas must be >= 1, got ",
+              params_.replicas);
+    }
 
     hw::Machine &mid = graph_.addMachine(serverCfg, "hds-midtier");
 
@@ -47,7 +53,6 @@ HdSearchCluster::HdSearchCluster(Simulator &sim,
     f.replicas = params_.replicas;
     f.hedgeDelay = params_.hedgeDelay;
     f.policy = params_.hedgePolicy;
-    f.hedgeBudget = params_.hedgeBudget;
     f.mergeWork = params_.midMergeWork;
     f.postWork = params_.midPostWork;
     f.link = params_.interLink;

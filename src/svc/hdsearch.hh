@@ -44,8 +44,6 @@ struct HdSearchParams
     Time hedgeDelay = 0;
     /** Hedging policy; Auto = Fixed when hedgeDelay > 0 else None. */
     HedgePolicy hedgePolicy = HedgePolicy::Auto;
-    /** Hedge-rate budget (hedges per primary dispatch); 0 = uncapped. */
-    double hedgeBudget = 0;
     /** Midtier work before the fan-out (parse, LSH hash). */
     Time midPreWork = usec(40);
     /** Midtier work per returned shard result (merge). */

@@ -239,7 +239,6 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
     f.replicas = params_.replicas;
     f.hedgeDelay = params_.hedgeDelay;
     f.policy = params_.hedgePolicy;
-    f.hedgeBudget = params_.hedgeBudget;
     if (keyed) {
         // The key on the wire is the routing input, and shards pin to
         // replicas so a shard's working set lives in one cache.
@@ -349,16 +348,15 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                     prewarm(caches_.back(), s);
                 caches_.back().resetCounters();
                 // Capacity churn as global markers (rootId 0): which
-                // replica/shard evicted or was flushed, not which
-                // request triggered it.
+                // replica/shard evicted, not which request triggered
+                // it.
                 caches_.back().setObserver(
-                    [this, cacheTier, r, s](bool flushed) {
+                    [this, cacheTier, r, s] {
                         obs::TraceRecorder *tr = graph_.trace();
                         if (tr == nullptr)
                             return;
                         obs::SpanRecord rec;
                         rec.start = rec.end = graph_.sim().now();
-                        rec.arg = flushed ? 1u : 0u;
                         rec.kind = obs::SpanKind::CacheEvict;
                         rec.tier = static_cast<std::uint8_t>(cacheTier);
                         rec.shard = static_cast<std::int16_t>(s);
@@ -367,16 +365,6 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                     });
             }
         }
-
-        // Let fault::FaultKind::CacheFlush reach the finite caches:
-        // wipe every shard the targeted replica owns (a replica
-        // restarts with all its shards cold, not one).
-        graph_.setCacheFlushHook([this](Tier &tier, int replica) {
-            if (&tier != cache_)
-                return;
-            for (int s = 0; s < params_.shards; ++s)
-                cacheModel(replica, s).flush();
-        });
 
         // Per-replica cache hit rate on the metrics timeline: summed
         // over the shards the replica owns.

@@ -70,8 +70,6 @@ struct MemcachedParams
     Time hedgeDelay = 0;
     /** Hedging policy; Auto = Fixed when hedgeDelay > 0 else None. */
     HedgePolicy hedgePolicy = HedgePolicy::Auto;
-    /** Hedge-rate budget (hedges per primary dispatch); 0 = uncapped. */
-    double hedgeBudget = 0;
     /** Router threads (mcrouter proxy pool). */
     int routerWorkers = 4;
     /** Router parse + key-hash cost per request. */

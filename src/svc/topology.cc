@@ -13,6 +13,17 @@ namespace svc {
 
 namespace {
 
+/** Largest replica count: replicas ride 8-bit message/lane fields. */
+constexpr int kMaxReplicas = 255;
+
+/** Largest retry.maxAttempts: attempts are an 8-bit lane counter. */
+constexpr int kMaxAttempts = 255;
+
+/** Retry budget: retries earned per primary sub-request sent (the
+ *  classic 10%-retry-budget rule) and the bucket's burst. */
+constexpr double kRetryBudgetRatio = 0.1;
+constexpr double kRetryBudgetBurst = 16.0;
+
 /**
  * Root request id a message carries on the entry tier and on direct
  * fan-out children (sub-requests stamp the parent's id into parentId,
@@ -99,10 +110,6 @@ TopologyShape::label() const
       case HedgePolicy::Tied:
         out += "+tied";
         break;
-    }
-    if (hedgeBudget > 0) {
-        out += "+hb";
-        out += std::to_string(static_cast<int>(hedgeBudget * 100));
     }
     out += traffic.label();
     if (cache.enabled()) {
@@ -199,19 +206,6 @@ Tier::replicaTrusted(int replica) const
     return !instances_[idx]->suspected;
 }
 
-void
-Tier::setReplicaSlowdown(int replica, double factor)
-{
-    TPV_ASSERT(factor > 0, "slowdown factor must be positive");
-    instances_.at(static_cast<std::size_t>(replica))->slowFactor = factor;
-}
-
-double
-Tier::replicaSlowdown(int replica) const
-{
-    return instances_.at(static_cast<std::size_t>(replica))->slowFactor;
-}
-
 int
 Tier::aliveReplica(int preferred) const
 {
@@ -277,15 +271,6 @@ Tier::shouldShed(Instance &inst, const net::Message &msg)
     TierBreakdown &tb =
         stats.tiers[static_cast<std::size_t>(tierIndex_)];
     const Time now = graph_.sim().now();
-    // A request whose deadline already passed can only produce a
-    // reply the sender will discard: serving it is pure waste.
-    if (adm.dropExpired && msg.deadlineNs > 0 &&
-        now > msg.appSendTime + static_cast<Time>(msg.deadlineNs)) {
-        ++stats.requestsShedDelay;
-        ++tb.requestsShed;
-        traceShed(msg, 0);
-        return true;
-    }
     if (adm.maxQueueDepth > 0 &&
         inst.pool.serviceThread(msg.conn).queued() >=
             static_cast<std::size_t>(adm.maxQueueDepth)) {
@@ -446,10 +431,6 @@ Tier::dispatch(const net::Message &msgIn)
         work = static_cast<Time>(graph_.envFactor() *
                                  static_cast<double>(work));
     }
-    if (inst.slowFactor != 1.0) {
-        work = static_cast<Time>(inst.slowFactor *
-                                 static_cast<double>(work));
-    }
     // Flight recorder: open the dispatch->completion span (split into
     // queue-wait + service at close). Keyed on the post-workMut
     // message so completeService — which sees the same transformed
@@ -606,32 +587,54 @@ Fanout::Fanout(ServiceGraph &graph, Tier &parent, Tier &child,
           [this](const net::Message &m) { onReply(m); })),
       replyP95_(0.95)
 {
-    TPV_ASSERT(params_.shards >= 1, "fanout needs at least one shard");
-    TPV_ASSERT(params_.replicas >= 1, "fanout needs at least one replica");
+    // User configuration: reject what would otherwise wrap an 8-bit
+    // field or build a shape that can never work.
+    if (params_.shards < 1) {
+        fatal("FanoutParams::shards must be >= 1 (a fanout needs at "
+              "least one shard), got ",
+              params_.shards);
+    }
+    if (params_.replicas < 1 || params_.replicas > kMaxReplicas) {
+        fatal("FanoutParams::replicas must be in [1, ", kMaxReplicas,
+              "], got ", params_.replicas);
+    }
+    if (params_.hedgeDelay < 0) {
+        fatal("FanoutParams::hedgeDelay must be >= 0, got ",
+              params_.hedgeDelay);
+    }
     // A duplicate to the only replica would share the primary's
     // worker queue and could never win — reject the degenerate shape
     // instead of reporting meaningless hedge/tie counters.
-    TPV_ASSERT(policy_ == HedgePolicy::None || params_.replicas >= 2,
-               "hedged and tied requests need a backup replica "
-               "(replicas >= 2)");
-    TPV_ASSERT(!timedHedging() || params_.hedgeDelay > 0,
-               "fixed/adaptive hedging needs a positive hedgeDelay "
-               "(adaptive uses it until the estimator warms up)");
+    if (policy_ != HedgePolicy::None && params_.replicas < 2) {
+        fatal("FanoutParams::policy '", toString(policy_),
+              "' needs a backup replica (replicas >= 2), got replicas ",
+              params_.replicas);
+    }
+    if (timedHedging() && params_.hedgeDelay == 0) {
+        fatal("FanoutParams::hedgeDelay must be positive under the '",
+              toString(policy_),
+              "' policy (adaptive uses it until the estimator warms up)");
+    }
     TPV_ASSERT(static_cast<bool>(onComplete_),
                "fanout needs a completion callback");
     traffic_ = params_.traffic;
+    if (traffic_.retry.deadline < 0) {
+        fatal("FanoutParams::traffic.retry.deadline must be >= 0, got ",
+              traffic_.retry.deadline);
+    }
     retryEnabled_ = traffic_.retry.enabled();
     if (retryEnabled_) {
-        TPV_ASSERT(traffic_.retry.maxAttempts >= 1,
-                   "retry policy needs at least one attempt");
-        subDeadlineNs_ = static_cast<std::uint32_t>(
-            std::min<Time>(traffic_.retry.deadline, UINT32_MAX));
-        budget_ = RetryBudget(traffic_.retry);
+        if (traffic_.retry.maxAttempts < 1 ||
+            traffic_.retry.maxAttempts > kMaxAttempts) {
+            fatal("FanoutParams::traffic.retry.maxAttempts must be in "
+                  "[1, ",
+                  kMaxAttempts, "], got ", traffic_.retry.maxAttempts);
+        }
+        budget_ = RetryBudget(kRetryBudgetRatio, kRetryBudgetBurst);
     }
     if (traffic_.breaker.enabled()) {
         breakers_.assign(static_cast<std::size_t>(params_.replicas),
                          CircuitBreaker(traffic_.breaker));
-        breakerLatency_ = traffic_.breaker.latencyFactor > 0;
     }
     // One child->parent link per child replica instance, so replicas
     // never interleave one link's jitter stream. Sub-request replicas
@@ -641,16 +644,6 @@ Fanout::Fanout(ServiceGraph &graph, Tier &parent, Tier &child,
     toParent_.reserve(static_cast<std::size_t>(upLinks));
     for (int r = 0; r < upLinks; ++r)
         toParent_.push_back(&graph.addLink(params_.link));
-    // Hedge-rate budget: a token bucket (same machinery as the retry
-    // budget) earning params_.hedgeBudget tokens per primary dispatch;
-    // a hedge that finds the bucket empty is suppressed and counted.
-    hedgeBudgetEnabled_ = params_.hedgeBudget > 0 && timedHedging();
-    if (hedgeBudgetEnabled_) {
-        RetryPolicy hb;
-        hb.budgetRatio = params_.hedgeBudget;
-        hb.budgetBurst = 16.0;
-        hedgeBudget_ = RetryBudget(hb);
-    }
     // Pre-size the context pool and warm each context's per-lane
     // vectors, so scatter's assign() calls recycle capacity from the
     // first query on instead of growing fresh slots as the in-flight
@@ -759,7 +752,6 @@ Fanout::makeSub(const net::Message &req, std::uint32_t slot, int shard,
         sub.bytes = child_.params().requestBytes;
     }
     sub.tied = tied;
-    sub.deadlineNs = subDeadlineNs_;
     sub.appSendTime = graph_.sim().now();
     return sub;
 }
@@ -908,8 +900,6 @@ Fanout::scatter(const net::Message &req)
             budget_.earn();
             armDeadline(call, lane, slot, req.id, shard);
         }
-        if (hedgeBudgetEnabled_)
-            hedgeBudget_.earn();
         if (tiedCopies) {
             // The tied twin goes to the next replica immediately;
             // whichever copy starts first claims the request.
@@ -941,11 +931,6 @@ Fanout::fireHedge(std::uint32_t slot, std::uint64_t parentId, int shard)
         liveBackup(parentId, shard, call->replicaOf[lane]);
     if (replica < 0)
         return; // no live backup distinct from the primary: useless
-    if (hedgeBudgetEnabled_ && !hedgeBudget_.tryAcquire()) {
-        // Budget empty: the duplicate is withheld, the primary stands.
-        ++graph_.mutableStats().hedgesSuppressed;
-        return;
-    }
     ++graph_.mutableStats().hedgesSent;
     if (obs::TraceRecorder *tr = traceSubs_ ? graph_.trace() : nullptr;
         tr != nullptr && tr->wants(call->rootId)) {
@@ -1083,19 +1068,6 @@ Fanout::noteBreakerFailure(int replica)
         ++graph_.mutableStats().breakerOpens;
 }
 
-void
-Fanout::noteBreakerSuccess(int replica, Time rtt)
-{
-    if (breakerLatency_ && replyP95_.isWarm() &&
-        static_cast<double>(rtt) >
-            traffic_.breaker.latencyFactor * replyP95_.estimate()) {
-        // Accepted but pathologically slow: latency-trip evidence.
-        noteBreakerFailure(replica);
-        return;
-    }
-    breakers_[static_cast<std::size_t>(replica)].onSuccess();
-}
-
 bool
 Fanout::admitTied(std::uint32_t token, std::uint64_t parentId,
                   std::uint16_t shard, std::uint16_t replica)
@@ -1187,9 +1159,9 @@ Fanout::onReply(const net::Message &reply)
 {
     // Every reply teaches the streaming estimator, losers included —
     // they are real observations of the tier's service behaviour.
-    // Only consumers of the estimate (Adaptive hedging, the breaker
-    // latency trip) pay for the update: this is a per-reply hot path.
-    if (policy_ == HedgePolicy::Adaptive || breakerLatency_) {
+    // Only the consumer of the estimate (Adaptive hedging) pays for
+    // the update: this is a per-reply hot path.
+    if (policy_ == HedgePolicy::Adaptive) {
         replyP95_.observe(static_cast<double>(graph_.sim().now() -
                                               reply.appSendTime));
         graph_.mutableStats()
@@ -1219,10 +1191,8 @@ Fanout::onReply(const net::Message &reply)
         ++graph_.mutableStats().hedgesCancelled;
     if (retryEnabled_)
         graph_.sim().cancel(call.deadlines[lane]);
-    if (!breakers_.empty()) {
-        noteBreakerSuccess(reply.replica,
-                           graph_.sim().now() - reply.appSendTime);
-    }
+    if (!breakers_.empty())
+        breakers_[reply.replica].onSuccess();
 
     // Flight recorder: the winning reply closes the lane's
     // sub-request span (opened at scatter). The span records which
@@ -1314,7 +1284,7 @@ Fanout::installTrace(int parentDepth)
     if (!traceSubs_)
         return;
     toChild_.setObserver([this, childTier](const net::Message &m,
-                                           Time delay, bool) {
+                                           Time delay) {
         obs::TraceRecorder *tr = graph_.trace();
         if (tr == nullptr)
             return;
@@ -1344,7 +1314,7 @@ Fanout::installTrace(int parentDepth)
             static_cast<std::uint8_t>(parent_.tierIndex());
         for (net::Link *l : toParent_) {
             l->setObserver([this, parentTier](const net::Message &m,
-                                              Time delay, bool) {
+                                              Time delay) {
                 obs::TraceRecorder *tr = graph_.trace();
                 if (tr == nullptr)
                     return;
@@ -1405,22 +1375,26 @@ ServiceGraph::addMachine(const hw::HwConfig &cfg, const std::string &name)
 }
 
 Tier &
-ServiceGraph::addTier(hw::Machine &machine, TierParams params)
+ServiceGraph::registerTier(std::unique_ptr<Tier> tier)
 {
-    tiers_.push_back(
-        std::make_unique<Tier>(*this, machine, std::move(params)));
+    tiers_.push_back(std::move(tier));
     Tier &t = *tiers_.back();
     t.tierIndex_ = static_cast<int>(stats_.tiers.size());
-    TierBreakdown tb;
+    TierBreakdown &tb = stats_.tiers.emplace_back();
     tb.name = t.params().name;
-    stats_.tiers.push_back(std::move(tb));
     if (t.params().trackShards > 0) {
-        const auto n =
-            static_cast<std::size_t>(t.params().trackShards);
-        stats_.tiers.back().shardRequests.assign(n, 0);
-        stats_.tiers.back().shardWork.assign(n, 0);
+        const auto n = static_cast<std::size_t>(t.params().trackShards);
+        tb.shardRequests.assign(n, 0);
+        tb.shardWork.assign(n, 0);
     }
     return t;
+}
+
+Tier &
+ServiceGraph::addTier(hw::Machine &machine, TierParams params)
+{
+    return registerTier(
+        std::make_unique<Tier>(*this, machine, std::move(params)));
 }
 
 Tier &
@@ -1438,21 +1412,8 @@ ServiceGraph::addReplicatedTier(const hw::HwConfig &cfg, int replicas,
         }
         hosts.push_back(&addMachine(cfg, name));
     }
-    tiers_.push_back(
-        std::make_unique<Tier>(*this, std::move(hosts),
-                               std::move(params)));
-    Tier &t = *tiers_.back();
-    t.tierIndex_ = static_cast<int>(stats_.tiers.size());
-    TierBreakdown tb;
-    tb.name = t.params().name;
-    stats_.tiers.push_back(std::move(tb));
-    if (t.params().trackShards > 0) {
-        const auto n =
-            static_cast<std::size_t>(t.params().trackShards);
-        stats_.tiers.back().shardRequests.assign(n, 0);
-        stats_.tiers.back().shardWork.assign(n, 0);
-    }
-    return t;
+    return registerTier(std::make_unique<Tier>(*this, std::move(hosts),
+                                               std::move(params)));
 }
 
 Tier *
@@ -1548,20 +1509,6 @@ ServiceGraph::respond(net::Message resp)
         }
     }
     replyLink_.send(resp, client_);
-}
-
-void
-ServiceGraph::setCacheFlushHook(CacheFlushHook hook)
-{
-    cacheFlushHook_ = std::move(hook);
-}
-
-void
-ServiceGraph::flushCaches(Tier &tier, int replica)
-{
-    ++mutableStats().cacheFlushes;
-    if (cacheFlushHook_)
-        cacheFlushHook_(tier, replica);
 }
 
 void

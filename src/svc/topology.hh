@@ -107,7 +107,9 @@ struct ServiceStats
     std::uint64_t duplicatesDiscarded = 0;
     /** Service work spent on discarded replies (the price of hedging). */
     Time duplicateWorkDispatched = 0;
-    /** Hedges withheld because the hedge-rate budget was empty. */
+    /** Always 0: hedges are not rate-limited. Kept because run
+     *  fingerprints (the golden tests, perfbench's reference check)
+     *  hash it. */
     std::uint64_t hedgesSuppressed = 0;
     /** Tied twin copies sent alongside primaries (Tied policy). */
     std::uint64_t tiedSent = 0;
@@ -119,13 +121,15 @@ struct ServiceStats
     /** Sub-requests re-routed or re-issued around a dead replica. */
     std::uint64_t requestsFailedOver = 0;
     /** Requests dropped by faults: dead-replica arrivals, replies
-     *  that died with their replica, injected link loss. With
+     *  that died with their replica, lanes with no live replica. With
      *  deadline/retry traffic policies this counts *terminal* losses
      *  only — a drop covered by a pending retry is accounted in
      *  subRequestsDropped until the retry budget or attempt cap
      *  decides its fate. */
     std::uint64_t requestsLost = 0;
-    /** Simulated time spent inside stop-the-world pause windows. */
+    /** Always 0: no fault pauses a machine. Kept because run
+     *  fingerprints (the golden tests, perfbench's reference check)
+     *  hash it. */
     Time pauseTime = 0;
     /** Sub-requests re-issued because a per-attempt deadline expired
      *  (the traffic layer's client-side retries). */
@@ -140,7 +144,7 @@ struct ServiceStats
     /** Requests shed by admission control on queue depth. */
     std::uint64_t requestsShedDepth = 0;
     /** Requests shed by admission control on sojourn delay (CoDel
-     *  variant) or an already-expired deadline. */
+     *  variant). */
     std::uint64_t requestsShedDelay = 0;
     /** Circuit-breaker transitions into the Open state. */
     std::uint64_t breakerOpens = 0;
@@ -158,7 +162,9 @@ struct ServiceStats
     std::uint64_t cacheFills = 0;
     /** Entries evicted to make room (fills and SETs combined). */
     std::uint64_t cacheEvictions = 0;
-    /** Replica caches wiped by injected CacheFlush faults. */
+    /** Always 0: no fault flushes a cache. Kept because run
+     *  fingerprints (the golden tests, perfbench's reference check)
+     *  hash it. */
     std::uint64_t cacheFlushes = 0;
     /** Per-tier breakdown (ServiceGraph services; empty otherwise). */
     std::vector<TierBreakdown> tiers;
@@ -179,7 +185,7 @@ enum class HedgePolicy : std::uint8_t
     /**
      * Duplicate a shard once it is slower than the *observed* p95 of
      * that tier's replies (streaming estimate): the hedge threshold
-     * tracks load and injected faults instead of a tuning constant.
+     * tracks load and replica crashes instead of a tuning constant.
      * The configured hedgeDelay seeds the threshold until the
      * estimator has seen enough replies.
      */
@@ -216,9 +222,6 @@ struct TopologyShape
     Time hedgeDelay = 0;
     /** Hedging policy; Auto = Fixed when hedgeDelay > 0 else None. */
     HedgePolicy policy = HedgePolicy::Auto;
-    /** Hedge-rate budget: hedges allowed per primary dispatch
-     *  (token bucket like the retry budget); 0 = uncapped. */
-    double hedgeBudget = 0;
     /** Traffic-management knobs (deadlines/retries, shedding,
      *  breakers); all default off. */
     TrafficPolicy traffic{};
@@ -386,17 +389,6 @@ class Tier : public net::Endpoint
     bool replicaTrusted(int replica) const;
 
     /**
-     * Degrade (@p factor > 1) or restore (@p factor 1) a replica:
-     * service work drawn while degraded is multiplied by @p factor —
-     * the work-model equivalent of a replica pinned to a low DVFS
-     * state or starved by a noisy neighbour.
-     */
-    void setReplicaSlowdown(int replica, double factor);
-
-    /** Current slowdown factor of @p replica. */
-    double replicaSlowdown(int replica) const;
-
-    /**
      * First *trusted* replica at or after @p preferred (wrapping):
      * the failover target a sender would pick from its detection
      * knowledge. @return -1 when every replica is suspected down.
@@ -428,8 +420,6 @@ class Tier : public net::Endpoint
         bool up = true;
         /** True once the failure detector has flagged the replica. */
         bool suspected = false;
-        /** Service-time multiplier of a slowdown fault (1 = healthy). */
-        double slowFactor = 1.0;
         /** CoDel shedding: when dispatched sojourns first exceeded
          *  the target without dipping back under (kTimeNever while
          *  under target). */
@@ -491,7 +481,7 @@ class Tier : public net::Endpoint
     bool shouldShed(Instance &inst, const net::Message &msg);
 
     /** Flight recorder: record a Shed instant for @p msg
-     *  (@p reason: 0 expired deadline, 1 queue depth, 2 CoDel). */
+     *  (@p reason: 1 queue depth, 2 CoDel). */
     void traceShed(const net::Message &msg, std::uint32_t reason);
 
     ServiceGraph &graph_;
@@ -515,24 +505,16 @@ class Tier : public net::Endpoint
 /** Tunables of one scatter-gather fan-out edge. */
 struct FanoutParams
 {
-    /** Shards every request scatters to. */
+    /** Shards every request scatters to (>= 1). */
     int shards = 1;
-    /** Replicas per shard; the primary is picked per (id, shard). */
+    /** Replicas per shard, in [1, 255] (replica ids ride 8-bit
+     *  fields); the primary is picked per (id, shard). */
     int replicas = 1;
     /** Hedge a shard's sub-request after this delay (0 = off under
      *  Auto; the pre-warmup fallback threshold under Adaptive). */
     Time hedgeDelay = 0;
     /** Hedging policy; Auto = Fixed when hedgeDelay > 0 else None. */
     HedgePolicy policy = HedgePolicy::Auto;
-    /**
-     * Hedge-rate budget: duplicate sends allowed per primary dispatch
-     * (a token bucket like the retry budget, burst 16). A hedge that
-     * finds the bucket empty is withheld and counted in
-     * hedgesSuppressed. 0 = uncapped (historical behaviour). Applies
-     * to timed (Fixed/Adaptive) hedging; tied twins are sent up
-     * front and are not metered.
-     */
-    double hedgeBudget = 0;
     /**
      * Single-shard routing (a sharded key-value tier): when set,
      * each request goes to route(req) % shards only, instead of
@@ -590,6 +572,9 @@ class Fanout
      */
     using Complete = std::function<void(const net::Message &parent)>;
 
+    /** fatal() naming the field on an out-of-range shard or replica
+     *  count, retry.maxAttempts, negative hedgeDelay or
+     *  retry.deadline, or a hedging policy without a backup replica. */
     Fanout(ServiceGraph &graph, Tier &parent, Tier &child,
            FanoutParams params, Complete onComplete);
 
@@ -763,11 +748,6 @@ class Fanout
 
     /** Failure evidence against @p replica (counts breaker opens). */
     void noteBreakerFailure(int replica);
-
-    /** An accepted reply from @p replica took @p rtt: success, or —
-     *  when the latency trip is armed and the estimator warm — a
-     *  too-slow failure. */
-    void noteBreakerSuccess(int replica, Time rtt);
     bool admitTied(std::uint32_t token, std::uint64_t parentId,
                    std::uint16_t shard, std::uint16_t replica);
     void onReply(const net::Message &reply);
@@ -817,21 +797,11 @@ class Fanout
     TrafficPolicy traffic_{};
     /** Deadlines/retries armed (traffic_.retry.enabled()). */
     bool retryEnabled_ = false;
-    /** retry.deadline clamped into Message::deadlineNs's 32 bits. */
-    std::uint32_t subDeadlineNs_ = 0;
-    /** Latency-tripped breakers consume the streaming p95. */
-    bool breakerLatency_ = false;
-    /** Token bucket limiting retry volume. */
+    /** Token bucket limiting retry volume (kRetryBudgetRatio per
+     *  primary send, burst kRetryBudgetBurst). */
     RetryBudget budget_;
     /** Per-replica breakers (empty when breakers are off). */
     std::vector<CircuitBreaker> breakers_;
-    /** Hedge-rate budget armed (params.hedgeBudget > 0 and a timed
-     *  hedging policy; tied twins are not metered — they cost queue
-     *  slots, not duplicate service work). */
-    bool hedgeBudgetEnabled_ = false;
-    /** Token bucket limiting hedge volume (hedgesSuppressed counts
-     *  the hedges it withholds). */
-    RetryBudget hedgeBudget_;
     /** Flight recorder: sub-request/hedge/retry spans enabled (the
      *  parent tier's messages carry resolvable root ids). */
     bool traceSubs_ = false;
@@ -897,10 +867,6 @@ class ServiceGraph : public net::Endpoint
     std::size_t tierCount() const { return tiers_.size(); }
     Tier &tier(std::size_t i) { return *tiers_.at(i); }
 
-    /** Graph-owned intra-cluster links, in construction order. */
-    std::size_t linkCount() const { return links_.size(); }
-    net::Link &link(std::size_t i) { return *links_.at(i); }
-
     /**
      * Broadcast a replica crash to every fan-out feeding @p tier so
      * outstanding sub-requests fail over. Call *after*
@@ -909,22 +875,9 @@ class ServiceGraph : public net::Endpoint
     void notifyReplicaDown(Tier &tier, int replica);
 
     /**
-     * CacheFlush fault surface: a service owning per-replica caches
-     * (MemcachedCluster) registers the wipe here; flushCaches() — run
-     * by the injector — invokes it and counts ServiceStats::cacheFlushes. Without a hook a flush
-     * only counts (nothing to wipe).
-     */
-    using CacheFlushHook = std::function<void(Tier &, int)>;
-    void setCacheFlushHook(CacheFlushHook hook);
-    void flushCaches(Tier &tier, int replica);
-
-    /**
      * Count one request terminally lost on tier @p tierIndex — the
      * single bump site for both the graph total and the per-tier
      * breakdown, so requestsLost always equals the sum over tiers.
-     * (Injected link loss is the documented exception: a link does
-     * not belong to a tier, so fault::Injector counts it at graph
-     * level only.)
      */
     void countLost(int tierIndex);
 
@@ -969,6 +922,10 @@ class ServiceGraph : public net::Endpoint
     Rng &rng() { return rng_; }
 
   private:
+    /** Take ownership of @p tier, give it the next tier index and
+     *  append its TierBreakdown (shard vectors sized by trackShards). */
+    Tier &registerTier(std::unique_ptr<Tier> tier);
+
     Simulator &sim_;
     net::Link &replyLink_;
     net::Endpoint &client_;
@@ -978,7 +935,6 @@ class ServiceGraph : public net::Endpoint
     std::vector<std::unique_ptr<hw::Machine>> machines_;
     std::vector<std::unique_ptr<Tier>> tiers_;
     std::vector<std::unique_ptr<net::Link>> links_;
-    CacheFlushHook cacheFlushHook_;
     std::vector<std::unique_ptr<Fanout>> fanouts_;
     /** Flight recorder of the current run (null = tracing off). */
     obs::TraceRecorder *trace_ = nullptr;

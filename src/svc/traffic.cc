@@ -16,8 +16,6 @@ std::string TrafficPolicy::label() const
         out += "+cd" +
                std::to_string(admission.codelTarget / usec(1)) + "us";
     }
-    if (admission.dropExpired)
-        out += "+xp";
     if (breaker.enabled())
         out += "+cb" + std::to_string(breaker.failureThreshold);
     return out;

@@ -34,23 +34,18 @@ namespace svc {
  * trusted replica — which is what actually recovers a sub-request
  * swallowed by a crash shorter than the failure detector's delay
  * (nobody ever suspects the replica, so only the sender's own
- * timeout can notice).
+ * timeout can notice). Retries are capped by a fixed budget (the
+ * classic 10%-retry-budget rule: 0.1 retries earned per primary
+ * sub-request, burst 16): once the bucket is empty, deadline expiries
+ * are counted but not acted on until fresh traffic refills it.
  */
 struct RetryPolicy
 {
     /** Per-attempt deadline; 0 disables deadlines and retries. */
     Time deadline = 0;
-    /** Total attempts per sub-request (first send included). */
+    /** Total attempts per sub-request (first send included), in
+     *  [1, 255]. */
     int maxAttempts = 3;
-    /**
-     * Retry budget: retries earned per primary sub-request sent (the
-     * classic 10%-retry-budget rule). Caps retry storms: once the
-     * bucket is empty, deadline expiries are counted but not acted
-     * on until fresh traffic refills it.
-     */
-    double budgetRatio = 0.1;
-    /** Token-bucket burst: retries available before any traffic. */
-    double budgetBurst = 16.0;
 
     bool enabled() const { return deadline > 0; }
 };
@@ -75,20 +70,14 @@ struct AdmissionPolicy
     Time codelTarget = 0;
     /** ...continuously for this long. */
     Time codelInterval = msec(1);
-    /** Shed requests whose deadline already passed on arrival. */
-    bool dropExpired = false;
 
-    bool enabled() const
-    {
-        return maxQueueDepth > 0 || codelTarget > 0 || dropExpired;
-    }
+    bool enabled() const { return maxQueueDepth > 0 || codelTarget > 0; }
 };
 
 /**
  * Per-replica circuit breaker on a fan-out edge: after
- * failureThreshold consecutive failures (deadline expiries, or
- * replies slower than latencyFactor x the observed streaming p95)
- * the breaker opens and the sender routes around the replica; after
+ * failureThreshold consecutive failures (deadline expiries) the
+ * breaker opens and the sender routes around the replica; after
  * cooldown a single half-open probe is let through, and its outcome
  * closes or re-opens the breaker.
  */
@@ -98,13 +87,6 @@ struct BreakerPolicy
     int failureThreshold = 0;
     /** Open duration before the half-open probe. */
     Time cooldown = msec(5);
-    /**
-     * Optional latency trip: count an accepted reply slower than
-     * this multiple of the fan-out's streaming p95 as a failure
-     * (0 = failures come from deadline expiries only). Only consulted
-     * once the estimator is warm.
-     */
-    double latencyFactor = 0;
 
     bool enabled() const { return failureThreshold > 0; }
 };
@@ -131,16 +113,16 @@ struct TrafficPolicy
 };
 
 /**
- * Token bucket for the retry budget: earns budgetRatio tokens per
- * primary send, spends one per retry, capped at budgetBurst.
+ * Token bucket for the retry budget: earns @p ratio tokens per
+ * primary send, spends one per retry, capped at (and starting full
+ * at) @p burst.
  */
 class RetryBudget
 {
   public:
     RetryBudget() = default;
-    explicit RetryBudget(const RetryPolicy &policy)
-        : ratio_(policy.budgetRatio), cap_(policy.budgetBurst),
-          tokens_(policy.budgetBurst)
+    RetryBudget(double ratio, double burst)
+        : ratio_(ratio), cap_(burst), tokens_(burst)
     {
     }
 
@@ -198,7 +180,7 @@ class CircuitBreaker
     void onSuccess();
 
     /**
-     * A failure (deadline expiry, slow reply) was attributed to the
+     * A failure (deadline expiry) was attributed to the
      * replica at @p now. @return true if this failure opened (or
      * re-opened) the breaker.
      */

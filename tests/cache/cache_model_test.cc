@@ -57,26 +57,6 @@ TEST(CacheModel, HitAndMissAccounting)
     EXPECT_EQ(c.bytesUsed(), 64u);
 }
 
-TEST(CacheModel, FlushDropsResidencyKeepsCounters)
-{
-    CacheModel c(shape(100, 10), Rng(1));
-    c.put(1, 64);
-    c.put(2, 32);
-    EXPECT_TRUE(c.get(1).hit);
-    c.flush();
-    EXPECT_EQ(c.size(), 0u);
-    EXPECT_EQ(c.bytesUsed(), 0u);
-    // The fault's signature is the refill misses, not lost history:
-    // hit/miss/eviction counters survive, flushed keys are not
-    // evictions, and the cache is immediately usable again.
-    EXPECT_EQ(c.hits(), 1u);
-    EXPECT_EQ(c.evictions(), 0u);
-    EXPECT_FALSE(c.get(1).hit);
-    c.put(1, 16);
-    EXPECT_TRUE(c.get(1).hit);
-    EXPECT_EQ(c.bytesUsed(), 16u);
-}
-
 TEST(CacheModel, OverwriteUpdatesBytes)
 {
     CacheModel c(shape(100, 10), Rng(1));

@@ -61,6 +61,18 @@ struct HdsRig
     }
 };
 
+/** The lost-request ledger is exact: ServiceGraph::countLost is the
+ *  only writer of requestsLost, so the graph total always equals the
+ *  sum over tiers. */
+void
+expectLedgerExact(const svc::ServiceStats &s)
+{
+    std::uint64_t tierLost = 0;
+    for (const auto &t : s.tiers)
+        tierLost += t.requestsLost;
+    EXPECT_EQ(tierLost, s.requestsLost);
+}
+
 svc::HdSearchParams
 strandedParams()
 {
@@ -81,7 +93,6 @@ silentShortCrash()
 {
     FaultPlan plan;
     FaultSpec s;
-    s.kind = FaultKind::ReplicaCrash;
     s.tier = "hds-bucket";
     s.replica = svc::Fanout::primaryReplica(1, 0, 2);
     s.start = msec(5);
@@ -98,21 +109,17 @@ TEST(StrandedSubRequest, SilentShortCrashWithoutRetriesLosesTheRequest)
 {
     HdsRig rig(strandedParams());
     rig.sendAt(msec(6), 1); // lands inside the 5..8ms dead window
-    Injector inj(rig.sim, rig.cluster.graph(), silentShortCrash(),
-                 Rng(9));
+    Injector inj(rig.sim, rig.cluster.graph(), silentShortCrash());
     inj.arm(msec(60));
     rig.sim.run();
 
     const svc::ServiceStats &st = rig.cluster.stats();
+
+    expectLedgerExact(st);
     EXPECT_EQ(rig.client.responses.size(), 0u);
     EXPECT_EQ(st.requestsLost, 1u);
     EXPECT_EQ(st.requestsFailedOver, 0u); // the detector never fired
     EXPECT_EQ(st.requestsRetried, 0u);
-    // The loss is attributed to the tier that swallowed it.
-    std::uint64_t tierLost = 0;
-    for (const auto &t : st.tiers)
-        tierLost += t.requestsLost;
-    EXPECT_EQ(tierLost, st.requestsLost);
 }
 
 // The fix: a per-attempt deadline notices the swallowed sub-request
@@ -125,12 +132,13 @@ TEST(StrandedSubRequest, DeadlineRetryRecoversTheSwallowedSubRequest)
     p.traffic.retry.maxAttempts = 3;
     HdsRig rig(p);
     rig.sendAt(msec(6), 1);
-    Injector inj(rig.sim, rig.cluster.graph(), silentShortCrash(),
-                 Rng(9));
+    Injector inj(rig.sim, rig.cluster.graph(), silentShortCrash());
     inj.arm(msec(60));
     rig.sim.run();
 
     const svc::ServiceStats &st = rig.cluster.stats();
+
+    expectLedgerExact(st);
     ASSERT_EQ(rig.client.responses.size(), 1u);
     EXPECT_EQ(st.requestsLost, 0u);
     EXPECT_GT(st.requestsRetried, 0u);
@@ -158,25 +166,22 @@ TEST(StrandedSubRequest, StreamThroughSilentCrashCompletesEverything)
                    static_cast<std::uint64_t>(i + 1));
     FaultPlan plan;
     FaultSpec s;
-    s.kind = FaultKind::ReplicaCrash;
     s.tier = "hds-bucket";
     s.replica = 0;
     s.start = msec(5);
     s.duration = msec(3);
     s.detectDelay = msec(7);
     plan.add(s);
-    Injector inj(rig.sim, rig.cluster.graph(), plan, Rng(9));
+    Injector inj(rig.sim, rig.cluster.graph(), plan);
     inj.arm(msec(60));
     rig.sim.run();
 
     const svc::ServiceStats &st = rig.cluster.stats();
+
+    expectLedgerExact(st);
     EXPECT_EQ(rig.client.responses.size(), static_cast<std::size_t>(n));
     EXPECT_EQ(st.requestsLost, 0u);
     EXPECT_GT(st.requestsRetried, 0u);
-    std::uint64_t tierLost = 0;
-    for (const auto &t : st.tiers)
-        tierLost += t.requestsLost;
-    EXPECT_EQ(tierLost, st.requestsLost);
 }
 
 // The retry machinery must not disturb healthy runs: no timeouts, no
@@ -194,6 +199,8 @@ TEST(StrandedSubRequest, HealthyRunWithRetriesNeverRetries)
     rig.sim.run();
 
     const svc::ServiceStats &st = rig.cluster.stats();
+
+    expectLedgerExact(st);
     EXPECT_EQ(rig.client.responses.size(), static_cast<std::size_t>(n));
     EXPECT_EQ(st.requestsRetried, 0u);
     EXPECT_EQ(st.retriesSuppressed, 0u);
@@ -214,26 +221,23 @@ TEST(StrandedSubRequest, ExhaustedRetriesCountTheLossOnce)
     rig.sendAt(msec(6), 1);
     FaultPlan plan;
     FaultSpec s;
-    s.kind = FaultKind::ReplicaCrash;
     s.tier = "hds-bucket";
     s.replica = 0;
     s.start = msec(5);
     s.duration = msec(30); // outlives deadline * maxAttempts
     s.detectDelay = msec(40);
     plan.add(s);
-    Injector inj(rig.sim, rig.cluster.graph(), plan, Rng(9));
+    Injector inj(rig.sim, rig.cluster.graph(), plan);
     inj.arm(msec(60));
     rig.sim.run();
 
     const svc::ServiceStats &st = rig.cluster.stats();
+
+    expectLedgerExact(st);
     EXPECT_EQ(rig.client.responses.size(), 0u);
     EXPECT_EQ(st.requestsLost, 1u);
     EXPECT_EQ(st.requestsRetried, 1u); // attempt 2 of 2
     EXPECT_GT(st.retriesSuppressed, 0u);
-    std::uint64_t tierLost = 0;
-    for (const auto &t : st.tiers)
-        tierLost += t.requestsLost;
-    EXPECT_EQ(tierLost, st.requestsLost);
 }
 
 // The acceptance gate: faulty grids with the full traffic policy stay
@@ -264,6 +268,8 @@ TEST(StrandedSubRequest, RetryGridBitIdenticalAcrossParallelism)
     EXPECT_EQ(a.p99PerRun, b.p99PerRun);
     for (std::size_t i = 0; i < a.runs.size(); ++i) {
         EXPECT_EQ(a.runs[i].events, b.runs[i].events);
+        expectLedgerExact(a.runs[i].service);
+        expectLedgerExact(b.runs[i].service);
         EXPECT_EQ(a.runs[i].service.requestsRetried,
                   b.runs[i].service.requestsRetried);
         EXPECT_EQ(a.runs[i].service.requestsLost,

@@ -188,9 +188,10 @@ struct GoldenShape
 // Captured at commit 5bac912, the last build that could also run these
 // shapes on the intra-run parallel engine (which matched them bit for
 // bit): one run per shape, default seed. Together the shapes drive
-// every service policy (hedging, budgets, caches, shedding, the
-// socialnet chain), every fault path (kill, slowdown, pause,
-// stochastic windows, cache flush) and periodic server ticks.
+// every service policy (fixed and adaptive hedging, caches, shedding,
+// the socialnet chain), the replica-kill fault path with detection
+// delay, and periodic server ticks. adaptive_hedge was captured later,
+// on d713f2c, the build before the hedge-rate budget was deleted.
 const GoldenShape kShapes[] = {
     {"hedged_s4r2", hdsearchCell,
      "lat 0x1.2fa7843d46b26p+14 0x1.1ca11a915379ep+15 "
@@ -198,22 +199,21 @@ const GoldenShape kShapes[] = {
      "747780606 1192 hedge 1184 8 0 1184 362109837 shed 0 0 0 fault "
      "0 0 0 cache 0 0 0 0 | hds-midtier 298 11920000 0 | hds-bucket "
      "2376 717384606 0"},
-    {"adaptive_hedge_budget",
+    {"adaptive_hedge",
      [] {
          auto cfg = core::ExperimentConfig::forHdSearch(20000);
          cfg.gen.warmup = msec(2);
          cfg.gen.duration = msec(12);
          svc::TopologyShape shape{4, 2, usec(300)};
          shape.policy = svc::HedgePolicy::Adaptive;
-         shape.hedgeBudget = 0.05;
          core::applyTopology(cfg, shape);
          return cfg;
      },
-     "lat 0x1.06938c6d612c6p+13 0x1.00a9cb33daf8dp+14 "
-     "0x1.0dc8676c8b439p+14 late 0x1p+0 io 298 298 13924 svc 298 298 "
-     "413122759 1192 hedge 73 57 1062 73 21748929 shed 0 0 0 fault 0 "
+     "lat 0x1.d698a79bbadbdp+13 0x1.aca19a97e132bp+14 "
+     "0x1.b8f4cbc6a7efap+14 late 0x1p+0 io 298 298 18556 svc 298 298 "
+     "747780606 1192 hedge 1184 8 0 1184 355704004 shed 0 0 0 fault 0 "
      "0 0 cache 0 0 0 0 | hds-midtier 298 11920000 0 | hds-bucket "
-     "1265 382726759 0"},
+     "2376 717384606 0"},
     {"cached_memcached", cachedMemcachedCell,
      "lat 0x1.93cb127f92af3p+7 0x1.217611dbca969p+10 "
      "0x1.64825e353f7cfp+10 late 0x1.bf92de079c919p+5 io 593 593 "
@@ -262,39 +262,6 @@ const GoldenShape kShapes[] = {
      "655259646 1192 hedge 894 8 0 801 239867619 shed 0 0 233 fault "
      "1 281 0 cache 0 0 0 0 | hds-midtier 298 11920000 0 | "
      "hds-bucket 2064 624863646 0"},
-    {"kill_slowdown_pause",
-     [] {
-         // Overlapping windows: a detected kill, a slowdown on the
-         // sibling replica and a stop-the-world pause on the mid tier.
-         auto cfg = hdsearchCell();
-         fault::FaultPlan plan = fault::FaultPlan::replicaKill(
-             "hds-bucket", 0, msec(4), msec(3), usec(500));
-         plan.add(fault::FaultPlan::replicaSlowdown("hds-bucket", 1, 8.0,
-                                                    msec(5), msec(3))
-                      .faults[0]);
-         plan.add(fault::FaultPlan::pause("hds-midtier", 0, msec(6),
-                                          msec(1))
-                      .faults[0]);
-         cfg.faultPlan = plan;
-         return cfg;
-     },
-     "lat 0x1.2976d7afde0a5p+14 0x1.840810bcbe61ep+15 "
-     "0x1.b7b76e147ae14p+15 late 0x1p+0 io 298 268 17226 svc 298 268 "
-     "935982941 1192 hedge 1035 9 0 797 282127560 shed 0 0 219 fault "
-     "3 202 1000000 cache 0 0 0 0 | hds-midtier 298 11920000 0 | "
-     "hds-bucket 2068 906950941 0"},
-    {"flaky",
-     [] {
-         auto cfg = hdsearchCell();
-         cfg.faultPlan =
-             fault::FaultPlan::flaky("hds-bucket", 0, msec(4), msec(2));
-         return cfg;
-     },
-     "lat 0x1.7f1f2691bbe83p+14 0x1.84eaabce8533bp+15 "
-     "0x1.88820083126e9p+15 late 0x1p+0 io 298 293 17211 svc 298 293 "
-     "604532345 1192 hedge 709 8 0 552 167619140 shed 0 0 455 fault "
-     "16 513 0 cache 0 0 0 0 | hds-midtier 298 11920000 0 | "
-     "hds-bucket 1909 574326345 0"},
     {"periodic_ticks",
      [] {
          auto cfg = hdsearchCell();
@@ -306,18 +273,6 @@ const GoldenShape kShapes[] = {
      "747780606 1192 hedge 1184 8 0 1184 361338029 shed 0 0 0 fault "
      "0 0 0 cache 0 0 0 0 | hds-midtier 298 11920000 0 | hds-bucket "
      "2376 717384606 0"},
-    {"cache_flush",
-     [] {
-         auto cfg = cachedMemcachedCell();
-         cfg.faultPlan =
-             fault::FaultPlan::cacheFlush("mc-cache", -1, msec(6));
-         return cfg;
-     },
-     "lat 0x1.399ba2d1f5127p+11 0x1.4ce1af6944673p+13 "
-     "0x1.5cfccac083127p+13 late 0x1.d3fbf428e4c73p+5 io 593 593 "
-     "20858 svc 593 593 145098734 865 hedge 0 0 0 0 0 shed 0 0 0 "
-     "fault 1 0 0 cache 301 272 32 2 | mc-router 593 1186000 0 | "
-     "mc-cache 593 5056577 0 | mc-store 272 137719157 0"},
 };
 
 /** Runs the shape named @p name once and compares its fingerprint. */
@@ -338,9 +293,9 @@ TEST(GoldenDeterminism, HedgedHdSearchShapeMatchesGolden)
     expectShapeMatchesGolden("hedged_s4r2");
 }
 
-TEST(GoldenDeterminism, AdaptiveHedgingWithABudgetMatchesGolden)
+TEST(GoldenDeterminism, AdaptiveHedgingMatchesGolden)
 {
-    expectShapeMatchesGolden("adaptive_hedge_budget");
+    expectShapeMatchesGolden("adaptive_hedge");
 }
 
 TEST(GoldenDeterminism, CachedMemcachedClusterMatchesGolden)
@@ -363,24 +318,9 @@ TEST(GoldenDeterminism, ReplicaKillMatchesGolden)
     expectShapeMatchesGolden("replica_kill");
 }
 
-TEST(GoldenDeterminism, CompoundFaultPlanMatchesGolden)
-{
-    expectShapeMatchesGolden("kill_slowdown_pause");
-}
-
-TEST(GoldenDeterminism, StochasticFaultProcessMatchesGolden)
-{
-    expectShapeMatchesGolden("flaky");
-}
-
 TEST(GoldenDeterminism, PeriodicServerTicksMatchesGolden)
 {
     expectShapeMatchesGolden("periodic_ticks");
-}
-
-TEST(GoldenDeterminism, CacheFlushFaultMatchesGolden)
-{
-    expectShapeMatchesGolden("cache_flush");
 }
 
 } // namespace

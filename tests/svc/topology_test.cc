@@ -326,6 +326,97 @@ TEST(Topology, ShardedHedgedSweepBitIdenticalAcrossParallelism)
     EXPECT_GT(hedgeActivity, 0u);
 }
 
+/** Build a parent -> child fan-out edge with @p f (fatal() on an
+ *  invalid configuration exits the death-test child). */
+void
+buildFanout(const FanoutParams &f)
+{
+    Simulator sim;
+    net::Link reply(sim, Rng(1));
+    ClientSink client(sim);
+    ServiceGraph graph(sim, reply, client, Rng(3));
+    const hw::HwConfig cfg = hw::HwConfig::serverBaseline();
+    TierParams pp;
+    pp.name = "parent";
+    pp.work = fixedWork(usec(5));
+    Tier &parent = graph.addTier(graph.addMachine(cfg, "parent"),
+                                 std::move(pp));
+    TierParams cp;
+    cp.name = "leaf";
+    cp.work = fixedWork(usec(10));
+    Tier &leaf = graph.addReplicatedTier(cfg, 2, std::move(cp));
+    graph.addFanout(parent, leaf, f, [](const net::Message &) {});
+}
+
+/** A valid hedged, retrying edge the death tests perturb one field of. */
+FanoutParams
+validFanout()
+{
+    FanoutParams f;
+    f.shards = 2;
+    f.replicas = 2;
+    f.hedgeDelay = usec(300);
+    f.traffic.retry.deadline = msec(2);
+    f.traffic.retry.maxAttempts = 3;
+    return f;
+}
+
+TEST(FanoutDeathTest, RejectsZeroShards)
+{
+    buildFanout(validFanout()); // the baseline builds cleanly
+    FanoutParams f = validFanout();
+    f.shards = 0;
+    EXPECT_EXIT(buildFanout(f), ::testing::ExitedWithCode(1),
+                "FanoutParams::shards.*fanout");
+}
+
+TEST(FanoutDeathTest, RejectsReplicasOutsideOneTo255)
+{
+    FanoutParams f = validFanout();
+    f.replicas = 256; // would wrap Message::replica and the lane bytes
+    EXPECT_EXIT(buildFanout(f), ::testing::ExitedWithCode(1),
+                "FanoutParams::replicas .*got 256");
+    f.replicas = 0;
+    EXPECT_EXIT(buildFanout(f), ::testing::ExitedWithCode(1),
+                "FanoutParams::replicas .*got 0");
+}
+
+TEST(FanoutDeathTest, RejectsMaxAttemptsOutsideOneTo255)
+{
+    FanoutParams f = validFanout();
+    f.traffic.retry.maxAttempts = 256; // would wrap the attempt byte
+    EXPECT_EXIT(buildFanout(f), ::testing::ExitedWithCode(1),
+                "retry.maxAttempts .*got 256");
+    f.traffic.retry.maxAttempts = 0;
+    EXPECT_EXIT(buildFanout(f), ::testing::ExitedWithCode(1),
+                "retry.maxAttempts .*got 0");
+}
+
+TEST(FanoutDeathTest, RejectsNegativeHedgeDelay)
+{
+    FanoutParams f = validFanout();
+    f.hedgeDelay = -usec(1);
+    EXPECT_EXIT(buildFanout(f), ::testing::ExitedWithCode(1),
+                "FanoutParams::hedgeDelay");
+}
+
+TEST(FanoutDeathTest, RejectsNegativeRetryDeadline)
+{
+    FanoutParams f = validFanout();
+    f.traffic.retry.deadline = -msec(1);
+    EXPECT_EXIT(buildFanout(f), ::testing::ExitedWithCode(1),
+                "retry.deadline");
+}
+
+TEST(FanoutDeathTest, RejectsHedgingWithoutABackupReplica)
+{
+    FanoutParams f = validFanout();
+    f.replicas = 1;
+    f.policy = HedgePolicy::Tied;
+    EXPECT_EXIT(buildFanout(f), ::testing::ExitedWithCode(1),
+                "FanoutParams::policy 'tied' needs a backup replica");
+}
+
 } // namespace
 } // namespace svc
 } // namespace tpv

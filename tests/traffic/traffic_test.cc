@@ -22,10 +22,7 @@ namespace {
 
 TEST(RetryBudget, StartsAtBurstAndSpendsWholeTokens)
 {
-    RetryPolicy p;
-    p.budgetRatio = 0.5;
-    p.budgetBurst = 2.0;
-    RetryBudget b(p);
+    RetryBudget b(0.5, 2.0);
     EXPECT_TRUE(b.tryAcquire());
     EXPECT_TRUE(b.tryAcquire());
     EXPECT_FALSE(b.tryAcquire()); // broke: 0 tokens < 1
@@ -37,10 +34,7 @@ TEST(RetryBudget, StartsAtBurstAndSpendsWholeTokens)
 
 TEST(RetryBudget, EarningIsCappedAtBurst)
 {
-    RetryPolicy p;
-    p.budgetRatio = 1.0;
-    p.budgetBurst = 3.0;
-    RetryBudget b(p);
+    RetryBudget b(1.0, 3.0);
     for (int i = 0; i < 100; ++i)
         b.earn();
     EXPECT_DOUBLE_EQ(b.tokens(), 3.0);
@@ -119,9 +113,8 @@ TEST(TrafficPolicy, LabelsNameEveryActiveKnob)
 
     p.admission.maxQueueDepth = 64;
     p.admission.codelTarget = usec(500);
-    p.admission.dropExpired = true;
     p.breaker.failureThreshold = 5;
-    EXPECT_EQ(p.label(), "+rt2000usx3+q64+cd500us+xp+cb5");
+    EXPECT_EQ(p.label(), "+rt2000usx3+q64+cd500us+cb5");
 }
 
 // ---------------------------------------------------------- shedding
@@ -287,14 +280,13 @@ TEST(Breaker, RoutesAroundAnUndetectedDeadReplica)
                    static_cast<std::uint64_t>(i + 1));
     fault::FaultPlan plan;
     fault::FaultSpec s;
-    s.kind = fault::FaultKind::ReplicaCrash;
     s.tier = "hds-bucket";
     s.replica = 0;
     s.start = msec(3);
     s.duration = msec(12);
     s.detectDelay = msec(60); // never detected: the breaker's job
     plan.add(s);
-    fault::Injector inj(rig.sim, rig.cluster.graph(), plan, Rng(9));
+    fault::Injector inj(rig.sim, rig.cluster.graph(), plan);
     inj.arm(msec(80));
     rig.sim.run();
 
