@@ -87,12 +87,6 @@ smtStudyConfigs()
     return {"LP-SMToff", "LP-SMTon", "HP-SMToff", "HP-SMTon"};
 }
 
-std::vector<std::string>
-c1eStudyConfigs()
-{
-    return {"LP-C1Eoff", "LP-C1Eon", "HP-C1Eoff", "HP-C1Eon"};
-}
-
 core::ExperimentConfig
 configFor(const std::string &label, core::ExperimentConfig base)
 {
@@ -108,14 +102,25 @@ configFor(const std::string &label, core::ExperimentConfig base)
         base.server = hw::HwConfig::serverSmtOn();
     } else if (label.find("C1Eon") != std::string::npos) {
         base.server = hw::HwConfig::serverC1eOn();
-    } else if (label.find("SMToff") != std::string::npos ||
-               label.find("C1Eoff") != std::string::npos) {
+    } else if (label.find("SMToff") != std::string::npos) {
         base.server = hw::HwConfig::serverBaseline();
     } else {
         fatal("unknown server knob in label '", label, "'");
     }
     base.label = label;
     return base;
+}
+
+core::RepeatedResult
+firstRuns(const core::RepeatedResult &r, int n)
+{
+    TPV_ASSERT(n >= 1 && static_cast<std::size_t>(n) <= r.runs.size(),
+               "firstRuns needs 1 <= n <= runs");
+    core::RepeatedResult out;
+    out.runs.assign(r.runs.begin(), r.runs.begin() + n);
+    out.avgPerRun.assign(r.avgPerRun.begin(), r.avgPerRun.begin() + n);
+    out.p99PerRun.assign(r.p99PerRun.begin(), r.p99PerRun.begin() + n);
+    return out;
 }
 
 std::vector<double>

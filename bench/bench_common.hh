@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared plumbing for the per-figure bench binaries: run-count /
- * duration scaling via environment variables, config construction
- * for the paper's client/server pairs, and progress output.
+ * Shared plumbing for the bench binaries: run-count / duration
+ * scaling via environment variables, config construction for the
+ * paper's client/server pairs, rep prefixes of a shared grid, and
+ * progress output.
  *
  * The paper runs each configuration for 2 minutes x 50 repetitions
  * on real hardware; simulated runs default to shorter windows so the
@@ -50,16 +51,21 @@ core::ExperimentConfig withTiming(core::ExperimentConfig cfg,
 /** The paper's four client x server labels for the SMT study. */
 std::vector<std::string> smtStudyConfigs();
 
-/** ...and for the C1E study. */
-std::vector<std::string> c1eStudyConfigs();
-
 /**
  * Materialise a config from a "LP-SMToff"-style label: prefix picks
- * the client (LP/HP), suffix the server knob (SMToff/SMTon, C1Eoff/
- * C1Eon).
+ * the client (LP/HP), suffix the server (SMToff: the baseline server,
+ * SMTon, C1Eon). The paper's C1E-off server is the baseline too, so
+ * the C1E study reads its "C1Eoff" cells from the SMToff ones.
  */
 core::ExperimentConfig configFor(const std::string &label,
                                  core::ExperimentConfig base);
+
+/**
+ * The first @p n (1 <= n <= r.runs.size()) repetitions of @p r. Rep
+ * i's seed is deriveRunSeed(baseSeed, i) whatever the run count, so
+ * this is exactly what an n-run study of the same cell returns.
+ */
+core::RepeatedResult firstRuns(const core::RepeatedResult &r, int n);
 
 /** Figure 2/3's request-rate axis: 10K..500K QPS. */
 std::vector<double> memcachedLoads();

@@ -15,8 +15,18 @@ OpenLoopGenerator::OpenLoopGenerator(Simulator &sim, hw::Machine &client,
     : sim_(sim), client_(client), toServer_(toServer), server_(server),
       params_(std::move(params))
 {
-    if (params_.qps <= 0)
-        fatal("open-loop generator needs positive qps");
+    if (!(params_.qps > 0) || !std::isfinite(params_.qps)) {
+        fatal("OpenLoopParams::qps must be positive and finite, got ",
+              params_.qps);
+    }
+    if (params_.threads <= 0)
+        fatal("OpenLoopParams::threads must be >= 1, got ", params_.threads);
+    if (params_.warmup < 0)
+        fatal("OpenLoopParams::warmup must be >= 0, got ", params_.warmup);
+    if (params_.duration <= 0) {
+        fatal("OpenLoopParams::duration must be > 0, got ",
+              params_.duration);
+    }
     // Busy-wait send loops with blocking completions use a second
     // bank of (sleepable) completion threads.
     if (params_.sendMode == SendMode::BusyWait &&
@@ -25,7 +35,7 @@ OpenLoopGenerator::OpenLoopGenerator(Simulator &sim, hw::Machine &client,
     }
     const std::size_t needed =
         static_cast<std::size_t>(params_.threads) + completionOffset_;
-    if (params_.threads <= 0 || needed > client_.coreCount()) {
+    if (needed > client_.coreCount()) {
         fatal("generator needs ", needed,
               " client threads but the machine has ",
               client_.coreCount(), " cores");

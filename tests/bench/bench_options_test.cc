@@ -1,10 +1,12 @@
-/** @file Tests for the bench drivers' environment knobs. */
+/** @file Tests for the bench drivers' environment knobs and helpers. */
 
 #include "bench_common.hh"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <vector>
 
 namespace tpv {
 namespace bench {
@@ -82,6 +84,34 @@ TEST_F(BenchOptionsEnv, OutOfRangeValuesAreFatal)
     expectRejected("TPV_DURATION_S", "0");
     expectRejected("TPV_DURATION_S", "-0.1");
     expectRejected("TPV_DURATION_S", "inf");
+}
+
+TEST(FirstRuns, KeepsTheLeadingReps)
+{
+    core::RepeatedResult all;
+    for (int i = 0; i < 4; ++i) {
+        core::RunResult run;
+        run.events = 100 + static_cast<std::uint64_t>(i);
+        all.runs.push_back(run);
+        all.avgPerRun.push_back(10.0 + i);
+        all.p99PerRun.push_back(50.0 + i);
+    }
+    const core::RepeatedResult two = firstRuns(all, 2);
+    ASSERT_EQ(two.runs.size(), 2u);
+    EXPECT_EQ(two.runs[1].events, 101u);
+    EXPECT_EQ(two.avgPerRun, (std::vector<double>{10.0, 11.0}));
+    EXPECT_EQ(two.p99PerRun, (std::vector<double>{50.0, 51.0}));
+    EXPECT_EQ(firstRuns(all, 4).avgPerRun, all.avgPerRun);
+}
+
+TEST(FirstRunsDeathTest, RejectsMoreRepsThanTheCellRan)
+{
+    core::RepeatedResult one;
+    one.runs.resize(1);
+    one.avgPerRun = {1.0};
+    one.p99PerRun = {2.0};
+    EXPECT_DEATH(firstRuns(one, 2), "firstRuns");
+    EXPECT_DEATH(firstRuns(one, 0), "firstRuns");
 }
 
 } // namespace

@@ -2,6 +2,9 @@
 
 #include "core/runner.hh"
 
+#include <cstring>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace tpv {
@@ -84,6 +87,43 @@ TEST(Runner, CIsAreNonDegenerate)
     auto r = runMany(quickConfig(), opt);
     auto ci = r.avgCI();
     EXPECT_LT(ci.lower, ci.upper);
+}
+
+TEST(Runner, FewerRunsArePrefixOfMore)
+{
+    // A repetition's seed depends only on (baseSeed, rep), so a study
+    // that reads n reps of a cell may take the first n of a larger
+    // run of that cell. Checked bit for bit, serial and parallel.
+    auto lowPower = quickConfig();
+    lowPower.client = hw::HwConfig::clientLP();
+    auto smtOn = ExperimentConfig::forMemcached(200e3);
+    smtOn.gen.warmup = msec(2);
+    smtOn.gen.duration = msec(20);
+    smtOn.server = hw::HwConfig::serverSmtOn();
+    const std::pair<ExperimentConfig, int> cases[] = {{lowPower, 1},
+                                                      {smtOn, 4}};
+    for (const auto &[cfg, parallelism] : cases) {
+        RunnerOptions few;
+        few.runs = 3;
+        few.parallelism = parallelism;
+        RunnerOptions more = few;
+        more.runs = 5;
+        const auto a = runMany(cfg, few);
+        const auto b = runMany(cfg, more);
+        ASSERT_EQ(a.runs.size(), 3u);
+        ASSERT_EQ(b.runs.size(), 5u);
+        for (std::size_t i = 0; i < 3; ++i) {
+            SCOPED_TRACE(testing::Message() << "parallelism "
+                                            << parallelism << " rep " << i);
+            EXPECT_EQ(std::memcmp(&a.avgPerRun[i], &b.avgPerRun[i],
+                                  sizeof(double)), 0);
+            EXPECT_EQ(std::memcmp(&a.p99PerRun[i], &b.p99PerRun[i],
+                                  sizeof(double)), 0);
+            EXPECT_EQ(a.runs[i].events, b.runs[i].events);
+            EXPECT_EQ(a.runs[i].sent, b.runs[i].sent);
+            EXPECT_EQ(a.runs[i].received, b.runs[i].received);
+        }
+    }
 }
 
 TEST(Runner, ZeroRunsIsAConfigurationError)

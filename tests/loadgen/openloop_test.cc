@@ -2,6 +2,8 @@
 
 #include "loadgen/openloop.hh"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "sim/simulator.hh"
@@ -268,6 +270,54 @@ TEST(OpenLoopDeathTest, RejectsNegativeLognormalCv)
     p.lognormalCv = -0.5;
     EXPECT_EXIT(OpenLoopGenerator(sim, client, up, server, p, Rng(1)),
                 ::testing::ExitedWithCode(1), "OpenLoopParams::lognormalCv");
+}
+
+/** Exits 1 with a message naming @p field when @p p is rejected. */
+void
+expectRejected(const OpenLoopParams &p, const char *field)
+{
+    Simulator sim;
+    hw::Machine client(sim, hw::HwConfig::clientHP());
+    net::Link up(sim, Rng(1));
+    DelayServer server;
+    EXPECT_EXIT(OpenLoopGenerator(sim, client, up, server, p, Rng(1)),
+                ::testing::ExitedWithCode(1), field);
+}
+
+TEST(OpenLoopDeathTest, RejectsNonPositiveDuration)
+{
+    OpenLoopParams p;
+    p.duration = 0;
+    expectRejected(p, "OpenLoopParams::duration");
+    p.duration = -msec(1);
+    expectRejected(p, "OpenLoopParams::duration");
+}
+
+TEST(OpenLoopDeathTest, RejectsNegativeWarmup)
+{
+    OpenLoopParams p;
+    p.warmup = -msec(1);
+    expectRejected(p, "OpenLoopParams::warmup");
+}
+
+TEST(OpenLoopDeathTest, RejectsNanInfiniteOrNonPositiveQps)
+{
+    OpenLoopParams p;
+    p.qps = std::nan("");
+    expectRejected(p, "OpenLoopParams::qps");
+    p.qps = HUGE_VAL;
+    expectRejected(p, "OpenLoopParams::qps");
+    p.qps = 0;
+    expectRejected(p, "OpenLoopParams::qps");
+}
+
+TEST(OpenLoopDeathTest, RejectsNonPositiveThreads)
+{
+    OpenLoopParams p;
+    p.threads = 0;
+    expectRejected(p, "OpenLoopParams::threads");
+    p.threads = -1;
+    expectRejected(p, "OpenLoopParams::threads");
 }
 
 } // namespace
