@@ -9,16 +9,17 @@
  * simulated run), the same with a re-clock (reschedule) per event,
  * batch schedule-then-drain, and the cancel-heavy hedge-timer
  * pattern — plus full simulated runs (memcached, hedged HDSearch, a
- * 34-machine HDSearch, and two paper memcached cells whose sleeping
- * client cores cross C-states, DVFS and turbo bins on every request),
- * and writes the numbers to BENCH_hotpath.json so the perf trajectory
- * is tracked from commit to commit.
+ * 34-machine HDSearch, two paper memcached cells whose sleeping
+ * client cores cross C-states, DVFS and turbo bins on every request,
+ * and the keyed memcached cell with finite shard caches), and writes
+ * the numbers to BENCH_hotpath.json so the perf trajectory is tracked
+ * from commit to commit.
  *
  * It is also the allocation gate: a replaced operator new counts
  * every heap allocation, and the driver *fails* (exit 1) if the
- * steady-state schedule/fire or re-clock loop, or a warm HDSearch or
- * paper-cell run, allocates at all. Use this in CI so the zero-allocation property cannot
- * silently rot.
+ * steady-state schedule/fire or re-clock loop, or a warm HDSearch,
+ * paper-cell or keyed-cache run, allocates at all. Use this in CI so
+ * the zero-allocation property cannot silently rot.
  */
 
 #include <algorithm>
@@ -351,6 +352,56 @@ paperCellEventsPerSec(const char *label, double qps,
 }
 
 /**
+ * The keyed memcached cell perfbench's keyed_cache workload runs:
+ * memcached s8 behind the router, Zipf(0.99) traffic over 64K keys,
+ * 4K-entry LRU shard caches and a backing store, at 20K QPS, with
+ * the caches prewarmed (@p cold false) or empty. Built as runOnce
+ * builds it; warms through half the run, then measures events per
+ * wall second and heap allocations (must be zero: cache fills,
+ * evictions and index updates reuse what the constructor reserved)
+ * over the rest, drain included.
+ */
+double
+keyedCellEventsPerSec(bool cold, std::uint64_t *steadyAllocs)
+{
+    core::ExperimentConfig cfg = bench::configFor(
+        "LP-SMToff", core::ExperimentConfig::forMemcached(20e3));
+    cfg.gen.warmup = msec(10);
+    cfg.gen.duration = msec(200);
+    cfg.memcached.shards = 8;
+    svc::CacheShape cache;
+    cache.keys = 1 << 16;
+    cache.skew = 0.99;
+    cache.capacityEntries = 1 << 12;
+    cache.eviction = svc::EvictionPolicy::Lru;
+    cache.coldStart = cold;
+    core::applyCacheShape(cfg, cache);
+    Simulator sim;
+    Rng rootRng(11);
+    hw::HwConfig clientCfg = cfg.client;
+    clientCfg.cores = std::max(clientCfg.cores, cfg.gen.threads);
+    hw::Machine client(sim, clientCfg, "client", rootRng.u64());
+    net::Link toServer(sim, rootRng.fork(), cfg.network);
+    net::Link toClient(sim, rootRng.fork(), cfg.network);
+    LateBound door;
+    loadgen::OpenLoopGenerator gen(sim, client, toServer, door, cfg.gen,
+                                   rootRng.fork());
+    svc::MemcachedCluster service(sim, cfg.server, toClient, gen,
+                                  rootRng.fork(), cfg.memcached);
+    door.target = &service;
+    gen.start();
+
+    sim.runUntil(gen.windowEnd() / 2);
+    const std::uint64_t events0 = sim.executedEvents();
+    const std::uint64_t allocs0 = g_allocs.load();
+    const auto t0 = Clock::now();
+    sim.runUntil(gen.windowEnd() + msec(5));
+    const double secs = secondsSince(t0);
+    *steadyAllocs = g_allocs.load() - allocs0;
+    return static_cast<double>(sim.executedEvents() - events0) / secs;
+}
+
+/**
  * One *large* HDSearch topology (32 shards over 32 bucket machines +
  * midtier + client) at datacenter link latencies: events per wall
  * second of a serial run. 5K QPS keeps the shape sustainable — every
@@ -419,6 +470,9 @@ main()
         paperCellEventsPerSec("LP-SMToff", 100e3, &lpCellAllocs);
     const double hpCell =
         paperCellEventsPerSec("HP-SMToff", 300e3, &hpCellAllocs);
+    std::uint64_t warmKeyedAllocs = ~0ULL, coldKeyedAllocs = ~0ULL;
+    const double warmKeyed = keyedCellEventsPerSec(false, &warmKeyedAllocs);
+    const double coldKeyed = keyedCellEventsPerSec(true, &coldKeyedAllocs);
 
     std::printf("  %-34s %10.2f Mev/s\n",
                 "steady-state Message schedule/fire", steady / 1e6);
@@ -445,6 +499,12 @@ main()
     std::printf("  %-34s %10.2f Mev/s (%llu allocs)\n",
                 "paper cell HP-SMToff @ 300K", hpCell / 1e6,
                 static_cast<unsigned long long>(hpCellAllocs));
+    std::printf("  %-34s %10.2f Mev/s (%llu allocs)\n",
+                "keyed cache s8 @ 20K, warm", warmKeyed / 1e6,
+                static_cast<unsigned long long>(warmKeyedAllocs));
+    std::printf("  %-34s %10.2f Mev/s (%llu allocs)\n",
+                "keyed cache s8 @ 20K, cold", coldKeyed / 1e6,
+                static_cast<unsigned long long>(coldKeyedAllocs));
     std::printf("  %-34s %10llu\n", "steady-state heap allocations",
                 static_cast<unsigned long long>(steadyAllocs +
                                                 reclockAllocs));
@@ -466,6 +526,11 @@ main()
             {"paper_hp_smtoff_300k_events_per_sec", hpCell, "events/s"},
             {"paper_cell_steady_allocs",
              static_cast<double>(lpCellAllocs + hpCellAllocs), "allocs"},
+            {"keyed_cache_warm_20k_events_per_sec", warmKeyed, "events/s"},
+            {"keyed_cache_cold_20k_events_per_sec", coldKeyed, "events/s"},
+            {"keyed_cache_steady_allocs",
+             static_cast<double>(warmKeyedAllocs + coldKeyedAllocs),
+             "allocs"},
             {"steady_state_allocs",
              static_cast<double>(steadyAllocs + reclockAllocs), "allocs"},
         });
@@ -498,6 +563,14 @@ main()
                      "allocations in steady state\n",
                      static_cast<unsigned long long>(lpCellAllocs),
                      static_cast<unsigned long long>(hpCellAllocs));
+        return 1;
+    }
+    if (warmKeyedAllocs != 0 || coldKeyedAllocs != 0) {
+        std::fprintf(stderr,
+                     "FAIL: keyed cache cells performed %llu (warm) and "
+                     "%llu (cold) heap allocations in steady state\n",
+                     static_cast<unsigned long long>(warmKeyedAllocs),
+                     static_cast<unsigned long long>(coldKeyedAllocs));
         return 1;
     }
     if (bigReceived < bigSent || trReceived < trSent) {

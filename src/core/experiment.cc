@@ -134,6 +134,7 @@ applyTrafficPolicy(ExperimentConfig &cfg, const svc::TrafficPolicy &policy)
 void
 applyCacheShape(ExperimentConfig &cfg, const svc::CacheShape &shape)
 {
+    shape.validate();
     cfg.topology.cache = shape;
     cfg.memcached.cache = shape;
     cfg.memcached.etc.keys = shape.keys;

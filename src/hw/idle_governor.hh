@@ -48,8 +48,21 @@ class MenuGovernor
     Time lastPrediction() const { return lastPrediction_; }
 
   private:
-    /** Robust typical-interval estimate from the history window. */
+    /**
+     * Robust typical-interval estimate from the history window, in
+     * one pass. It returns exactly what typicalIntervalLoop() returns:
+     * the loop's survivors are the k smallest values, whose sum is an
+     * exact double while every value is a whole nanosecond below
+     * 2^50, so only the pass test itself is rounded. The fast path
+     * evaluates that test from sums and runs the loop whenever a test
+     * lands within 1e-12 (relative) of a tie, far wider than either
+     * side's rounding, or a value leaves the exact range. Debug builds
+     * check every answer against the loop.
+     */
     Time typicalInterval() const;
+
+    /** The iterative drop-the-maximum estimate: the reference. */
+    Time typicalIntervalLoop() const;
 
     static constexpr std::size_t kWindow = 8;
     const CStateTable *table_;

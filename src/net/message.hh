@@ -63,7 +63,8 @@ struct Message
      * Key id of a keyed (memcached) request: the Zipf popularity rank
      * drawn by svc::KeyspaceModel, 0 in unkeyed workloads. Carried on
      * the wire so shard routing and per-shard cache lookups agree on
-     * the key without re-deriving it.
+     * the key without re-deriving it. 32 bits: a keyed run's keyspace
+     * is at most 2^32 keys (CacheShape::validate() fatal()s above).
      */
     std::uint32_t key = 0;
     /** Wire size, for serialization delay. */

@@ -1,5 +1,8 @@
 #include "svc/cache.hh"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 
@@ -29,6 +32,16 @@ fmtCount(std::uint64_t n)
 /** Sampled-LFU / random eviction sample width (the Redis default). */
 constexpr int kSampleWidth = 5;
 
+/** Smallest key index (buckets). */
+constexpr std::size_t kMinBuckets = 16;
+
+/**
+ * Largest entry count the constructor reserves for; a bigger bound
+ * (legal, but far past any studied shape) grows on demand instead of
+ * reserving gigabytes up front.
+ */
+constexpr std::uint64_t kMaxPresizedEntries = std::uint64_t{1} << 20;
+
 } // namespace
 
 const char *
@@ -45,6 +58,24 @@ toString(EvictionPolicy p)
         return "rand";
     }
     return "?";
+}
+
+void
+CacheShape::validate() const
+{
+    if (!std::isfinite(skew))
+        fatal("CacheShape::skew must be finite, got ", skew);
+    if (keys > (std::uint64_t{1} << 32)) {
+        fatal("CacheShape::keys must be <= 2^32 (ranks travel in the "
+              "32-bit Message::key), got ",
+              keys);
+    }
+    if (capacityEntries >
+        static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max())) {
+        fatal("CacheShape::capacityEntries must be <= 2^31 - 1 (slots "
+              "are int32_t indices), got ",
+              capacityEntries);
+    }
 }
 
 std::string
@@ -79,15 +110,71 @@ CacheModel::CacheModel(const CacheShape &shape, Rng rng)
     : shape_(shape), rng_(rng)
 {
     TPV_ASSERT(shape.enabled(), "cache model built from a disabled shape");
-    if (shape_.capacityEntries > 0)
-        slots_.reserve(shape_.capacityEntries + 1);
+    // A put inserts before it evicts, so an entry-bounded cache holds
+    // capacity + 1 entries for a moment; no more than the keyspace
+    // can ever be resident. Reserve the slots, the free list and the
+    // index for that many: an entry-bounded cache then never
+    // allocates again, and an unbounded one grows its index by
+    // doubling.
+    std::uint64_t entries = 0;
+    if (shape_.capacityEntries > 0) {
+        entries = std::min({shape_.capacityEntries + 1, shape_.keys,
+                            kMaxPresizedEntries});
+        slots_.reserve(static_cast<std::size_t>(entries));
+        freeSlots_.reserve(static_cast<std::size_t>(entries));
+    }
+    rebuildIndex(std::max(kMinBuckets,
+                          std::bit_ceil(static_cast<std::size_t>(2 * entries))));
+}
+
+std::size_t
+CacheModel::findBucket(std::uint64_t key) const
+{
+    std::size_t b = bucketOf(key);
+    for (;;) {
+        const std::int32_t i = index_[b];
+        if (i < 0 || slots_[static_cast<std::size_t>(i)].key == key)
+            return b;
+        b = (b + 1) & indexMask_;
+    }
+}
+
+void
+CacheModel::rebuildIndex(std::size_t buckets)
+{
+    index_.assign(buckets, -1);
+    indexMask_ = buckets - 1;
+    hashShift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        if (slots_[i].used)
+            index_[findBucket(slots_[i].key)] = static_cast<std::int32_t>(i);
+    }
+}
+
+void
+CacheModel::eraseBucket(std::size_t b)
+{
+    // Backward shift: walk the probe chain after the hole and move
+    // back every entry whose home bucket does not lie strictly
+    // between the hole and its current bucket, so lookups never need
+    // tombstones.
+    std::size_t hole = b;
+    for (std::size_t j = (b + 1) & indexMask_; index_[j] >= 0;
+         j = (j + 1) & indexMask_) {
+        const std::size_t home =
+            bucketOf(slots_[static_cast<std::size_t>(index_[j])].key);
+        if (((j - home) & indexMask_) >= ((j - hole) & indexMask_)) {
+            index_[hole] = index_[j];
+            hole = j;
+        }
+    }
+    index_[hole] = -1;
 }
 
 bool
 CacheModel::overCapacity() const
 {
-    if (shape_.capacityEntries > 0 &&
-        index_.size() > shape_.capacityEntries)
+    if (shape_.capacityEntries > 0 && count_ > shape_.capacityEntries)
         return true;
     return shape_.capacityBytes > 0 && bytesUsed_ > shape_.capacityBytes;
 }
@@ -174,7 +261,8 @@ CacheModel::removeSlot(std::int32_t i)
     Entry &e = slots_[static_cast<std::size_t>(i)];
     unlink(i);
     bytesUsed_ -= e.valueBytes;
-    index_.erase(e.key);
+    eraseBucket(findBucket(e.key));
+    --count_;
     e = Entry{};
     freeSlots_.push_back(i);
 }
@@ -226,28 +314,32 @@ CacheModel::evictOne()
 CacheModel::Result
 CacheModel::get(std::uint64_t key)
 {
-    const auto it = index_.find(key);
-    if (it == index_.end()) {
+    const std::int32_t i = index_[findBucket(key)];
+    if (i < 0) {
         ++misses_;
         return {};
     }
     ++hits_;
-    touch(it->second);
-    return {true, slots_[static_cast<std::size_t>(it->second)].valueBytes};
+    touch(i);
+    return {true, slots_[static_cast<std::size_t>(i)].valueBytes};
 }
 
 std::uint64_t
 CacheModel::put(std::uint64_t key, std::uint32_t valueBytes)
 {
     const std::uint64_t before = evictions_;
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-        Entry &e = slots_[static_cast<std::size_t>(it->second)];
+    std::size_t b = findBucket(key);
+    if (index_[b] >= 0) {
+        Entry &e = slots_[static_cast<std::size_t>(index_[b])];
         bytesUsed_ += valueBytes;
         bytesUsed_ -= e.valueBytes;
         e.valueBytes = valueBytes;
-        touch(it->second); // an overwrite is a reference too
+        touch(index_[b]); // an overwrite is a reference too
     } else {
+        if (2 * (count_ + 1) > index_.size()) {
+            rebuildIndex(2 * index_.size());
+            b = findBucket(key);
+        }
         std::int32_t i;
         if (!freeSlots_.empty()) {
             i = freeSlots_.back();
@@ -261,14 +353,15 @@ CacheModel::put(std::uint64_t key, std::uint32_t valueBytes)
         e.valueBytes = valueBytes;
         e.used = true;
         e.isProtected = false; // new keys start in probation
-        index_.emplace(key, i);
+        index_[b] = i;
+        ++count_;
         bytesUsed_ += valueBytes;
         pushMru(i);
     }
     // Evict down to capacity; a single entry larger than the byte cap
     // is allowed to stay (evicting the key just stored would turn the
     // fill into a guaranteed re-miss loop).
-    while (overCapacity() && index_.size() > 1)
+    while (overCapacity() && count_ > 1)
         evictOne();
     return evictions_ - before;
 }

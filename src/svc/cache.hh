@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/random.hh"
@@ -78,6 +77,15 @@ struct CacheShape
     bool enabled() const { return keys > 0; }
 
     /**
+     * fatal() naming the field on a value the model cannot run: a NaN
+     * or infinite skew (the Zipf sampler's first draw would never
+     * return), keys above 2^32 (ranks travel in the 32-bit
+     * Message::key) or capacityEntries above 2^31 - 1 (slots are
+     * int32_t indices).
+     */
+    void validate() const;
+
+    /**
      * "z0.99k64Kc4K-lru" style study tag ("-cold" appended for cold
      * starts, "cINF" for uncapped); empty when disabled, so labels of
      * cache-free cells are unchanged.
@@ -91,6 +99,12 @@ struct CacheShape
  * and put() update recency/frequency state and count hits, misses,
  * fills and evictions; the caller turns those into simulated work
  * and ServiceStats.
+ *
+ * Entries live in a slot array; the key index is a flat
+ * open-addressing table of slot indices (linear probing, backward-
+ * shift deletion, load <= 1/2). Slots, free list and index are sized
+ * at construction, so a cache bounded in entries (up to 2^20) never
+ * allocates after it is built.
  */
 class CacheModel
 {
@@ -101,8 +115,6 @@ class CacheModel
         /** Stored value size on a hit; 0 on a miss. */
         std::uint32_t valueBytes = 0;
     };
-
-    CacheModel() = default;
 
     /**
      * @param shape capacity/eviction knobs (shape.enabled() must
@@ -121,7 +133,7 @@ class CacheModel
     std::uint64_t put(std::uint64_t key, std::uint32_t valueBytes);
 
     /** Resident entries. */
-    std::size_t size() const { return index_.size(); }
+    std::size_t size() const { return count_; }
     /** Stored value bytes. */
     std::uint64_t bytesUsed() const { return bytesUsed_; }
     std::uint64_t hits() const { return hits_; }
@@ -168,11 +180,29 @@ class CacheModel
     void touch(std::int32_t i);
     void removeSlot(std::int32_t i);
 
+    /** Home bucket of @p key (multiplicative hash, top bits). */
+    std::size_t bucketOf(std::uint64_t key) const
+    {
+        return static_cast<std::size_t>(
+            (key * 0x9e3779b97f4a7c15ULL) >> hashShift_);
+    }
+    /** Bucket holding @p key, or the empty bucket ending its probe. */
+    std::size_t findBucket(std::uint64_t key) const;
+    /** Size the index to @p buckets (a power of two) and rehash. */
+    void rebuildIndex(std::size_t buckets);
+    /** Empty bucket @p b, shifting its probe chain back over it. */
+    void eraseBucket(std::size_t b);
+
     CacheShape shape_{};
     Rng rng_{0};
     std::vector<Entry> slots_;
     std::vector<std::int32_t> freeSlots_;
-    std::unordered_map<std::uint64_t, std::int32_t> index_;
+    /** Key index: bucket -> slot, -1 = empty. */
+    std::vector<std::int32_t> index_;
+    std::size_t indexMask_ = 0;
+    unsigned hashShift_ = 64;
+    /** Resident entries. */
+    std::size_t count_ = 0;
     /** List heads/tails: [0] probation (and plain LRU), [1] protected. */
     std::int32_t head_[2] = {-1, -1};
     std::int32_t tail_[2] = {-1, -1};

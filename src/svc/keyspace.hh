@@ -33,7 +33,9 @@ enum class MemcachedOp : std::uint8_t { Get = 0, Set = 1 };
  * RejectionInversionZipfSampler): no O(n) zeta-table precompute, so a
  * sampler over a 2^32 keyspace costs the same to build as one over
  * 2^10. Rank 0 is the hottest key. A non-positive skew degrades to
- * the uniform distribution (the no-skew control).
+ * the uniform distribution (the no-skew control). A keyed run carries
+ * ranks in the 32-bit Message::key, so its keyspace is at most 2^32
+ * keys (CacheShape::validate() enforces it).
  */
 class ZipfSampler
 {

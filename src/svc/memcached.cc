@@ -142,8 +142,15 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
     : params_(params),
       graph_(sim, replyLink, client, rng, params.runVariability)
 {
-    TPV_ASSERT(params_.shards >= 1, "cluster needs at least one shard");
-    TPV_ASSERT(params_.replicas >= 1, "cluster needs a cache replica");
+    if (params_.shards < 1) {
+        fatal("MemcachedParams::shards must be >= 1, got ",
+              params_.shards);
+    }
+    if (params_.replicas < 1) {
+        fatal("MemcachedParams::replicas must be >= 1, got ",
+              params_.replicas);
+    }
+    params_.cache.validate();
 
     // mcrouter-style proxy: fixed parse + key-hash cost, not scaled
     // by the environment factor (protocol work, not data work).
@@ -339,13 +346,18 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
         // the rng fork sequence) deterministic.
         caches_.reserve(static_cast<std::size_t>(params_.replicas) *
                         static_cast<std::size_t>(params_.shards));
+        const std::vector<std::vector<std::uint32_t>> hottest =
+            params_.cache.coldStart
+                ? std::vector<std::vector<std::uint32_t>>{}
+                : hottestPerShard();
         const int cacheTier = cache_->tierIndex();
         for (int r = 0; r < params_.replicas; ++r) {
             for (int s = 0; s < params_.shards; ++s) {
                 caches_.emplace_back(params_.cache,
                                      graph_.rng().fork());
                 if (!params_.cache.coldStart)
-                    prewarm(caches_.back(), s);
+                    prewarm(caches_.back(),
+                            hottest[static_cast<std::size_t>(s)]);
                 caches_.back().resetCounters();
                 // Capacity churn as global markers (rootId 0): which
                 // replica/shard evicted, not which request triggered
@@ -408,18 +420,33 @@ MemcachedCluster::cacheModel(int replica, int shard)
                       static_cast<std::size_t>(shard));
 }
 
-void
-MemcachedCluster::prewarm(CacheModel &cache, int shard)
+std::vector<std::vector<std::uint32_t>>
+MemcachedCluster::hottestPerShard() const
 {
+    // One pass over the ranks, hottest first, until every shard holds
+    // its capacity (or the keyspace runs out).
     const CacheShape &cs = params_.cache;
-    // The hottest ranks that hash to this shard, up to its capacity.
-    std::vector<std::uint64_t> ranks;
     const std::uint64_t cap =
         cs.capacityEntries > 0 ? cs.capacityEntries : cs.keys;
-    for (std::uint64_t k = 0; k < cs.keys && ranks.size() < cap; ++k) {
-        if (shardOf(k, params_.shards) == shard)
-            ranks.push_back(k);
+    std::vector<std::vector<std::uint32_t>> out(
+        static_cast<std::size_t>(params_.shards));
+    int open = params_.shards;
+    for (std::uint64_t k = 0; k < cs.keys && open > 0; ++k) {
+        auto &ranks =
+            out[static_cast<std::size_t>(shardOf(k, params_.shards))];
+        if (ranks.size() < cap) {
+            ranks.push_back(static_cast<std::uint32_t>(k));
+            if (ranks.size() == cap)
+                --open;
+        }
     }
+    return out;
+}
+
+void
+MemcachedCluster::prewarm(CacheModel &cache,
+                          const std::vector<std::uint32_t> &ranks)
+{
     // Insert coldest-first so the hottest keys end at the MRU end
     // (and survive byte-cap evictions during the fill).
     for (auto it = ranks.rbegin(); it != ranks.rend(); ++it)

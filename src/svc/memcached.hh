@@ -168,9 +168,14 @@ class MemcachedCluster : public net::Endpoint
     /** The CacheModel serving @p msg (replica, shard on the wire). */
     CacheModel &cacheFor(const net::Message &msg);
 
-    /** Fill (replica, shard)'s cache with the hottest keys that hash
-     *  to the shard, as a long-running cluster would hold. */
-    void prewarm(CacheModel &cache, int shard);
+    /** Per shard, the hottest ranks that hash to it, hottest first,
+     *  up to one cache's entry capacity: what a long-running cluster
+     *  holds. Shared by every replica's cache of the shard. */
+    std::vector<std::vector<std::uint32_t>> hottestPerShard() const;
+
+    /** Fill a cache with @p ranks (from hottestPerShard()). */
+    void prewarm(CacheModel &cache,
+                 const std::vector<std::uint32_t> &ranks);
 
     MemcachedParams params_;
     ServiceGraph graph_;

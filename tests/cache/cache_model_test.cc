@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <vector>
 
+#include "core/experiment.hh"
 #include "svc/keyspace.hh"
 
 namespace tpv {
@@ -42,6 +46,50 @@ TEST(CacheShape, LabelNamesTheKnobs)
     EXPECT_EQ(s.label(), "z0.99k64Kc4K-slru-cold");
     CacheShape uncapped = shape(1 << 10, 0);
     EXPECT_EQ(uncapped.label(), "z0.99k1KcINF-lru");
+}
+
+TEST(CacheShapeDeathTest, RejectsNonFiniteSkew)
+{
+    // A NaN or infinite skew would hang the Zipf sampler's first draw.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double skew : {std::nan(""), inf, -inf}) {
+        CacheShape s = shape(1 << 10, 64);
+        s.skew = skew;
+        EXPECT_EXIT(s.validate(), ::testing::ExitedWithCode(1),
+                    "CacheShape::skew");
+        core::ExperimentConfig cfg =
+            core::ExperimentConfig::forMemcached(1000);
+        EXPECT_EXIT(core::applyCacheShape(cfg, s),
+                    ::testing::ExitedWithCode(1), "CacheShape::skew");
+    }
+}
+
+TEST(CacheShapeDeathTest, RejectsKeysAbove2To32)
+{
+    // Ranks travel in the 32-bit Message::key: 2^32 keys fit, one more
+    // would wrap.
+    CacheShape s = shape(std::uint64_t{1} << 32, 64);
+    s.validate();
+    s.keys += 1;
+    EXPECT_EXIT(s.validate(), ::testing::ExitedWithCode(1),
+                "CacheShape::keys");
+    core::ExperimentConfig cfg = core::ExperimentConfig::forMemcached(1000);
+    EXPECT_EXIT(core::applyCacheShape(cfg, s), ::testing::ExitedWithCode(1),
+                "CacheShape::keys");
+}
+
+TEST(CacheShapeDeathTest, RejectsCapacityEntriesAbove2To31Minus1)
+{
+    // Slots are int32_t indices.
+    CacheShape s = shape(1 << 10, std::numeric_limits<std::int32_t>::max());
+    s.validate();
+    s.capacityEntries += 1;
+    EXPECT_EXIT(s.validate(), ::testing::ExitedWithCode(1),
+                "CacheShape::capacityEntries");
+    s.capacityEntries = std::uint64_t{1} << 40;
+    core::ExperimentConfig cfg = core::ExperimentConfig::forMemcached(1000);
+    EXPECT_EXIT(core::applyCacheShape(cfg, s), ::testing::ExitedWithCode(1),
+                "CacheShape::capacityEntries");
 }
 
 TEST(CacheModel, HitAndMissAccounting)
@@ -188,6 +236,260 @@ TEST(CacheModel, EvictionIsDeterministicPerPolicy)
         EXPECT_EQ(a.size(), b.size()) << toString(policy);
         EXPECT_EQ(a.bytesUsed(), b.bytesUsed()) << toString(policy);
     }
+}
+
+/**
+ * The cache model as it was before the flat key index: the same slot
+ * array, free list and eviction policies over a std::map key index,
+ * kept as the reference the flat index must match op for op
+ * (including which slots sampled-LFU / random eviction draw).
+ */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(const CacheShape &shape, Rng rng) : shape_(shape), rng_(rng)
+    {
+    }
+
+    CacheModel::Result
+    get(std::uint64_t key)
+    {
+        const auto it = index_.find(key);
+        if (it == index_.end())
+            return {};
+        touch(it->second);
+        return {true, slots_[static_cast<std::size_t>(it->second)].valueBytes};
+    }
+
+    std::uint64_t
+    put(std::uint64_t key, std::uint32_t valueBytes)
+    {
+        const std::uint64_t before = evictions_;
+        const auto it = index_.find(key);
+        if (it != index_.end()) {
+            Entry &e = slots_[static_cast<std::size_t>(it->second)];
+            bytesUsed_ += valueBytes;
+            bytesUsed_ -= e.valueBytes;
+            e.valueBytes = valueBytes;
+            touch(it->second);
+        } else {
+            std::int32_t i;
+            if (!freeSlots_.empty()) {
+                i = freeSlots_.back();
+                freeSlots_.pop_back();
+            } else {
+                i = static_cast<std::int32_t>(slots_.size());
+                slots_.push_back(Entry{});
+            }
+            Entry &e = slots_[static_cast<std::size_t>(i)];
+            e.key = key;
+            e.valueBytes = valueBytes;
+            e.used = true;
+            e.isProtected = false;
+            index_.emplace(key, i);
+            bytesUsed_ += valueBytes;
+            pushMru(i);
+        }
+        while (overCapacity() && index_.size() > 1)
+            evictOne();
+        return evictions_ - before;
+    }
+
+    std::size_t size() const { return index_.size(); }
+    std::uint64_t bytesUsed() const { return bytesUsed_; }
+
+  private:
+    struct Entry
+    {
+        std::uint64_t key = 0;
+        std::uint32_t valueBytes = 0;
+        std::uint8_t freq = 0;
+        bool isProtected = false;
+        bool used = false;
+        std::int32_t prev = -1;
+        std::int32_t next = -1;
+    };
+
+    Entry &at(std::int32_t i) { return slots_[static_cast<std::size_t>(i)]; }
+
+    bool
+    overCapacity() const
+    {
+        if (shape_.capacityEntries > 0 &&
+            index_.size() > shape_.capacityEntries)
+            return true;
+        return shape_.capacityBytes > 0 && bytesUsed_ > shape_.capacityBytes;
+    }
+
+    void
+    unlink(std::int32_t i)
+    {
+        Entry &e = at(i);
+        const int seg = e.isProtected ? 1 : 0;
+        if (e.prev >= 0)
+            at(e.prev).next = e.next;
+        else
+            head_[seg] = e.next;
+        if (e.next >= 0)
+            at(e.next).prev = e.prev;
+        else
+            tail_[seg] = e.prev;
+        e.prev = e.next = -1;
+        --segSize_[seg];
+    }
+
+    void
+    pushMru(std::int32_t i)
+    {
+        Entry &e = at(i);
+        const int seg = e.isProtected ? 1 : 0;
+        e.prev = -1;
+        e.next = head_[seg];
+        if (head_[seg] >= 0)
+            at(head_[seg]).prev = i;
+        head_[seg] = i;
+        if (tail_[seg] < 0)
+            tail_[seg] = i;
+        ++segSize_[seg];
+    }
+
+    std::int32_t lruVictim() { return tail_[0] >= 0 ? tail_[0] : tail_[1]; }
+
+    void
+    touch(std::int32_t i)
+    {
+        Entry &e = at(i);
+        if (e.freq < std::numeric_limits<std::uint8_t>::max())
+            ++e.freq;
+        if (shape_.eviction == EvictionPolicy::Lru) {
+            unlink(i);
+            pushMru(i);
+        } else if (shape_.eviction == EvictionPolicy::Slru) {
+            unlink(i);
+            e.isProtected = true;
+            pushMru(i);
+            const std::size_t cap =
+                shape_.capacityEntries > 0
+                    ? std::max<std::size_t>(1, shape_.capacityEntries * 4 / 5)
+                    : std::numeric_limits<std::size_t>::max();
+            while (segSize_[1] > cap) {
+                const std::int32_t demote = tail_[1];
+                unlink(demote);
+                at(demote).isProtected = false;
+                pushMru(demote);
+            }
+        }
+    }
+
+    void
+    evictOne()
+    {
+        std::int32_t victim = -1;
+        if (shape_.eviction == EvictionPolicy::Lru ||
+            shape_.eviction == EvictionPolicy::Slru) {
+            victim = lruVictim();
+        } else {
+            const auto nSlots = static_cast<std::int64_t>(slots_.size());
+            int wanted = shape_.eviction == EvictionPolicy::Random ? 1 : 5;
+            std::uint8_t bestFreq = std::numeric_limits<std::uint8_t>::max();
+            for (int attempt = 0; attempt < 8 * 5 && wanted > 0; ++attempt) {
+                const auto i =
+                    static_cast<std::int32_t>(rng_.uniformInt(0, nSlots - 1));
+                const Entry &e = at(i);
+                if (!e.used)
+                    continue;
+                --wanted;
+                if (victim < 0 || e.freq < bestFreq) {
+                    victim = i;
+                    bestFreq = e.freq;
+                }
+            }
+            if (victim < 0)
+                victim = lruVictim();
+        }
+        Entry &e = at(victim);
+        unlink(victim);
+        bytesUsed_ -= e.valueBytes;
+        index_.erase(e.key);
+        e = Entry{};
+        freeSlots_.push_back(victim);
+        ++evictions_;
+    }
+
+    CacheShape shape_;
+    Rng rng_;
+    std::vector<Entry> slots_;
+    std::vector<std::int32_t> freeSlots_;
+    std::map<std::uint64_t, std::int32_t> index_;
+    std::int32_t head_[2] = {-1, -1};
+    std::int32_t tail_[2] = {-1, -1};
+    std::size_t segSize_[2] = {0, 0};
+    std::uint64_t bytesUsed_ = 0;
+    std::uint64_t evictions_ = 0;
+};
+
+TEST(CacheModel, IndexMatchesMapReference)
+{
+    // Seeded get/put streams against the std::map reference, op by
+    // op, under every policy with an entry cap, a byte cap and no
+    // cap. Besides Zipf traffic over the keyspace, one stream churns
+    // keys whose home is the last bucket of the smallest (16-bucket)
+    // index, so probe chains wrap past the end and backward-shift
+    // deletion has to move entries across it; another uses keys far
+    // outside the keyspace, which an unbounded index must grow for.
+    std::vector<std::uint64_t> wrapKeys;
+    for (std::uint64_t k = 0; wrapKeys.size() < 12; ++k) {
+        if ((k * 0x9e3779b97f4a7c15ULL) >> 60 >= 14)
+            wrapKeys.push_back(k);
+    }
+    struct Cap
+    {
+        std::uint64_t entries;
+        std::uint64_t bytes;
+    };
+    const Cap caps[] = {{5, 0}, {64, 0}, {0, 3000}, {0, 0}};
+    int checked = 0;
+    for (EvictionPolicy policy :
+         {EvictionPolicy::Lru, EvictionPolicy::Slru, EvictionPolicy::Lfu,
+          EvictionPolicy::Random}) {
+        for (const Cap &cap : caps) {
+            for (int stream = 0; stream < 3; ++stream) {
+                CacheShape sh = shape(2000, cap.entries, policy);
+                sh.capacityBytes = cap.bytes;
+                CacheModel c(sh, Rng(41));
+                ReferenceCache ref(sh, Rng(41));
+                const ZipfSampler zipf(2000, 0.8);
+                Rng traffic(static_cast<std::uint64_t>(stream) + 7);
+                for (int op = 0; op < 6000; ++op) {
+                    std::uint64_t key = 0;
+                    if (stream == 0) {
+                        key = zipf(traffic);
+                    } else if (stream == 1) {
+                        key = wrapKeys[static_cast<std::size_t>(
+                            traffic.uniformInt(0, 11))];
+                    } else {
+                        const auto shift = traffic.uniformInt(0, 63);
+                        key = traffic.u64() >> shift;
+                    }
+                    const auto bytes =
+                        static_cast<std::uint32_t>(traffic.uniformInt(1, 400));
+                    if (traffic.chance(0.5)) {
+                        const CacheModel::Result got = c.get(key);
+                        const CacheModel::Result want = ref.get(key);
+                        ASSERT_EQ(got.hit, want.hit) << op;
+                        ASSERT_EQ(got.valueBytes, want.valueBytes) << op;
+                    } else {
+                        ASSERT_EQ(c.put(key, bytes), ref.put(key, bytes))
+                            << op;
+                    }
+                    ASSERT_EQ(c.size(), ref.size()) << op;
+                    ASSERT_EQ(c.bytesUsed(), ref.bytesUsed()) << op;
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, 4 * 4 * 3 * 6000);
 }
 
 /**

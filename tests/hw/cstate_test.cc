@@ -10,6 +10,7 @@
 #include <array>
 #include <cmath>
 #include <set>
+#include <vector>
 
 namespace tpv {
 namespace hw {
@@ -288,6 +289,98 @@ TEST(MenuGovernor, FusedEstimatorMatchesReferenceOverLongSequences)
             g.recordIdle(idle);
             ref.recordIdle(idle);
         }
+    }
+}
+
+/**
+ * Feed @p window to a fresh governor and the reference, then compare
+ * one choose() with no timer hint: the prediction is the estimate.
+ */
+void
+expectSameEstimate(const CStateTable &t, const std::vector<Time> &window)
+{
+    MenuGovernor g(t);
+    ReferenceMenuGovernor ref(t);
+    for (Time idle : window) {
+        g.recordIdle(idle);
+        ref.recordIdle(idle);
+    }
+    ASSERT_EQ(g.choose(kTimeNever).state, ref.choose(kTimeNever).state);
+    ASSERT_EQ(g.lastPrediction(), ref.lastPrediction())
+        << "window of " << window.size() << " starting " << window[0];
+}
+
+TEST(MenuGovernor, FastPathMatchesReferenceAtNearTies)
+{
+    // The fast path decides the loop's pass test (9kQ <= 10S^2 for
+    // the k smallest values) from sums, and runs the loop itself when
+    // a test lands within a 1e-12 relative band of the tie. Each
+    // window here has k values whose last one solves 9kQ = 10S^2,
+    // rounded and offset by -2..+2 ns, plus up to 8 - k larger values
+    // the loop drops first. At small magnitudes the offsets sit
+    // outside the band (the fast path decides); near 2^49 they sit
+    // inside it (the loop decides); offset 0 on an integer root is an
+    // exact tie ({a, 2a} is one for k = 2).
+    CStateTable t = lpTable();
+    Rng rng(20261017);
+    int windows = 0;
+    while (windows < 60000) {
+        const auto k = static_cast<int>(rng.uniformInt(2, 8));
+        const double scale =
+            std::pow(10.0, rng.uniform(0.0, std::log10(0x1p48)));
+        std::vector<Time> w;
+        long double s = 0;
+        long double q = 0;
+        for (int i = 0; i + 1 < k; ++i) {
+            const Time x = std::max<Time>(
+                0, static_cast<Time>(scale * rng.uniform(0.5, 1.5)));
+            w.push_back(x);
+            s += x;
+            q += static_cast<long double>(x) * x;
+        }
+        // (9k - 10) x^2 - 20 S x + (9kQ - 10 S^2) = 0.
+        const long double a = 9.0L * k - 10.0L;
+        const long double disc =
+            36.0L * k * (10.0L * s * s - a * q);
+        if (disc < 0)
+            continue; // no tie reachable from these k - 1 values
+        const bool bigRoot = rng.chance(0.5);
+        const long double root =
+            (20.0L * s + (bigRoot ? 1 : -1) * std::sqrt(disc)) / (2 * a);
+        const Time x = static_cast<Time>(std::llround(root)) +
+                       rng.uniformInt(-2, 2);
+        if (x < 0)
+            continue;
+        w.push_back(x);
+        const Time top = *std::max_element(w.begin(), w.end());
+        const auto extra = top < (Time{1} << 47)
+                               ? static_cast<int>(rng.uniformInt(0, 8 - k))
+                               : 0;
+        for (int i = 0; i < extra; ++i)
+            w.push_back(top * 4 + rng.uniformInt(0, top + 1));
+        for (std::size_t i = w.size(); i > 1; --i) {
+            const auto j = static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<std::int64_t>(i) - 1));
+            std::swap(w[i - 1], w[j]);
+        }
+        ASSERT_NO_FATAL_FAILURE(expectSameEstimate(t, w));
+        ++windows;
+    }
+
+    for (std::size_t n = 1; n <= 8; ++n) {
+        // All-zero windows (an exact 0 <= 0 pass), alone and under
+        // larger values the loop drops.
+        ASSERT_NO_FATAL_FAILURE(
+            expectSameEstimate(t, std::vector<Time>(n, 0)));
+        std::vector<Time> w(n, 0);
+        w.back() = usec(500);
+        ASSERT_NO_FATAL_FAILURE(expectSameEstimate(t, w));
+        // One value at or past 2^50: sums leave the exact range.
+        w.assign(n, usec(40));
+        w[n / 2] = (Time{1} << 50) + static_cast<Time>(n);
+        ASSERT_NO_FATAL_FAILURE(expectSameEstimate(t, w));
+        w[n / 2] = Time{1} << 50;
+        ASSERT_NO_FATAL_FAILURE(expectSameEstimate(t, w));
     }
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -190,6 +191,101 @@ TEST(MemcachedDeathTest, RejectsNegativeServiceTimeSd)
                                      p);
         },
         ::testing::ExitedWithCode(1), "MemcachedParams::serviceTimeSd");
+}
+
+TEST(MemcachedCluster, PrewarmHoldsHottestRanksPerShard)
+{
+    // Every (replica, shard) cache starts with exactly the first `cap`
+    // ranks that hash to its shard (all of them when the shard owns
+    // fewer), found here by brute force over the keyspace. Under
+    // sampled LFU an over-full prewarm would evict hot ranks at
+    // random, so the fill must stop at the capacity exactly.
+    const std::uint64_t keys = 3000;
+    const std::uint64_t cap = 200;
+    for (EvictionPolicy policy :
+         {EvictionPolicy::Lru, EvictionPolicy::Lfu}) {
+        for (int shards : {1, 3, 8}) {
+            MemcachedParams p;
+            p.shards = shards;
+            p.replicas = 2;
+            p.cache.keys = keys;
+            p.cache.capacityEntries = cap;
+            p.cache.eviction = policy;
+            Simulator sim;
+            net::Link link(sim, Rng(1));
+            ClientSink client;
+            MemcachedCluster cluster(sim, serverCfg(), link, client, Rng(2),
+                                     p);
+            for (int s = 0; s < shards; ++s) {
+                std::vector<bool> want(keys, false);
+                std::uint64_t held = 0;
+                for (std::uint64_t k = 0; k < keys && held < cap; ++k) {
+                    if (MemcachedCluster::shardOf(k, shards) == s) {
+                        want[k] = true;
+                        ++held;
+                    }
+                }
+                for (int r = 0; r < p.replicas; ++r) {
+                    CacheModel &c = cluster.cacheModel(r, s);
+                    ASSERT_EQ(c.size(), held)
+                        << toString(policy) << ", " << shards << " shards";
+                    for (std::uint64_t k = 0; k < keys; ++k) {
+                        ASSERT_EQ(c.get(k).hit, want[k])
+                            << toString(policy) << ", " << shards
+                            << " shards, replica " << r << ", shard " << s
+                            << ", rank " << k;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** Build a cluster from @p p (fatal() on an invalid shape). */
+void
+buildCluster(const MemcachedParams &p)
+{
+    Simulator sim;
+    net::Link link(sim, Rng(1));
+    ClientSink client;
+    MemcachedCluster cluster(sim, serverCfg(), link, client, Rng(2), p);
+}
+
+TEST(MemcachedClusterDeathTest, RejectsZeroShards)
+{
+    MemcachedParams p;
+    p.shards = 0;
+    EXPECT_EXIT(buildCluster(p), ::testing::ExitedWithCode(1),
+                "MemcachedParams::shards");
+}
+
+TEST(MemcachedClusterDeathTest, RejectsZeroReplicas)
+{
+    MemcachedParams p;
+    p.replicas = 0;
+    EXPECT_EXIT(buildCluster(p), ::testing::ExitedWithCode(1),
+                "MemcachedParams::replicas");
+}
+
+TEST(MemcachedClusterDeathTest, RejectsAnInvalidCacheShape)
+{
+    // The cluster validates its cache shape itself, so a shape set on
+    // MemcachedParams directly (not through core::applyCacheShape)
+    // cannot hang the run or wrap keys either.
+    MemcachedParams p;
+    p.shards = 2;
+    p.cache.keys = 1 << 10;
+    p.cache.skew = std::nan("");
+    EXPECT_EXIT(buildCluster(p), ::testing::ExitedWithCode(1),
+                "CacheShape::skew");
+    p.cache.skew = 0.99;
+    p.cache.keys = (std::uint64_t{1} << 32) + 1;
+    EXPECT_EXIT(buildCluster(p), ::testing::ExitedWithCode(1),
+                "CacheShape::keys");
+    p.cache.keys = 1 << 10;
+    p.cache.capacityEntries = std::uint64_t{1} << 40;
+    EXPECT_EXIT(buildCluster(p), ::testing::ExitedWithCode(1),
+                "CacheShape::capacityEntries");
 }
 
 } // namespace
