@@ -108,7 +108,6 @@ ExperimentConfig::forSynthetic(double qps, Time addedDelay)
 void
 applyTopology(ExperimentConfig &cfg, const svc::TopologyShape &shape)
 {
-    cfg.topology = shape;
     cfg.hdsearch.fanout = shape.shards;
     cfg.hdsearch.replicas = shape.replicas;
     cfg.hdsearch.hedgeDelay = shape.hedgeDelay;
@@ -126,7 +125,6 @@ applyTopology(ExperimentConfig &cfg, const svc::TopologyShape &shape)
 void
 applyTrafficPolicy(ExperimentConfig &cfg, const svc::TrafficPolicy &policy)
 {
-    cfg.topology.traffic = policy;
     cfg.hdsearch.traffic = policy;
     cfg.memcached.traffic = policy;
 }
@@ -135,7 +133,6 @@ void
 applyCacheShape(ExperimentConfig &cfg, const svc::CacheShape &shape)
 {
     shape.validate();
-    cfg.topology.cache = shape;
     cfg.memcached.cache = shape;
     cfg.memcached.etc.keys = shape.keys;
     cfg.memcached.etc.skew = shape.skew;
@@ -264,17 +261,8 @@ runOnce(const ExperimentConfig &cfg)
         serviceGraph->setTrace(trace.get());
         auto wireObs = [&sim, tr = trace.get()](const net::Message &m,
                                                 Time delay) {
-            const std::uint64_t root =
-                m.parentId != 0 ? m.parentId : m.id;
-            if (!tr->wants(root))
-                return;
-            obs::SpanRecord rec;
-            rec.start = sim.now();
-            rec.end = rec.start + delay;
-            rec.rootId = root;
-            rec.arg = m.bytes;
-            rec.kind = obs::SpanKind::Wire;
-            tr->record(rec);
+            tr->span(obs::SpanKind::Wire, sim.now(), sim.now() + delay,
+                     svc::localRoot(m), {}, m.bytes);
         };
         clientToServer.setObserver(wireObs);
         serverToClient.setObserver(wireObs);

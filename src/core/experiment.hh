@@ -54,12 +54,6 @@ struct ExperimentConfig
     svc::HdSearchParams hdsearch;
     svc::SocialNetworkParams socialnet;
     /**
-     * Service-topology knobs (shards / replicas / hedge delay), the
-     * record of what applyTopology() configured. Sweep this axis with
-     * core::sweep<TopologyAxis>().
-     */
-    svc::TopologyShape topology;
-    /**
      * Replica crashes injected into the service during the run
      * (empty = the healthy baseline, bit-identical to pre-fault
      * builds). Windows are in simulated run time (0 = run start).
@@ -112,8 +106,8 @@ struct ExperimentConfig
  * hedge delay and hedging policy land on the workload's
  * scatter-gather parameters — the HDSearch fan-out and the sharded
  * Memcached cluster (which is selected whenever the shape widens
- * beyond 1 shard x 1 replica). The shape is also recorded in
- * cfg.topology for reporting.
+ * beyond 1 shard x 1 replica). Sweep this axis with
+ * core::sweep<TopologyAxis>().
  */
 void applyTopology(ExperimentConfig &cfg,
                    const svc::TopologyShape &shape);
@@ -122,9 +116,7 @@ void applyTopology(ExperimentConfig &cfg,
  * Apply a traffic-management policy to @p cfg without touching the
  * topology shape: sub-request deadlines/retries and circuit breakers
  * land on the workload's fan-out edge, admission control on its leaf
- * tier. Recorded in cfg.topology.traffic so cell labels and reports
- * can name the policy. Sweep this axis with
- * core::sweep<TrafficPolicyAxis>().
+ * tier. Sweep this axis with core::sweep<TrafficPolicyAxis>().
  */
 void applyTrafficPolicy(ExperimentConfig &cfg,
                         const svc::TrafficPolicy &policy);
@@ -135,9 +127,8 @@ void applyTrafficPolicy(ExperimentConfig &cfg,
  * selects whenever a cache is enabled) and, for the Memcached
  * workload, the generator's request model is re-bound to the keyed
  * one — every request draws a Zipf rank over shape.keys and carries
- * it in Message::key. A disabled shape records itself and leaves the
- * historical unkeyed model in place. Sweep this axis with
- * core::sweep<CacheAxis>().
+ * it in Message::key. A disabled shape leaves the historical unkeyed
+ * model in place. Sweep this axis with core::sweep<CacheAxis>().
  */
 void applyCacheShape(ExperimentConfig &cfg,
                      const svc::CacheShape &shape);

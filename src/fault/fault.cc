@@ -148,15 +148,9 @@ Injector::arm(Time horizon)
             continue;
         ++windowsArmed_;
         if (obs::TraceRecorder *tr = graph_.trace()) {
-            // The window as a global marker (rootId 0), recorded
-            // offline.
-            obs::SpanRecord rec;
-            rec.start = start;
-            rec.end = end;
-            rec.kind = obs::SpanKind::Fault;
-            rec.tier = static_cast<std::uint8_t>(tier.tierIndex());
-            rec.replica = static_cast<std::int16_t>(spec.replica);
-            tr->record(rec);
+            // The window as a global marker, recorded offline.
+            tr->marker(obs::SpanKind::Fault, start, end,
+                       {tier.tierIndex(), -1, spec.replica});
         }
         sweep.push_back(
             SweepEntry{start, order++, SweepEntry::Begin, &spec, &tier});
@@ -217,15 +211,13 @@ Injector::replayBegin(const SweepEntry &e)
 void
 Injector::replayDetect(const SweepEntry &e)
 {
-    // Suspect the replicas and re-issue their outstanding
+    // Suspect the replicas, which re-issues their outstanding
     // sub-requests.
     svc::Tier *t = e.tier;
     const FaultSpec *s = e.spec;
-    sim_.at(e.when, [this, t, s] {
-        for (int r : targetReplicas(*s, *t)) {
+    sim_.at(e.when, [t, s] {
+        for (int r : targetReplicas(*s, *t))
             t->setReplicaSuspected(r, true);
-            graph_.notifyReplicaDown(*t, r);
-        }
     });
 }
 

@@ -120,11 +120,13 @@ TraceRecorder::OpenKeyHash::operator()(const OpenKey &k) const
     std::uint64_t h = mix64(k.id);
     h = mix64(h ^ k.parent);
     h = mix64(h ^ (static_cast<std::uint64_t>(k.kind) << 48) ^
-              (static_cast<std::uint64_t>(k.tier) << 40) ^
               (static_cast<std::uint64_t>(
-                   static_cast<std::uint16_t>(k.shard))
+                   static_cast<std::uint8_t>(k.site.tier))
+               << 40) ^
+              (static_cast<std::uint64_t>(
+                   static_cast<std::uint16_t>(k.site.shard))
                << 16) ^
-              static_cast<std::uint16_t>(k.replica));
+              static_cast<std::uint16_t>(k.site.replica));
     return static_cast<std::size_t>(h);
 }
 
@@ -147,7 +149,9 @@ TraceRecorder::sampled(std::uint64_t rootId) const
 }
 
 void
-TraceRecorder::record(const SpanRecord &span)
+TraceRecorder::record(SpanKind kind, Time start, Time end,
+                      std::uint64_t rootId, SpanSite site,
+                      std::uint32_t arg)
 {
     if (spans_.size() >= cfg_.maxSpans) {
         if (!truncated_) {
@@ -157,31 +161,55 @@ TraceRecorder::record(const SpanRecord &span)
         }
         return;
     }
-    spans_.push_back(span);
+    spans_.push_back(SpanRecord{start, end, rootId, arg, kind,
+                                static_cast<std::uint8_t>(site.tier),
+                                static_cast<std::int16_t>(site.shard),
+                                static_cast<std::int16_t>(site.replica)});
 }
 
 void
-TraceRecorder::begin(const OpenKey &key, Time start, std::uint64_t rootId,
-                     std::uint32_t arg)
+TraceRecorder::span(SpanKind kind, Time start, Time end,
+                    std::uint64_t rootId, SpanSite site, std::uint32_t arg)
 {
-    open_[key] = OpenValue{start, rootId, arg};
+    if (wants(rootId))
+        record(kind, start, end, rootId, site, arg);
+}
+
+void
+TraceRecorder::marker(SpanKind kind, Time start, Time end, SpanSite site,
+                      std::uint32_t arg)
+{
+    record(kind, start, end, 0, site, arg);
+}
+
+void
+TraceRecorder::begin(const OpenKey &key, Time start, std::uint64_t rootId)
+{
+    if (wants(rootId))
+        open_[key] = OpenValue{start, rootId};
 }
 
 bool
-TraceRecorder::end(const OpenKey &key, Time *start, std::uint64_t *rootId,
-                   std::uint32_t *arg)
+TraceRecorder::end(const OpenKey &key, Time *start, std::uint64_t *rootId)
 {
     auto it = open_.find(key);
     if (it == open_.end())
         return false;
-    if (start != nullptr)
-        *start = it->second.start;
-    if (rootId != nullptr)
-        *rootId = it->second.rootId;
-    if (arg != nullptr)
-        *arg = it->second.arg;
+    *start = it->second.start;
+    *rootId = it->second.rootId;
     open_.erase(it);
     return true;
+}
+
+void
+TraceRecorder::close(const OpenKey &key, Time end, int replica,
+                     std::uint32_t arg)
+{
+    Time start = 0;
+    std::uint64_t rootId = 0;
+    if (this->end(key, &start, &rootId))
+        span(key.kind, start, end, rootId,
+             {key.site.tier, key.site.shard, replica}, arg);
 }
 
 std::vector<SpanRecord>

@@ -99,6 +99,19 @@ struct SpanRecord
     std::int16_t replica = -1;
 };
 
+/**
+ * Where a span happened: tier index, shard and replica, -1 for none
+ * (a tier of -1 is the client side, exported as tier 0xff).
+ */
+struct SpanSite
+{
+    int tier = -1;
+    int shard = -1;
+    int replica = -1;
+
+    bool operator==(const SpanSite &) const = default;
+};
+
 /** Recorder knobs (the trace part of ObsOptions). */
 struct TraceConfig
 {
@@ -169,17 +182,9 @@ class TraceRecorder
         std::uint64_t id = 0;
         std::uint64_t parent = 0;
         SpanKind kind = SpanKind::Root;
-        std::uint8_t tier = 0xff;
-        std::int16_t shard = -1;
-        std::int16_t replica = -1;
+        SpanSite site{};
 
-        bool
-        operator==(const OpenKey &o) const
-        {
-            return id == o.id && parent == o.parent &&
-                   kind == o.kind && tier == o.tier &&
-                   shard == o.shard && replica == o.replica;
-        }
+        bool operator==(const OpenKey &) const = default;
     };
 
     /** A tail-explainer entry: one slow root and its spans. */
@@ -210,21 +215,48 @@ class TraceRecorder
         return cfg_.tailN > 0 || sampled(rootId);
     }
 
-    /** Append a finished span to the slab. */
-    void record(const SpanRecord &span);
+    /**
+     * The span builder every recording site goes through: record a
+     * span of @p kind over [@p start, @p end] at @p site with payload
+     * @p arg — if the recorder wants @p rootId at all (see wants()).
+     */
+    void span(SpanKind kind, Time start, Time end, std::uint64_t rootId,
+              SpanSite site = {}, std::uint32_t arg = 0);
 
-    /** Open a begin/end span; a duplicate key overwrites (a retry
-     *  restarting a lane supersedes the dead attempt). */
-    void begin(const OpenKey &key, Time start, std::uint64_t rootId,
-               std::uint32_t arg);
+    /** span() of an instant (end == start). */
+    void
+    instant(SpanKind kind, Time at, std::uint64_t rootId,
+            SpanSite site = {}, std::uint32_t arg = 0)
+    {
+        span(kind, at, at, rootId, site, arg);
+    }
+
+    /** A global marker (rootId 0, always recorded and exported): a
+     *  breaker transition, a cache eviction, a fault window. */
+    void marker(SpanKind kind, Time start, Time end, SpanSite site,
+                std::uint32_t arg = 0);
 
     /**
-     * Close an open span, filling @p start / @p rootId / @p arg from
-     * the begin. @return false when no begin was recorded (the span
-     * is then skipped).
+     * Open a begin/end span of @p rootId (nothing when the recorder
+     * does not want the root); a duplicate key overwrites (a retry
+     * restarting a lane supersedes the dead attempt).
      */
-    bool end(const OpenKey &key, Time *start, std::uint64_t *rootId,
-             std::uint32_t *arg);
+    void begin(const OpenKey &key, Time start, std::uint64_t rootId);
+
+    /**
+     * Close an open span, filling @p start / @p rootId from the
+     * begin. @return false when no begin was recorded (the span is
+     * then skipped).
+     */
+    bool end(const OpenKey &key, Time *start, std::uint64_t *rootId);
+
+    /**
+     * Close the open span @p key at @p end and record it with the
+     * key's kind, tier and shard, on @p replica, with payload @p arg.
+     * Records nothing when no begin was recorded.
+     */
+    void close(const OpenKey &key, Time end, int replica,
+               std::uint32_t arg);
 
     /** Spans recorded. */
     std::uint64_t recorded() const { return spans_.size(); }
@@ -259,8 +291,11 @@ class TraceRecorder
     {
         Time start = 0;
         std::uint64_t rootId = 0;
-        std::uint32_t arg = 0;
     };
+
+    /** Append a finished span to the slab (the builder's one write). */
+    void record(SpanKind kind, Time start, Time end, std::uint64_t rootId,
+                SpanSite site, std::uint32_t arg);
 
     TraceConfig cfg_;
     std::uint64_t seedMix_ = 0;

@@ -71,32 +71,6 @@ etcResponseBytes(const MemcachedParams &p, const net::Message &req,
     return p.responseOverhead; // SET: status only
 }
 
-/**
- * Cache-event instant span (hit/miss/fill). The cache tier sits one
- * fan-out below the entry tier, so the sub-request's parentId IS the
- * root id.
- */
-void
-traceCacheEvent(ServiceGraph &g, int tier, const net::Message &msg,
-                obs::SpanKind kind, std::uint32_t arg)
-{
-    obs::TraceRecorder *tr = g.trace();
-    if (tr == nullptr)
-        return;
-    const std::uint64_t root = msg.parentId != 0 ? msg.parentId : msg.id;
-    if (!tr->wants(root))
-        return;
-    obs::SpanRecord rec;
-    rec.start = rec.end = g.sim().now();
-    rec.rootId = root;
-    rec.arg = arg;
-    rec.kind = kind;
-    rec.tier = static_cast<std::uint8_t>(tier);
-    rec.shard = static_cast<std::int16_t>(msg.shard);
-    rec.replica = static_cast<std::int16_t>(msg.replica);
-    tr->record(rec);
-}
-
 } // namespace
 
 MemcachedServer::MemcachedServer(Simulator &sim, hw::Machine &machine,
@@ -194,7 +168,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
         // for the response hook; a miss marks the opcode so the
         // completion handler cascades to the backing store instead
         // of replying. SETs store through the cache.
-        cacheP.workMut = [this, p, baseWork](net::Message &req, Rng &r) {
+        cacheP.work = [this, p, baseWork](net::Message &req, Rng &r) {
             auto work = static_cast<Time>(r.lognormal(baseWork));
             CacheModel &c = cacheFor(req);
             ServiceStats &s = graph_.mutableStats();
@@ -209,15 +183,24 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                     work += static_cast<Time>(
                         p.nsPerValueByte *
                         static_cast<double>(res.valueBytes));
-                    traceCacheEvent(graph_, cache_->tierIndex(), req,
-                                    obs::SpanKind::CacheHit,
+                    if (obs::TraceRecorder *tr = graph_.trace()) {
+                        tr->instant(obs::SpanKind::CacheHit,
+                                    graph_.sim().now(), localRoot(req),
+                                    {cache_->tierIndex(), req.shard,
+                                     req.replica},
                                     res.valueBytes);
+                    }
                 } else {
                     ++s.cacheMisses;
                     ++tb.cacheMisses;
                     req.kind |= kMissFlag;
-                    traceCacheEvent(graph_, cache_->tierIndex(), req,
-                                    obs::SpanKind::CacheMiss, req.key);
+                    if (obs::TraceRecorder *tr = graph_.trace()) {
+                        tr->instant(obs::SpanKind::CacheMiss,
+                                    graph_.sim().now(), localRoot(req),
+                                    {cache_->tierIndex(), req.shard,
+                                     req.replica},
+                                    req.key);
+                    }
                 }
             } else {
                 const std::uint32_t v = p.etc.valueBytesForKey(req.key);
@@ -320,8 +303,11 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                 ++s.cacheFills;
                 s.cacheEvictions += cacheFor(m).put(m.key, v);
                 m.bytes = v;
-                traceCacheEvent(graph_, cache_->tierIndex(), m,
-                                obs::SpanKind::CacheFill, v);
+                if (obs::TraceRecorder *tr = graph_.trace()) {
+                    tr->instant(obs::SpanKind::CacheFill, graph_.sim().now(),
+                                localRoot(m),
+                                {cache_->tierIndex(), m.shard, m.replica}, v);
+                }
                 fanout_->replyFromChild(
                     m, static_cast<Time>(m.serviceWork));
             });
@@ -362,19 +348,13 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                 // Capacity churn as global markers (rootId 0): which
                 // replica/shard evicted, not which request triggered
                 // it.
-                caches_.back().setObserver(
-                    [this, cacheTier, r, s] {
-                        obs::TraceRecorder *tr = graph_.trace();
-                        if (tr == nullptr)
-                            return;
-                        obs::SpanRecord rec;
-                        rec.start = rec.end = graph_.sim().now();
-                        rec.kind = obs::SpanKind::CacheEvict;
-                        rec.tier = static_cast<std::uint8_t>(cacheTier);
-                        rec.shard = static_cast<std::int16_t>(s);
-                        rec.replica = static_cast<std::int16_t>(r);
-                        tr->record(rec);
-                    });
+                caches_.back().setObserver([this, cacheTier, r, s] {
+                    if (obs::TraceRecorder *tr = graph_.trace()) {
+                        const Time now = graph_.sim().now();
+                        tr->marker(obs::SpanKind::CacheEvict, now, now,
+                                   {cacheTier, s, r});
+                    }
+                });
             }
         }
 

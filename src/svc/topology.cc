@@ -24,18 +24,6 @@ constexpr int kMaxAttempts = 255;
 constexpr double kRetryBudgetRatio = 0.1;
 constexpr double kRetryBudgetBurst = 16.0;
 
-/**
- * Root request id a message carries on the entry tier and on direct
- * fan-out children (sub-requests stamp the parent's id into parentId,
- * which *is* the root one fan-out down). Deeper tiers see slot ids
- * here — their hooks are depth-gated off (see setTrace).
- */
-std::uint64_t
-localRoot(const net::Message &m)
-{
-    return m.parentId != 0 ? m.parentId : m.id;
-}
-
 /** Generic endpoint adapter: forwards delivered messages to a bound
  *  function. Replaces the per-service Port/Merge adapter structs. */
 class PortEndpoint : public net::Endpoint
@@ -140,9 +128,8 @@ Tier::Tier(ServiceGraph &graph, std::vector<hw::Machine *> hosts,
     : graph_(graph), params_(std::move(params))
 {
     TPV_ASSERT(!hosts.empty(), "tier '", params_.name, "' needs a host");
-    TPV_ASSERT(static_cast<bool>(params_.work) ||
-                   static_cast<bool>(params_.workMut),
-               "tier '", params_.name, "' needs a work model");
+    TPV_ASSERT(static_cast<bool>(params_.work), "tier '", params_.name,
+               "' needs a work model");
     for (hw::Machine *m : hosts) {
         instances_.push_back(std::make_unique<Instance>(Instance{
             m, WorkerPool(*m, params_.workers, params_.firstCore),
@@ -170,11 +157,9 @@ Tier::machine(int replica)
 Tier::Instance &
 Tier::instanceFor(const net::Message &msg)
 {
-    // Clamp so a fan-out with more replicas than instances still
-    // routes (colocated replicas share the last instance's queues).
-    const auto idx = std::min<std::size_t>(msg.replica,
-                                           instances_.size() - 1);
-    return *instances_[idx];
+    // Client requests carry replica 0; sub-requests carry a replica
+    // below the feeder's count, which equals this tier's.
+    return *instances_[msg.replica];
 }
 
 void
@@ -186,9 +171,7 @@ Tier::setReplicaUp(int replica, bool up)
 bool
 Tier::replicaUp(int replica) const
 {
-    const auto idx = std::min<std::size_t>(
-        static_cast<std::size_t>(replica), instances_.size() - 1);
-    return instances_[idx]->up;
+    return instances_[static_cast<std::size_t>(replica)]->up;
 }
 
 void
@@ -196,26 +179,14 @@ Tier::setReplicaSuspected(int replica, bool suspect)
 {
     instances_.at(static_cast<std::size_t>(replica))->suspected =
         suspect;
+    if (suspect && feeder_ != nullptr)
+        feeder_->onReplicaDown(replica);
 }
 
 bool
 Tier::replicaTrusted(int replica) const
 {
-    const auto idx = std::min<std::size_t>(
-        static_cast<std::size_t>(replica), instances_.size() - 1);
-    return !instances_[idx]->suspected;
-}
-
-int
-Tier::aliveReplica(int preferred) const
-{
-    const int n = static_cast<int>(instances_.size());
-    for (int i = 0; i < n; ++i) {
-        const int r = (preferred + i) % n;
-        if (!instances_[static_cast<std::size_t>(r)]->suspected)
-            return r;
-    }
-    return -1;
+    return !instances_[static_cast<std::size_t>(replica)]->suspected;
 }
 
 void
@@ -238,7 +209,9 @@ Tier::countShard(TierBreakdown &tb, const net::Message &msg, Time work)
 void
 Tier::noteLost(const net::Message &msg)
 {
-    if (graph_.absorbSubLoss(*this, msg))
+    // Only the feeding fan-out can own the message: its sub-request
+    // ids are that fan-out's context slots.
+    if (feeder_ != nullptr && feeder_->absorbLoss(msg))
         return;
     countLost();
 }
@@ -246,21 +219,11 @@ Tier::noteLost(const net::Message &msg)
 void
 Tier::traceShed(const net::Message &msg, std::uint32_t reason)
 {
-    obs::TraceRecorder *tr = graph_.trace();
-    if (tr == nullptr || !traceLocal_)
-        return;
-    const std::uint64_t root = localRoot(msg);
-    if (!tr->wants(root))
-        return;
-    obs::SpanRecord s;
-    s.start = s.end = graph_.sim().now();
-    s.rootId = root;
-    s.arg = reason;
-    s.kind = obs::SpanKind::Shed;
-    s.tier = static_cast<std::uint8_t>(tierIndex_);
-    s.shard = static_cast<std::int16_t>(msg.shard);
-    s.replica = static_cast<std::int16_t>(msg.replica);
-    tr->record(s);
+    if (obs::TraceRecorder *tr = graph_.trace();
+        tr != nullptr && traceLocal_) {
+        tr->instant(obs::SpanKind::Shed, graph_.sim().now(), localRoot(msg),
+                    {tierIndex_, msg.shard, msg.replica}, reason);
+    }
 }
 
 bool
@@ -419,41 +382,35 @@ Tier::dispatch(const net::Message &msgIn)
     // traffic knobs default to bit-identical behaviour.
     if (params_.admission.enabled() && shouldShed(inst, msgIn))
         return;
-    // A mutating work model (cache tier) transforms the request the
-    // handler and reply will see; msg is the post-transform message
-    // from here on. The copy is what every capture below took anyway.
+    // The work model may transform the request the handler and reply
+    // will see (a cache tier); msg is the post-transform message from
+    // here on. The copy is what every capture below took anyway.
     // Work draws come from the serving instance's own stream (forked
     // at construction), so replicas never reorder one generator.
     net::Message msg = msgIn;
-    Time work = params_.workMut ? params_.workMut(msg, inst.rng)
-                                : params_.work(msg, inst.rng);
+    Time work = params_.work(msg, inst.rng);
     if (params_.envSensitive) {
         work = static_cast<Time>(graph_.envFactor() *
                                  static_cast<double>(work));
     }
     // Flight recorder: open the dispatch->completion span (split into
-    // queue-wait + service at close). Keyed on the post-workMut
+    // queue-wait + service at close). Keyed on the post-transform
     // message so completeService — which sees the same transformed
     // message — closes the exact begin. Tied twins differ in replica,
     // so their keys never collide; a twin cancelled before running
     // leaves a dangling open that export simply drops.
     if (obs::TraceRecorder *tr = graph_.trace();
         tr != nullptr && traceLocal_) {
-        const std::uint64_t root = localRoot(msg);
-        if (tr->wants(root)) {
-            tr->begin(obs::TraceRecorder::OpenKey{
-                          msg.id, msg.parentId, obs::SpanKind::Service,
-                          static_cast<std::uint8_t>(tierIndex_),
-                          static_cast<std::int16_t>(msg.shard),
-                          static_cast<std::int16_t>(msg.replica)},
-                      graph_.sim().now(), root, 0);
-        }
+        tr->begin({msg.id, msg.parentId, obs::SpanKind::Service,
+                   {tierIndex_, msg.shard, msg.replica}},
+                  graph_.sim().now(), localRoot(msg));
     }
     ServiceStats &stats = graph_.mutableStats();
-    if (msg.tied && tieArbiter_) {
-        // Tied copy: admission is decided at execution start, so the
-        // work accounting moves into the completion (it only runs if
-        // this copy won the claim race). The guard re-checks replica
+    if (msg.tied) {
+        // Tied copy (only the feeding fan-out sends them): the feeder
+        // decides admission at execution start, so the work
+        // accounting moves into the completion (it only runs if this
+        // copy won the claim race). The guard re-checks replica
         // liveness so a copy queued on a replica that dies before it
         // runs can never claim the request and strand its twin.
         inst.pool.serviceThread(msg.conn).submitGuarded(
@@ -475,7 +432,7 @@ Tier::dispatch(const net::Message &msgIn)
              shard = msg.shard, replica = msg.replica] {
                 if (!replicaUp(replica))
                     return false;
-                return tieArbiter_(token, parent, shard, replica);
+                return feeder_->admitTied(token, parent, shard, replica);
             });
         return;
     }
@@ -529,33 +486,17 @@ Tier::completeService(const net::Message &msg, Time work)
     // a negative wait.
     if (obs::TraceRecorder *tr = graph_.trace();
         tr != nullptr && traceLocal_) {
+        const obs::SpanSite site{tierIndex_, msg.shard, msg.replica};
         Time start = 0;
         std::uint64_t root = 0;
-        std::uint32_t arg = 0;
-        const obs::TraceRecorder::OpenKey key{
-            msg.id, msg.parentId, obs::SpanKind::Service,
-            static_cast<std::uint8_t>(tierIndex_),
-            static_cast<std::int16_t>(msg.shard),
-            static_cast<std::int16_t>(msg.replica)};
-        if (tr->end(key, &start, &root, &arg)) {
+        if (tr->end({msg.id, msg.parentId, obs::SpanKind::Service, site},
+                    &start, &root)) {
             const Time now = graph_.sim().now();
             const Time svcStart = std::max(start, now - work);
-            obs::SpanRecord s;
-            s.rootId = root;
-            s.tier = static_cast<std::uint8_t>(tierIndex_);
-            s.shard = static_cast<std::int16_t>(msg.shard);
-            s.replica = static_cast<std::int16_t>(msg.replica);
-            s.start = start;
-            s.end = svcStart;
-            s.kind = obs::SpanKind::QueueWait;
-            s.arg = 0;
-            tr->record(s);
-            s.start = svcStart;
-            s.end = now;
-            s.kind = obs::SpanKind::Service;
-            s.arg = static_cast<std::uint32_t>(
-                std::min<Time>(work, UINT32_MAX));
-            tr->record(s);
+            tr->span(obs::SpanKind::QueueWait, start, svcStart, root, site);
+            tr->span(obs::SpanKind::Service, svcStart, now, root, site,
+                     static_cast<std::uint32_t>(
+                         std::min<Time>(work, UINT32_MAX)));
         }
     }
     if (handler_)
@@ -610,6 +551,15 @@ Fanout::Fanout(ServiceGraph &graph, Tier &parent, Tier &child,
               "' needs a backup replica (replicas >= 2), got replicas ",
               params_.replicas);
     }
+    // Lane replicas index the child's instances one to one: the
+    // failover scan wraps modulo the replica count, and each child
+    // replica replies over its own link.
+    if (params_.replicas != child_.replicaCount()) {
+        fatal("FanoutParams::replicas must equal the replica count of "
+              "tier '",
+              child_.params().name, "' (", child_.replicaCount(),
+              "), got ", params_.replicas);
+    }
     if (timedHedging() && params_.hedgeDelay == 0) {
         fatal("FanoutParams::hedgeDelay must be positive under the '",
               toString(policy_),
@@ -636,46 +586,40 @@ Fanout::Fanout(ServiceGraph &graph, Tier &parent, Tier &child,
         breakers_.assign(static_cast<std::size_t>(params_.replicas),
                          CircuitBreaker(traffic_.breaker));
     }
-    // One child->parent link per child replica instance, so replicas
-    // never interleave one link's jitter stream. Sub-request replicas
-    // beyond the instance count clamp to the last link, mirroring
-    // Tier::instanceFor.
-    const int upLinks = std::max(child_.replicaCount(), 1);
-    toParent_.reserve(static_cast<std::size_t>(upLinks));
-    for (int r = 0; r < upLinks; ++r)
+    // One child->parent link per child replica, so replicas never
+    // interleave one link's jitter stream.
+    toParent_.reserve(static_cast<std::size_t>(params_.replicas));
+    for (int r = 0; r < params_.replicas; ++r)
         toParent_.push_back(&graph.addLink(params_.link));
-    // Pre-size the context pool and warm each context's per-lane
-    // vectors, so scatter's assign() calls recycle capacity from the
-    // first query on instead of growing fresh slots as the in-flight
-    // high-water mark creeps up (bench/hotpath gates on zero
-    // steady-state allocations). The reservation leaves the slot
-    // acquisition sequence — and with it the sub-request ids riding
-    // slot indices — bit-identical to an unreserved pool's. Loads
-    // past ~256 in-flight calls (sustained overload) still grow.
+    // Pre-size the context pool and warm each context's lane vector,
+    // so scatter's assign() recycles capacity from the first query on
+    // instead of growing fresh slots as the in-flight high-water mark
+    // creeps up (bench/hotpath gates on zero steady-state
+    // allocations). The reservation leaves the slot acquisition
+    // sequence — and with it the sub-request ids riding slot indices
+    // — bit-identical to an unreserved pool's. Loads past ~256
+    // in-flight calls (sustained overload) still grow.
     constexpr std::size_t kReservedContexts = 256;
     pool_.reserve(kReservedContexts);
     const auto lanes = static_cast<std::size_t>(laneCount());
-    for (std::size_t i = 0; i < kReservedContexts; ++i) {
-        RpcContext &c = pool_.at(static_cast<std::uint32_t>(i));
-        c.done.assign(lanes, 0);
-        c.replicaOf.assign(lanes, 0);
-        c.claimed.assign(lanes, 0);
-        c.hedges.assign(lanes, EventHandle{});
-        c.deadlines.assign(lanes, EventHandle{});
-        c.attempts.assign(lanes, 0);
-        c.dropped.assign(lanes, 0);
+    for (std::uint32_t i = 0; i < kReservedContexts; ++i)
+        pool_.at(i).lanes.assign(lanes, Lane{});
+    // A second edge would take over the child's reply handler and
+    // strand the first edge's sub-requests.
+    if (child_.feeder_ != nullptr) {
+        fatal("Fanout: tier '", child_.params().name,
+              "' is already fed by a fan-out from tier '",
+              child_.feeder_->parent().params().name,
+              "'; a second fan-out from tier '", parent_.params().name,
+              "' is not supported");
     }
-    // Child replies route through this fan-out's merge port.
+    // Child replies route through this fan-out's merge port, and the
+    // child reaches back here for tied admission, fault drops and
+    // crash failover.
     child_.setHandler([this](const net::Message &msg, Time work) {
         replyFromChild(msg, work);
     });
-    if (policy_ == HedgePolicy::Tied) {
-        child_.setTieArbiter(
-            [this](std::uint32_t token, std::uint64_t parentId,
-                   std::uint16_t shard, std::uint16_t replica) {
-                return admitTied(token, parentId, shard, replica);
-            });
-    }
+    child_.feeder_ = this;
 }
 
 int
@@ -717,9 +661,7 @@ Fanout::backupFor(std::uint64_t id, int shard) const
 void
 Fanout::replyFromChild(const net::Message &msg, Time work)
 {
-    const auto idx =
-        std::min<std::size_t>(msg.replica, toParent_.size() - 1);
-    toParent_[idx]->send(child_.makeReply(msg, work), *mergePort_);
+    toParent_[msg.replica]->send(child_.makeReply(msg, work), *mergePort_);
 }
 
 net::Message
@@ -768,38 +710,40 @@ Fanout::lookup(std::uint32_t slot, std::uint64_t parentId)
 }
 
 int
+Fanout::nextTrusted(int from, int count, bool gated)
+{
+    for (int i = 0; i < count; ++i) {
+        const int r = (from + i) % params_.replicas;
+        if (child_.replicaTrusted(r) && (!gated || breakerAllows(r)))
+            return r;
+    }
+    return -1;
+}
+
+int
 Fanout::routeLive(std::uint64_t id, int shard, std::uint64_t traceRoot)
 {
     const int primary = primaryFor(id, shard);
     if (child_.replicaTrusted(primary)) {
-        if (breakers_.empty() || breakerAllows(primary))
+        if (breakerAllows(primary))
             return primary;
         // Open breaker on a trusted primary: prefer another trusted
         // replica whose breaker admits traffic. When every candidate
         // is blocked, send to the primary anyway — a breaker shifts
         // load, it must never self-inflict a total outage.
-        for (int i = 1; i < params_.replicas; ++i) {
-            const int r = (primary + i) % params_.replicas;
-            if (child_.replicaTrusted(r) && breakerAllows(r)) {
-                ++graph_.mutableStats().breakerSkips;
-                if (traceRoot != 0) {
-                    obs::SpanRecord s;
-                    s.start = s.end = graph_.sim().now();
-                    s.rootId = traceRoot;
-                    s.arg = static_cast<std::uint32_t>(r);
-                    s.kind = obs::SpanKind::BreakerSkip;
-                    s.tier = static_cast<std::uint8_t>(
-                        child_.tierIndex());
-                    s.shard = static_cast<std::int16_t>(shard);
-                    s.replica = static_cast<std::int16_t>(primary);
-                    graph_.trace()->record(s);
-                }
-                return r;
-            }
+        const int r = nextTrusted(primary + 1, params_.replicas - 1, true);
+        if (r < 0)
+            return primary;
+        ++graph_.mutableStats().breakerSkips;
+        if (traceRoot != 0) {
+            graph_.trace()->instant(obs::SpanKind::BreakerSkip,
+                                    graph_.sim().now(), traceRoot,
+                                    {child_.tierIndex(), shard, primary},
+                                    static_cast<std::uint32_t>(r));
         }
-        return primary;
+        return r;
     }
-    const int alive = child_.aliveReplica(primary + 1);
+    const int alive = nextTrusted(primary + 1, params_.replicas, false);
     if (alive >= 0) {
         // Detected-dead primary: route around it, as a client whose
         // failure detector has flagged the box would.
@@ -810,12 +754,10 @@ Fanout::routeLive(std::uint64_t id, int shard, std::uint64_t traceRoot)
 }
 
 int
-Fanout::liveBackup(std::uint64_t id, int shard, int primary) const
+Fanout::liveBackup(std::uint64_t id, int shard, int primary)
 {
-    int r = backupFor(id, shard);
-    if (!child_.replicaTrusted(r))
-        r = child_.aliveReplica(r + 1);
-    return (r < 0 || r == primary) ? -1 : r;
+    const int r = nextTrusted(backupFor(id, shard), params_.replicas, false);
+    return r == primary ? -1 : r;
 }
 
 Time
@@ -841,21 +783,7 @@ Fanout::scatter(const net::Message &req)
     call.rootId = localRoot(req);
     call.active = true;
     call.remaining = static_cast<int>(lanes);
-    call.done.assign(lanes, 0);
-    call.replicaOf.assign(lanes, 0);
-    if (policy_ == HedgePolicy::Tied)
-        call.claimed.assign(lanes, 0);
-    // Timer slots only exist when hedging can arm them, keeping the
-    // unhedged hot path free of the extra per-query bookkeeping.
-    if (timedHedging())
-        call.hedges.assign(lanes, EventHandle{});
-    // Same rule for the retry bookkeeping: the no-deadline hot path
-    // touches none of it.
-    if (retryEnabled_) {
-        call.deadlines.assign(lanes, EventHandle{});
-        call.attempts.assign(lanes, 1);
-        call.dropped.assign(lanes, 0);
-    }
+    call.lanes.assign(lanes, Lane{});
     if (params_.route) {
         const int routed = params_.route(req);
         TPV_ASSERT(routed >= 0 && routed < params_.shards,
@@ -872,8 +800,9 @@ Fanout::scatter(const net::Message &req)
         tr != nullptr && tr->wants(call.rootId) ? call.rootId : 0;
 
     const Time hedgeDelay = timedHedging() ? currentHedgeDelay() : 0;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-        const int shard = laneToShard(call, static_cast<int>(lane));
+    for (std::size_t i = 0; i < lanes; ++i) {
+        Lane &lane = call.lanes[i];
+        const int shard = laneToShard(call, static_cast<int>(i));
         const int replica = routeLive(req.id, shard, traceRoot);
         if (replica < 0) {
             // Every replica is down: nothing was sent, the request
@@ -881,16 +810,14 @@ Fanout::scatter(const net::Message &req)
             // cannot mistake it for an outstanding sub-request and
             // resurrect an already-lost lane.
             graph_.countLost(child_.tierIndex());
-            call.done[lane] = 1;
+            lane.done = true;
             continue;
         }
-        call.replicaOf[lane] = static_cast<std::uint8_t>(replica);
+        lane.replica = static_cast<std::uint8_t>(replica);
         if (traceRoot != 0) {
-            tr->begin(obs::TraceRecorder::OpenKey{
-                          slot, req.id, obs::SpanKind::SubRequest,
-                          static_cast<std::uint8_t>(child_.tierIndex()),
-                          static_cast<std::int16_t>(shard), -1},
-                      graph_.sim().now(), traceRoot, 0);
+            tr->begin({slot, req.id, obs::SpanKind::SubRequest,
+                       {child_.tierIndex(), shard}},
+                      graph_.sim().now(), traceRoot);
         }
         ++graph_.mutableStats().subRequestsSent;
         const bool tiedCopies = policy_ == HedgePolicy::Tied;
@@ -898,7 +825,7 @@ Fanout::scatter(const net::Message &req)
                       child_);
         if (retryEnabled_) {
             budget_.earn();
-            armDeadline(call, lane, slot, req.id, shard);
+            armDeadline(lane, slot, req.id, shard);
         }
         if (tiedCopies) {
             // The tied twin goes to the next replica immediately;
@@ -910,7 +837,7 @@ Fanout::scatter(const net::Message &req)
                               child_);
             }
         } else if (hedgeDelay > 0) {
-            call.hedges[lane] = graph_.sim().schedule(
+            lane.hedge = graph_.sim().schedule(
                 hedgeDelay,
                 [this, id = req.id, slot, shard] {
                     fireHedge(slot, id, shard);
@@ -923,36 +850,26 @@ void
 Fanout::fireHedge(std::uint32_t slot, std::uint64_t parentId, int shard)
 {
     RpcContext *call = lookup(slot, parentId);
-    if (call == nullptr ||
-        call->done[static_cast<std::size_t>(shardToLane(shard))])
+    if (call == nullptr || laneOf(*call, shard).done)
         return; // the shard answered between arming and firing
-    const auto lane = static_cast<std::size_t>(shardToLane(shard));
     const int replica =
-        liveBackup(parentId, shard, call->replicaOf[lane]);
+        liveBackup(parentId, shard, laneOf(*call, shard).replica);
     if (replica < 0)
         return; // no live backup distinct from the primary: useless
     ++graph_.mutableStats().hedgesSent;
-    if (obs::TraceRecorder *tr = traceSubs_ ? graph_.trace() : nullptr;
-        tr != nullptr && tr->wants(call->rootId)) {
-        obs::SpanRecord s;
-        s.start = s.end = graph_.sim().now();
-        s.rootId = call->rootId;
-        s.kind = obs::SpanKind::Hedge;
-        s.tier = static_cast<std::uint8_t>(child_.tierIndex());
-        s.shard = static_cast<std::int16_t>(shard);
-        s.replica = static_cast<std::int16_t>(replica);
-        tr->record(s);
+    if (obs::TraceRecorder *tr = traceSubs_ ? graph_.trace() : nullptr) {
+        tr->instant(obs::SpanKind::Hedge, graph_.sim().now(), call->rootId,
+                    {child_.tierIndex(), shard, replica});
     }
     toChild_.send(makeSub(call->request, slot, shard, replica, false),
                   child_);
 }
 
 void
-Fanout::armDeadline(RpcContext &call, std::size_t lane,
-                    std::uint32_t slot, std::uint64_t parentId,
+Fanout::armDeadline(Lane &lane, std::uint32_t slot, std::uint64_t parentId,
                     int shard)
 {
-    call.deadlines[lane] = graph_.sim().schedule(
+    lane.deadline = graph_.sim().schedule(
         traffic_.retry.deadline, [this, parentId, slot, shard] {
             fireRetry(slot, parentId, shard);
         });
@@ -964,21 +881,21 @@ Fanout::fireRetry(std::uint32_t slot, std::uint64_t parentId, int shard)
     RpcContext *call = lookup(slot, parentId);
     if (call == nullptr)
         return; // the whole request completed and retired
-    const auto lane = static_cast<std::size_t>(shardToLane(shard));
-    if (call->done[lane])
+    Lane &lane = laneOf(*call, shard);
+    if (lane.done)
         return; // a reply beat the deadline after all
     // The attempt timed out: that is failure evidence against the
     // replica it was assigned to, whether the copy died in a crash,
     // was shed, or is merely stuck in queue.
-    noteBreakerFailure(call->replicaOf[lane]);
+    noteBreakerFailure(lane.replica);
     ServiceStats &stats = graph_.mutableStats();
-    if (call->attempts[lane] >= traffic_.retry.maxAttempts ||
+    if (lane.attempts >= traffic_.retry.maxAttempts ||
         !budget_.tryAcquire()) {
         ++stats.retriesSuppressed;
-        if (call->dropped[lane]) {
+        if (lane.dropped) {
             // The in-flight copy is known fault-dropped and no retry
             // will replace it: the loss is now terminal.
-            call->dropped[lane] = 0;
+            lane.dropped = false;
             graph_.countLost(child_.tierIndex());
         }
         return;
@@ -986,39 +903,22 @@ Fanout::fireRetry(std::uint32_t slot, std::uint64_t parentId, int shard)
     // Retry target: the next trusted replica (breaker permitting)
     // after the one that timed out, the same replica when it is the
     // only candidate left (it may have restarted by now).
-    const int current = call->replicaOf[lane];
-    int target = current;
-    for (int i = 1; i <= params_.replicas; ++i) {
-        const int r = (current + i) % params_.replicas;
-        if (!child_.replicaTrusted(r))
-            continue;
-        if (!breakers_.empty() && !breakerAllows(r))
-            continue;
-        target = r;
-        break;
-    }
-    ++call->attempts[lane];
-    call->dropped[lane] = 0;
-    call->replicaOf[lane] = static_cast<std::uint8_t>(target);
+    const int next = nextTrusted(lane.replica + 1, params_.replicas, true);
+    const int target = next < 0 ? lane.replica : next;
+    ++lane.attempts;
+    lane.dropped = false;
+    lane.replica = static_cast<std::uint8_t>(target);
     ++stats.requestsRetried;
-    if (obs::TraceRecorder *tr = traceSubs_ ? graph_.trace() : nullptr;
-        tr != nullptr && tr->wants(call->rootId)) {
-        obs::SpanRecord s;
-        s.start = s.end = graph_.sim().now();
-        s.rootId = call->rootId;
-        s.arg = call->attempts[lane];
-        s.kind = obs::SpanKind::Retry;
-        s.tier = static_cast<std::uint8_t>(child_.tierIndex());
-        s.shard = static_cast<std::int16_t>(shard);
-        s.replica = static_cast<std::int16_t>(target);
-        tr->record(s);
+    if (obs::TraceRecorder *tr = traceSubs_ ? graph_.trace() : nullptr) {
+        tr->instant(obs::SpanKind::Retry, graph_.sim().now(), call->rootId,
+                    {child_.tierIndex(), shard, target}, lane.attempts);
     }
     // A retry racing its own original can produce a duplicate reply:
     // reissues_ legalises it for the duplicate-discard assertion.
     ++reissues_;
     toChild_.send(makeSub(call->request, slot, shard, target, false),
                   child_);
-    armDeadline(*call, lane, slot, parentId, shard);
+    armDeadline(lane, slot, parentId, shard);
 }
 
 bool
@@ -1030,19 +930,19 @@ Fanout::absorbLoss(const net::Message &msg)
         lookup(static_cast<std::uint32_t>(msg.id), msg.parentId);
     if (call == nullptr)
         return false;
-    const auto lane = static_cast<std::size_t>(shardToLane(msg.shard));
-    if (call->done[lane]) {
+    Lane &lane = laneOf(*call, msg.shard);
+    if (lane.done) {
         // A loser copy (hedge, tied twin, stale retry) died with the
         // fault after the lane was already served: nothing the client
         // cares about was lost.
         ++graph_.mutableStats().subRequestsDropped;
         return true;
     }
-    if (!graph_.sim().pending(call->deadlines[lane]))
+    if (!graph_.sim().pending(lane.deadline))
         return false;
     // A deadline timer covers this lane: the coming fireRetry() (or
     // its suppression) decides whether the loss becomes terminal.
-    call->dropped[lane] = 1;
+    lane.dropped = true;
     ++graph_.mutableStats().subRequestsDropped;
     return true;
 }
@@ -1050,6 +950,8 @@ Fanout::absorbLoss(const net::Message &msg)
 bool
 Fanout::breakerAllows(int replica)
 {
+    if (breakers_.empty())
+        return true;
     CircuitBreaker &br = breakers_[static_cast<std::size_t>(replica)];
     const auto before = br.state();
     const bool ok = br.allow(graph_.sim().now());
@@ -1073,65 +975,53 @@ Fanout::admitTied(std::uint32_t token, std::uint64_t parentId,
                   std::uint16_t shard, std::uint16_t replica)
 {
     RpcContext *call = lookup(token, parentId);
-    const auto lane = static_cast<std::size_t>(shardToLane(shard));
-    if (call == nullptr || call->done[lane] ||
-        call->claimed[lane] != 0) {
+    Lane *lane = call != nullptr ? &laneOf(*call, shard) : nullptr;
+    if (lane == nullptr || lane->done || lane->claimedBy != 0) {
         // The twin already claimed (or the call retired): this copy
         // is cancelled before any service work ran.
         ++graph_.mutableStats().tiedCancelledBeforeRun;
         return false;
     }
-    call->claimed[lane] = static_cast<std::uint8_t>(replica + 1);
+    lane->claimedBy = static_cast<std::uint8_t>(replica + 1);
     return true;
 }
 
 void
 Fanout::onReplicaDown(int replica)
 {
+    // The replica is already suspected, so the scan skips it.
+    const int target = nextTrusted(replica + 1, params_.replicas, false);
     for (std::uint32_t slot = 0;
          slot < static_cast<std::uint32_t>(pool_.capacity()); ++slot) {
         RpcContext &call = pool_.at(slot);
         if (!call.active)
             continue;
-        const auto lanes = static_cast<std::size_t>(laneCount());
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            if (call.done[lane])
+        for (std::size_t i = 0; i < call.lanes.size(); ++i) {
+            Lane &lane = call.lanes[i];
+            if (lane.done)
                 continue;
-            bool affected;
-            if (policy_ == HedgePolicy::Tied) {
-                // A lane whose *claimer* died needs help (reopen the
-                // claim so a still-queued twin may run); a lane
-                // claimed by a live replica is already running. An
-                // unclaimed lane usually has a live twin queued — a
-                // dead replica's copy can never claim — but re-issue
-                // its primary anyway: if the twin was never sent
-                // (every backup suspected), the re-issue is the only
-                // copy left, and otherwise the duplicate is
-                // discarded by first-reply-wins.
-                const auto claimer = call.claimed[lane];
-                affected =
-                    claimer == static_cast<std::uint8_t>(replica + 1) ||
-                    (claimer == 0 &&
-                     call.replicaOf[lane] ==
-                         static_cast<std::uint8_t>(replica));
-                if (claimer == static_cast<std::uint8_t>(replica + 1))
-                    call.claimed[lane] = 0; // reopen the claim
-            } else {
-                affected = call.replicaOf[lane] ==
-                           static_cast<std::uint8_t>(replica);
-            }
-            if (!affected)
+            // Tied: a lane whose *claimer* died needs help (reopen
+            // the claim so a still-queued twin may run); a lane
+            // claimed by a live replica is already running. An
+            // unclaimed lane usually has a live twin queued — a dead
+            // replica's copy can never claim — but re-issue its
+            // primary anyway: if the twin was never sent (every
+            // backup suspected), the re-issue is the only copy left,
+            // and otherwise the duplicate is discarded by
+            // first-reply-wins. Other policies never claim, so only
+            // the primary's replica decides.
+            if (lane.claimedBy == replica + 1)
+                lane.claimedBy = 0; // reopen the claim
+            else if (lane.claimedBy != 0 || lane.replica != replica)
                 continue;
-            const int shard = laneToShard(call, static_cast<int>(lane));
-            const int target = child_.aliveReplica(replica + 1);
+            const int shard = laneToShard(call, static_cast<int>(i));
             if (target < 0) {
                 // No trusted replica to re-issue to. A pending
                 // deadline timer still covers the lane — its retry
                 // (to a possibly-restarted replica) or suppression
                 // decides the loss; otherwise it is terminal now.
-                if (retryEnabled_ &&
-                    graph_.sim().pending(call.deadlines[lane])) {
-                    call.dropped[lane] = 1;
+                if (retryEnabled_ && graph_.sim().pending(lane.deadline)) {
+                    lane.dropped = true;
                     ++graph_.mutableStats().subRequestsDropped;
                 } else {
                     graph_.countLost(child_.tierIndex());
@@ -1142,9 +1032,8 @@ Fanout::onReplicaDown(int replica)
             // a live replica. A duplicate reply (the dead replica's
             // work resurfacing after a restart, or a racing hedge)
             // is discarded by the usual first-reply-wins rule.
-            call.replicaOf[lane] = static_cast<std::uint8_t>(target);
-            if (retryEnabled_)
-                call.dropped[lane] = 0;
+            lane.replica = static_cast<std::uint8_t>(target);
+            lane.dropped = false;
             ++graph_.mutableStats().requestsFailedOver;
             ++reissues_;
             toChild_.send(makeSub(call.request, slot, shard, target,
@@ -1171,8 +1060,7 @@ Fanout::onReply(const net::Message &reply)
 
     const auto slot = static_cast<std::uint32_t>(reply.id);
     RpcContext *callp = lookup(slot, reply.parentId);
-    const auto lane = static_cast<std::size_t>(shardToLane(reply.shard));
-    if (callp == nullptr || callp->done[lane]) {
+    if (callp == nullptr || laneOf(*callp, reply.shard).done) {
         // A duplicate: another replica already answered this lane (or
         // the whole call retired) — a hedged/tied loser or a
         // failover re-issue racing the original. Account the wasted
@@ -1186,39 +1074,23 @@ Fanout::onReply(const net::Message &reply)
         return;
     }
     RpcContext &call = *callp;
-    call.done[lane] = 1;
-    if (timedHedging() && graph_.sim().cancel(call.hedges[lane]))
+    Lane &lane = laneOf(call, reply.shard);
+    lane.done = true;
+    if (timedHedging() && graph_.sim().cancel(lane.hedge))
         ++graph_.mutableStats().hedgesCancelled;
     if (retryEnabled_)
-        graph_.sim().cancel(call.deadlines[lane]);
+        graph_.sim().cancel(lane.deadline);
     if (!breakers_.empty())
         breakers_[reply.replica].onSuccess();
 
     // Flight recorder: the winning reply closes the lane's
     // sub-request span (opened at scatter). The span records which
-    // replica actually won — hedges
-    // and retries may have moved the lane — and the reply's size.
-    if (obs::TraceRecorder *tr = traceSubs_ ? graph_.trace() : nullptr;
-        tr != nullptr) {
-        Time start = 0;
-        std::uint64_t root = 0;
-        std::uint32_t arg = 0;
-        const obs::TraceRecorder::OpenKey key{
-            slot, reply.parentId, obs::SpanKind::SubRequest,
-            static_cast<std::uint8_t>(child_.tierIndex()),
-            static_cast<std::int16_t>(reply.shard), -1};
-        if (tr->end(key, &start, &root, &arg)) {
-            obs::SpanRecord s;
-            s.start = start;
-            s.end = graph_.sim().now();
-            s.rootId = root;
-            s.arg = reply.bytes;
-            s.kind = obs::SpanKind::SubRequest;
-            s.tier = static_cast<std::uint8_t>(child_.tierIndex());
-            s.shard = static_cast<std::int16_t>(reply.shard);
-            s.replica = static_cast<std::int16_t>(reply.replica);
-            tr->record(s);
-        }
+    // replica actually won — hedges and retries may have moved the
+    // lane — and the reply's size.
+    if (obs::TraceRecorder *tr = traceSubs_ ? graph_.trace() : nullptr) {
+        tr->close({slot, reply.parentId, obs::SpanKind::SubRequest,
+                   {child_.tierIndex(), reply.shard}},
+                  graph_.sim().now(), reply.replica, reply.bytes);
     }
 
     // The parent message handed to the completion carries the last
@@ -1240,6 +1112,17 @@ Fanout::onReply(const net::Message &reply)
                     TPV_ASSERT(pc != nullptr, "merge for retired call");
                     if (--pc->remaining > 0)
                         return;
+#ifndef NDEBUG
+                    // Retirement: every lane answered, and no hedge
+                    // or deadline timer outlives its call.
+                    for (const Lane &l : pc->lanes) {
+                        TPV_ASSERT(l.done &&
+                                       !graph_.sim().pending(l.hedge) &&
+                                       !graph_.sim().pending(l.deadline),
+                                   "fan-out call retired with an open "
+                                   "lane or an armed timer");
+                    }
+#endif
                     pc->active = false;
                     pool_.release(slot);
                     finish(req);
@@ -1258,22 +1141,19 @@ Fanout::finish(const net::Message &req)
 void
 Fanout::installTrace(int parentDepth)
 {
-    const auto childTier = static_cast<std::uint8_t>(child_.tierIndex());
+    const int childTier = child_.tierIndex();
     // Breaker transitions are run-level markers (rootId 0, always
     // exported) and need no root resolution: install at any depth.
-    for (std::size_t r = 0; r < breakers_.size(); ++r) {
-        breakers_[r].setObserver(
-            [this, childTier, r](CircuitBreaker::State st) {
-                obs::TraceRecorder *tr = graph_.trace();
-                if (tr == nullptr)
-                    return;
-                obs::SpanRecord s;
-                s.start = s.end = graph_.sim().now();
-                s.arg = static_cast<std::uint32_t>(st);
-                s.kind = obs::SpanKind::BreakerOpen;
-                s.tier = childTier;
-                s.replica = static_cast<std::int16_t>(r);
-                tr->record(s);
+    for (std::size_t i = 0; i < breakers_.size(); ++i) {
+        breakers_[i].setObserver(
+            [this, childTier, r = static_cast<int>(i)](
+                CircuitBreaker::State st) {
+                if (obs::TraceRecorder *tr = graph_.trace()) {
+                    const Time now = graph_.sim().now();
+                    tr->marker(obs::SpanKind::BreakerOpen, now, now,
+                               {childTier, -1, r},
+                               static_cast<std::uint32_t>(st));
+                }
             });
     }
     // Sub-request/hedge/retry spans and wire spans need the root id.
@@ -1290,47 +1170,26 @@ Fanout::installTrace(int parentDepth)
             return;
         const RpcContext *c =
             lookup(static_cast<std::uint32_t>(m.id), m.parentId);
-        const std::uint64_t root =
-            c != nullptr ? c->rootId : localRoot(m);
-        if (!tr->wants(root))
-            return;
-        obs::SpanRecord s;
-        s.start = graph_.sim().now();
-        s.end = s.start + delay;
-        s.rootId = root;
-        s.arg = m.bytes;
-        s.kind = obs::SpanKind::Wire;
-        s.tier = childTier;
-        s.shard = static_cast<std::int16_t>(m.shard);
-        s.replica = static_cast<std::int16_t>(m.replica);
-        tr->record(s);
+        const Time now = graph_.sim().now();
+        tr->span(obs::SpanKind::Wire, now, now + delay,
+                 c != nullptr ? c->rootId : localRoot(m),
+                 {childTier, m.shard, m.replica}, m.bytes);
     });
     // Up-link replies echo the sub-request (parentId = the parent's
     // request id), which is the root only when the parent is the
     // entry tier; up-link observers do not consult the context pool,
     // so depth 0 edges only.
     if (parentDepth == 0) {
-        const auto parentTier =
-            static_cast<std::uint8_t>(parent_.tierIndex());
+        const int parentTier = parent_.tierIndex();
         for (net::Link *l : toParent_) {
             l->setObserver([this, parentTier](const net::Message &m,
                                               Time delay) {
-                obs::TraceRecorder *tr = graph_.trace();
-                if (tr == nullptr)
-                    return;
-                const std::uint64_t root = localRoot(m);
-                if (!tr->wants(root))
-                    return;
-                obs::SpanRecord s;
-                s.start = graph_.sim().now();
-                s.end = s.start + delay;
-                s.rootId = root;
-                s.arg = m.bytes;
-                s.kind = obs::SpanKind::Wire;
-                s.tier = parentTier;
-                s.shard = static_cast<std::int16_t>(m.shard);
-                s.replica = static_cast<std::int16_t>(m.replica);
-                tr->record(s);
+                if (obs::TraceRecorder *tr = graph_.trace()) {
+                    const Time now = graph_.sim().now();
+                    tr->span(obs::SpanKind::Wire, now, now + delay,
+                             localRoot(m), {parentTier, m.shard, m.replica},
+                             m.bytes);
+                }
             });
         }
     }
@@ -1427,32 +1286,11 @@ ServiceGraph::findTier(const std::string &name)
 }
 
 void
-ServiceGraph::notifyReplicaDown(Tier &tier, int replica)
-{
-    for (auto &f : fanouts_) {
-        if (&f->child() == &tier)
-            f->onReplicaDown(replica);
-    }
-}
-
-void
 ServiceGraph::countLost(int tierIndex)
 {
     ServiceStats &stats = mutableStats();
     ++stats.requestsLost;
     ++stats.tiers.at(static_cast<std::size_t>(tierIndex)).requestsLost;
-}
-
-bool
-ServiceGraph::absorbSubLoss(Tier &tier, const net::Message &msg)
-{
-    // Only a fan-out whose child is the dropping tier can own the
-    // message: its sub-request ids are that fan-out's context slots.
-    for (auto &f : fanouts_) {
-        if (&f->child() == &tier && f->absorbLoss(msg))
-            return true;
-    }
-    return false;
 }
 
 net::Link &
@@ -1479,11 +1317,8 @@ ServiceGraph::onMessage(const net::Message &req)
     ++mutableStats().requestsReceived;
     // Flight recorder: the root span opens at service arrival and
     // closes in respond().
-    if (trace_ != nullptr && trace_->wants(req.id)) {
-        trace_->begin(obs::TraceRecorder::OpenKey{
-                          req.id, 0, obs::SpanKind::Root, 0xff, -1, -1},
-                      sim_.now(), req.id, req.bytes);
-    }
+    if (trace_ != nullptr)
+        trace_->begin({req.id, 0, obs::SpanKind::Root}, sim_.now(), req.id);
     entry_->onMessage(req);
 }
 
@@ -1493,20 +1328,8 @@ ServiceGraph::respond(net::Message resp)
     resp.serverDoneTime = sim_.now();
     ++mutableStats().responsesSent;
     if (trace_ != nullptr) {
-        Time start = 0;
-        std::uint64_t root = 0;
-        std::uint32_t arg = 0;
-        const obs::TraceRecorder::OpenKey key{
-            resp.id, 0, obs::SpanKind::Root, 0xff, -1, -1};
-        if (trace_->end(key, &start, &root, &arg)) {
-            obs::SpanRecord s;
-            s.start = start;
-            s.end = sim_.now();
-            s.rootId = root;
-            s.arg = resp.bytes;
-            s.kind = obs::SpanKind::Root;
-            trace_->record(s);
-        }
+        trace_->close({resp.id, 0, obs::SpanKind::Root}, sim_.now(), -1,
+                      resp.bytes);
     }
     replyLink_.send(resp, client_);
 }
@@ -1523,26 +1346,22 @@ ServiceGraph::setTrace(obs::TraceRecorder *recorder)
     // fan-out slot id there, and resolving it to the root would need a
     // lookup in the parent fan-out's context pool, which no hook does
     // yet — so their per-dispatch hooks stay off (depth-gated).
+    // With one feeder per tier, a tier's depth is the length of its
+    // feeding chain up to the entry tier (kUnknown when the chain
+    // never reaches it).
     constexpr int kUnknown = 1 << 20;
-    std::vector<int> depth(tiers_.size(), kUnknown);
-    if (entry_ != nullptr)
-        depth[static_cast<std::size_t>(entry_->tierIndex())] = 0;
-    for (std::size_t pass = 0; pass <= fanouts_.size(); ++pass) {
-        for (auto &f : fanouts_) {
-            const int pd =
-                depth[static_cast<std::size_t>(f->parent().tierIndex())];
-            int &cd =
-                depth[static_cast<std::size_t>(f->child().tierIndex())];
-            if (pd != kUnknown)
-                cd = std::min(cd, pd + 1);
+    const auto depthOf = [this](const Tier &tier) {
+        int d = 0;
+        for (const Tier *t = &tier; t != entry_; t = &t->feeder_->parent()) {
+            if (t->feeder_ == nullptr || ++d > static_cast<int>(tiers_.size()))
+                return kUnknown;
         }
-    }
+        return d;
+    };
     for (auto &t : tiers_)
-        t->traceLocal_ =
-            depth[static_cast<std::size_t>(t->tierIndex())] <= 1;
+        t->traceLocal_ = depthOf(*t) <= 1;
     for (auto &f : fanouts_)
-        f->installTrace(
-            depth[static_cast<std::size_t>(f->parent().tierIndex())]);
+        f->installTrace(depthOf(f->parent()));
 }
 
 void

@@ -236,17 +236,28 @@ struct TopologyShape
     std::string label() const;
 };
 
-/** Per-request nominal CPU work of a tier. */
-using TierWork = std::function<Time(const net::Message &, Rng &)>;
+/**
+ * Root request id a message carries on the entry tier and on direct
+ * fan-out children (sub-requests stamp the parent's id into parentId,
+ * which *is* the root one fan-out down). Deeper tiers see slot ids
+ * here — their trace hooks are depth-gated off (see
+ * ServiceGraph::setTrace).
+ */
+inline std::uint64_t
+localRoot(const net::Message &m)
+{
+    return m.parentId != 0 ? m.parentId : m.id;
+}
 
 /**
- * Per-request CPU work of a tier that also *transforms* the request:
- * the drawn message is what the completion handler (and the reply)
- * sees, so a cache tier can mark a miss in the opcode and stash the
- * hit's value size in the byte count. Mutation happens at dispatch,
- * on the worker, in deterministic event order.
+ * Per-request nominal CPU work of a tier. The model may also
+ * *transform* the request: the drawn message is what the completion
+ * handler (and the reply) sees, so a cache tier can mark a miss in
+ * the opcode and stash the hit's value size in the byte count.
+ * Mutation happens at dispatch, on the worker, in deterministic event
+ * order; models taking a const message bind unchanged.
  */
-using TierWorkMut = std::function<Time(net::Message &, Rng &)>;
+using TierWork = std::function<Time(net::Message &, Rng &)>;
 
 /** Per-request response wire size of a tier. */
 using TierBytes = std::function<std::uint32_t(const net::Message &, Rng &)>;
@@ -265,10 +276,8 @@ struct TierParams
     int workers = 8;
     /** First core of the pool (tiers sharing a machine partition it). */
     int firstCore = 0;
-    /** Nominal CPU work per request (required unless workMut set). */
+    /** Nominal CPU work per request (required). */
     TierWork work;
-    /** Mutating work model (cache tiers); overrides work when set. */
-    TierWorkMut workMut;
     /** Track per-shard dispatch counts in TierBreakdown::shardRequests
      *  / shardWork with this many slots (0 = no tracking). */
     int trackShards = 0;
@@ -297,6 +306,7 @@ struct TierParams
     AdmissionPolicy admission{};
 };
 
+class Fanout;
 class ServiceGraph;
 
 /**
@@ -319,17 +329,6 @@ class Tier : public net::Endpoint
     /** Runs on the worker once a request's service work completes. */
     using Handler = std::function<void(const net::Message &msg, Time work)>;
 
-    /**
-     * Start-time admission arbiter for tied sub-requests, installed
-     * by a Fanout running the Tied policy. Called on the worker at
-     * the instant a tied copy would begin execution; a false return
-     * cancels that copy before any work runs. @p token is the
-     * fan-out's context slot (the sub-request's Message::id).
-     */
-    using TieArbiter = std::function<bool(
-        std::uint32_t token, std::uint64_t parentId, std::uint16_t shard,
-        std::uint16_t replica)>;
-
     /** Replicated tier: one instance per host, routed by replica. */
     Tier(ServiceGraph &graph, std::vector<hw::Machine *> hosts,
          TierParams params);
@@ -339,9 +338,6 @@ class Tier : public net::Endpoint
 
     /** Replace the completion handler (fan-out scatter, chain hop). */
     void setHandler(Handler handler) { handler_ = std::move(handler); }
-
-    /** Install the tied-request arbiter (one fan-out per tier). */
-    void setTieArbiter(TieArbiter fn) { tieArbiter_ = std::move(fn); }
 
     void onMessage(const net::Message &msg) override;
 
@@ -377,7 +373,9 @@ class Tier : public net::Endpoint
      * senders are concerned. Failure *detection* is separate from
      * failure: an undetected crash keeps receiving (and losing)
      * traffic until the detector fires — the gap hedged and tied
-     * requests close without any detector at all.
+     * requests close without any detector at all. Suspecting a
+     * replica also tells the feeding fan-out, which re-issues the
+     * sub-requests outstanding on it (Fanout::onReplicaDown).
      */
     void setReplicaSuspected(int replica, bool suspect);
 
@@ -388,13 +386,6 @@ class Tier : public net::Endpoint
      */
     bool replicaTrusted(int replica) const;
 
-    /**
-     * First *trusted* replica at or after @p preferred (wrapping):
-     * the failover target a sender would pick from its detection
-     * knowledge. @return -1 when every replica is suspected down.
-     */
-    int aliveReplica(int preferred) const;
-
     /** Index of this tier's TierBreakdown in the graph's stats. */
     int tierIndex() const { return tierIndex_; }
 
@@ -403,6 +394,7 @@ class Tier : public net::Endpoint
     const TierParams &params() const { return params_; }
 
   private:
+    friend class Fanout;
     friend class ServiceGraph;
 
     struct Instance
@@ -451,7 +443,7 @@ class Tier : public net::Endpoint
         Time codelExitAt = kTimeNever;
     };
 
-    /** The instance serving @p msg (replica clamped to the count). */
+    /** The instance serving @p msg (its replica field). */
     Instance &instanceFor(const net::Message &msg);
 
     /** Post-IRQ: draw the work and queue it on the pinned worker. */
@@ -469,9 +461,9 @@ class Tier : public net::Endpoint
                     Time work);
 
     /**
-     * A fault dropped @p msg on this tier: let a covering retry
-     * absorb the loss (ServiceGraph::absorbSubLoss), else count it
-     * lost for good.
+     * A fault dropped @p msg on this tier: let a covering retry of
+     * the feeding fan-out absorb the loss (Fanout::absorbLoss), else
+     * count it lost for good.
      */
     void noteLost(const net::Message &msg);
 
@@ -488,7 +480,13 @@ class Tier : public net::Endpoint
     TierParams params_;
     std::vector<std::unique_ptr<Instance>> instances_;
     Handler handler_;
-    TieArbiter tieArbiter_;
+    /**
+     * The one fan-out scattering into this tier (null for the entry
+     * tier and chain hops), set by its constructor. Its sub-request
+     * ids are its context slots, so it alone can arbitrate tied
+     * copies, absorb fault drops and fail over crashed replicas.
+     */
+    Fanout *feeder_ = nullptr;
     /** Set by ServiceGraph::addTier / addReplicatedTier. */
     int tierIndex_ = 0;
     /**
@@ -508,7 +506,8 @@ struct FanoutParams
     /** Shards every request scatters to (>= 1). */
     int shards = 1;
     /** Replicas per shard, in [1, 255] (replica ids ride 8-bit
-     *  fields); the primary is picked per (id, shard). */
+     *  fields) and equal to the child tier's replica count; the
+     *  primary is picked per (id, shard). */
     int replicas = 1;
     /** Hedge a shard's sub-request after this delay (0 = off under
      *  Auto; the pre-warmup fallback threshold under Adaptive). */
@@ -573,8 +572,10 @@ class Fanout
     using Complete = std::function<void(const net::Message &parent)>;
 
     /** fatal() naming the field on an out-of-range shard or replica
-     *  count, retry.maxAttempts, negative hedgeDelay or
-     *  retry.deadline, or a hedging policy without a backup replica. */
+     *  count, a replica count other than @p child's,
+     *  retry.maxAttempts, negative hedgeDelay or retry.deadline, or a
+     *  hedging policy without a backup replica; fatal() naming the
+     *  tiers when @p child already has a feeding fan-out. */
     Fanout(ServiceGraph &graph, Tier &parent, Tier &child,
            FanoutParams params, Complete onComplete);
 
@@ -627,28 +628,30 @@ class Fanout
         return replyP95_;
     }
 
-    /**
-     * Fault hook: @p replica of the child tier just crashed.
-     * Outstanding sub-requests assigned to it are re-issued to a
-     * live replica (counted as requestsFailedOver) — the simulated
-     * analogue of a connection reset triggering a client retry.
-     */
-    void onReplicaDown(int replica);
-
-    /**
-     * A fault just dropped sub-request (or sub-reply) @p msg inside
-     * the child tier. @return true when the retry layer absorbs the
-     * loss — either the lane was already served by another copy, or
-     * a per-attempt deadline timer is still pending, so the coming
-     * fireRetry() (not this drop) decides whether the request is
-     * terminally lost. Counted in subRequestsDropped either way.
-     * Always false when deadlines/retries are off, keeping fault
-     * accounting byte-identical to the pre-traffic behaviour.
-     */
-    bool absorbLoss(const net::Message &msg);
-
   private:
     friend class ServiceGraph;
+    friend class Tier;
+
+    /** One shard lane of a call: where its copy went, how it stands,
+     *  and the timers armed for it. */
+    struct Lane
+    {
+        /** Armed hedge timer (Fixed / Adaptive). */
+        EventHandle hedge;
+        /** Armed per-attempt deadline timer (retries on). */
+        EventHandle deadline;
+        /** Replica currently assigned the primary copy. */
+        std::uint8_t replica = 0;
+        /** Tied: 0 = unclaimed, else the claiming replica + 1. */
+        std::uint8_t claimedBy = 0;
+        /** Attempts issued so far (retries on). */
+        std::uint8_t attempts = 1;
+        /** First reply accepted (later ones are losers). */
+        bool done = false;
+        /** The in-flight copy is known fault-dropped; a suppressed
+         *  retry turns this into a terminal loss. */
+        bool dropped = false;
+    };
 
     struct RpcContext
     {
@@ -665,21 +668,8 @@ class Fanout
         int remaining = 0;
         /** Route-one target shard (single-lane contexts). */
         std::uint16_t routedShard = 0;
-        /** Per lane: first reply accepted (later ones are losers). */
-        std::vector<std::uint8_t> done;
-        /** Per lane (Tied): 0 = unclaimed, else claiming replica+1. */
-        std::vector<std::uint8_t> claimed;
-        /** Per lane: replica currently assigned the primary copy. */
-        std::vector<std::uint8_t> replicaOf;
-        /** Per lane: armed hedge timer. */
-        std::vector<EventHandle> hedges;
-        /** Per lane: armed per-attempt deadline timer (retries on). */
-        std::vector<EventHandle> deadlines;
-        /** Per lane: attempts issued so far (retries on). */
-        std::vector<std::uint8_t> attempts;
-        /** Per lane: the in-flight copy is known fault-dropped; a
-         *  suppressed retry turns this into a terminal loss. */
-        std::vector<std::uint8_t> dropped;
+        /** One per lane (1 when routing, shards when scattering). */
+        std::vector<Lane> lanes;
     };
 
     /** Lanes per context: 1 when routing, shards when scattering. */
@@ -688,9 +678,11 @@ class Fanout
     {
         return params_.route ? call.routedShard : lane;
     }
-    int shardToLane(int shard) const
+    /** The lane of @p call that carries @p shard. */
+    Lane &laneOf(RpcContext &call, int shard)
     {
-        return params_.route ? 0 : shard;
+        return call.lanes[params_.route ? 0
+                                        : static_cast<std::size_t>(shard)];
     }
 
     /** True when hedge timers are armed (Fixed or Adaptive). */
@@ -712,6 +704,16 @@ class Fanout
     int backupFor(std::uint64_t id, int shard) const;
 
     /**
+     * The one scan for the next trusted replica: the first of the
+     * @p count replicas from @p from on (wrapping) that senders
+     * trust and, when @p gated, whose breaker admits traffic —
+     * breakerAllows runs on each trusted candidate in scan order,
+     * because it counts probes and moves half-open state.
+     * @return -1 when none qualifies.
+     */
+    int nextTrusted(int from, int count, bool gated);
+
+    /**
      * Replica to send (req, shard)'s primary copy to, routing around
      * dead replicas (counts requestsFailedOver on a detour).
      * @p traceRoot, when non-zero, is the call's root request id and
@@ -727,7 +729,7 @@ class Fanout
      * suspected. @return -1 when no trusted replica distinct from
      * @p primary exists (a duplicate there could never win).
      */
-    int liveBackup(std::uint64_t id, int shard, int primary) const;
+    int liveBackup(std::uint64_t id, int shard, int primary);
 
     net::Message makeSub(const net::Message &req, std::uint32_t slot,
                          int shard, int replica, bool tied) const;
@@ -737,10 +739,9 @@ class Fanout
      *  sub-request if the attempt cap and retry budget allow. */
     void fireRetry(std::uint32_t slot, std::uint64_t parentId, int shard);
 
-    /** Arm the per-attempt deadline timer of (slot, lane). */
-    void armDeadline(RpcContext &call, std::size_t lane,
-                     std::uint32_t slot, std::uint64_t parentId,
-                     int shard);
+    /** Arm the per-attempt deadline timer of @p lane. */
+    void armDeadline(Lane &lane, std::uint32_t slot,
+                     std::uint64_t parentId, int shard);
 
     /** Breaker gate for @p replica (true when breakers are off).
      *  Counts half-open probes it admits. */
@@ -748,8 +749,37 @@ class Fanout
 
     /** Failure evidence against @p replica (counts breaker opens). */
     void noteBreakerFailure(int replica);
+
+    /**
+     * Start-time admission of a tied copy, called by the child tier
+     * on the worker at the instant the copy would begin execution.
+     * A false return cancels it before any work runs. @p token is
+     * the context slot (the sub-request's Message::id).
+     */
     bool admitTied(std::uint32_t token, std::uint64_t parentId,
                    std::uint16_t shard, std::uint16_t replica);
+
+    /**
+     * The child tier's failure detector suspects @p replica (called
+     * by Tier::setReplicaSuspected). Outstanding sub-requests
+     * assigned to it are re-issued to a live replica (counted as
+     * requestsFailedOver) — the simulated analogue of a connection
+     * reset triggering a client retry.
+     */
+    void onReplicaDown(int replica);
+
+    /**
+     * A fault just dropped sub-request (or sub-reply) @p msg inside
+     * the child tier. @return true when the retry layer absorbs the
+     * loss — either the lane was already served by another copy, or
+     * a per-attempt deadline timer is still pending, so the coming
+     * fireRetry() (not this drop) decides whether the request is
+     * terminally lost. Counted in subRequestsDropped either way.
+     * Always false when deadlines/retries are off, keeping fault
+     * accounting byte-identical to the pre-traffic behaviour.
+     */
+    bool absorbLoss(const net::Message &msg);
+
     void onReply(const net::Message &reply);
     void finish(const net::Message &req);
 
@@ -785,8 +815,8 @@ class Fanout
     /**
      * In-flight contexts. Slot-pooled: the sub-request's Message::id
      * carries the slot index back in the reply, so the steady state
-     * allocates nothing — no map nodes, and the per-context vectors
-     * keep their capacity across recycles (acquireSlot/release).
+     * allocates nothing — no map nodes, and each context's lane
+     * vector keeps its capacity across recycles (acquireSlot/release).
      */
     SlotPool<RpcContext> pool_;
     /** Streaming p95 of sub-request round-trips (Adaptive's input). */
@@ -842,7 +872,11 @@ class ServiceGraph : public net::Endpoint
     /** Add an intra-cluster link owned by the graph. */
     net::Link &addLink(net::Link::Params params);
 
-    /** Add a scatter-gather edge from @p parent to @p child. */
+    /**
+     * Add a scatter-gather edge from @p parent to @p child. A tier is
+     * fed by at most one fan-out: the Fanout constructor fatal()s
+     * naming both parents when @p child already has one.
+     */
     Fanout &addFanout(Tier &parent, Tier &child, FanoutParams params,
                       Fanout::Complete onComplete);
 
@@ -868,25 +902,11 @@ class ServiceGraph : public net::Endpoint
     Tier &tier(std::size_t i) { return *tiers_.at(i); }
 
     /**
-     * Broadcast a replica crash to every fan-out feeding @p tier so
-     * outstanding sub-requests fail over. Call *after*
-     * Tier::setReplicaUp(replica, false).
-     */
-    void notifyReplicaDown(Tier &tier, int replica);
-
-    /**
      * Count one request terminally lost on tier @p tierIndex — the
      * single bump site for both the graph total and the per-tier
      * breakdown, so requestsLost always equals the sum over tiers.
      */
     void countLost(int tierIndex);
-
-    /**
-     * A fault dropped @p msg inside @p tier: offer the loss to every
-     * fan-out feeding that tier. @return true when one absorbed it
-     * (see Fanout::absorbLoss).
-     */
-    bool absorbSubLoss(Tier &tier, const net::Message &msg);
 
     // ---- observability (flight recorder + timeline metrics) ----
 

@@ -199,13 +199,15 @@ TEST(Injector, CrashAllReplicas)
     plan.add(s);
     Injector inj(rig.sim, rig.graph, plan);
     inj.arm(msec(40));
-    int aliveMidWindow = 0;
+    int trustedMidWindow = -1;
     rig.sim.at(msec(15), [&] {
-        aliveMidWindow = rig.tier->aliveReplica(0);
+        trustedMidWindow = 0;
+        for (int r = 0; r < rig.tier->replicaCount(); ++r)
+            trustedMidWindow += rig.tier->replicaTrusted(r) ? 1 : 0;
     });
     rig.sim.run();
     EXPECT_TRUE(rig.client.responses.empty());
-    EXPECT_EQ(aliveMidWindow, -1);
+    EXPECT_EQ(trustedMidWindow, 0);
     // Restored after the window.
     EXPECT_TRUE(rig.tier->replicaUp(0));
     EXPECT_TRUE(rig.tier->replicaUp(2));

@@ -275,6 +275,89 @@ const GoldenShape kShapes[] = {
      "2376 717384606 0"},
 };
 
+/** runFingerprint plus the policy counters it leaves out: tied
+ *  copies, retries and drops, breaker transitions, and per tier the
+ *  terminal losses and the adaptive reply p95. */
+std::string
+policyFingerprint(const core::RunResult &r)
+{
+    const svc::ServiceStats &s = r.service;
+    std::ostringstream os;
+    os << runFingerprint(r) << " tied " << s.tiedSent << ' '
+       << s.tiedCancelledBeforeRun << " retry " << s.requestsRetried
+       << ' ' << s.retriesSuppressed << ' ' << s.subRequestsDropped
+       << " breaker " << s.breakerOpens << ' ' << s.breakerSkips << ' '
+       << s.breakerProbes;
+    for (const auto &t : s.tiers)
+        os << " | " << t.name << " lost " << t.requestsLost << " p95 "
+           << t.replyP95;
+    return os.str();
+}
+
+/** HDSearch s4r3 with @p shape's policy, bucket replica 0 killed at
+ *  4 ms for 6 ms and detected only after 3 ms, past the 2 ms
+ *  deadline of the retry shape. */
+core::ExperimentConfig
+killedS4r3Cell(svc::TopologyShape shape)
+{
+    auto cfg = core::ExperimentConfig::forHdSearch(20000);
+    cfg.gen.warmup = msec(2);
+    cfg.gen.duration = msec(12);
+    core::applyTopology(cfg, shape);
+    cfg.faultPlan = fault::FaultPlan::replicaKill("hds-bucket", 0, msec(4),
+                                                  msec(6), msec(3));
+    return cfg;
+}
+
+// Captured at commit 02f9444, before the fan-out path's lane record,
+// feeding-edge and span-builder rewrite: tied requests, deadlines
+// with retries and circuit breakers had no golden until then.
+const GoldenShape kPolicyShapes[] = {
+    {"tied_kill",
+     [] {
+         svc::TopologyShape shape{4, 3, 0};
+         shape.policy = svc::HedgePolicy::Tied;
+         return killedS4r3Cell(shape);
+     },
+     "lat 0x1.3cc4e0e73604bp+12 0x1.301f495bff044p+13 "
+     "0x1.5bcdb645a1cacp+13 late 0x1p+0 io 298 298 14669 svc 298 298 "
+     "416823981 1192 hedge 0 0 0 66 19369159 shed 0 0 207 fault 1 "
+     "162 0 cache 0 0 0 0 | hds-midtier 298 11920000 0 | hds-bucket "
+     "1266 386427981 0 tied 1104 881 retry 0 0 0 breaker 0 0 0 | "
+     "hds-midtier lost 0 p95 0 | hds-bucket lost 207 p95 0"},
+    {"retry_breaker_kill",
+     [] {
+         svc::TopologyShape shape{4, 3, 0};
+         shape.traffic.retry.deadline = msec(2);
+         shape.traffic.retry.maxAttempts = 3;
+         shape.traffic.breaker.failureThreshold = 2;
+         shape.traffic.breaker.cooldown = msec(2);
+         return killedS4r3Cell(shape);
+     },
+     "lat 0x1.ad84e07a28bbp+12 0x1.f2d4930be0dedp+13 "
+     "0x1.fdf16a7ef9db2p+13 late 0x1p+0 io 298 298 13574 svc 298 298 "
+     "421734164 1192 hedge 0 0 0 92 28021435 shed 0 0 35 fault 1 122 "
+     "0 cache 0 0 0 0 | hds-midtier 298 11920000 0 | hds-bucket 1301 "
+     "391338164 0 tied 0 0 retry 111 612 52 breaker 149 209 1 | "
+     "hds-midtier lost 0 p95 0 | hds-bucket lost 35 p95 0"},
+};
+
+/** Runs the policy shape named @p name once, compares its policy
+ *  fingerprint and returns the run. */
+core::RunResult
+runPolicyShape(const std::string &name)
+{
+    for (const GoldenShape &g : kPolicyShapes) {
+        if (name != g.name)
+            continue;
+        core::RunResult r = core::runOnce(g.make());
+        EXPECT_EQ(policyFingerprint(r), g.fingerprint);
+        return r;
+    }
+    ADD_FAILURE() << "no policy shape named " << name;
+    return {};
+}
+
 /** Runs the shape named @p name once and compares its fingerprint. */
 void
 expectShapeMatchesGolden(const std::string &name)
@@ -321,6 +404,25 @@ TEST(GoldenDeterminism, ReplicaKillMatchesGolden)
 TEST(GoldenDeterminism, PeriodicServerTicksMatchesGolden)
 {
     expectShapeMatchesGolden("periodic_ticks");
+}
+
+TEST(GoldenDeterminism, TiedRequestsUnderReplicaKillMatchGolden)
+{
+    const core::RunResult r = runPolicyShape("tied_kill");
+    EXPECT_GT(r.service.tiedSent, 0u);
+    EXPECT_GT(r.service.tiedCancelledBeforeRun, 0u);
+    EXPECT_GT(r.service.requestsFailedOver, 0u);
+}
+
+TEST(GoldenDeterminism, RetriesAndBreakersUnderReplicaKillMatchGolden)
+{
+    const core::RunResult r = runPolicyShape("retry_breaker_kill");
+    EXPECT_GT(r.service.requestsRetried, 0u);
+    EXPECT_GT(r.service.retriesSuppressed, 0u);
+    EXPECT_GT(r.service.subRequestsDropped, 0u);
+    EXPECT_GT(r.service.breakerOpens, 0u);
+    EXPECT_GT(r.service.breakerSkips, 0u);
+    EXPECT_GT(r.service.breakerProbes, 0u);
 }
 
 } // namespace

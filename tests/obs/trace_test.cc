@@ -101,6 +101,42 @@ TEST(TraceDeterminism, ExportsMatchGoldenDigests)
     EXPECT_EQ(fnv1a(e.metricsCsv), 0x226b9c1753bd7fabull);
 }
 
+/** HDSearch s4r3 under overload with every traffic policy on, bucket
+ *  replica 0 killed and detected only after the 2 ms deadline: the
+ *  cell that emits Retry, BreakerSkip, BreakerOpen and Shed spans. */
+core::ExperimentConfig
+trafficPolicyConfig()
+{
+    auto cfg = core::ExperimentConfig::forHdSearch(40000);
+    cfg.gen.warmup = msec(2);
+    cfg.gen.duration = msec(12);
+    svc::TopologyShape shape{4, 3, 0};
+    shape.traffic.retry.deadline = msec(2);
+    shape.traffic.breaker.failureThreshold = 2;
+    shape.traffic.breaker.cooldown = msec(2);
+    shape.traffic.admission.maxQueueDepth = 32;
+    shape.traffic.admission.codelTarget = usec(500);
+    core::applyTopology(cfg, shape);
+    cfg.faultPlan = fault::FaultPlan::replicaKill("hds-bucket", 0, msec(4),
+                                                  msec(6), msec(3));
+    cfg.seed = 42;
+    return cfg;
+}
+
+TEST(TraceDeterminism, TrafficPolicySpansMatchGoldenDigest)
+{
+    // Captured at commit 02f9444, before the span builder replaced
+    // the hand-filled records.
+    const Export e = runTraced(trafficPolicyConfig(), 1, 4, 0);
+    for (const char *name : {"\"retry\"", "\"breaker_skip\"",
+                             "\"breaker\"", "\"shed\""}) {
+        EXPECT_NE(e.traceJson.find(name), std::string::npos)
+            << "missing span kind " << name;
+    }
+    EXPECT_EQ(e.traceJson.size(), 2823923u);
+    EXPECT_EQ(fnv1a(e.traceJson), 0x5993456cee109213ull);
+}
+
 TEST(TraceDeterminism, TracingOffChangesNothing)
 {
     core::RunResult plain = core::runOnce(tracedConfig());
@@ -214,6 +250,10 @@ TEST(TraceDeterminism, KeyedMemcachedEmitsCacheSpans)
         EXPECT_NE(json.find(name), std::string::npos)
             << "missing span kind " << name;
     }
+    // The four cache kinds plus the store edge's sub-request and wire
+    // spans, pinned to the byte. Captured at commit 02f9444.
+    EXPECT_EQ(json.size(), 2279204u);
+    EXPECT_EQ(fnv1a(json), 0x12e6c06702daa7b2ull);
 }
 
 } // namespace

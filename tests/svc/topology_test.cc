@@ -381,6 +381,15 @@ TEST(FanoutDeathTest, RejectsReplicasOutsideOneTo255)
                 "FanoutParams::replicas .*got 0");
 }
 
+TEST(FanoutDeathTest, RejectsReplicasOtherThanTheChildsCount)
+{
+    FanoutParams f = validFanout(); // the leaf has 2 replicas
+    f.replicas = 3;
+    EXPECT_EXIT(buildFanout(f), ::testing::ExitedWithCode(1),
+                "FanoutParams::replicas must equal the replica count "
+                "of tier 'leaf' \\(2\\), got 3");
+}
+
 TEST(FanoutDeathTest, RejectsMaxAttemptsOutsideOneTo255)
 {
     FanoutParams f = validFanout();
@@ -415,6 +424,40 @@ TEST(FanoutDeathTest, RejectsHedgingWithoutABackupReplica)
     f.policy = HedgePolicy::Tied;
     EXPECT_EXIT(buildFanout(f), ::testing::ExitedWithCode(1),
                 "FanoutParams::policy 'tied' needs a backup replica");
+}
+
+/** Feed one leaf tier from two parents: the second addFanout must
+ *  fatal(), or it would take over the leaf's reply handler and strand
+ *  the first edge's sub-requests. */
+void
+buildTwoFanoutsIntoOneTier()
+{
+    Simulator sim;
+    net::Link reply(sim, Rng(1));
+    ClientSink client(sim);
+    ServiceGraph graph(sim, reply, client, Rng(3));
+    const hw::HwConfig cfg = hw::HwConfig::serverBaseline();
+    TierParams pp;
+    pp.name = "parent";
+    pp.work = fixedWork(usec(5));
+    Tier &parent = graph.addTier(graph.addMachine(cfg, "parent"), pp);
+    pp.name = "other";
+    Tier &other = graph.addTier(graph.addMachine(cfg, "other"), pp);
+    TierParams cp;
+    cp.name = "leaf";
+    cp.work = fixedWork(usec(10));
+    Tier &leaf = graph.addReplicatedTier(cfg, 2, std::move(cp));
+    graph.addFanout(parent, leaf, validFanout(),
+                    [](const net::Message &) {});
+    graph.addFanout(other, leaf, validFanout(),
+                    [](const net::Message &) {});
+}
+
+TEST(FanoutDeathTest, RejectsASecondFanoutIntoOneTier)
+{
+    EXPECT_EXIT(buildTwoFanoutsIntoOneTier(), ::testing::ExitedWithCode(1),
+                "tier 'leaf' is already fed by a fan-out from tier "
+                "'parent'; a second fan-out from tier 'other'");
 }
 
 } // namespace
