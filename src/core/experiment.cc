@@ -1,7 +1,6 @@
 #include "core/experiment.hh"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <tuple>
 
@@ -205,12 +204,8 @@ runOnce(const ExperimentConfig &cfg)
     // machine, the multi-tier clusters build their machines inside.
     std::unique_ptr<hw::Machine> serverMachine;
     std::unique_ptr<net::Endpoint> service;
-    std::function<const svc::ServiceStats &()> serviceStats;
     svc::ServiceGraph *serviceGraph = nullptr;
     auto adopt = [&](auto srv) {
-        serviceStats = [s = srv.get()]() -> const svc::ServiceStats & {
-            return s->stats();
-        };
         serviceGraph = &srv->graph();
         service = std::move(srv);
     };
@@ -315,7 +310,7 @@ runOnce(const ExperimentConfig &cfg)
     out.clientHw = clientMachine.stats();
     if (serverMachine)
         out.serverHw = serverMachine->stats();
-    out.service = serviceStats();
+    out.service = serviceGraph->stats();
     out.events = sim.executedEvents();
     return out;
 }

@@ -74,7 +74,7 @@ using BatchProgress =
 
 /**
  * Run every configuration in @p cfgs opt.runs times, as one flat bag
- * of (config, repetition) tasks on the work-stealing scheduler —
+ * of (config, repetition) tasks on the shared Scheduler pool —
  * workers never idle at a configuration boundary while another still
  * has repetitions left. Repetition r of every entry uses
  * deriveRunSeed(opt.baseSeed, r), so results[i] is bit-identical to

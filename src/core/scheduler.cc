@@ -1,8 +1,8 @@
 #include "core/scheduler.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -16,100 +16,6 @@ namespace core {
 namespace {
 
 /**
- * One worker's task queue. The owner pops from the front (FIFO, so
- * parallelism 1 preserves submission order); thieves take from the
- * back, grabbing the work farthest from what the owner touches next.
- * A mutex per queue is plenty: tasks are whole simulation runs
- * (milliseconds to seconds), so queue traffic is never the hot path.
- */
-struct WorkerQueue
-{
-    std::mutex mutex;
-    std::deque<std::size_t> tasks;
-};
-
-class BagRun
-{
-  public:
-    BagRun(std::size_t n, int workers,
-           const std::function<void(std::size_t)> &body)
-        : body_(body), queues_(static_cast<std::size_t>(workers))
-    {
-        // Deal tasks out in contiguous blocks so worker 0 starts at
-        // task 0 and stealing pulls from the far end of the bag.
-        const std::size_t w = queues_.size();
-        const std::size_t chunk = (n + w - 1) / w;
-        for (std::size_t q = 0; q < w; ++q) {
-            const std::size_t lo = q * chunk;
-            const std::size_t hi = std::min(n, lo + chunk);
-            for (std::size_t i = lo; i < hi; ++i)
-                queues_[q].tasks.push_back(i);
-        }
-    }
-
-    void
-    work(std::size_t self)
-    {
-        while (!failed_.load(std::memory_order_relaxed)) {
-            std::size_t task;
-            if (!popOwn(self, task) && !steal(self, task))
-                return; // every queue drained
-            try {
-                body_(task);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(errorMutex_);
-                if (!error_)
-                    error_ = std::current_exception();
-                failed_.store(true, std::memory_order_relaxed);
-            }
-        }
-    }
-
-    /** Rethrow the first task exception, if any. */
-    void
-    rethrow()
-    {
-        if (error_)
-            std::rethrow_exception(error_);
-    }
-
-  private:
-    bool
-    popOwn(std::size_t self, std::size_t &task)
-    {
-        WorkerQueue &q = queues_[self];
-        std::lock_guard<std::mutex> lock(q.mutex);
-        if (q.tasks.empty())
-            return false;
-        task = q.tasks.front();
-        q.tasks.pop_front();
-        return true;
-    }
-
-    bool
-    steal(std::size_t self, std::size_t &task)
-    {
-        const std::size_t w = queues_.size();
-        for (std::size_t off = 1; off < w; ++off) {
-            WorkerQueue &victim = queues_[(self + off) % w];
-            std::lock_guard<std::mutex> lock(victim.mutex);
-            if (victim.tasks.empty())
-                continue;
-            task = victim.tasks.back();
-            victim.tasks.pop_back();
-            return true;
-        }
-        return false;
-    }
-
-    const std::function<void(std::size_t)> &body_;
-    std::vector<WorkerQueue> queues_;
-    std::atomic<bool> failed_{false};
-    std::mutex errorMutex_;
-    std::exception_ptr error_;
-};
-
-/**
  * True while this thread is executing a task body. A nested forEach()
  * from inside a task runs inline-serial instead of touching the pool:
  * it cannot deadlock on the batch lock, and serial execution keeps the
@@ -117,19 +23,61 @@ class BagRun
  */
 thread_local bool insideTask = false;
 
+/**
+ * One wide forEach(): the shared claim counter and the first task
+ * exception. Every participant claims next++ until the counter passes
+ * n; a throwing task pushes the counter to n, so unclaimed tasks are
+ * abandoned.
+ */
+struct Batch
+{
+    Batch(const std::function<void(std::size_t)> &b, std::size_t count)
+        : body(b), n(count)
+    {
+    }
+
+    const std::function<void(std::size_t)> &body;
+    const std::size_t n;
+    std::atomic<std::size_t> next{0};
+    std::mutex errorMutex;
+    std::exception_ptr error;
+
+    /** Claim and run tasks until the bag is empty. */
+    void
+    work()
+    {
+        insideTask = true;
+        for (;;) {
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                break;
+            try {
+                body(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(errorMutex);
+                if (!error)
+                    error = std::current_exception();
+                next.store(n, std::memory_order_relaxed);
+            }
+        }
+        insideTask = false;
+    }
+};
+
 } // namespace
 
 /**
- * The parked worker pool. Helpers sleep on cv_ between batches and
- * are handed work by bumping epoch_: each helper remembers the last
+ * The parked worker pool. Helpers sleep on wakeCv between batches and
+ * are handed work by bumping epoch: each helper remembers the last
  * epoch it saw, so a wakeup is "there is a batch you have not looked
  * at yet". Helpers whose slot is beyond the batch's width note the
  * epoch and go straight back to sleep. The submitting thread always
- * works the bag too (as worker 0) and then parks on doneCv_ until the
- * last helper checked out, which also publishes every task's writes
- * to the caller (the decrement of remaining_ happens under mutex_).
+ * works the batch too and then parks on doneCv until the last helper
+ * checked out, which also publishes every task's writes to the caller
+ * (the decrement of remaining happens under mutex).
  */
-struct Executor::Impl
+struct Scheduler::Pool
 {
     /** Serialises whole batches: one forEach() owns the pool at a time. */
     std::mutex batchMutex;
@@ -139,125 +87,86 @@ struct Executor::Impl
     std::condition_variable wakeCv;
     std::condition_variable doneCv;
     std::vector<std::thread> helpers;
-    BagRun *batch = nullptr;
+    Batch *batch = nullptr;
     /** Helpers participating in the current batch (prefix of slots). */
     std::size_t helpersWanted = 0;
-    /** Participants that have not yet finished the current batch. */
+    /** Helpers that have not yet finished the current batch. */
     std::size_t remaining = 0;
     std::uint64_t epoch = 0;
     bool stop = false;
-    std::atomic<std::size_t> spawned{0};
+
+    static Pool &
+    instance()
+    {
+        static Pool pool;
+        return pool;
+    }
+
+    ~Pool()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            stop = true;
+        }
+        wakeCv.notify_all();
+        for (std::thread &t : helpers)
+            t.join();
+    }
 
     void
     workerLoop(std::size_t slot)
     {
         std::uint64_t seenEpoch = 0;
         for (;;) {
-            BagRun *bag = nullptr;
+            Batch *mine = nullptr;
             {
                 std::unique_lock<std::mutex> lock(mutex);
-                wakeCv.wait(lock, [&] {
-                    return stop || epoch != seenEpoch;
-                });
+                wakeCv.wait(lock, [&] { return stop || epoch != seenEpoch; });
                 if (stop)
                     return;
                 seenEpoch = epoch;
                 if (slot < helpersWanted)
-                    bag = batch;
+                    mine = batch;
             }
-            if (!bag)
+            if (!mine)
                 continue;
-            insideTask = true;
-            bag->work(slot + 1); // slot s is worker s+1; 0 is the caller
-            insideTask = false;
+            mine->work();
             std::lock_guard<std::mutex> lock(mutex);
             if (--remaining == 0)
                 doneCv.notify_all();
         }
     }
 
-    /** Grow the pool to @p want parked helpers (never shrinks). */
+    /** Run @p n tasks on the caller plus @p wanted parked helpers,
+     *  growing the pool to @p wanted helpers first (never shrinks). */
     void
-    ensureHelpers(std::size_t want)
+    run(std::size_t n, std::size_t wanted,
+        const std::function<void(std::size_t)> &body)
     {
-        std::lock_guard<std::mutex> lock(mutex);
-        while (helpers.size() < want) {
-            const std::size_t slot = helpers.size();
-            helpers.emplace_back([this, slot] { workerLoop(slot); });
+        std::lock_guard<std::mutex> batchLock(batchMutex);
+        Batch bag(body, n);
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            while (helpers.size() < wanted) {
+                const std::size_t slot = helpers.size();
+                helpers.emplace_back([this, slot] { workerLoop(slot); });
+            }
+            batch = &bag;
+            helpersWanted = wanted;
+            remaining = wanted;
+            ++epoch;
         }
-        spawned.store(helpers.size(), std::memory_order_relaxed);
+        wakeCv.notify_all();
+        bag.work();
+        {
+            std::unique_lock<std::mutex> lock(mutex);
+            doneCv.wait(lock, [&] { return remaining == 0; });
+            batch = nullptr;
+        }
+        if (bag.error)
+            std::rethrow_exception(bag.error);
     }
 };
-
-Executor::Executor() : impl_(new Impl) {}
-
-Executor::~Executor()
-{
-    {
-        std::lock_guard<std::mutex> lock(impl_->mutex);
-        impl_->stop = true;
-    }
-    impl_->wakeCv.notify_all();
-    for (std::thread &t : impl_->helpers)
-        t.join();
-    delete impl_;
-}
-
-Executor &
-Executor::instance()
-{
-    static Executor executor;
-    return executor;
-}
-
-std::size_t
-Executor::threadsSpawned() const
-{
-    return impl_->spawned.load(std::memory_order_relaxed);
-}
-
-void
-Executor::run(std::size_t n, int width,
-              const std::function<void(std::size_t)> &body)
-{
-    if (n == 0)
-        return;
-    if (width > 1 && n < static_cast<std::size_t>(width))
-        width = static_cast<int>(n);
-
-    if (width <= 1 || insideTask) {
-        BagRun bag(n, 1, body);
-        bag.work(0);
-        bag.rethrow();
-        return;
-    }
-
-    const std::size_t wantedHelpers = static_cast<std::size_t>(width) - 1;
-    std::lock_guard<std::mutex> batchLock(impl_->batchMutex);
-    impl_->ensureHelpers(wantedHelpers);
-
-    BagRun bag(n, width, body);
-    {
-        std::lock_guard<std::mutex> lock(impl_->mutex);
-        impl_->batch = &bag;
-        impl_->helpersWanted = wantedHelpers;
-        impl_->remaining = wantedHelpers;
-        ++impl_->epoch;
-    }
-    impl_->wakeCv.notify_all();
-
-    insideTask = true;
-    bag.work(0); // the submitting thread is worker 0
-    insideTask = false;
-
-    {
-        std::unique_lock<std::mutex> lock(impl_->mutex);
-        impl_->doneCv.wait(lock, [&] { return impl_->remaining == 0; });
-        impl_->batch = nullptr;
-        impl_->helpersWanted = 0;
-    }
-    bag.rethrow();
-}
 
 Scheduler::Scheduler(int parallelism) : workers_(parallelism)
 {
@@ -272,7 +181,22 @@ Scheduler::forEach(std::size_t n,
                    const std::function<void(std::size_t)> &body) const
 {
     TPV_ASSERT(body != nullptr, "scheduler needs a task body");
-    Executor::instance().run(n, workers_, body);
+    const std::size_t width =
+        std::min(n, static_cast<std::size_t>(workers_));
+    if (width <= 1 || insideTask) {
+        for (std::size_t i = 0; i < n; ++i)
+            body(i);
+        return;
+    }
+    Pool::instance().run(n, width - 1, body);
+}
+
+std::size_t
+Scheduler::threadsSpawned()
+{
+    Pool &pool = Pool::instance();
+    std::lock_guard<std::mutex> lock(pool.mutex);
+    return pool.helpers.size();
 }
 
 } // namespace core

@@ -1,23 +1,22 @@
 /**
  * @file
- * Work-stealing task pool for study execution, backed by a persistent
- * process-wide worker pool.
+ * The study task pool: one persistent process-wide set of worker
+ * threads that every Scheduler shares.
  *
  * The paper's methodology multiplies work three ways — configurations
  * x load points x 50 iid repetitions — and every task is an
  * independent simulation. Instead of fanning out per cell (which
  * serialises across cells and leaves workers idle at each cell's
  * tail), the scheduler executes one flat bag of (config, qps,
- * repetition) tasks: each worker owns a queue, drains it FIFO, and
- * when empty steals from the first non-empty peer in a round-robin
- * scan. Results are written to
- * pre-sized slots keyed by task index, so the outcome is bit-identical
- * at any parallelism level.
+ * repetition) tasks: every worker claims the next unclaimed index
+ * from one shared atomic counter. Tasks are whole simulation runs
+ * (milliseconds to seconds), so one counter never contends. Results
+ * are written to pre-sized slots keyed by task index, so the outcome
+ * is bit-identical at any parallelism level.
  *
  * Worker threads are spawned once per process and park on a condition
  * variable between batches. Constructing a Scheduler is free: it only
- * records the requested width; the threads belong to the shared
- * Executor.
+ * records the requested width.
  */
 
 #ifndef TPV_CORE_SCHEDULER_HH
@@ -46,61 +45,25 @@ deriveRunSeed(std::uint64_t baseSeed, int rep)
 }
 
 /**
- * The process-wide pool behind every Scheduler. Helper threads are
- * spawned lazily up to the widest batch ever requested, park on a
- * condition variable between batches, and are joined at process exit.
- * The pool persists for memory, not speed: spawning threads per
- * batch measures about as fast (≈1.0x), but raised perfbench's
- * peak_rss_mb by 5-9% (see BUILDING.md, "Executor lifetime").
- * Batches from different caller threads are serialised: one batch owns
- * the pool at a time (simulation batches are long; queueing them is
- * the intended behaviour, not a bottleneck).
- */
-class Executor
-{
-  public:
-    /** The shared process-wide instance. */
-    static Executor &instance();
-
-    /**
-     * Run body(i) for every i in [0, n) across min(width, n) workers.
-     * The calling thread participates as worker 0; width 1 (or n == 1)
-     * runs inline without waking any helper. Blocks until every task
-     * finished (or one threw — the first exception is rethrown after
-     * the batch quiesces).
-     */
-    void run(std::size_t n, int width,
-             const std::function<void(std::size_t)> &body);
-
-    /**
-     * Helper threads spawned so far, process-wide (grows to the widest
-     * batch requested, then stays flat — the churn-free guarantee the
-     * reuse tests assert).
-     */
-    std::size_t threadsSpawned() const;
-
-    Executor(const Executor &) = delete;
-    Executor &operator=(const Executor &) = delete;
-
-  private:
-    Executor();
-    ~Executor();
-
-    struct Impl;
-    Impl *impl_;
-};
-
-/**
- * A bag-of-tasks executor with per-worker queues and work stealing.
+ * A bag-of-tasks runner over the process-wide worker pool.
  *
  * Usage: construct with the desired width, then forEach(n, body)
- * executes body(0..n-1) across the shared pool and blocks until every
- * task finished. The calling thread participates as worker 0, so
- * parallelism 1 runs inline with no helper woken at all.
+ * executes body(0..n-1) and blocks until every task finished. The
+ * calling thread works the bag too, so width 1 runs inline in index
+ * order with no helper woken at all.
+ *
+ * The pool's helper threads are spawned lazily up to the widest batch
+ * ever requested, park between batches, and are joined at process
+ * exit. The pool persists for memory, not speed: spawning threads per
+ * batch measures about as fast (≈1.0x), but raised perfbench's
+ * peak_rss_mb by 5-9% (see BUILDING.md, "Study pool lifetime").
+ * Batches from different caller threads are serialised: one batch
+ * owns the pool at a time (simulation batches are long; queueing them
+ * is the intended behaviour, not a bottleneck).
  *
  * Exceptions: the first exception thrown by any task is captured,
- * remaining queued tasks are abandoned, and the exception is rethrown
- * to the caller of forEach() after the pool quiesces.
+ * unclaimed tasks are abandoned, and the exception is rethrown to the
+ * caller of forEach() after the pool quiesces.
  */
 class Scheduler
 {
@@ -113,13 +76,22 @@ class Scheduler
 
     /**
      * Run body(i) for every i in [0, n), distributed over the pool.
-     * Blocks until all tasks completed (or one threw). Reentrant
-     * calls from inside a task are not supported.
+     * Blocks until all tasks completed (or one threw). A forEach()
+     * from inside a task runs inline, in index order.
      */
     void forEach(std::size_t n,
                  const std::function<void(std::size_t)> &body) const;
 
+    /**
+     * Helper threads spawned so far, process-wide (grows to the widest
+     * batch requested, then stays flat — the churn-free guarantee the
+     * reuse tests assert).
+     */
+    static std::size_t threadsSpawned();
+
   private:
+    struct Pool;
+
     int workers_;
 };
 

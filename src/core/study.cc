@@ -42,32 +42,6 @@ StudyGrid::loads() const
     return out;
 }
 
-namespace detail {
-
-void
-runGridCells(StudyGrid &grid,
-             const std::vector<ExperimentConfig> &cellCfgs,
-             const RunnerOptions &opt,
-             const std::function<void(const StudyCell &)> &progress)
-{
-    BatchProgress batchProgress;
-    if (progress) {
-        batchProgress = [&](std::size_t idx, const RepeatedResult &r) {
-            grid.cells[idx].result = r;
-            progress(grid.cells[idx]);
-        };
-    }
-    auto results = runManyBatch(cellCfgs, opt, batchProgress);
-    if (!progress) {
-        // With a progress callback every cell was already filled in
-        // above; otherwise adopt the batch results wholesale.
-        for (std::size_t i = 0; i < results.size(); ++i)
-            grid.cells[i].result = std::move(results[i]);
-    }
-}
-
-} // namespace detail
-
 double
 slowdownAvg(const RepeatedResult &numerator,
             const RepeatedResult &denominator)

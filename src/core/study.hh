@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/runner.hh"
@@ -40,19 +41,6 @@ struct StudyGrid
     /** Distinct QPS values in insertion order. */
     std::vector<double> loads() const;
 };
-
-namespace detail {
-
-/**
- * Execute pre-materialised cells as one flat scheduler bag and fill
- * the grid, reporting each fully aggregated cell through @p progress.
- */
-void runGridCells(StudyGrid &grid,
-                  const std::vector<ExperimentConfig> &cellCfgs,
-                  const RunnerOptions &opt,
-                  const std::function<void(const StudyCell &)> &progress);
-
-} // namespace detail
 
 // ---------------------------------------------------------------------
 // The sweep axes. sweep<Axis>() is the one sweep-grid entry point; one
@@ -231,7 +219,16 @@ sweep(const std::vector<std::string> &configs,
         }
     }
 
-    detail::runGridCells(grid, cellCfgs, opt, progress);
+    BatchProgress batchProgress;
+    if (progress) {
+        batchProgress = [&](std::size_t i, const RepeatedResult &r) {
+            progress(StudyCell{grid.cells[i].config, grid.cells[i].qps, r});
+        };
+    }
+    std::vector<RepeatedResult> results =
+        runManyBatch(cellCfgs, opt, batchProgress);
+    for (std::size_t i = 0; i < results.size(); ++i)
+        grid.cells[i].result = std::move(results[i]);
     return grid;
 }
 

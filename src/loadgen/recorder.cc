@@ -48,10 +48,8 @@ LatencyRecorder::reserveFor(double perSecond, Time window)
 void
 LatencyRecorder::recordLatency(Time sentAt, double usecLatency)
 {
-    if (inWindow(sentAt)) {
+    if (inWindow(sentAt))
         latencies_.push_back(usecLatency);
-        sortedDirty_ = true;
-    }
 }
 
 void
@@ -66,17 +64,6 @@ LatencyRecorder::recordInterarrival(Time sentAt, double usecGap)
 {
     if (inWindow(sentAt))
         interarrivals_.push_back(usecGap);
-}
-
-const std::vector<double> &
-LatencyRecorder::sortedLatencies() const
-{
-    if (sortedDirty_) {
-        sortedLatencies_ = latencies_;
-        std::sort(sortedLatencies_.begin(), sortedLatencies_.end());
-        sortedDirty_ = false;
-    }
-    return sortedLatencies_;
 }
 
 } // namespace loadgen

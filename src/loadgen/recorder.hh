@@ -69,19 +69,10 @@ class LatencyRecorder
         return interarrivals_;
     }
 
-    /**
-     * The latency samples sorted ascending, computed once per run and
-     * cached (invalidated by recordLatency). Every consumer that
-     * needs order statistics — the summary, percentile scans, trimmed
-     * means — reads this one sorted copy through stats::SortedView
-     * instead of re-sorting per call.
-     */
-    const std::vector<double> &sortedLatencies() const;
-
-    /** Summary of the latency samples (via the sorted-once cache). */
+    /** Summary of the latency samples. */
     stats::Summary latencySummary() const
     {
-        return stats::Summary::ofSorted(sortedLatencies());
+        return stats::Summary::of(latencies_);
     }
 
     /** Summary of the send lateness samples. */
@@ -110,9 +101,6 @@ class LatencyRecorder
     std::vector<double> latencies_;
     std::vector<double> lateness_;
     std::vector<double> interarrivals_;
-    /** Lazily sorted copy of latencies_; valid while !sortedDirty_. */
-    mutable std::vector<double> sortedLatencies_;
-    mutable bool sortedDirty_ = true;
     std::uint64_t sent_ = 0;
     std::uint64_t received_ = 0;
 };

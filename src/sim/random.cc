@@ -152,17 +152,6 @@ Rng::lognormalMeanSd(double mean, double sd)
 }
 
 double
-Rng::pareto(double scale, double shape)
-{
-    TPV_ASSERT(scale > 0 && shape > 0, "pareto parameters must be positive");
-    double u;
-    do {
-        u = uniform01();
-    } while (u <= 0.0);
-    return scale * std::pow(u, -1.0 / shape);
-}
-
-double
 Rng::generalizedPareto(double mu, double sigma, double xi)
 {
     TPV_ASSERT(sigma > 0, "GPD sigma must be positive");

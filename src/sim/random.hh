@@ -85,9 +85,6 @@ class Rng
     /** One-off lognormal draw: lognormal(Lognormal(mean, sd)). */
     double lognormalMeanSd(double mean, double sd);
 
-    /** Classic Pareto: scale * U^(-1/shape). */
-    double pareto(double scale, double shape);
-
     /**
      * Generalized Pareto with location mu, scale sigma, shape xi —
      * used by the Facebook ETC value-size model (Atikoglu et al.).

@@ -11,15 +11,6 @@
 namespace tpv {
 namespace stats {
 
-double
-ConfInterval::relativeError() const
-{
-    if (center == 0)
-        return 0;
-    const double half = (upper - lower) / 2.0;
-    return std::abs(half / center);
-}
-
 bool
 ConfInterval::overlaps(const ConfInterval &other) const
 {
@@ -54,60 +45,6 @@ nonparametricMedianCI(const std::vector<double> &xs, double level)
     ci.level = level;
     TPV_ASSERT(ci.lower <= ci.center && ci.center <= ci.upper,
                "median escaped its own CI");
-    return ci;
-}
-
-ConfInterval
-parametricMeanCI(const std::vector<double> &xs, double level)
-{
-    TPV_ASSERT(xs.size() >= 2, "parametric CI needs >= 2 samples");
-    const double m = mean(xs);
-    const double s = stdev(xs);
-    const double z = zForConfidence(level);
-    const double half = z * s / std::sqrt(static_cast<double>(xs.size()));
-
-    ConfInterval ci;
-    ci.center = m;
-    ci.lower = m - half;
-    ci.upper = m + half;
-    ci.level = level;
-    return ci;
-}
-
-namespace {
-
-/** Student-t quantile by bisection on the CDF (df small, so cheap). */
-double
-tQuantile(double p, double df)
-{
-    double lo = -100.0, hi = 100.0;
-    for (int i = 0; i < 200; ++i) {
-        const double mid = 0.5 * (lo + hi);
-        if (studentTCdf(mid, df) < p)
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return 0.5 * (lo + hi);
-}
-
-} // namespace
-
-ConfInterval
-tMeanCI(const std::vector<double> &xs, double level)
-{
-    TPV_ASSERT(xs.size() >= 2, "t CI needs >= 2 samples");
-    const double m = mean(xs);
-    const double s = stdev(xs);
-    const double df = static_cast<double>(xs.size() - 1);
-    const double tcrit = tQuantile(0.5 + level / 2.0, df);
-    const double half = tcrit * s / std::sqrt(static_cast<double>(xs.size()));
-
-    ConfInterval ci;
-    ci.center = m;
-    ci.lower = m - half;
-    ci.upper = m + half;
-    ci.level = level;
     return ci;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Confidence intervals: the paper's non-parametric median CI
- * (Section III, Eq. 1-2) and the classic parametric mean CI.
+ * (Section III, Eq. 1-2) and a bootstrap cross-check of it.
  */
 
 #ifndef TPV_STATS_CI_HH
@@ -19,13 +19,10 @@ struct ConfInterval
 {
     double lower = 0;
     double upper = 0;
-    /** Point estimate the interval is built around (median or mean). */
+    /** Point estimate the interval is built around (the median). */
     double center = 0;
     /** Confidence level used, e.g. 0.95. */
     double level = 0;
-
-    /** Half-width relative to the center, e.g. 0.01 for "1% error". */
-    double relativeError() const;
 
     /** @return true if the two intervals share any point. */
     bool overlaps(const ConfInterval &other) const;
@@ -46,22 +43,6 @@ struct ConfInterval
  */
 ConfInterval nonparametricMedianCI(const std::vector<double> &xs,
                                    double level = 0.95);
-
-/**
- * Parametric CI for the mean: mean +/- z * s / sqrt(n). This is the
- * large-sample normal-theory interval that Jain's iteration formula
- * (paper Eq. 3) is derived from.
- * @pre xs.size() >= 2
- */
-ConfInterval parametricMeanCI(const std::vector<double> &xs,
-                              double level = 0.95);
-
-/**
- * Small-sample variant using the Student-t critical value instead of
- * z; converges to parametricMeanCI() for large n.
- * @pre xs.size() >= 2
- */
-ConfInterval tMeanCI(const std::vector<double> &xs, double level = 0.95);
 
 /**
  * The paper's decision rule: "In order to be confident that a mean is

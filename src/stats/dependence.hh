@@ -1,17 +1,15 @@
 /**
  * @file
  * Sample-dependence diagnostics (paper Section III "IID samples" and
- * the Lancet-style checks of Section VII): autocorrelation, lag
- * pairs, the turning-point randomness test, Spearman rank
- * correlation, and a simple (augmented) Dickey-Fuller stationarity
- * test.
+ * the Lancet-style checks of Section VII): autocorrelation, Spearman
+ * rank correlation, and a simple (augmented) Dickey-Fuller
+ * stationarity test.
  */
 
 #ifndef TPV_STATS_DEPENDENCE_HH
 #define TPV_STATS_DEPENDENCE_HH
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 namespace tpv {
@@ -25,41 +23,11 @@ namespace stats {
  */
 double autocorrelation(const std::vector<double> &xs, std::size_t lag = 1);
 
-/** Autocorrelation function for lags 1..maxLag. */
-std::vector<double> acf(const std::vector<double> &xs, std::size_t maxLag);
-
 /**
  * Practical iid screen: true when |r_k| stays below the approximate
  * 95% white-noise band 1.96/sqrt(n) for all lags 1..maxLag.
  */
 bool looksIndependent(const std::vector<double> &xs, std::size_t maxLag = 5);
-
-/**
- * (x_i, x_{i+lag}) pairs — the data behind a lag plot, one of the
- * iid-ness visual checks the paper lists.
- */
-std::vector<std::pair<double, double>>
-lagPairs(const std::vector<double> &xs, std::size_t lag = 1);
-
-/** Result of the turning point test. */
-struct TurningPointResult
-{
-    /** Number of local extrema in the series. */
-    std::size_t turningPoints = 0;
-    /** Expected count under randomness: 2(n-2)/3. */
-    double expected = 0;
-    /** Normal test statistic. */
-    double z = 0;
-    /** Two-sided p-value; small p rejects randomness. */
-    double pValue = 0;
-};
-
-/**
- * Turning point test for randomness of a series (cited by the paper
- * as an alternative iid check).
- * @pre xs.size() >= 3
- */
-TurningPointResult turningPointTest(const std::vector<double> &xs);
 
 /** Result of a Spearman rank-correlation test. */
 struct SpearmanResult

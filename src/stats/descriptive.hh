@@ -26,9 +26,6 @@ double mean(const std::vector<double> &xs);
  */
 double stdev(const std::vector<double> &xs);
 
-/** Population variance helper (n denominator). @pre !xs.empty() */
-double populationVariance(const std::vector<double> &xs);
-
 /** Minimum value. @pre !xs.empty() */
 double minValue(const std::vector<double> &xs);
 
@@ -50,21 +47,14 @@ double median(const std::vector<double> &xs);
  */
 double percentile(const std::vector<double> &xs, double p);
 
-/**
- * Mean after dropping floor(n * trimFrac) samples from each end — the
- * outlier-robust location estimate used to sanity-check skewed run
- * distributions. @pre 0 <= trimFrac < 0.5, trimmed set non-empty.
- */
-double trimmedMean(const std::vector<double> &xs, double trimFrac);
-
 /** Sorted copy of the input. */
 std::vector<double> sorted(const std::vector<double> &xs);
 
 /**
  * Non-owning view over an ALREADY SORTED sample vector: order
  * statistics without re-sorting. This is the sorted-once hot path —
- * a run's recorder sorts its samples one time and every percentile,
- * median and trimmed mean reads from the same view, where the free
+ * a run's recorder sorts its samples in place once and every
+ * percentile and median reads from the same view, where the free
  * functions above each pay a copy + sort per call.
  *
  * The view keeps one definition of the interpolation rule: every
@@ -91,9 +81,6 @@ class SortedView
     /** Median via the same interpolation rule. @pre !empty() */
     double median() const { return percentile(50.0); }
 
-    /** Mean of the middle after trimming floor(n*trimFrac) per end. */
-    double trimmedMean(double trimFrac) const;
-
   private:
     const std::vector<double> *xs_;
 };
@@ -119,7 +106,8 @@ struct Summary
 
     /**
      * Build a summary from samples that are ALREADY SORTED ascending
-     * (e.g. a recorder's sorted-once cache) — no copy, no re-sort.
+     * (e.g. a recorder's samples sorted in place at the end of a run) —
+     * no copy, no re-sort.
      */
     static Summary ofSorted(const std::vector<double> &sortedXs);
 };

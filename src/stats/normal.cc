@@ -9,13 +9,6 @@ namespace tpv {
 namespace stats {
 
 double
-normalPdf(double x)
-{
-    static const double kInvSqrt2Pi = 0.3989422804014327;
-    return kInvSqrt2Pi * std::exp(-0.5 * x * x);
-}
-
-double
 normalCdf(double x)
 {
     return 0.5 * std::erfc(-x / std::sqrt(2.0));

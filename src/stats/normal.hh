@@ -12,9 +12,6 @@
 namespace tpv {
 namespace stats {
 
-/** Standard normal probability density at @p x. */
-double normalPdf(double x);
-
 /** Standard normal CDF Phi(x), via erfc for full-tail accuracy. */
 double normalCdf(double x);
 

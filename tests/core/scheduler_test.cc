@@ -1,4 +1,4 @@
-/** @file Tests for the work-stealing task scheduler. */
+/** @file Tests for the shared-counter study task pool. */
 
 #include "core/scheduler.hh"
 
@@ -76,7 +76,7 @@ TEST(Scheduler, PropagatesFirstTaskException)
 
 TEST(Scheduler, ExceptionAbandonsRemainingWork)
 {
-    // Serial pool, FIFO order: task 0 throws, so no later task runs.
+    // Serial pool, index order: task 0 throws, so no later task runs.
     std::atomic<int> ran{0};
     Scheduler sched(1);
     EXPECT_THROW(sched.forEach(50,
@@ -91,8 +91,9 @@ TEST(Scheduler, ExceptionAbandonsRemainingWork)
 
 TEST(Scheduler, StressManyMoreTasksThanThreads)
 {
-    // Uneven task sizes force stealing; every index must still be
-    // visited exactly once with no duplicates or drops.
+    // Uneven task sizes make workers race for the shared counter at
+    // different rates; every index must still be claimed exactly once
+    // with no duplicates or drops.
     const std::size_t n = 10000;
     std::mutex mutex;
     std::set<std::size_t> seen;
@@ -116,11 +117,11 @@ TEST(Scheduler, PersistentPoolAvoidsThreadChurn)
     Scheduler sched(4);
     std::atomic<int> count{0};
     sched.forEach(16, [&](std::size_t) { ++count; });
-    const std::size_t spawned = Executor::instance().threadsSpawned();
+    const std::size_t spawned = Scheduler::threadsSpawned();
     EXPECT_GE(spawned, 3u); // at least this batch's helpers exist
     for (int i = 0; i < 200; ++i)
         sched.forEach(8, [&](std::size_t) { ++count; });
-    EXPECT_EQ(Executor::instance().threadsSpawned(), spawned);
+    EXPECT_EQ(Scheduler::threadsSpawned(), spawned);
     EXPECT_EQ(count.load(), 16 + 200 * 8);
 }
 
@@ -129,12 +130,12 @@ TEST(Scheduler, PoolGrowsToWidestRequestThenStaysFlat)
     Scheduler narrow(2), wide(6);
     narrow.forEach(4, [](std::size_t) {});
     wide.forEach(12, [](std::size_t) {});
-    const std::size_t spawned = Executor::instance().threadsSpawned();
+    const std::size_t spawned = Scheduler::threadsSpawned();
     EXPECT_GE(spawned, 5u);
     // Narrower batches reuse the existing helpers.
     narrow.forEach(4, [](std::size_t) {});
     wide.forEach(12, [](std::size_t) {});
-    EXPECT_EQ(Executor::instance().threadsSpawned(), spawned);
+    EXPECT_EQ(Scheduler::threadsSpawned(), spawned);
 }
 
 TEST(Scheduler, NestedForEachRunsInlineWithoutDeadlock)

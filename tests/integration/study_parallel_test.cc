@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,7 +92,7 @@ TEST(StudyParallel, ProgressFiresExactlyOncePerCell)
         opt.runs = 2;
         opt.parallelism = width;
         std::mutex mutex;
-        std::set<std::pair<std::string, double>> fired;
+        std::map<std::pair<std::string, double>, RepeatedResult> fired;
         const auto grid = sweep(
             {"LP", "HP"}, {20e3, 50e3, 80e3}, quickFactory(), opt,
             [&](const StudyCell &cell) {
@@ -101,11 +101,21 @@ TEST(StudyParallel, ProgressFiresExactlyOncePerCell)
                 EXPECT_EQ(cell.result.avgPerRun.size(), 2u);
                 std::lock_guard<std::mutex> lock(mutex);
                 EXPECT_TRUE(
-                    fired.insert({cell.config, cell.qps}).second)
+                    fired.emplace(std::pair{cell.config, cell.qps},
+                                  cell.result)
+                        .second)
                     << "cell reported twice: " << cell.config << " @ "
                     << cell.qps;
             });
         EXPECT_EQ(fired.size(), grid.cells.size()) << "width " << width;
+        // What a cell reported is what the returned grid holds.
+        for (const auto &[key, reported] : fired) {
+            const StudyCell &cell = grid.at(key.first, key.second);
+            EXPECT_EQ(reported.avgPerRun, cell.result.avgPerRun)
+                << key.first << " @ " << key.second << " width " << width;
+            EXPECT_EQ(reported.p99PerRun, cell.result.p99PerRun)
+                << key.first << " @ " << key.second << " width " << width;
+        }
     }
 }
 

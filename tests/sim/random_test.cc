@@ -191,13 +191,6 @@ TEST(Rng, LognormalZeroSdParamsDrawNothing)
     EXPECT_EQ(a.u64(), b.u64());
 }
 
-TEST(Rng, ParetoRespectsScale)
-{
-    Rng rng(37);
-    for (int i = 0; i < 10000; ++i)
-        EXPECT_GE(rng.pareto(3.0, 2.0), 3.0);
-}
-
 TEST(Rng, GeneralizedParetoZeroShapeIsExponential)
 {
     Rng rng(41);
