@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/runner.hh"
@@ -54,14 +55,15 @@ checkClient(const hw::HwConfig &clientCfg, loadgen::SendMode sendMode,
     svc::MemcachedServer mc(sim, server, down, gen, rng.fork());
     door.t = &mc;
 
+    std::vector<double> sendGaps;
+    loadgen::watchSendGaps(up, gen.recorder(), sendGaps);
     gen.start();
     sim.runUntil(gen.windowEnd() + msec(50));
 
     std::printf("--- %s, %s sends, %s completions ---\n",
                 clientCfg.name.c_str(), loadgen::toString(sendMode),
                 loadgen::toString(completion));
-    const auto rep =
-        loadgen::runSelfCheck(gen.recorder(), p.interarrival);
+    const auto rep = loadgen::runSelfCheck(gen.recorder(), sendGaps);
     std::printf("%s", rep.summary().c_str());
     std::printf("verdict: %s\n\n",
                 rep.allOk() ? "measurements trustworthy"

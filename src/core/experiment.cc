@@ -41,7 +41,6 @@ ExperimentConfig::forMemcached(double qps)
     cfg.gen.sendMode = loadgen::SendMode::BlockWait;
     cfg.gen.completion = loadgen::CompletionMode::Blocking;
     cfg.gen.measure = loadgen::MeasurePoint::InApp;
-    cfg.gen.interarrival = loadgen::InterarrivalKind::Exponential;
     // ETC request model: mostly GETs, GEV-sized keys.
     const svc::EtcModel etc = cfg.memcached.etc;
     cfg.gen.requestModel = [etc](Rng &rng, net::Message &req) {
@@ -66,7 +65,6 @@ ExperimentConfig::forHdSearch(double qps)
     cfg.gen.sendMode = loadgen::SendMode::BusyWait;
     cfg.gen.completion = loadgen::CompletionMode::Blocking;
     cfg.gen.measure = loadgen::MeasurePoint::InApp;
-    cfg.gen.interarrival = loadgen::InterarrivalKind::Exponential;
     cfg.gen.requestBytes = 512; // query feature vector
     cfg.label = "hdsearch";
     return cfg;
@@ -82,7 +80,6 @@ ExperimentConfig::forSocialNetwork(double qps)
     cfg.gen.sendMode = loadgen::SendMode::BlockWait;
     cfg.gen.completion = loadgen::CompletionMode::Blocking;
     cfg.gen.measure = loadgen::MeasurePoint::InApp;
-    cfg.gen.interarrival = loadgen::InterarrivalKind::Exponential;
     cfg.gen.requestBytes = 256; // read-user-timeline request
     cfg.label = "socialnetwork";
     return cfg;
@@ -98,7 +95,6 @@ ExperimentConfig::forSynthetic(double qps, Time addedDelay)
     cfg.gen.sendMode = loadgen::SendMode::BlockWait;
     cfg.gen.completion = loadgen::CompletionMode::Blocking;
     cfg.gen.measure = loadgen::MeasurePoint::InApp;
-    cfg.gen.interarrival = loadgen::InterarrivalKind::Exponential;
     cfg.synthetic.addedDelay = addedDelay;
     cfg.label = "synthetic";
     return cfg;

@@ -13,6 +13,23 @@ namespace {
 /** <cmath> M_PI is a POSIX extension; keep the build strict-mode clean. */
 constexpr double kTwoPi = 6.28318530717958647692;
 
+/** fatal() naming LoadProfileParams::@p field unless @p ok. */
+template <typename T>
+void
+require(bool ok, const char *field, const char *rule, T value)
+{
+    if (!ok)
+        fatal("LoadProfileParams::", field, " must be ", rule, ", got ", value);
+}
+
+/** fatal() unless @p level is a positive, finite multiplier. */
+void
+requireLevel(double level, const char *field)
+{
+    require(level > 0 && std::isfinite(level), field,
+            "positive and finite", level);
+}
+
 } // namespace
 
 const char *
@@ -76,37 +93,62 @@ LoadProfile::LoadProfile(const LoadProfileParams &params, Time horizon,
 {
     switch (params_.kind) {
       case LoadProfileKind::Constant:
-        maxMult_ = 1.0;
         break;
       case LoadProfileKind::Diurnal:
-        if (params_.amplitude < 0 || params_.amplitude > 1)
-            fatal("diurnal amplitude must be in [0, 1], got ",
-                  params_.amplitude);
-        if (params_.period <= 0)
-            fatal("diurnal period must be positive");
+        require(params_.amplitude >= 0 && params_.amplitude <= 1,
+                "amplitude", "in [0, 1]", params_.amplitude);
+        require(std::isfinite(params_.phase), "phase", "finite",
+                params_.phase);
+        require(params_.period > 0, "period", "> 0", params_.period);
         maxMult_ = 1.0 + params_.amplitude;
         break;
-      case LoadProfileKind::Step: {
-        if (params_.stepBase <= 0 || params_.stepLevel <= 0)
-            fatal("step profile levels must be positive");
-        if (params_.stepStart >= params_.stepEnd)
-            fatal("step profile needs stepStart < stepEnd");
-        schedule_ = RateSchedule({{0, params_.stepBase},
-                                  {params_.stepStart, params_.stepLevel},
-                                  {params_.stepEnd, params_.stepBase}});
-        maxMult_ = schedule_.maxValue();
+      case LoadProfileKind::Step:
+        requireLevel(params_.stepBase, "stepBase");
+        requireLevel(params_.stepLevel, "stepLevel");
+        require(params_.stepStart >= 0, "stepStart", ">= 0",
+                params_.stepStart);
+        require(params_.stepStart < params_.stepEnd, "stepStart",
+                "< stepEnd", params_.stepStart);
+        steps_ = {{0, params_.stepBase},
+                  {params_.stepStart, params_.stepLevel},
+                  {params_.stepEnd, params_.stepBase}};
+        break;
+      case LoadProfileKind::Mmpp: {
+        requireLevel(params_.calmLevel, "calmLevel");
+        requireLevel(params_.burstLevel, "burstLevel");
+        require(params_.meanCalm > 0, "meanCalm", "> 0", params_.meanCalm);
+        require(params_.meanBurst > 0, "meanBurst", "> 0",
+                params_.meanBurst);
+        // The classic MMPP(2) modulator on [0, horizon): calm and
+        // burst dwells alternate, exponential with means meanCalm /
+        // meanBurst, starting calm.
+        const Time end = std::max<Time>(horizon, 1);
+        bool burst = false;
+        for (Time t = 0; t < end; burst = !burst) {
+            steps_.push_back(
+                {t, burst ? params_.burstLevel : params_.calmLevel});
+            t += rng.exponentialTime(burst ? params_.meanBurst
+                                           : params_.meanCalm);
+        }
         break;
       }
-      case LoadProfileKind::Mmpp:
-        if (params_.calmLevel <= 0 || params_.burstLevel <= 0)
-            fatal("MMPP levels must be positive");
-        schedule_ = RateSchedule::markovModulated(
-            params_.calmLevel, params_.burstLevel, params_.meanCalm,
-            params_.meanBurst, std::max<Time>(horizon, 1), rng);
-        maxMult_ = schedule_.maxValue();
-        break;
     }
-    TPV_ASSERT(maxMult_ > 0, "profile peak multiplier must be positive");
+    if (!steps_.empty()) {
+        maxMult_ = steps_.front().value;
+        for (const Step &st : steps_)
+            maxMult_ = std::max(maxMult_, st.value);
+    }
+}
+
+double
+LoadProfile::stepAt(Time t) const
+{
+    // First step starting after t; the one before it applies, and
+    // times before the first step clamp to it.
+    auto it = std::upper_bound(
+        steps_.begin(), steps_.end(), t,
+        [](Time lhs, const Step &st) { return lhs < st.start; });
+    return it == steps_.begin() ? it->value : (it - 1)->value;
 }
 
 double
@@ -126,7 +168,7 @@ LoadProfile::multiplierAt(Time sinceStart) const
       }
       case LoadProfileKind::Step:
       case LoadProfileKind::Mmpp:
-        return schedule_.at(sinceStart);
+        return stepAt(sinceStart);
     }
     return 1.0;
 }
@@ -151,8 +193,20 @@ LoadProfile::meanMultiplier(Time horizon) const
         return acc / steps;
       }
       case LoadProfileKind::Step:
-      case LoadProfileKind::Mmpp:
-        return schedule_.meanOver(horizon);
+      case LoadProfileKind::Mmpp: {
+        // Each step weighs by its overlap with [0, horizon); the last
+        // runs to the horizon.
+        double weighted = 0;
+        for (std::size_t i = 0; i < steps_.size(); ++i) {
+            const Time lo = steps_[i].start;
+            const Time hi = std::min(horizon, i + 1 < steps_.size()
+                                                  ? steps_[i + 1].start
+                                                  : horizon);
+            if (hi > lo)
+                weighted += steps_[i].value * static_cast<double>(hi - lo);
+        }
+        return weighted / static_cast<double>(horizon);
+      }
     }
     return 1.0;
 }

@@ -15,8 +15,8 @@
  *    exponentially-dwelling calm and burst phases (the classic model
  *    for bursty datacenter arrivals).
  *
- * Arrivals under a profile are sampled exactly for exponential
- * inter-arrivals via thinning (Lewis & Shedler): candidate gaps are
+ * The generator's Poisson arrivals under a profile are sampled
+ * exactly via thinning (Lewis & Shedler): candidate gaps are
  * drawn at the profile's peak rate and accepted with probability
  * multiplier(t)/peak, yielding a non-homogeneous Poisson process with
  * intensity base * multiplier(t).
@@ -25,8 +25,9 @@
 #ifndef TPV_LOADGEN_LOAD_PROFILE_HH
 #define TPV_LOADGEN_LOAD_PROFILE_HH
 
+#include <vector>
+
 #include "sim/random.hh"
-#include "sim/rate_schedule.hh"
 #include "sim/time.hh"
 
 namespace tpv {
@@ -51,25 +52,26 @@ struct LoadProfileParams
     /** Diurnal: multiplier = 1 + amplitude*sin(2pi*(t/period + phase)).
      *  amplitude must be in [0, 1] so the rate stays non-negative. */
     double amplitude = 0.5;
-    /** Diurnal period (a scaled-down "day"). */
+    /** Diurnal period (a scaled-down "day"; > 0). */
     Time period = seconds(1);
-    /** Diurnal phase offset, as a fraction of a period. */
+    /** Diurnal phase offset, as a fraction of a period (finite). */
     double phase = 0.0;
 
-    /** Step: multiplier outside the crowd interval. */
+    /** Step: multiplier outside the crowd interval (> 0, finite). */
     double stepBase = 1.0;
-    /** Step: multiplier during [stepStart, stepEnd). */
+    /** Step: multiplier during [stepStart, stepEnd) (> 0, finite). */
     double stepLevel = 3.0;
+    /** Step: 0 <= stepStart < stepEnd. */
     Time stepStart = msec(300);
     Time stepEnd = msec(700);
 
-    /** Mmpp: multiplier in the calm state. */
+    /** Mmpp: multiplier in the calm state (> 0, finite). */
     double calmLevel = 1.0;
-    /** Mmpp: multiplier in the burst state. */
+    /** Mmpp: multiplier in the burst state (> 0, finite). */
     double burstLevel = 4.0;
-    /** Mmpp: mean exponential dwell in the calm state. */
+    /** Mmpp: mean exponential dwell in the calm state (> 0). */
     Time meanCalm = msec(200);
-    /** Mmpp: mean exponential dwell in the burst state. */
+    /** Mmpp: mean exponential dwell in the burst state (> 0). */
     Time meanBurst = msec(50);
 
     /** A stationary profile (the default; no rate modulation). */
@@ -99,8 +101,8 @@ class LoadProfile
 {
   public:
     /**
-     * @param params  shape description (validated here; aborts on
-     *                out-of-range amplitudes or non-positive levels).
+     * @param params  shape description (validated here: fatal()
+     *                naming the field on a value its kind rejects).
      * @param horizon materialisation horizon for sampled shapes —
      *                queries past it clamp to the final level.
      * @param rng     trajectory randomness (Mmpp only).
@@ -127,9 +129,21 @@ class LoadProfile
     Time nextArrival(Time from, Time baseGapMean, Rng &rng) const;
 
   private:
+    /** The step function takes @c value from @c start onwards. */
+    struct Step
+    {
+        Time start = 0;
+        double value = 1.0;
+    };
+
+    /** Step/Mmpp multiplier at @p t: the last step starting at or
+     *  before @p t (the first step before it). */
+    double stepAt(Time t) const;
+
     LoadProfileParams params_;
-    /** Step/Mmpp trajectories; empty (constant 1) otherwise. */
-    RateSchedule schedule_;
+    /** Step/Mmpp trajectory, sorted by start, the first at 0; empty
+     *  otherwise. */
+    std::vector<Step> steps_;
     double maxMult_ = 1.0;
 };
 

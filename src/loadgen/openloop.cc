@@ -1,6 +1,5 @@
 #include "loadgen/openloop.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -27,6 +26,14 @@ OpenLoopGenerator::OpenLoopGenerator(Simulator &sim, hw::Machine &client,
         fatal("OpenLoopParams::duration must be > 0, got ",
               params_.duration);
     }
+    if (params_.sendWork < 0) {
+        fatal("OpenLoopParams::sendWork must be >= 0, got ",
+              params_.sendWork);
+    }
+    if (params_.parseWork < 0) {
+        fatal("OpenLoopParams::parseWork must be >= 0, got ",
+              params_.parseWork);
+    }
     // Busy-wait send loops with blocking completions use a second
     // bank of (sleepable) completion threads.
     if (params_.sendMode == SendMode::BusyWait &&
@@ -45,13 +52,10 @@ OpenLoopGenerator::OpenLoopGenerator(Simulator &sim, hw::Machine &client,
         params_.qps / static_cast<double>(params_.threads);
     perThreadGapMean_ =
         static_cast<Time>(static_cast<double>(kSecond) / perThreadRate);
-    TPV_ASSERT(perThreadGapMean_ > 0, "per-thread rate too high");
-    if (params_.lognormalCv < 0) {
-        fatal("OpenLoopParams::lognormalCv must be >= 0, got ",
-              params_.lognormalCv);
+    if (perThreadGapMean_ <= 0) {
+        fatal("OpenLoopParams::qps / threads must be <= 1e9 (a 1 ns "
+              "mean gap), got ", perThreadRate);
     }
-    const auto gapMean = static_cast<double>(perThreadGapMean_);
-    lognormalGap_ = Rng::Lognormal(gapMean, params_.lognormalCv * gapMean);
 
     // Materialise a non-constant load profile up front (MMPP samples
     // its burst trajectory here, so the whole schedule is fixed by the
@@ -97,31 +101,10 @@ OpenLoopGenerator::drawGap(GenThread &g, Time from)
 {
     if (profile_) {
         const Time since = from - profileEpoch_;
-        if (params_.interarrival == InterarrivalKind::Exponential) {
-            // Exact non-homogeneous Poisson sampling by thinning.
-            return profile_->nextArrival(since, perThreadGapMean_,
-                                         g.rng) -
-                   since;
-        }
-        // Renewal schedules stretch the next gap by the reciprocal
-        // multiplier at the previous intended instant (piecewise
-        // rate-scaled renewal process).
-        const double m = std::max(profile_->multiplierAt(since), 1e-6);
-        Time gap = perThreadGapMean_;
-        if (params_.interarrival == InterarrivalKind::Lognormal)
-            gap = static_cast<Time>(g.rng.lognormal(lognormalGap_));
-        return std::max<Time>(
-            1, static_cast<Time>(static_cast<double>(gap) / m));
+        return profile_->nextArrival(since, perThreadGapMean_, g.rng) -
+               since;
     }
-    switch (params_.interarrival) {
-      case InterarrivalKind::Exponential:
-        return g.rng.exponentialTime(perThreadGapMean_);
-      case InterarrivalKind::Fixed:
-        return perThreadGapMean_;
-      case InterarrivalKind::Lognormal:
-        return static_cast<Time>(g.rng.lognormal(lognormalGap_));
-    }
-    return perThreadGapMean_;
+    return g.rng.exponentialTime(perThreadGapMean_);
 }
 
 void
@@ -175,15 +158,11 @@ OpenLoopGenerator::doSend(GenThread &g, Time intended)
     req.conn = static_cast<std::uint32_t>(g.threadIdx);
     req.bytes = params_.requestBytes;
     req.appSendTime = now;
-    req.intendedSendTime = intended;
     if (params_.requestModel)
         params_.requestModel(g.rng, req);
 
     recorder_.countSent();
     recorder_.recordLateness(now, toUsec(now - intended));
-    if (g.lastSendActual >= 0)
-        recorder_.recordInterarrival(now, toUsec(now - g.lastSendActual));
-    g.lastSendActual = now;
 
     toServer_.send(req, server_);
 
@@ -207,21 +186,13 @@ OpenLoopGenerator::handleResponse(const net::Message &resp, Time nicTime)
     // completion thread when the send loop busy-waits.
     const std::size_t thrIdx = resp.conn + completionOffset_;
     const hw::HwConfig &cfg = client_.config();
-    // wrk2-style correction measures from the schedule, not the
-    // (possibly late) actual send.
-    const Time epoch = params_.correctCoordinatedOmission
-                           ? resp.intendedSendTime
-                           : resp.appSendTime;
-
-    if (params_.measure == MeasurePoint::Nic) {
-        recorder_.recordLatency(resp.appSendTime,
-                                toUsec(nicTime - epoch));
-    }
-
     // Only the send timestamp survives past this point — capturing it
     // alone (instead of the whole response) keeps these per-response
     // callbacks inside the run queue's inline budget.
     const Time sentAt = resp.appSendTime;
+
+    if (params_.measure == MeasurePoint::Nic)
+        recorder_.recordLatency(sentAt, toUsec(nicTime - sentAt));
 
     if (params_.completion == CompletionMode::Blocking) {
         // IRQ wakes the core; the softirq timestamp is the kernel
@@ -231,18 +202,18 @@ OpenLoopGenerator::handleResponse(const net::Message &resp, Time nicTime)
         // batch — no additional context switch.
         const bool blocked = !client_.thread(thrIdx).busy();
         client_.deliverIrq(thrIdx, cfg.irqWork,
-                           [this, sentAt, thrIdx, blocked, epoch] {
+                           [this, sentAt, thrIdx, blocked] {
             if (params_.measure == MeasurePoint::Kernel) {
                 recorder_.recordLatency(sentAt,
-                                        toUsec(sim_.now() - epoch));
+                                        toUsec(sim_.now() - sentAt));
             }
             const hw::HwConfig &ccfg = client_.config();
             const Time handoff = blocked ? ccfg.ctxSwitch : 0;
             client_.thread(thrIdx).submit(
-                handoff + params_.parseWork, [this, sentAt, epoch] {
+                handoff + params_.parseWork, [this, sentAt] {
                     if (params_.measure == MeasurePoint::InApp) {
                         recorder_.recordLatency(
-                            sentAt, toUsec(sim_.now() - epoch));
+                            sentAt, toUsec(sim_.now() - sentAt));
                     }
                 });
         });
@@ -250,11 +221,11 @@ OpenLoopGenerator::handleResponse(const net::Message &resp, Time nicTime)
         // Polling completion: the spinning app thread parses the
         // response directly; no wake, no context switch.
         client_.thread(thrIdx).submit(params_.parseWork,
-                                      [this, sentAt, epoch] {
+                                      [this, sentAt] {
             if (params_.measure == MeasurePoint::Kernel ||
                 params_.measure == MeasurePoint::InApp) {
                 recorder_.recordLatency(sentAt,
-                                        toUsec(sim_.now() - epoch));
+                                        toUsec(sim_.now() - sentAt));
             }
         });
     }

@@ -69,17 +69,15 @@ class OpenLoopGenerator : public net::Endpoint
     {
         std::size_t threadIdx = 0;
         Time nextIntended = 0;
-        Time lastSendActual = -1;
         std::uint64_t sendCount = 0;
         Rng rng{0};
     };
 
     /**
-     * Gap to the next intended send after @p from (an intended send
-     * time, so the schedule stays independent of completions). Under a
-     * non-constant profile, exponential schedules sample the exact
-     * non-homogeneous process by thinning; fixed/lognormal schedules
-     * stretch the gap by the reciprocal of the multiplier at @p from.
+     * Exponential gap to the next intended send after @p from (an
+     * intended send time, so the schedule stays independent of
+     * completions). Under a non-constant profile it samples the exact
+     * non-homogeneous Poisson process by thinning.
      */
     Time drawGap(GenThread &g, Time from);
     void scheduleNext(GenThread &g);
@@ -99,9 +97,6 @@ class OpenLoopGenerator : public net::Endpoint
     /** Sim time of start(); profile times are relative to this. */
     Time profileEpoch_ = 0;
     Time perThreadGapMean_ = 0;
-    /** Lognormal inter-arrival gap: mean perThreadGapMean_, sd
-     *  lognormalCv times that. */
-    Rng::Lognormal lognormalGap_;
     Time sendDeadline_ = 0;
     Time windowEnd_ = 0;
     /**

@@ -29,19 +29,5 @@ toString(MeasurePoint p)
     return "?";
 }
 
-const char *
-toString(InterarrivalKind k)
-{
-    switch (k) {
-      case InterarrivalKind::Exponential:
-        return "exponential";
-      case InterarrivalKind::Fixed:
-        return "fixed";
-      case InterarrivalKind::Lognormal:
-        return "lognormal";
-    }
-    return "?";
-}
-
 } // namespace loadgen
 } // namespace tpv

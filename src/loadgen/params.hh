@@ -53,12 +53,6 @@ enum class MeasurePoint { InApp, Kernel, Nic };
 /** @return "in-app" / "kernel" / "nic". */
 const char *toString(MeasurePoint p);
 
-/** Inter-arrival time distribution of the open-loop schedule. */
-enum class InterarrivalKind { Exponential, Fixed, Lognormal };
-
-/** @return distribution name. */
-const char *toString(InterarrivalKind k);
-
 /**
  * Fills application fields (kind, bytes) of an outgoing request;
  * lets a service-specific workload model plug into the generator.
@@ -68,23 +62,26 @@ using RequestModel = std::function<void(Rng &, net::Message &)>;
 /** Open-loop generator configuration. */
 struct OpenLoopParams
 {
-    /** Aggregate offered load across all generator threads. */
+    /**
+     * Aggregate offered load across all generator threads. Each
+     * thread sends a Poisson stream (exponential gaps) of
+     * qps / threads, which must leave a per-thread mean gap of at
+     * least 1 ns.
+     */
     double qps = 10000;
     /** Generator threads, one per client core. */
     int threads = 10;
     SendMode sendMode = SendMode::BlockWait;
     CompletionMode completion = CompletionMode::Blocking;
     MeasurePoint measure = MeasurePoint::InApp;
-    InterarrivalKind interarrival = InterarrivalKind::Exponential;
-    /** cv of the lognormal inter-arrival option (>= 0). */
-    double lognormalCv = 0.5;
     /** Samples sent before this offset are warmup and not recorded. */
     Time warmup = msec(100);
     /** Length of the measured window. */
     Time duration = seconds(1);
-    /** CPU cost of building + writing one request. */
+    /** CPU cost of building + writing one request (>= 0). */
     Time sendWork = usec(1);
-    /** CPU cost of reading + parsing + timestamping one response. */
+    /** CPU cost of reading + parsing + timestamping one response
+     *  (>= 0). */
     Time parseWork = usec(1);
     /** Request bytes when no RequestModel is given. */
     std::uint32_t requestBytes = 100;
@@ -97,14 +94,6 @@ struct OpenLoopParams
      * stationary arrival process bit-for-bit.
      */
     LoadProfileParams profile;
-    /**
-     * wrk2-style coordinated-omission correction: measure latency
-     * from the *intended* send time instead of the actual one, so a
-     * generator that falls behind schedule (e.g. an LP client paying
-     * wake latency before sending) charges its own delay to the
-     * measurement instead of silently dropping it.
-     */
-    bool correctCoordinatedOmission = false;
 
     /** End of the recording window relative to start(). */
     Time windowEnd() const { return warmup + duration; }

@@ -42,7 +42,6 @@ LatencyRecorder::reserveFor(double perSecond, Time window)
     const std::size_t n = std::min(expected, kMaxReserve);
     latencies_.reserve(n);
     lateness_.reserve(n);
-    interarrivals_.reserve(n);
 }
 
 void
@@ -57,13 +56,6 @@ LatencyRecorder::recordLateness(Time sentAt, double usecLate)
 {
     if (inWindow(sentAt))
         lateness_.push_back(usecLate);
-}
-
-void
-LatencyRecorder::recordInterarrival(Time sentAt, double usecGap)
-{
-    if (inWindow(sentAt))
-        interarrivals_.push_back(usecGap);
 }
 
 } // namespace loadgen

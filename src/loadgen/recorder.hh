@@ -1,9 +1,8 @@
 /**
  * @file
  * Measurement collection: per-request end-to-end latencies plus the
- * send-side distortion diagnostics (lateness, realised inter-arrival
- * gaps) that quantify how far the generated workload drifted from the
- * target distribution (paper Section II).
+ * send lateness that quantifies how far the generated workload
+ * drifted from its schedule (paper Section II).
  */
 
 #ifndef TPV_LOADGEN_RECORDER_HH
@@ -48,9 +47,6 @@ class LatencyRecorder
     /** Record how late a request left relative to its schedule. */
     void recordLateness(Time sentAt, double usecLate);
 
-    /** Record the realised gap between consecutive sends. */
-    void recordInterarrival(Time sentAt, double usecGap);
-
     /** Count every request handed to the network. */
     void countSent() { ++sent_; }
 
@@ -62,12 +58,6 @@ class LatencyRecorder
 
     /** Recorded send lateness samples (us). */
     const std::vector<double> &lateness() const { return lateness_; }
-
-    /** Recorded realised inter-arrival gaps (us). */
-    const std::vector<double> &interarrivals() const
-    {
-        return interarrivals_;
-    }
 
     /** Summary of the latency samples. */
     stats::Summary latencySummary() const
@@ -100,7 +90,6 @@ class LatencyRecorder
     Time end_ = kTimeNever;
     std::vector<double> latencies_;
     std::vector<double> lateness_;
-    std::vector<double> interarrivals_;
     std::uint64_t sent_ = 0;
     std::uint64_t received_ = 0;
 };

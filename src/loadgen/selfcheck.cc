@@ -44,20 +44,34 @@ SelfCheckReport::summary() const
     return out;
 }
 
+void
+watchSendGaps(net::Link &link, const LatencyRecorder &rec,
+              std::vector<double> &gaps)
+{
+    link.setObserver([&rec, &gaps, lastSend = std::vector<Time>()](
+                         const net::Message &m, Time) mutable {
+        if (m.conn >= lastSend.size())
+            lastSend.resize(m.conn + 1u, -1);
+        Time &last = lastSend[m.conn];
+        if (last >= 0 && rec.inWindow(m.appSendTime))
+            gaps.push_back(toUsec(m.appSendTime - last));
+        last = m.appSendTime;
+    });
+}
+
 SelfCheckReport
-runSelfCheck(const LatencyRecorder &rec, InterarrivalKind interarrival)
+runSelfCheck(const LatencyRecorder &rec,
+             const std::vector<double> &sendGaps)
 {
     const auto &lat = rec.latencies();
-    const auto &gaps = rec.interarrivals();
     TPV_ASSERT(lat.size() >= 32, "self-check needs >= 32 latency samples");
 
     SelfCheckReport rep;
 
     // (i) Arrival-process fidelity (Lancet's Anderson-Darling check).
-    rep.arrivalCheckApplicable =
-        interarrival == InterarrivalKind::Exponential && gaps.size() >= 32;
+    rep.arrivalCheckApplicable = sendGaps.size() >= 32;
     if (rep.arrivalCheckApplicable) {
-        rep.arrivalFit = stats::andersonDarlingExponential(gaps);
+        rep.arrivalFit = stats::andersonDarlingExponential(sendGaps);
         rep.arrivalsOk = rep.arrivalFit.exponentialAt5();
     }
     if (!rec.lateness().empty())

@@ -16,9 +16,10 @@
 #define TPV_LOADGEN_SELFCHECK_HH
 
 #include <string>
+#include <vector>
 
-#include "loadgen/params.hh"
 #include "loadgen/recorder.hh"
+#include "net/link.hh"
 #include "stats/dependence.hh"
 #include "stats/normality.hh"
 
@@ -31,7 +32,7 @@ struct SelfCheckReport
     /** (i) Do inter-arrival gaps match the exponential target? */
     stats::AndersonDarlingExpResult arrivalFit;
     bool arrivalsOk = false;
-    /** Only meaningful for exponential inter-arrival schedules. */
+    /** Set when at least 32 send gaps were given. */
     bool arrivalCheckApplicable = false;
 
     /** (ii) Is the latency series stationary? */
@@ -53,13 +54,24 @@ struct SelfCheckReport
 };
 
 /**
+ * Collect the realised per-connection send gaps (us) of the requests
+ * @p link carries: each send inside @p rec's window appends the time
+ * since the previous send on its connection. Sends before the window
+ * only set that previous send. Installs @p link's send observer; call
+ * it before the run starts. @p rec and @p gaps must outlive the run.
+ */
+void watchSendGaps(net::Link &link, const LatencyRecorder &rec,
+                   std::vector<double> &gaps);
+
+/**
  * Run the checks against a completed run's recorder.
  * @param rec the generator's recorder after the run.
- * @param interarrival the schedule the generator was asked to follow.
- * @pre at least 32 recorded latencies and gaps.
+ * @param sendGaps the run's send gaps (see watchSendGaps()); the
+ *        arrival check runs only with at least 32 of them.
+ * @pre at least 32 recorded latencies.
  */
 SelfCheckReport runSelfCheck(const LatencyRecorder &rec,
-                             InterarrivalKind interarrival);
+                             const std::vector<double> &sendGaps);
 
 } // namespace loadgen
 } // namespace tpv

@@ -55,8 +55,8 @@ struct Message
      * Tied sub-request: a twin copy was sent to another replica, and
      * whichever copy starts executing first claims the request — the
      * other is cancelled before it runs (Dean & Barroso's tied
-     * requests). Message stays 64 bytes, which the inline-callback
-     * capture budgets depend on.
+     * requests). Message stays within 64 bytes, which the
+     * inline-callback capture budgets depend on.
      */
     bool tied = false;
     /**
@@ -81,20 +81,15 @@ struct Message
     /**
      * When the generator's application code issued the request —
      * the in-app transmit timestamp of a mutilate-style generator.
+     * Every latency the generator records is measured from here.
      */
     Time appSendTime = 0;
-    /**
-     * When the open-loop schedule *wanted* the request sent; the gap
-     * to appSendTime is the client-side send distortion.
-     */
-    Time intendedSendTime = 0;
-    /** When the server finished building this response. */
-    Time serverDoneTime = 0;
 };
 
 // The HwThread::Callback budget (80 bytes) is sized for "a Message
 // plus an owner pointer"; growing Message past 64 bytes would break
-// every dispatch-path capture, so new fields must fit the padding.
+// every dispatch-path capture. It is 48 bytes today, so 16 spare
+// bytes remain under the assert.
 static_assert(sizeof(Message) <= 64, "Message grew past the inline "
                                      "capture budget's assumption");
 

@@ -62,7 +62,7 @@ HdSearchCluster::HdSearchCluster(Simulator &sim,
             net::Message resp = req;
             resp.isResponse = true;
             resp.bytes = params_.responseBytes;
-            graph_.respond(std::move(resp));
+            graph_.respond(resp);
         });
 
     midtier_->setHandler(

@@ -255,7 +255,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
             // the single-tier server.
             net::Message resp = req;
             resp.isResponse = true;
-            graph_.respond(std::move(resp));
+            graph_.respond(resp);
         });
 
     router_->setHandler(

@@ -1323,9 +1323,8 @@ ServiceGraph::onMessage(const net::Message &req)
 }
 
 void
-ServiceGraph::respond(net::Message resp)
+ServiceGraph::respond(const net::Message &resp)
 {
-    resp.serverDoneTime = sim_.now();
     ++mutableStats().responsesSent;
     if (trace_ != nullptr) {
         trace_->close({resp.id, 0, obs::SpanKind::Root}, sim_.now(), -1,

@@ -886,8 +886,8 @@ class ServiceGraph : public net::Endpoint
     /** Front door: client request arrives at the service. */
     void onMessage(const net::Message &req) override;
 
-    /** Send @p resp to the client (stamps serverDoneTime, counts). */
-    void respond(net::Message resp);
+    /** Send @p resp to the client (counts it). */
+    void respond(const net::Message &resp);
 
     /** This run's service-time environment factor. */
     double envFactor() const { return envFactor_; }

@@ -24,7 +24,6 @@ TEST(ExperimentConfig, MemcachedFactoryMatchesPaperSetup)
     EXPECT_EQ(cfg.gen.sendMode, loadgen::SendMode::BlockWait);
     EXPECT_EQ(cfg.gen.completion, loadgen::CompletionMode::Blocking);
     EXPECT_EQ(cfg.gen.measure, loadgen::MeasurePoint::InApp);
-    EXPECT_EQ(cfg.gen.interarrival, loadgen::InterarrivalKind::Exponential);
     EXPECT_TRUE(cfg.gen.requestModel != nullptr);
     EXPECT_EQ(cfg.memcached.workers, 10);
 }

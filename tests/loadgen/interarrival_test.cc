@@ -1,12 +1,14 @@
 /** @file Tests for inter-arrival schedule generation (open loop). */
 
 #include "loadgen/openloop.hh"
+#include "loadgen/selfcheck.hh"
 #include "stats/normality.hh"
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/simulator.hh"
-#include "stats/descriptive.hh"
 
 namespace tpv {
 namespace loadgen {
@@ -82,39 +84,38 @@ TEST(Interarrival, ExponentialGapsPassAndersonDarling)
     OpenLoopParams p = baseParams();
     p.sendMode = SendMode::BusyWait;
     Rig rig(p);
+    std::vector<double> gaps;
+    watchSendGaps(rig.up, rig.gen.recorder(), gaps);
     rig.run();
-    const auto &gaps = rig.gen.recorder().interarrivals();
     ASSERT_GT(gaps.size(), 1000u);
     auto ad = stats::andersonDarlingExponential(gaps);
     EXPECT_TRUE(ad.exponentialAt5());
 }
 
-TEST(Interarrival, FixedGapsAreConstant)
+TEST(Interarrival, SendGapsCoverEveryInWindowSend)
 {
-    OpenLoopParams p = baseParams();
-    p.sendMode = SendMode::BusyWait;
-    p.interarrival = InterarrivalKind::Fixed;
-    Rig rig(p);
-    rig.run();
-    const auto &gaps = rig.gen.recorder().interarrivals();
-    ASSERT_GT(gaps.size(), 100u);
-    // Per-thread gap = threads / qps = 200us.
-    EXPECT_NEAR(stats::mean(gaps), 200.0, 2.0);
-    EXPECT_LT(stats::stdev(gaps), 5.0);
-}
+    // 4 connections at 5K/s each send ~100 requests during the 20 ms
+    // warmup, so every send inside the window follows an earlier one
+    // on its connection: one gap per recorded lateness. A warmup send
+    // adding a gap would make the gaps outnumber the lateness samples.
+    Rig warmed(baseParams());
+    std::vector<double> gaps;
+    watchSendGaps(warmed.up, warmed.gen.recorder(), gaps);
+    warmed.run();
+    const auto &lateness = warmed.gen.recorder().lateness();
+    ASSERT_GT(lateness.size(), 1000u);
+    EXPECT_EQ(gaps.size(), lateness.size());
 
-TEST(Interarrival, LognormalGapsHaveRequestedCv)
-{
-    OpenLoopParams p = baseParams();
-    p.sendMode = SendMode::BusyWait;
-    p.interarrival = InterarrivalKind::Lognormal;
-    p.lognormalCv = 0.5;
-    Rig rig(p);
-    rig.run();
-    const auto &gaps = rig.gen.recorder().interarrivals();
-    ASSERT_GT(gaps.size(), 1000u);
-    const double cv = stats::stdev(gaps) / stats::mean(gaps);
-    EXPECT_NEAR(cv, 0.5, 0.07);
+    // Without a warmup each connection's first send opens the window
+    // and has no earlier send to measure from.
+    OpenLoopParams cold = baseParams();
+    cold.warmup = 0;
+    Rig coldRig(cold);
+    std::vector<double> coldGaps;
+    watchSendGaps(coldRig.up, coldRig.gen.recorder(), coldGaps);
+    coldRig.run();
+    EXPECT_EQ(coldGaps.size(),
+              coldRig.gen.recorder().lateness().size() - 4);
 }
 
 TEST(Interarrival, BusyWaitSendsExactlyOnSchedule)

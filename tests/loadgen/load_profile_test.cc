@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 namespace tpv {
@@ -165,28 +166,162 @@ TEST(LoadProfile, NonstationaryShapesAreOverdispersed)
 
 TEST(LoadProfile, ThinningIsSeedDeterministic)
 {
-    LoadProfile p(LoadProfileParams::mmpp(4.0, msec(50), msec(20)),
-                  kHorizon, Rng(77));
+    const auto shape = LoadProfileParams::mmpp(4.0, msec(50), msec(20));
+    LoadProfile p(shape, kHorizon, Rng(77));
     const auto a = sampleArrivals(p, kBaseGap, kHorizon, 1234);
     const auto b = sampleArrivals(p, kBaseGap, kHorizon, 1234);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i], b[i]);
+    EXPECT_EQ(a, b);
+    // The MMPP trajectory itself is fixed by its seed: a second
+    // profile from the same seed gives the same arrivals, and one
+    // from another seed does not.
+    LoadProfile same(shape, kHorizon, Rng(77));
+    EXPECT_EQ(sampleArrivals(same, kBaseGap, kHorizon, 1234), a);
+    LoadProfile other(shape, kHorizon, Rng(78));
+    EXPECT_NE(sampleArrivals(other, kBaseGap, kHorizon, 1234), a);
+}
+
+TEST(LoadProfile, FlashCrowdFromZeroAppliesTheCrowdLevelAtZero)
+{
+    // The crowd step and the base step both start at 0; the crowd's,
+    // being later in the step list, wins.
+    LoadProfile p(LoadProfileParams::flashCrowd(3.0, 0, msec(500)),
+                  kHorizon, Rng(1));
+    EXPECT_DOUBLE_EQ(p.multiplierAt(0), 3.0);
+    EXPECT_DOUBLE_EQ(p.multiplierAt(msec(499)), 3.0);
+    EXPECT_DOUBLE_EQ(p.multiplierAt(msec(500)), 1.0);
+    EXPECT_DOUBLE_EQ(p.maxMultiplier(), 3.0);
+    EXPECT_NEAR(p.meanMultiplier(seconds(1)), 2.0, 1e-12);
+}
+
+/**
+ * The MMPP trajectory read back through multiplierAt: the level and
+ * start of each dwell. Probes every @p step and bisects each change
+ * to the nanosecond; a dwell shorter than @p step can fall between
+ * two probes and merge into its neighbours.
+ */
+struct Dwell
+{
+    Time start;
+    double level;
+};
+
+std::vector<Dwell>
+mmppDwells(const LoadProfile &p, Time horizon, Time step)
+{
+    std::vector<Dwell> dwells{{0, p.multiplierAt(0)}};
+    for (Time t = step; t < horizon; t += step) {
+        if (p.multiplierAt(t) == dwells.back().level)
+            continue;
+        // Bisect (t - step, t] for the first instant at the new level.
+        Time lo = t - step, hi = t;
+        while (hi - lo > 1) {
+            const Time mid = lo + (hi - lo) / 2;
+            (p.multiplierAt(mid) == dwells.back().level ? lo : hi) = mid;
+        }
+        dwells.push_back({hi, p.multiplierAt(hi)});
+    }
+    return dwells;
+}
+
+TEST(LoadProfile, MmppStartsCalmAndStrictlyAlternates)
+{
+    // The trajectory opens calm at t = 0 and every change flips
+    // between exactly the two levels.
+    LoadProfile p(LoadProfileParams::mmpp(4.0, msec(20), msec(5)),
+                  seconds(1), Rng(7));
+    const auto dwells = mmppDwells(p, seconds(1), usec(10));
+    ASSERT_GT(dwells.size(), 10u);
+    for (std::size_t i = 0; i < dwells.size(); ++i)
+        EXPECT_DOUBLE_EQ(dwells[i].level, i % 2 == 0 ? 1.0 : 4.0) << i;
+    // Past the materialised horizon the final level holds.
+    EXPECT_DOUBLE_EQ(p.multiplierAt(seconds(5)), dwells.back().level);
+}
+
+TEST(LoadProfile, MmppDwellMeansMatchOverALongHorizon)
+{
+    // Over 200 s the mean dwell in each state approaches its
+    // configured mean (20 ms calm, 5 ms burst). About 1% of bursts
+    // are shorter than the 50 us probe step and go unseen, which
+    // moves each mean by about 1%, well inside the 10% band.
+    const Time horizon = seconds(200);
+    LoadProfile p(LoadProfileParams::mmpp(2.0, msec(20), msec(5)),
+                  horizon, Rng(4242));
+    const auto dwells = mmppDwells(p, horizon, usec(50));
+    double calmTotal = 0, burstTotal = 0;
+    std::size_t calmN = 0, burstN = 0;
+    for (std::size_t i = 0; i + 1 < dwells.size(); ++i) {
+        const double len =
+            static_cast<double>(dwells[i + 1].start - dwells[i].start);
+        if (dwells[i].level == 1.0) {
+            calmTotal += len;
+            ++calmN;
+        } else {
+            burstTotal += len;
+            ++burstN;
+        }
+    }
+    ASSERT_GT(calmN, 1000u);
+    ASSERT_GT(burstN, 1000u);
+    EXPECT_NEAR(calmTotal / static_cast<double>(calmN),
+                static_cast<double>(msec(20)),
+                0.1 * static_cast<double>(msec(20)));
+    EXPECT_NEAR(burstTotal / static_cast<double>(burstN),
+                static_cast<double>(msec(5)),
+                0.1 * static_cast<double>(msec(5)));
 }
 
 TEST(LoadProfile, RejectsBadParameters)
 {
-    EXPECT_DEATH(LoadProfile(LoadProfileParams::diurnal(1.5, seconds(1)),
-                             kHorizon, Rng(1)),
-                 "amplitude");
-    EXPECT_DEATH(
-        LoadProfile(LoadProfileParams::flashCrowd(3.0, msec(500),
-                                                  msec(100)),
-                    kHorizon, Rng(1)),
-        "stepStart");
-    auto zeroLevel = LoadProfileParams::mmpp(4.0, msec(50), msec(20));
-    zeroLevel.burstLevel = 0;
-    EXPECT_DEATH(LoadProfile(zeroLevel, kHorizon, Rng(1)), "levels");
+    const auto rejects = [](const LoadProfileParams &params,
+                            const char *field) {
+        EXPECT_DEATH(LoadProfile(params, kHorizon, Rng(1)), field);
+    };
+    const double nan = std::nan("");
+    const double inf = HUGE_VAL;
+
+    rejects(LoadProfileParams::diurnal(1.5, seconds(1)),
+            "LoadProfileParams::amplitude");
+    rejects(LoadProfileParams::diurnal(nan, seconds(1)),
+            "LoadProfileParams::amplitude");
+    rejects(LoadProfileParams::diurnal(inf, seconds(1)),
+            "LoadProfileParams::amplitude");
+    rejects(LoadProfileParams::diurnal(0.5, seconds(1), nan),
+            "LoadProfileParams::phase");
+    rejects(LoadProfileParams::diurnal(0.5, seconds(1), inf),
+            "LoadProfileParams::phase");
+    rejects(LoadProfileParams::diurnal(0.5, 0), "LoadProfileParams::period");
+
+    rejects(LoadProfileParams::flashCrowd(3.0, msec(500), msec(100)),
+            "LoadProfileParams::stepStart");
+    rejects(LoadProfileParams::flashCrowd(3.0, -msec(1), msec(100)),
+            "LoadProfileParams::stepStart");
+    rejects(LoadProfileParams::flashCrowd(inf, msec(100), msec(500)),
+            "LoadProfileParams::stepLevel");
+    rejects(LoadProfileParams::flashCrowd(nan, msec(100), msec(500)),
+            "LoadProfileParams::stepLevel");
+    rejects(LoadProfileParams::flashCrowd(0, msec(100), msec(500)),
+            "LoadProfileParams::stepLevel");
+    auto step = LoadProfileParams::flashCrowd(3.0, msec(100), msec(500));
+    step.stepBase = nan;
+    rejects(step, "LoadProfileParams::stepBase");
+    step.stepBase = inf;
+    rejects(step, "LoadProfileParams::stepBase");
+
+    rejects(LoadProfileParams::mmpp(0, msec(50), msec(20)),
+            "LoadProfileParams::burstLevel");
+    rejects(LoadProfileParams::mmpp(inf, msec(50), msec(20)),
+            "LoadProfileParams::burstLevel");
+    rejects(LoadProfileParams::mmpp(nan, msec(50), msec(20)),
+            "LoadProfileParams::burstLevel");
+    auto mmpp = LoadProfileParams::mmpp(4.0, msec(50), msec(20));
+    mmpp.calmLevel = nan;
+    rejects(mmpp, "LoadProfileParams::calmLevel");
+    mmpp.calmLevel = -inf;
+    rejects(mmpp, "LoadProfileParams::calmLevel");
+    rejects(LoadProfileParams::mmpp(4.0, 0, msec(20)),
+            "LoadProfileParams::meanCalm");
+    rejects(LoadProfileParams::mmpp(4.0, msec(50), -msec(1)),
+            "LoadProfileParams::meanBurst");
 }
 
 } // namespace

@@ -8,8 +8,11 @@
 #include <bit>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
+#include "loadgen/selfcheck.hh"
 #include "sim/random.hh"
+#include "sim/simulator.hh"
 
 namespace tpv {
 namespace loadgen {
@@ -45,15 +48,41 @@ TEST(Recorder, CountsAreWindowIndependent)
     EXPECT_EQ(r.received(), 1u);
 }
 
+/** Swallows whatever a link delivers. */
+struct NullSink : net::Endpoint
+{
+    void onMessage(const net::Message &) override {}
+};
+
 TEST(Recorder, LatenessAndInterarrivalStreams)
 {
+    // Lateness lands in the recorder; the realised send gaps are
+    // collected beside it, per connection, inside the same window.
+    Simulator sim;
+    net::Link link(sim, Rng(1));
+    NullSink sink;
     LatencyRecorder r;
-    r.setWindow(0, usec(1000));
-    r.recordLateness(usec(10), 5.0);
-    r.recordInterarrival(usec(10), 100.0);
-    r.recordInterarrival(usec(20), 110.0);
+    r.setWindow(usec(100), usec(1000));
+    std::vector<double> gaps;
+    watchSendGaps(link, r, gaps);
+    const auto send = [&](std::uint16_t conn, Time at) {
+        net::Message m;
+        m.conn = conn;
+        m.appSendTime = at;
+        link.send(m, sink);
+    };
+    send(0, usec(10));   // before the window: no gap, but remembered
+    send(0, usec(50));   // still before the window: no gap
+    send(0, usec(110));  // 60us after conn 0's last send
+    send(1, usec(120));  // conn 1's first send: no gap
+    send(1, usec(150));  // 30us after conn 1's last send
+    send(0, usec(1000)); // window end is exclusive: no gap
+    r.recordLateness(usec(10), 7.0);
+    r.recordLateness(usec(110), 5.0);
+    ASSERT_EQ(gaps.size(), 2u);
+    EXPECT_DOUBLE_EQ(gaps[0], 60.0);
+    EXPECT_DOUBLE_EQ(gaps[1], 30.0);
     EXPECT_EQ(r.lateness().size(), 1u);
-    EXPECT_EQ(r.interarrivals().size(), 2u);
     EXPECT_DOUBLE_EQ(r.latenessSummary().mean, 5.0);
 }
 

@@ -193,37 +193,6 @@ TEST(OpenLoop, PollingCompletionAvoidsWakeCosts)
               b.gen.recorder().latencySummary().mean - 10.0);
 }
 
-TEST(OpenLoop, CoordinatedOmissionCorrectionAddsSendDelay)
-{
-    // wrk2's correction charges the generator's own send lateness to
-    // the measurement; on an LP client that lateness is substantial.
-    OpenLoopParams raw = baseParams();
-    OpenLoopParams corrected = baseParams();
-    corrected.correctCoordinatedOmission = true;
-    Rig a(raw, hw::HwConfig::clientLP(), 33);
-    a.run();
-    Rig b(corrected, hw::HwConfig::clientLP(), 33);
-    b.run();
-    const double rawMean = a.gen.recorder().latencySummary().mean;
-    const double corrMean = b.gen.recorder().latencySummary().mean;
-    const double lateness = a.gen.recorder().latenessSummary().mean;
-    EXPECT_GT(corrMean, rawMean + 0.5 * lateness);
-}
-
-TEST(OpenLoop, CorrectionIsNoOpForPunctualClient)
-{
-    OpenLoopParams raw = baseParams();
-    raw.sendMode = SendMode::BusyWait;
-    OpenLoopParams corrected = raw;
-    corrected.correctCoordinatedOmission = true;
-    Rig a(raw, hw::HwConfig::clientHP(), 34);
-    a.run();
-    Rig b(corrected, hw::HwConfig::clientHP(), 34);
-    b.run();
-    EXPECT_NEAR(a.gen.recorder().latencySummary().mean,
-                b.gen.recorder().latencySummary().mean, 2.0);
-}
-
 TEST(OpenLoop, DeterministicForEqualSeeds)
 {
     Rig a(baseParams(), hw::HwConfig::clientLP(), 77);
@@ -256,20 +225,6 @@ TEST(OpenLoopDeathTest, RejectsTooManyThreads)
     p.threads = 11;
     EXPECT_EXIT(OpenLoopGenerator(sim, client, up, server, p, Rng(1)),
                 ::testing::ExitedWithCode(1), "client threads");
-}
-
-TEST(OpenLoopDeathTest, RejectsNegativeLognormalCv)
-{
-    Simulator sim;
-    hw::Machine client(sim, hw::HwConfig::clientHP());
-    net::Link up(sim, Rng(1));
-    DelayServer server;
-    OpenLoopParams p;
-    p.threads = 2;
-    p.interarrival = InterarrivalKind::Lognormal;
-    p.lognormalCv = -0.5;
-    EXPECT_EXIT(OpenLoopGenerator(sim, client, up, server, p, Rng(1)),
-                ::testing::ExitedWithCode(1), "OpenLoopParams::lognormalCv");
 }
 
 /** Exits 1 with a message naming @p field when @p p is rejected. */
@@ -309,6 +264,36 @@ TEST(OpenLoopDeathTest, RejectsNanInfiniteOrNonPositiveQps)
     expectRejected(p, "OpenLoopParams::qps");
     p.qps = 0;
     expectRejected(p, "OpenLoopParams::qps");
+}
+
+TEST(OpenLoopDeathTest, RejectsPerThreadRateAbove1e9)
+{
+    // 2e9 requests/s on one thread rounds the mean gap to 0 ns.
+    OpenLoopParams p;
+    p.threads = 1;
+    p.qps = 2e9;
+    expectRejected(p, "OpenLoopParams::qps");
+    p.threads = 2;
+    p.qps = 4.2e9;
+    expectRejected(p, "OpenLoopParams::qps");
+    // Exactly 1e9 per thread is a 1 ns mean gap, which is accepted.
+    Simulator sim;
+    hw::Machine client(sim, hw::HwConfig::clientHP());
+    net::Link up(sim, Rng(1));
+    DelayServer server;
+    p.qps = 2e9;
+    OpenLoopGenerator gen(sim, client, up, server, p, Rng(1));
+    EXPECT_EQ(gen.params().qps, 2e9);
+}
+
+TEST(OpenLoopDeathTest, RejectsNegativeSendOrParseWork)
+{
+    OpenLoopParams p;
+    p.sendWork = -1;
+    expectRejected(p, "OpenLoopParams::sendWork");
+    p.sendWork = usec(1);
+    p.parseWork = -usec(1);
+    expectRejected(p, "OpenLoopParams::parseWork");
 }
 
 TEST(OpenLoopDeathTest, RejectsNonPositiveThreads)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/simulator.hh"
 
 namespace tpv {
@@ -46,9 +48,11 @@ runScenario(const hw::HwConfig &clientCfg, SendMode mode,
     OpenLoopGenerator gen(sim, client, up, server, p, Rng(3));
     server.reply = &down;
     server.client = &gen;
+    std::vector<double> gaps;
+    watchSendGaps(up, gen.recorder(), gaps);
     gen.start();
     sim.runUntil(gen.windowEnd() + msec(10));
-    return runSelfCheck(gen.recorder(), p.interarrival);
+    return runSelfCheck(gen.recorder(), gaps);
 }
 
 TEST(SelfCheck, TunedPollingClientPassesEverything)
@@ -94,29 +98,6 @@ TEST(SelfCheck, SummaryMentionsEveryCheck)
     EXPECT_NE(s.find("independence"), std::string::npos);
 }
 
-TEST(SelfCheck, FixedScheduleSkipsArrivalCheck)
-{
-    Simulator sim;
-    hw::Machine client(sim, hw::HwConfig::clientHP());
-    net::Link up(sim, Rng(1), net::Link::Params{usec(5), 0.05, 10.0});
-    net::Link down(sim, Rng(2), net::Link::Params{usec(5), 0.05, 10.0});
-    EchoServer server;
-    OpenLoopParams p;
-    p.qps = 20000;
-    p.threads = 4;
-    p.sendMode = SendMode::BusyWait;
-    p.interarrival = InterarrivalKind::Fixed;
-    p.warmup = msec(20);
-    p.duration = msec(300);
-    OpenLoopGenerator gen(sim, client, up, server, p, Rng(3));
-    server.reply = &down;
-    server.client = &gen;
-    gen.start();
-    sim.runUntil(gen.windowEnd() + msec(10));
-    auto rep = runSelfCheck(gen.recorder(), p.interarrival);
-    EXPECT_FALSE(rep.arrivalCheckApplicable);
-}
-
 TEST(SelfCheck, DetectsNonStationarySeries)
 {
     // Synthetic recorder with a drifting latency series.
@@ -128,7 +109,8 @@ TEST(SelfCheck, DetectsNonStationarySeries)
         drift += 0.5; // steady upward drift: not stationary
         rec.recordLatency(usec(i), drift + rng.normal(0, 1));
     }
-    auto rep = runSelfCheck(rec, InterarrivalKind::Fixed);
+    auto rep = runSelfCheck(rec, {});
+    EXPECT_FALSE(rep.arrivalCheckApplicable); // no send gaps given
     EXPECT_FALSE(rep.stationaryOk);
     EXPECT_FALSE(rep.allOk());
 }
@@ -144,7 +126,7 @@ TEST(SelfCheck, DetectsCorrelatedSamples)
         level = 100 + 0.95 * (level - 100) + rng.normal(0, 2);
         rec.recordLatency(usec(i), level);
     }
-    auto rep = runSelfCheck(rec, InterarrivalKind::Fixed);
+    auto rep = runSelfCheck(rec, {});
     EXPECT_FALSE(rep.independentOk);
 }
 

@@ -176,7 +176,7 @@ TEST(Rng, LognormalParamsMatchMeanSdBitForBit)
 {
     expectLognormalBitIdentical(1.0, 0.1, 41);        // net::Link jitter
     expectLognormalBitIdentical(8000.0, 2500.0, 43);  // memcached base
-    // Open-loop lognormal gap: 10 threads at 100K QPS, cv 0.5.
+    // A wide lognormal: mean 100000, cv 0.5.
     expectLognormalBitIdentical(100000.0, 50000.0, 47);
 }
 
