@@ -5,7 +5,7 @@
  *
  * HDSearch s4r1 (all four shards' scans on one replica machine:
  * 4 x ~300us of bucket work per query on 8 workers, a ~6.6K QPS
- * ceiling) is driven from below capacity to ~5x capacity under three
+ * ceiling) is driven from below capacity to ~5x capacity under two
  * policies:
  *
  *   none   queue everything: past capacity the backlog grows without
@@ -13,24 +13,15 @@
  *          (replies within the SLO) falls off a cliff;
  *   depth  shed at a worker-queue depth limit: the excess is refused
  *          up front, admitted requests ride short queues, goodput
- *          plateaus at capacity;
- *   codel  CoDel-style delay shedding: admit until the sojourn of
- *          completed requests stays above target for a full
- *          interval, then shed one arrival per control-law instant —
- *          the k-th drop comes interval/sqrt(k) after the previous
- *          (RFC 8289), so the drop rate ramps until the standing
- *          queue drains instead of flapping between full admit and
- *          full drop. Law drops are query-coherent (a shed
- *          sub-request takes its siblings with it) and instants that
- *          pass between arrival bursts are repaid as drop debt, so
- *          the plateau holds with the depth limit's out to ~5x
- *          overload, reached by watching delay instead of depth.
+ *          plateaus near capacity.
  *
  * Reported per (load, policy): goodput in KQPS, the fraction of
- * offered load answered within the SLO, and sheds per run. A final
- * serial re-run verifies the grid is bit-identical to the parallel
- * one (the golden-determinism guarantee extended to shedding runs).
- * BENCH_overload.json tracks the headline numbers per commit.
+ * offered load answered within the SLO, and sheds per run. The bench
+ * exits 1 if depth shedding fails to beat the no-policy goodput at
+ * any load past capacity, or if a final serial re-run does not
+ * reproduce the parallel grid bit for bit (the golden-determinism
+ * guarantee extended to shedding runs). BENCH_overload.json tracks
+ * the headline numbers per commit.
  */
 
 #include <cstdio>
@@ -69,8 +60,7 @@ shedsPerRun(const RepeatedResult &r)
 {
     double total = 0;
     for (const auto &run : r.runs)
-        total += static_cast<double>(run.service.requestsShedDepth +
-                                     run.service.requestsShedDelay);
+        total += static_cast<double>(run.service.requestsShedDepth);
     return total / static_cast<double>(r.runs.size());
 }
 
@@ -84,6 +74,7 @@ main()
     // Bucket tier: one replica machine with 8 workers serves all 4
     // shards' ~300us scans => 4 x 300us of work per query on 8
     // threads, a ~6.6K QPS ceiling; the sweep brackets it.
+    const double capacityQps = 6600;
     const std::vector<double> loads = {2000, 4000, 8000, 16000, 32000};
     std::printf("Overload: HDSearch s4r1, offered load vs ~6.6K QPS "
                 "capacity, SLO %s\n",
@@ -93,18 +84,9 @@ main()
 
     svc::TrafficPolicy depth;
     depth.admission.maxQueueDepth = 4;
-    svc::TrafficPolicy codel;
-    // Target well under the SLO so admitted queries clear it with
-    // room for the scatter max; a short interval because the sqrt
-    // ramp's time to reach a drop rate R is ~2*interval^2*R — at
-    // datacenter request rates a WAN-scale interval never catches a
-    // step overload inside the window.
-    codel.admission.codelTarget = usec(500);
-    codel.admission.codelInterval = usec(200);
     const std::vector<Policy> policies = {
         {"none", svc::TrafficPolicy{}},
         {"depth", depth},
-        {"codel", codel},
     };
     std::vector<svc::TrafficPolicy> policyList;
     std::vector<std::string> loadLabels;
@@ -139,9 +121,10 @@ main()
                                                progress);
 
     TableReporter table("goodput (KQPS within SLO) vs offered load");
-    table.header({"offered_qps", "none", "depth", "codel",
+    table.header({"offered_qps", "none", "depth",
                   "none_frac", "depth_frac", "sheds/run_depth"});
     std::vector<BenchMetric> metrics;
+    bool depthWins = true;
     for (std::size_t li = 0; li < loads.size(); ++li) {
         const double qps = loads[li];
         std::vector<double> gp;
@@ -153,9 +136,11 @@ main()
         const auto &depthCell =
             grid.at(loadLabels[li] + "/" + cellTag(policies[1]), qps);
         table.row(loadLabels[li],
-                  {gp[0] / 1000.0, gp[1] / 1000.0, gp[2] / 1000.0,
+                  {gp[0] / 1000.0, gp[1] / 1000.0,
                    gp[0] / qps, gp[1] / qps,
                    shedsPerRun(depthCell.result)});
+        if (qps > capacityQps && gp[1] <= gp[0])
+            depthWins = false;
         for (std::size_t pi = 0; pi < policies.size(); ++pi)
             metrics.push_back({std::string(policies[pi].name) + "_" +
                                    loadLabels[li] + "_goodput_qps",
@@ -164,7 +149,7 @@ main()
     table.print();
 
     // The headline: past capacity the no-policy goodput collapses
-    // while the shedding policies hold their plateau.
+    // while the depth limit holds its plateau.
     const double topQps = loads.back();
     const std::string topLabel = loadLabels.back();
     const double noneTop = goodputQps(
@@ -185,6 +170,11 @@ main()
         metrics.push_back({"cliff_goodput_ratio", depthTop / noneTop, "ratio"});
     metrics.push_back(
         {"none_collapsed", noneCollapsed ? 1.0 : 0.0, "bool"});
+    std::printf("depth shedding beats no policy at every load past "
+                "capacity: %s\n",
+                depthWins ? "PASS" : "FAIL");
+    metrics.push_back(
+        {"depth_beats_none_past_capacity", depthWins ? 1.0 : 0.0, "bool"});
 
     // Determinism: the shedding grid, re-run serially, must match the
     // (default-width) run above bit for bit.
@@ -204,5 +194,5 @@ main()
     metrics.push_back(
         {"serial_parallel_identical", identical ? 1.0 : 0.0, "bool"});
     writeBenchJson("overload", metrics, &opt);
-    return identical ? 0 : 1;
+    return depthWins && identical ? 0 : 1;
 }

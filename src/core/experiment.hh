@@ -54,9 +54,9 @@ struct ExperimentConfig
     svc::HdSearchParams hdsearch;
     svc::SocialNetworkParams socialnet;
     /**
-     * Replica crashes injected into the service during the run
+     * The replica crash injected into the service during the run
      * (empty = the healthy baseline, bit-identical to pre-fault
-     * builds). Windows are in simulated run time (0 = run start).
+     * builds). Its window is in simulated run time (0 = run start).
      * Sweep this axis with core::sweep<FaultPlanAxis>().
      */
     fault::FaultPlan faultPlan;

@@ -27,15 +27,8 @@ compactTime(Time t)
 std::string
 FaultSpec::label() const
 {
-    std::string out = "kill-";
-    if (replica < 0) {
-        out += "all";
-    } else {
-        out += 'r';
-        out += std::to_string(replica);
-    }
-    out += '@';
-    out += compactTime(start);
+    std::string out = "kill-r" + std::to_string(replica) + '@' +
+                      compactTime(start);
     if (duration > 0) {
         out += '+';
         out += compactTime(duration);
@@ -46,35 +39,15 @@ FaultSpec::label() const
 std::string
 FaultPlan::label() const
 {
-    if (faults.empty())
-        return "none";
-    std::string out;
-    for (const FaultSpec &f : faults) {
-        if (!out.empty())
-            out += '+';
-        out += f.label();
-    }
-    return out;
-}
-
-FaultPlan &
-FaultPlan::add(FaultSpec spec)
-{
-    faults.push_back(std::move(spec));
-    return *this;
+    return fault ? fault->label() : "none";
 }
 
 FaultPlan
 FaultPlan::replicaKill(std::string tier, int replica, Time start,
                        Time duration, Time detectDelay)
 {
-    FaultSpec s;
-    s.tier = std::move(tier);
-    s.replica = replica;
-    s.start = start;
-    s.duration = duration;
-    s.detectDelay = detectDelay;
-    return FaultPlan{}.add(std::move(s));
+    return FaultPlan{
+        FaultSpec{std::move(tier), replica, start, duration, detectDelay}};
 }
 
 Injector::Injector(Simulator &sim, svc::ServiceGraph &graph,
@@ -83,24 +56,15 @@ Injector::Injector(Simulator &sim, svc::ServiceGraph &graph,
 {
 }
 
-FaultWindow
-Injector::materialise(const FaultSpec &spec, Time horizon)
-{
-    return FaultWindow{spec.start, spec.duration > 0
-                                       ? spec.start + spec.duration
-                                       : horizon};
-}
-
 svc::Tier &
 Injector::validate(const FaultSpec &spec)
 {
     svc::Tier *tier = graph_.findTier(spec.tier);
     if (tier == nullptr)
         fatal("FaultSpec::tier '", spec.tier, "' names no tier");
-    if (spec.replica < -1 || spec.replica >= tier->replicaCount()) {
-        fatal("FaultSpec::replica must be -1 (every replica) or in [0, ",
-              tier->replicaCount(), ") for tier '", spec.tier, "', got ",
-              spec.replica);
+    if (spec.replica < 0 || spec.replica >= tier->replicaCount()) {
+        fatal("FaultSpec::replica must be in [0, ", tier->replicaCount(),
+              ") for tier '", spec.tier, "', got ", spec.replica);
     }
     if (spec.start < 0)
         fatal("FaultSpec::start must be >= 0, got ", spec.start);
@@ -114,133 +78,42 @@ Injector::validate(const FaultSpec &spec)
     return *tier;
 }
 
-std::vector<int>
-Injector::targetReplicas(const FaultSpec &spec, const svc::Tier &tier)
-{
-    if (spec.replica >= 0)
-        return {spec.replica};
-    std::vector<int> out;
-    for (int r = 0; r < tier.replicaCount(); ++r)
-        out.push_back(r);
-    return out;
-}
-
 void
 Injector::arm(Time horizon)
 {
     TPV_ASSERT(!armed_, "injector armed twice");
     armed_ = true;
-    const Time now = sim_.now();
-
-    // Lay every window's begin/detect/end out exactly as the simulator
-    // would execute them: by time, ties in arm order (the queue pops
-    // same-instant events in insertion order).
-    std::vector<SweepEntry> sweep;
-    std::uint64_t order = 0;
-    for (const FaultSpec &spec : plan_.faults) {
-        svc::Tier &tier = validate(spec);
-        const FaultWindow w = materialise(spec, horizon);
-        // A window may outlast the run: clamp so the restart event
-        // fires inside it.
-        const Time start = std::max(w.start, now);
-        const Time end = std::min(w.end, horizon);
-        if (start >= end)
-            continue;
-        ++windowsArmed_;
-        if (obs::TraceRecorder *tr = graph_.trace()) {
-            // The window as a global marker, recorded offline.
-            tr->marker(obs::SpanKind::Fault, start, end,
-                       {tier.tierIndex(), -1, spec.replica});
-        }
-        sweep.push_back(
-            SweepEntry{start, order++, SweepEntry::Begin, &spec, &tier});
-        // Failure detection is a separate event: only once it fires do
-        // senders suspect the replica and re-issue outstanding
-        // sub-requests. A crash that heals before detection was a blip
-        // nobody ever acted on.
-        const Time detectAt = start + spec.detectDelay;
-        if (detectAt < end) {
-            sweep.push_back(SweepEntry{detectAt, order++,
-                                       SweepEntry::Detect, &spec, &tier});
-        }
-        sweep.push_back(
-            SweepEntry{end, order++, SweepEntry::End, &spec, &tier});
-    }
-    std::stable_sort(sweep.begin(), sweep.end(),
-                     [](const SweepEntry &a, const SweepEntry &b) {
-                         return a.when < b.when;
-                     });
-
-    // Replay the timeline through the engage state machine and
-    // schedule the concrete flips it implies. Who flips and when is
-    // settled here, offline; the scheduled ops just apply the flips.
-    for (const SweepEntry &e : sweep) {
-        switch (e.type) {
-          case SweepEntry::Begin:
-            replayBegin(e);
-            break;
-          case SweepEntry::Detect:
-            replayDetect(e);
-            break;
-          case SweepEntry::End:
-            replayEnd(e);
-            break;
-        }
-    }
-}
-
-void
-Injector::replayBegin(const SweepEntry &e)
-{
-    svc::Tier *t = e.tier;
+    if (!plan_.fault)
+        return;
+    const FaultSpec &spec = *plan_.fault;
+    svc::Tier *t = &validate(spec);
+    // A window may outlast the run: clamp so the restart event fires
+    // inside it.
+    const Time start = std::max(spec.start, sim_.now());
+    const Time end = std::min(
+        spec.duration > 0 ? spec.start + spec.duration : horizon, horizon);
+    if (start >= end)
+        return;
     const int ti = t->tierIndex();
-    sim_.at(e.when, [this, ti] {
+    const int r = spec.replica;
+    if (obs::TraceRecorder *tr = graph_.trace())
+        tr->marker(obs::SpanKind::Fault, start, end, {ti, -1, r});
+
+    sim_.at(start, [this, ti] {
         svc::ServiceStats &stats = graph_.mutableStats();
         ++stats.faultsInjected;
         ++stats.tiers[static_cast<std::size_t>(ti)].faultsInjected;
     });
-    for (int r : targetReplicas(*e.spec, *t)) {
-        // Overlapping windows on one replica compose: crash on the
-        // first begin, restart on the last end. Detection is the
-        // separate Detect entry, detectDelay later.
-        if (engage(t, r, true))
-            sim_.at(e.when, [t, r] { t->setReplicaUp(r, false); });
-    }
-}
-
-void
-Injector::replayDetect(const SweepEntry &e)
-{
-    // Suspect the replicas, which re-issues their outstanding
-    // sub-requests.
-    svc::Tier *t = e.tier;
-    const FaultSpec *s = e.spec;
-    sim_.at(e.when, [t, s] {
-        for (int r : targetReplicas(*s, *t))
-            t->setReplicaSuspected(r, true);
-    });
-}
-
-void
-Injector::replayEnd(const SweepEntry &e)
-{
-    svc::Tier *t = e.tier;
-    for (int r : targetReplicas(*e.spec, *t)) {
-        if (!engage(t, r, false))
-            continue;
-        sim_.at(e.when, [t, r] { t->setReplicaUp(r, true); });
-        sim_.at(e.when, [t, r] { t->setReplicaSuspected(r, false); });
-    }
-}
-
-bool
-Injector::engage(const svc::Tier *tier, int replica, bool active)
-{
-    int &count = active_[{tier, replica}];
-    if (active)
-        return ++count == 1;
-    TPV_ASSERT(count > 0, "fault window end without a begin");
-    return --count == 0;
+    sim_.at(start, [t, r] { t->setReplicaUp(r, false); });
+    // Failure detection is a separate event: only once it fires do
+    // senders suspect the replica and re-issue its outstanding
+    // sub-requests. A crash that heals before detection was a blip
+    // nobody ever acted on.
+    const Time detectAt = start + spec.detectDelay;
+    if (detectAt < end)
+        sim_.at(detectAt, [t, r] { t->setReplicaSuspected(r, true); });
+    sim_.at(end, [t, r] { t->setReplicaUp(r, true); });
+    sim_.at(end, [t, r] { t->setReplicaSuspected(r, false); });
 }
 
 } // namespace fault

@@ -64,6 +64,16 @@ OpenLoopGenerator::OpenLoopGenerator(Simulator &sim, hw::Machine &client,
     if (params_.profile.kind != LoadProfileKind::Constant) {
         profile_ = std::make_unique<LoadProfile>(
             params_.profile, params_.windowEnd(), rng.fork());
+        // Thinning draws candidates at the peak rate: past 1e9 per
+        // thread its mean gap rounds below 1 ns and the base-rate
+        // acceptance odds make nextArrival spin.
+        const double peakRate = perThreadRate * profile_->maxMultiplier();
+        if (peakRate > 1e9) {
+            fatal("LoadProfileParams: the peak rate OpenLoopParams::qps / "
+                  "threads x the profile's peak multiplier must be <= 1e9 "
+                  "(a 1 ns mean gap), got ",
+                  peakRate);
+        }
     }
 
     gens_.resize(static_cast<std::size_t>(params_.threads));

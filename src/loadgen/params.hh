@@ -91,7 +91,9 @@ struct OpenLoopParams
      * Offered-load schedule: the base qps is modulated by this
      * profile's time-varying multiplier (diurnal swing, flash crowd,
      * MMPP bursts). The default Constant profile reproduces the
-     * stationary arrival process bit-for-bit.
+     * stationary arrival process bit-for-bit. The peak rate,
+     * qps / threads x the profile's peak multiplier, must also leave
+     * a mean gap of at least 1 ns.
      */
     LoadProfileParams profile;
 

@@ -69,7 +69,8 @@ enum class SpanKind : std::uint8_t
     BreakerSkip,
     /** A circuit breaker changed state (instant; arg = new state). */
     BreakerOpen,
-    /** Admission control shed the request (instant; arg = reason). */
+    /** Admission control shed the request on queue depth (instant;
+     *  arg = 1). */
     Shed,
     /** An injected fault window (global marker, rootId 0). */
     Fault,

@@ -1,7 +1,6 @@
 #include "svc/topology.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "obs/metrics.hh"
@@ -130,6 +129,11 @@ Tier::Tier(ServiceGraph &graph, std::vector<hw::Machine *> hosts,
     TPV_ASSERT(!hosts.empty(), "tier '", params_.name, "' needs a host");
     TPV_ASSERT(static_cast<bool>(params_.work), "tier '", params_.name,
                "' needs a work model");
+    if (params_.admission.maxQueueDepth < 0) {
+        fatal("TierParams::admission.maxQueueDepth must be >= 0 (0 = "
+              "off), got ",
+              params_.admission.maxQueueDepth);
+    }
     for (hw::Machine *m : hosts) {
         instances_.push_back(std::make_unique<Instance>(Instance{
             m, WorkerPool(*m, params_.workers, params_.firstCore),
@@ -216,137 +220,21 @@ Tier::noteLost(const net::Message &msg)
     countLost();
 }
 
-void
-Tier::traceShed(const net::Message &msg, std::uint32_t reason)
-{
-    if (obs::TraceRecorder *tr = graph_.trace();
-        tr != nullptr && traceLocal_) {
-        tr->instant(obs::SpanKind::Shed, graph_.sim().now(), localRoot(msg),
-                    {tierIndex_, msg.shard, msg.replica}, reason);
-    }
-}
-
 bool
 Tier::shouldShed(Instance &inst, const net::Message &msg)
 {
-    const AdmissionPolicy &adm = params_.admission;
+    if (inst.pool.serviceThread(msg.conn).queued() <
+        static_cast<std::size_t>(params_.admission.maxQueueDepth))
+        return false;
     ServiceStats &stats = graph_.mutableStats();
-    TierBreakdown &tb =
-        stats.tiers[static_cast<std::size_t>(tierIndex_)];
-    const Time now = graph_.sim().now();
-    if (adm.maxQueueDepth > 0 &&
-        inst.pool.serviceThread(msg.conn).queued() >=
-            static_cast<std::size_t>(adm.maxQueueDepth)) {
-        ++stats.requestsShedDepth;
-        ++tb.requestsShed;
-        traceShed(msg, 1);
-        return true;
+    ++stats.requestsShedDepth;
+    ++stats.tiers[static_cast<std::size_t>(tierIndex_)].requestsShed;
+    if (obs::TraceRecorder *tr = graph_.trace();
+        tr != nullptr && traceLocal_) {
+        tr->instant(obs::SpanKind::Shed, graph_.sim().now(), localRoot(msg),
+                    {tierIndex_, msg.shard, msg.replica}, 1);
     }
-    if (adm.codelTarget > 0) {
-        // CoDel's standing-queue rule, observed where the queue is
-        // visible: completions (completeService) track whether served
-        // requests have been above the sojourn target, and once they
-        // have been *persistently* above for a whole interval, the
-        // instance enters the dropping state. While dropping, one
-        // arrival is shed each time the sqrt control law says so —
-        // the k-th drop comes interval/sqrt(k) after the previous
-        // one — instead of shedding *every* arrival: all-or-nothing
-        // shedding collapses the queue, overshoots, and saws goodput
-        // between full admit and full drop under sustained overload.
-        // An empty instance (no queued work on any thread) ends the
-        // episode directly: the backlog is gone, and with nothing
-        // left to complete no completion could ever reset the
-        // marker. This must be instance-wide — one momentarily idle
-        // thread of a drowning pool is not a drained backlog, and
-        // closing on it resets the drop ramp to nothing.
-        if (inst.pool.queuedTotal() == 0) {
-            if (inst.codelDropping) {
-                inst.codelLastCount = inst.codelDropCount;
-                inst.codelExitAt = now;
-                inst.codelDropping = false;
-                inst.codelDropDebt = 0;
-            }
-            inst.aboveTargetSince = kTimeNever;
-            return false;
-        }
-        const auto lawStep = [&adm](std::uint32_t k) {
-            return std::max<Time>(
-                1, static_cast<Time>(
-                       static_cast<double>(adm.codelInterval) /
-                       std::sqrt(static_cast<double>(k))));
-        };
-        if (!inst.codelDropping) {
-            if (inst.aboveTargetSince == kTimeNever ||
-                now - inst.aboveTargetSince < adm.codelInterval)
-                return false;
-            inst.codelDropping = true;
-            // Re-entering soon after the last episode resumes near
-            // the old drop rate instead of relearning it from 1
-            // (the RFC 8289 hysteresis).
-            if (inst.codelExitAt != kTimeNever &&
-                now - inst.codelExitAt <
-                    16 * adm.codelInterval &&
-                inst.codelLastCount > 2)
-                inst.codelDropCount = inst.codelLastCount - 2;
-            else
-                inst.codelDropCount = 1;
-            inst.codelDropDebt = 0;
-            inst.codelNextDrop = now + lawStep(inst.codelDropCount);
-        } else {
-            // Sibling sub-requests of queries the law already shed
-            // are pure waste if admitted — their scatter can never
-            // complete — so they ride the same drop without advancing
-            // the law.
-            bool sibling = false;
-            if (msg.parentId != 0) {
-                for (std::uint64_t p : inst.codelDropRing)
-                    sibling = sibling || p == msg.parentId;
-            }
-            if (sibling) {
-                ++stats.requestsShedDelay;
-                ++tb.requestsShed;
-                traceShed(msg, 2);
-                return true;
-            }
-            if (now < inst.codelNextDrop) {
-                // Between control instants everything else is
-                // admitted — shedding every arrival here is the
-                // on/off failure mode (queue collapse, overshoot,
-                // goodput saw) — unless the schedule is in arrears:
-                // a debt instant is repaid by shedding this arrival.
-                if (inst.codelDropDebt == 0)
-                    return false;
-                --inst.codelDropDebt;
-            } else {
-                // Control instant reached. The receive path hands
-                // arrivals to dispatch in bursts (IRQ work rides the
-                // same cores as service work), so whole law instants
-                // can pass with nothing present to shed. Missed
-                // instants are not forgotten: the schedule advances
-                // to now and each skipped instant becomes debt,
-                // repaid on the arrivals of the next burst — without
-                // this the ramp stalls at one drop per burst gap and
-                // the law never catches the overload.
-                ++inst.codelDropCount;
-                Time next =
-                    inst.codelNextDrop + lawStep(inst.codelDropCount);
-                while (next <= now) {
-                    ++inst.codelDropCount;
-                    ++inst.codelDropDebt;
-                    next += lawStep(inst.codelDropCount);
-                }
-                inst.codelNextDrop = next;
-            }
-        }
-        inst.codelDropRing[inst.codelDropRingAt] = msg.parentId;
-        inst.codelDropRingAt = (inst.codelDropRingAt + 1) %
-                               inst.codelDropRing.size();
-        ++stats.requestsShedDelay;
-        ++tb.requestsShed;
-        traceShed(msg, 2);
-        return true;
-    }
-    return false;
+    return true;
 }
 
 void
@@ -450,33 +338,11 @@ Tier::dispatch(const net::Message &msgIn)
 void
 Tier::completeService(const net::Message &msg, Time work)
 {
-    Instance &inst = instanceFor(msg);
-    if (!inst.up) {
+    if (!instanceFor(msg).up) {
         // The replica died while the work was queued or running: the
         // reply dies with it (in-flight requests error-complete).
         noteLost(msg);
         return;
-    }
-    if (params_.admission.codelTarget > 0) {
-        // Feed the CoDel state with the served request's sojourn
-        // (send to completion): this is where worker-queue standing
-        // delay actually shows, unlike the pre-queue dispatch point
-        // where admission acts.
-        const Time sojourn = graph_.sim().now() - msg.appSendTime;
-        if (sojourn < params_.admission.codelTarget) {
-            // Sojourn back under target: the standing queue is
-            // resolved, close the dropping episode (remembering its
-            // drop count for a quick re-entry).
-            if (inst.codelDropping) {
-                inst.codelLastCount = inst.codelDropCount;
-                inst.codelExitAt = graph_.sim().now();
-                inst.codelDropping = false;
-                inst.codelDropDebt = 0;
-            }
-            inst.aboveTargetSince = kTimeNever;
-        } else if (inst.aboveTargetSince == kTimeNever) {
-            inst.aboveTargetSince = graph_.sim().now();
-        }
     }
     // Flight recorder: close the dispatch->completion span into a
     // queue-wait span and a service span. The service start is
@@ -582,7 +448,18 @@ Fanout::Fanout(ServiceGraph &graph, Tier &parent, Tier &child,
         }
         budget_ = RetryBudget(kRetryBudgetRatio, kRetryBudgetBurst);
     }
+    if (traffic_.breaker.failureThreshold < 0) {
+        fatal("FanoutParams::traffic.breaker.failureThreshold must be "
+              ">= 0 (0 = off), got ",
+              traffic_.breaker.failureThreshold);
+    }
     if (traffic_.breaker.enabled()) {
+        // A breaker with no cooldown re-admits the moment it opens.
+        if (traffic_.breaker.cooldown <= 0) {
+            fatal("FanoutParams::traffic.breaker.cooldown must be > 0 "
+                  "while the breaker is on, got ",
+                  traffic_.breaker.cooldown);
+        }
         breakers_.assign(static_cast<std::size_t>(params_.replicas),
                          CircuitBreaker(traffic_.breaker));
     }

@@ -28,7 +28,6 @@
 #ifndef TPV_SVC_TOPOLOGY_HH
 #define TPV_SVC_TOPOLOGY_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -143,8 +142,9 @@ struct ServiceStats
     std::uint64_t subRequestsDropped = 0;
     /** Requests shed by admission control on queue depth. */
     std::uint64_t requestsShedDepth = 0;
-    /** Requests shed by admission control on sojourn delay (CoDel
-     *  variant). */
+    /** Always 0: admission control sheds on queue depth only. Kept
+     *  because run fingerprints (the golden tests, perfbench's
+     *  reference check) hash it. */
     std::uint64_t requestsShedDelay = 0;
     /** Circuit-breaker transitions into the Open state. */
     std::uint64_t breakerOpens = 0;
@@ -297,8 +297,8 @@ struct TierParams
     bool envSensitive = true;
     /**
      * Admission control at this tier's worker queues; off by
-     * default. A shed request is counted (requestsShedDepth /
-     * requestsShedDelay, TierBreakdown::requestsShed) and silently
+     * default. A shed request is counted (requestsShedDepth,
+     * TierBreakdown::requestsShed) and silently
      * dropped — recovery is the sender's business, exactly like a
      * fault drop, so pair shedding with deadlines/retries when the
      * caller must not strand.
@@ -412,35 +412,6 @@ class Tier : public net::Endpoint
         bool up = true;
         /** True once the failure detector has flagged the replica. */
         bool suspected = false;
-        /** CoDel shedding: when dispatched sojourns first exceeded
-         *  the target without dipping back under (kTimeNever while
-         *  under target). */
-        Time aboveTargetSince = kTimeNever;
-        /** CoDel control law: in the dropping state, one arrival is
-         *  shed each time now reaches nextDrop, then the next drop
-         *  moves interval/sqrt(dropCount) away — the sqrt pacing that
-         *  holds sojourn at the target instead of shedding every
-         *  arrival until the queue collapses. */
-        bool codelDropping = false;
-        std::uint32_t codelDropCount = 0;
-        Time codelNextDrop = 0;
-        /** Law instants that passed with no arrival to shed (the
-         *  receive path delivers in bursts): repaid by shedding the
-         *  next arrivals, so the cumulative drop budget follows the
-         *  schedule even though arrivals don't. */
-        std::uint32_t codelDropDebt = 0;
-        /** Parent ids of queries the law recently shed: their
-         *  sibling sub-requests are shed with them (a drop is a whole
-         *  query — admitting orphaned siblings is pure wasted work).
-         *  A ring, because siblings arrive spread over milliseconds
-         *  of receive-path backlog while the law keeps firing. */
-        std::array<std::uint64_t, 64> codelDropRing{};
-        std::uint32_t codelDropRingAt = 0;
-        /** Drop count / exit instant of the last dropping episode;
-         *  re-entering within 16 intervals resumes near the old rate
-         *  (Nichols & Jacobson's hysteresis). */
-        std::uint32_t codelLastCount = 0;
-        Time codelExitAt = kTimeNever;
     };
 
     /** The instance serving @p msg (its replica field). */
@@ -467,14 +438,11 @@ class Tier : public net::Endpoint
      */
     void noteLost(const net::Message &msg);
 
-    /** Admission control: should @p msg be shed instead of queued?
-     *  Counts the shed when it says yes. Runs before the work-model
-     *  draw so a disabled policy leaves the RNG stream untouched. */
+    /** Admission control: should @p msg be shed instead of queued
+     *  (its worker queue is at maxQueueDepth)? Counts and traces the
+     *  shed when it says yes. Runs before the work-model draw so a
+     *  disabled policy leaves the RNG stream untouched. */
     bool shouldShed(Instance &inst, const net::Message &msg);
-
-    /** Flight recorder: record a Shed instant for @p msg
-     *  (@p reason: 1 queue depth, 2 CoDel). */
-    void traceShed(const net::Message &msg, std::uint32_t reason);
 
     ServiceGraph &graph_;
     TierParams params_;

@@ -12,10 +12,6 @@ std::string TrafficPolicy::label() const
     }
     if (admission.maxQueueDepth > 0)
         out += "+q" + std::to_string(admission.maxQueueDepth);
-    if (admission.codelTarget > 0) {
-        out += "+cd" +
-               std::to_string(admission.codelTarget / usec(1)) + "us";
-    }
     if (breaker.enabled())
         out += "+cb" + std::to_string(breaker.failureThreshold);
     return out;

@@ -60,18 +60,11 @@ struct RetryPolicy
  */
 struct AdmissionPolicy
 {
-    /** Shed a request whose worker queue is at this depth (0 = off). */
+    /** Shed a request whose worker queue is at this depth (0 = off;
+     *  negative is rejected). */
     int maxQueueDepth = 0;
-    /**
-     * CoDel-style delay shedding: shed new arrivals once the sojourn
-     * of *completed* requests (send to completion, where worker-queue
-     * delay is visible) has stayed above this target... (0 = off)
-     */
-    Time codelTarget = 0;
-    /** ...continuously for this long. */
-    Time codelInterval = msec(1);
 
-    bool enabled() const { return maxQueueDepth > 0 || codelTarget > 0; }
+    bool enabled() const { return maxQueueDepth > 0; }
 };
 
 /**
@@ -83,9 +76,11 @@ struct AdmissionPolicy
  */
 struct BreakerPolicy
 {
-    /** Consecutive failures that open the breaker (0 = off). */
+    /** Consecutive failures that open the breaker (0 = off;
+     *  negative is rejected). */
     int failureThreshold = 0;
-    /** Open duration before the half-open probe. */
+    /** Open duration before the half-open probe; must be positive
+     *  while the breaker is on. */
     Time cooldown = msec(5);
 
     bool enabled() const { return failureThreshold > 0; }
@@ -105,7 +100,7 @@ struct TrafficPolicy
     }
 
     /**
-     * "+rt2000usx3+q64+cd500us+cb5" style tag appended to topology
+     * "+rt2000usx3+q64+cb5" style tag appended to topology
      * labels; empty when every knob is off, so pre-traffic study
      * cell names are unchanged.
      */

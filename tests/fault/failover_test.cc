@@ -157,7 +157,6 @@ TEST(Failover, DetectionLatencyDefersFailoverButStillRecovers)
     p.replicas = 2;
     HdsRig rig(p);
     rig.sendAt(msec(6), 1);
-    FaultPlan plan;
     FaultSpec s;
     s.tier = "hds-bucket";
     // Replica 1: request id 1's primary for shard 0 (hash-dependent
@@ -165,7 +164,7 @@ TEST(Failover, DetectionLatencyDefersFailoverButStillRecovers)
     s.replica = svc::Fanout::primaryReplica(1, 0, 2);
     s.start = msec(5);
     s.detectDelay = msec(7);
-    plan.add(s);
+    const FaultPlan plan{s};
     Injector inj(rig.sim, rig.cluster.graph(), plan);
     inj.arm(msec(60));
     rig.sim.run();

@@ -91,15 +91,13 @@ strandedParams()
 FaultPlan
 silentShortCrash()
 {
-    FaultPlan plan;
     FaultSpec s;
     s.tier = "hds-bucket";
     s.replica = svc::Fanout::primaryReplica(1, 0, 2);
     s.start = msec(5);
     s.duration = msec(3);
     s.detectDelay = msec(7); // > duration: detection never happens
-    plan.add(s);
-    return plan;
+    return FaultPlan{s};
 }
 
 // The no-retry baseline: today's behaviour, pinned. The sub-request
@@ -164,14 +162,13 @@ TEST(StrandedSubRequest, StreamThroughSilentCrashCompletesEverything)
     for (int i = 0; i < n; ++i)
         rig.sendAt(msec(1) + i * usec(500),
                    static_cast<std::uint64_t>(i + 1));
-    FaultPlan plan;
     FaultSpec s;
     s.tier = "hds-bucket";
     s.replica = 0;
     s.start = msec(5);
     s.duration = msec(3);
     s.detectDelay = msec(7);
-    plan.add(s);
+    const FaultPlan plan{s};
     Injector inj(rig.sim, rig.cluster.graph(), plan);
     inj.arm(msec(60));
     rig.sim.run();
@@ -219,14 +216,13 @@ TEST(StrandedSubRequest, ExhaustedRetriesCountTheLossOnce)
     p.traffic.retry.maxAttempts = 2;
     HdsRig rig(p);
     rig.sendAt(msec(6), 1);
-    FaultPlan plan;
     FaultSpec s;
     s.tier = "hds-bucket";
     s.replica = 0;
     s.start = msec(5);
     s.duration = msec(30); // outlives deadline * maxAttempts
     s.detectDelay = msec(40);
-    plan.add(s);
+    const FaultPlan plan{s};
     Injector inj(rig.sim, rig.cluster.graph(), plan);
     inj.arm(msec(60));
     rig.sim.run();

@@ -192,6 +192,8 @@ struct GoldenShape
 // the socialnet chain), the replica-kill fault path with detection
 // delay, and periodic server ticks. adaptive_hedge was captured later,
 // on d713f2c, the build before the hedge-rate budget was deleted.
+// load_shedding was re-captured on 8f84776 with its CoDel target
+// removed, the build before delay shedding was deleted.
 const GoldenShape kShapes[] = {
     {"hedged_s4r2", hdsearchCell,
      "lat 0x1.2fa7843d46b26p+14 0x1.1ca11a915379ep+15 "
@@ -222,21 +224,20 @@ const GoldenShape kShapes[] = {
      "mc-cache 593 5171589 0 | mc-store 86 43534283 0"},
     {"load_shedding",
      [] {
-         // Overloads the leaf tier so CoDel and depth shedding engage.
+         // Overloads the leaf tier so depth shedding engages.
          auto cfg = core::ExperimentConfig::forHdSearch(60000);
          cfg.gen.warmup = msec(2);
          cfg.gen.duration = msec(12);
          svc::TopologyShape shape{4, 2, usec(300)};
          shape.traffic.admission.maxQueueDepth = 32;
-         shape.traffic.admission.codelTarget = usec(500);
          core::applyTopology(cfg, shape);
          return cfg;
      },
-     "lat 0x1.287d91d14e3bdp+13 0x1.417babe8bc16ap+13 "
-     "0x1.421072b020c4ap+13 late 0x1.01974c8329fedp+0 io 847 34 "
-     "27430 svc 847 34 363988352 3388 hedge 3381 7 0 141 42053089 "
-     "shed 5234 464 0 fault 0 0 0 cache 0 0 0 0 | hds-midtier 847 "
-     "33880000 0 | hds-bucket 1071 321648352 5698"},
+     "lat 0x1.7c4c027084ffdp+13 0x1.f9ef82ce46499p+13 "
+     "0x1.ff423b645a1cbp+13 late 0x1.01974c8329fedp+0 io 847 92 "
+     "29119 svc 847 92 497789482 3388 hedge 3381 7 0 355 108715478 "
+     "shed 5269 0 0 fault 0 0 0 cache 0 0 0 0 | hds-midtier 847 "
+     "33880000 0 | hds-bucket 1500 451989482 5269"},
     {"socialnet_chain",
      [] {
          auto cfg = core::ExperimentConfig::forSocialNetwork(2000);

@@ -115,7 +115,6 @@ trafficPolicyConfig()
     shape.traffic.breaker.failureThreshold = 2;
     shape.traffic.breaker.cooldown = msec(2);
     shape.traffic.admission.maxQueueDepth = 32;
-    shape.traffic.admission.codelTarget = usec(500);
     core::applyTopology(cfg, shape);
     cfg.faultPlan = fault::FaultPlan::replicaKill("hds-bucket", 0, msec(4),
                                                   msec(6), msec(3));
@@ -125,16 +124,16 @@ trafficPolicyConfig()
 
 TEST(TraceDeterminism, TrafficPolicySpansMatchGoldenDigest)
 {
-    // Captured at commit 02f9444, before the span builder replaced
-    // the hand-filled records.
+    // Captured at commit 8f84776 with the config's CoDel target
+    // removed, the build before delay shedding was deleted.
     const Export e = runTraced(trafficPolicyConfig(), 1, 4, 0);
     for (const char *name : {"\"retry\"", "\"breaker_skip\"",
                              "\"breaker\"", "\"shed\""}) {
         EXPECT_NE(e.traceJson.find(name), std::string::npos)
             << "missing span kind " << name;
     }
-    EXPECT_EQ(e.traceJson.size(), 2823923u);
-    EXPECT_EQ(fnv1a(e.traceJson), 0x5993456cee109213ull);
+    EXPECT_EQ(e.traceJson.size(), 3022864u);
+    EXPECT_EQ(fnv1a(e.traceJson), 0xef7f379d1272ba13ull);
 }
 
 TEST(TraceDeterminism, TracingOffChangesNothing)

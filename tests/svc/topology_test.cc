@@ -417,6 +417,28 @@ TEST(FanoutDeathTest, RejectsNegativeRetryDeadline)
                 "retry.deadline");
 }
 
+TEST(FanoutDeathTest, RejectsNegativeBreakerThreshold)
+{
+    FanoutParams f = validFanout();
+    f.traffic.breaker.failureThreshold = -1;
+    EXPECT_EXIT(buildFanout(f), ::testing::ExitedWithCode(1),
+                "breaker.failureThreshold .*got -1");
+}
+
+TEST(FanoutDeathTest, RejectsNonPositiveBreakerCooldown)
+{
+    FanoutParams f = validFanout();
+    f.traffic.breaker.cooldown = 0; // an off breaker ignores it
+    buildFanout(f);
+    // An on breaker with no cooldown re-admits the moment it opens.
+    f.traffic.breaker.failureThreshold = 3;
+    EXPECT_EXIT(buildFanout(f), ::testing::ExitedWithCode(1),
+                "breaker.cooldown .*got 0");
+    f.traffic.breaker.cooldown = -msec(1);
+    EXPECT_EXIT(buildFanout(f), ::testing::ExitedWithCode(1),
+                "breaker.cooldown");
+}
+
 TEST(FanoutDeathTest, RejectsHedgingWithoutABackupReplica)
 {
     FanoutParams f = validFanout();
@@ -458,6 +480,30 @@ TEST(FanoutDeathTest, RejectsASecondFanoutIntoOneTier)
     EXPECT_EXIT(buildTwoFanoutsIntoOneTier(), ::testing::ExitedWithCode(1),
                 "tier 'leaf' is already fed by a fan-out from tier "
                 "'parent'; a second fan-out from tier 'other'");
+}
+
+/** Build one tier shedding at @p maxQueueDepth. */
+void
+buildSheddingTier(int maxQueueDepth)
+{
+    Simulator sim;
+    net::Link reply(sim, Rng(1));
+    ClientSink client(sim);
+    ServiceGraph graph(sim, reply, client, Rng(3));
+    TierParams t;
+    t.name = "solo";
+    t.work = fixedWork(usec(10));
+    t.admission.maxQueueDepth = maxQueueDepth;
+    graph.addTier(graph.addMachine(hw::HwConfig::serverBaseline(), "solo"),
+                  std::move(t));
+}
+
+TEST(TierDeathTest, RejectsNegativeMaxQueueDepth)
+{
+    buildSheddingTier(0); // off
+    buildSheddingTier(4);
+    EXPECT_EXIT(buildSheddingTier(-1), ::testing::ExitedWithCode(1),
+                "TierParams::admission.maxQueueDepth .*got -1");
 }
 
 } // namespace
