@@ -19,20 +19,20 @@ recommendClientConfig(const RecommendationInput &in)
         // Time-sensitive inter-arrival: tune the client for
         // performance so requests leave on schedule.
         rec.client = hw::HwConfig::clientHP();
-        rec.rationale.push_back(
+        rec.rationale.emplace_back(
             "time-sensitive (block-wait) inter-arrival: tune the client "
             "for performance so hardware timing overheads (C-states, "
             "DVFS) do not distort the generated workload");
         if (in.targetKnown && in.targetUsesLowPower) {
             rec.representativenessCaveat = true;
-            rec.rationale.push_back(
+            rec.rationale.emplace_back(
                 "target environment enables low-power settings: the "
                 "tuned client excludes sleep-state transition latency "
                 "from the point of measurement, so end-to-end latency "
                 "may be underestimated for provisioning decisions");
         }
         if (in.serviceLatency > usec(200)) {
-            rec.rationale.push_back(
+            rec.rationale.emplace_back(
                 "service latency well above client-side overheads: "
                 "conclusions are unlikely to flip with client "
                 "configuration, but absolute numbers still shift");
@@ -44,7 +44,7 @@ recommendClientConfig(const RecommendationInput &in)
     if (in.targetKnown) {
         rec.client = in.targetUsesLowPower ? hw::HwConfig::clientLP()
                                            : hw::HwConfig::clientHP();
-        rec.rationale.push_back(
+        rec.rationale.emplace_back(
             "time-insensitive (busy-wait) inter-arrival: configure the "
             "client to match the target environment so measurements "
             "include representative overheads");
@@ -54,7 +54,7 @@ recommendClientConfig(const RecommendationInput &in)
     // Unknown target: explore the configuration space.
     rec.client = hw::HwConfig::clientHP();
     rec.explore = {hw::HwConfig::clientLP(), hw::HwConfig::clientHP()};
-    rec.rationale.push_back(
+    rec.rationale.emplace_back(
         "target configuration unknown: evaluate the technique under a "
         "space exploration of client configurations (homogeneous and "
         "heterogeneous client/server pairs)");

@@ -31,6 +31,12 @@ Machine::Machine(Simulator &sim, const HwConfig &cfg, std::string name,
     cfg_.validate();
     for (int i = 0; i < cfg_.cores; ++i)
         cores_.push_back(std::make_unique<Core>(sim, *this, cfg_, table_, i));
+    // IRQ delivery looks a thread up on every message; a flat table
+    // in sibling order makes that lookup one load.
+    for (int sibling = 0; sibling < (cfg_.smt ? 2 : 1); ++sibling) {
+        for (auto &c : cores_)
+            threads_.push_back(&c->thread(sibling));
+    }
     // Cores are constructed notionally active; count them, then let
     // each settle into its idle state and start its tick source.
     activeCores_ = cfg_.cores;
@@ -47,20 +53,12 @@ Machine::core(std::size_t i)
     return *cores_[i];
 }
 
-std::size_t
-Machine::threadCount() const
-{
-    return cores_.size() * (cfg_.smt ? 2 : 1);
-}
-
 HwThread &
 Machine::thread(std::size_t globalIdx)
 {
-    TPV_ASSERT(globalIdx < threadCount(), "thread index out of range: ",
+    TPV_ASSERT(globalIdx < threads_.size(), "thread index out of range: ",
                globalIdx);
-    const std::size_t coreIdx = globalIdx % cores_.size();
-    const int sibling = static_cast<int>(globalIdx / cores_.size());
-    return cores_[coreIdx]->thread(sibling);
+    return *threads_[globalIdx];
 }
 
 void

@@ -68,7 +68,7 @@ class Machine
     HwThread &thread(std::size_t globalIdx);
 
     /** Total hardware threads. */
-    std::size_t threadCount() const;
+    std::size_t threadCount() const { return threads_.size(); }
 
     /**
      * Deliver a device interrupt: optional uncore wake penalty, then
@@ -112,6 +112,8 @@ class Machine
     CStateTable table_;
     std::string name_;
     std::vector<std::unique_ptr<Core>> cores_;
+    /** Every hardware thread in global (Linux sibling) order. */
+    std::vector<HwThread *> threads_;
     int activeCores_ = 0;
     /** Turbo bin last pushed to the cores; no bin is negative. */
     double pushedBinGhz_ = -1.0;

@@ -15,7 +15,8 @@ SocialNetworkApp::SocialNetworkApp(Simulator &sim,
     : params_(std::move(params)),
       graph_(sim, replyLink, client, rng, params_.runVariability)
 {
-    TPV_ASSERT(!params_.stages.empty(), "Social Network needs stages");
+    if (params_.stages.empty())
+        fatal("SocialNetworkParams::stages must not be empty");
 
     hw::Machine &machine = graph_.addMachine(serverCfg, "socialnet");
     for (const SocialStage &s : params_.stages) {

@@ -126,9 +126,11 @@ Tier::Tier(ServiceGraph &graph, std::vector<hw::Machine *> hosts,
            TierParams params)
     : graph_(graph), params_(std::move(params))
 {
-    TPV_ASSERT(!hosts.empty(), "tier '", params_.name, "' needs a host");
-    TPV_ASSERT(static_cast<bool>(params_.work), "tier '", params_.name,
-               "' needs a work model");
+    if (hosts.empty())
+        fatal("Tier hosts must hold at least one machine (tier '",
+              params_.name, "')");
+    if (!params_.work)
+        fatal("TierParams::work must be set (tier '", params_.name, "')");
     if (params_.admission.maxQueueDepth < 0) {
         fatal("TierParams::admission.maxQueueDepth must be >= 0 (0 = "
               "off), got ",

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/simulator.hh"
 
 namespace tpv {
@@ -43,15 +45,34 @@ TEST(Machine, TopologyWithSmt)
 
 TEST(Machine, GlobalThreadIndexingMatchesLinuxSiblingOrder)
 {
-    Simulator sim;
-    HwConfig cfg = basicConfig();
-    cfg.smt = true;
-    Machine m(sim, cfg);
-    // 0..3 are thread 0 of cores 0..3; 4..7 are the siblings.
-    EXPECT_EQ(&m.thread(0), &m.core(0).thread(0));
-    EXPECT_EQ(&m.thread(3), &m.core(3).thread(0));
-    EXPECT_EQ(&m.thread(4), &m.core(0).thread(1));
-    EXPECT_EQ(&m.thread(7), &m.core(3).thread(1));
+    // Index i is thread i / cores of core i % cores: 0..cores-1 are
+    // thread 0 of each core, cores..2*cores-1 the SMT siblings.
+    for (const bool smt : {false, true}) {
+        Simulator sim;
+        HwConfig cfg = basicConfig();
+        cfg.smt = smt;
+        Machine m(sim, cfg);
+        ASSERT_EQ(m.threadCount(), m.coreCount() * (smt ? 2 : 1));
+        for (std::size_t i = 0; i < m.threadCount(); ++i) {
+            EXPECT_EQ(&m.thread(i),
+                      &m.core(i % m.coreCount())
+                           .thread(static_cast<int>(i / m.coreCount())))
+                << "smt=" << smt << " index " << i;
+        }
+    }
+}
+
+TEST(MachineDeathTest, RejectsThreadIndexOutOfRange)
+{
+    for (const bool smt : {false, true}) {
+        Simulator sim;
+        HwConfig cfg = basicConfig();
+        cfg.smt = smt;
+        Machine m(sim, cfg);
+        EXPECT_DEATH(m.thread(m.threadCount()),
+                     "thread index out of range: " +
+                         std::to_string(m.threadCount()));
+    }
 }
 
 TEST(Machine, ActiveCoresSettleToZero)

@@ -142,6 +142,14 @@ TEST(SocialNetwork, CountsRequestsOncePerEntry)
     EXPECT_EQ(rig.app.stats().responsesSent, 3u);
 }
 
+TEST(SocialNetworkDeathTest, RejectsEmptyStages)
+{
+    SocialNetworkParams p = deterministicParams();
+    p.stages.clear();
+    EXPECT_EXIT(Rig{p}, ::testing::ExitedWithCode(1),
+                "SocialNetworkParams::stages must not be empty");
+}
+
 } // namespace
 } // namespace svc
 } // namespace tpv

@@ -506,6 +506,36 @@ TEST(TierDeathTest, RejectsNegativeMaxQueueDepth)
                 "TierParams::admission.maxQueueDepth .*got -1");
 }
 
+TEST(TierDeathTest, RejectsAnEmptyHostList)
+{
+    Simulator sim;
+    net::Link reply(sim, Rng(1));
+    ClientSink client(sim);
+    ServiceGraph graph(sim, reply, client, Rng(3));
+    TierParams t;
+    t.name = "orphan";
+    t.work = fixedWork(usec(10));
+    EXPECT_EXIT(Tier(graph, std::vector<hw::Machine *>{}, std::move(t)),
+                ::testing::ExitedWithCode(1),
+                "Tier hosts must hold at least one machine "
+                "\\(tier 'orphan'\\)");
+}
+
+TEST(TierDeathTest, RejectsAnUnsetWorkModel)
+{
+    Simulator sim;
+    net::Link reply(sim, Rng(1));
+    ClientSink client(sim);
+    ServiceGraph graph(sim, reply, client, Rng(3));
+    hw::Machine &host =
+        graph.addMachine(hw::HwConfig::serverBaseline(), "idle");
+    TierParams t;
+    t.name = "idle";
+    EXPECT_EXIT(graph.addTier(host, std::move(t)),
+                ::testing::ExitedWithCode(1),
+                "TierParams::work must be set \\(tier 'idle'\\)");
+}
+
 } // namespace
 } // namespace svc
 } // namespace tpv
