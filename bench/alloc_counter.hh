@@ -7,11 +7,10 @@
  *
  * Include from exactly ONE translation unit per binary — the
  * operator new/delete definitions are global replacements, not
- * inline functions. (bench/hotpath.cc and bench/micro_substrate.cc
- * are separate binaries, so each includes its own copy.) GCC's
- * mismatched-new-delete heuristic cannot see through the replacement
- * and flags the matched malloc/free pair; the including targets
- * compile with -Wno-mismatched-new-delete for that false positive.
+ * inline functions. GCC's mismatched-new-delete heuristic cannot see
+ * through the replacement and flags the matched malloc/free pair;
+ * the including target compiles with -Wno-mismatched-new-delete for
+ * that false positive.
  */
 
 #ifndef TPV_BENCH_ALLOC_COUNTER_HH

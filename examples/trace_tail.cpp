@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/experiment.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "svc/topology.hh"
 
@@ -44,19 +43,15 @@ main(int argc, char **argv)
     cfg.obs.trace = true;
     cfg.obs.sampleEveryN = 16; // sparse head sampling for the JSON...
     cfg.obs.tailN = 5;         // ...but the 5 slowest always survive
-    cfg.obs.metricsPeriod = msec(1);
 
     std::vector<obs::TraceRecorder::TailRoot> tail;
     std::string json;
-    std::string metricsCsv;
     std::uint64_t recorded = 0;
     cfg.obs.sink = [&](const obs::TraceRecorder *tr,
-                       const obs::MetricsRegistry *m) {
+                       const obs::MetricsRegistry *) {
         tail = tr->slowestRoots(5);
         json = tr->exportJson();
         recorded = tr->recorded();
-        if (m != nullptr)
-            metricsCsv = m->csv();
     };
 
     const core::RunResult r = core::runOnce(cfg);
@@ -118,15 +113,5 @@ main(int argc, char **argv)
     std::printf("wrote %s (%zu bytes) — load it in "
                 "https://ui.perfetto.dev\n",
                 path.c_str(), json.size());
-    if (!metricsCsv.empty()) {
-        std::printf("timeline metrics: %zu bytes of CSV (first line: ",
-                    metricsCsv.size());
-        const auto nl = metricsCsv.find('\n');
-        std::printf("%s)\n",
-                    metricsCsv.substr(0, nl == std::string::npos
-                                             ? metricsCsv.size()
-                                             : nl)
-                        .c_str());
-    }
     return 0;
 }

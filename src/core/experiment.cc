@@ -5,7 +5,6 @@
 #include <tuple>
 
 #include "loadgen/openloop.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
@@ -42,7 +41,7 @@ ExperimentConfig::forMemcached(double qps)
     cfg.gen.completion = loadgen::CompletionMode::Blocking;
     cfg.gen.measure = loadgen::MeasurePoint::InApp;
     // ETC request model: mostly GETs, GEV-sized keys.
-    const svc::EtcModel etc = cfg.memcached.etc;
+    const svc::KeyspaceModel etc = cfg.memcached.etc;
     cfg.gen.requestModel = [etc](Rng &rng, net::Message &req) {
         const svc::MemcachedOp op = etc.sampleOp(rng);
         req.kind = static_cast<std::uint8_t>(op);
@@ -137,7 +136,7 @@ applyCacheShape(ExperimentConfig &cfg, const svc::CacheShape &shape)
     // one, plus the Zipf rank on the wire; SET values are a property
     // of the key (valueBytesForKey) so the cache, the backing store
     // and the generator agree on every key's size.
-    const svc::EtcModel etc = cfg.memcached.etc;
+    const svc::KeyspaceModel etc = cfg.memcached.etc;
     const svc::ZipfSampler zipf(shape.keys, shape.skew);
     cfg.gen.requestModel = [etc, zipf](Rng &rng, net::Message &req) {
         const svc::MemcachedOp op = etc.sampleOp(rng);
@@ -207,10 +206,12 @@ runOnce(const ExperimentConfig &cfg)
     };
     switch (cfg.workload) {
       case WorkloadKind::Memcached:
-        if (cfg.memcached.shards > 1 || cfg.memcached.replicas > 1 ||
+        if (cfg.memcached.shards != 1 || cfg.memcached.replicas != 1 ||
             cfg.memcached.cache.enabled()) {
             // Widened (or keyed finite-cache) shape: the
-            // key-hash-routed cluster.
+            // key-hash-routed cluster, which fatal()s on a shard or
+            // replica count below 1 and without a cache shape (it
+            // routes on the key).
             adopt(std::make_unique<svc::MemcachedCluster>(
                 sim, cfg.server, serverToClient, gen, rootRng.fork(),
                 cfg.memcached));
@@ -245,10 +246,8 @@ runOnce(const ExperimentConfig &cfg)
     // Flight recorder. The client links' wire spans are hooked here
     // (the graph owns only its internal links).
     std::unique_ptr<obs::TraceRecorder> trace;
-    std::unique_ptr<obs::MetricsRegistry> metrics;
     if (cfg.obs.trace) {
-        trace = std::make_unique<obs::TraceRecorder>(
-            cfg.obs.traceConfig(), cfg.seed);
+        trace = std::make_unique<obs::TraceRecorder>(cfg.obs, cfg.seed);
         serviceGraph->setTrace(trace.get());
         auto wireObs = [&sim, tr = trace.get()](const net::Message &m,
                                                 Time delay) {
@@ -265,12 +264,6 @@ runOnce(const ExperimentConfig &cfg)
     const Time drain = msec(50);
     const Time horizon = gen.windowEnd() + drain;
 
-    if (cfg.obs.metricsPeriod > 0) {
-        metrics = std::make_unique<obs::MetricsRegistry>();
-        serviceGraph->registerMetrics(*metrics);
-        metrics->arm(sim, cfg.obs.metricsPeriod, horizon);
-    }
-
     // Fault injection: armed only for a non-empty plan, so healthy
     // runs schedule no extra events and stay bit-identical to
     // pre-fault builds. The injector outlives runUntil() — its
@@ -286,7 +279,7 @@ runOnce(const ExperimentConfig &cfg)
 
     // Export hook: fires once per completed run.
     if (cfg.obs.sink)
-        cfg.obs.sink(trace.get(), metrics.get());
+        cfg.obs.sink(trace.get(), nullptr);
 
     RunResult out;
     std::tie(out.latency, out.sendLateness) =

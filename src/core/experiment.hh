@@ -68,11 +68,11 @@ struct ExperimentConfig
      */
     Time sloLatency = 0;
     /**
-     * Flight-recorder knobs: per-request span tracing and periodic
-     * timeline metrics, exported through obs.sink at the end of the
-     * run. Everything defaults off — an untouched ObsOptions records
-     * nothing, allocates nothing on the event path, and leaves the
-     * run bit-identical to pre-obs builds.
+     * Flight-recorder knobs: per-request span tracing, exported
+     * through obs.sink at the end of the run. Everything defaults
+     * off — an untouched ObsOptions records nothing, allocates
+     * nothing on the event path, and leaves the run bit-identical to
+     * pre-obs builds.
      */
     obs::ObsOptions obs;
     std::uint64_t seed = 1;
@@ -106,8 +106,9 @@ struct ExperimentConfig
  * hedge delay and hedging policy land on the workload's
  * scatter-gather parameters — the HDSearch fan-out and the sharded
  * Memcached cluster (which is selected whenever the shape widens
- * beyond 1 shard x 1 replica). Sweep this axis with
- * core::sweep<TopologyAxis>().
+ * beyond 1 shard x 1 replica, and then needs a cache shape: with
+ * shape.cache disabled, set one through applyCacheShape, or the run
+ * fatal()s). Sweep this axis with core::sweep<TopologyAxis>().
  */
 void applyTopology(ExperimentConfig &cfg,
                    const svc::TopologyShape &shape);
@@ -127,8 +128,9 @@ void applyTrafficPolicy(ExperimentConfig &cfg,
  * selects whenever a cache is enabled) and, for the Memcached
  * workload, the generator's request model is re-bound to the keyed
  * one — every request draws a Zipf rank over shape.keys and carries
- * it in Message::key. A disabled shape leaves the historical unkeyed
- * model in place. Sweep this axis with core::sweep<CacheAxis>().
+ * it in Message::key. A disabled shape leaves the unkeyed model of
+ * the single-tier server in place. Sweep this axis with
+ * core::sweep<CacheAxis>().
  */
 void applyCacheShape(ExperimentConfig &cfg,
                      const svc::CacheShape &shape);

@@ -130,22 +130,23 @@ TraceRecorder::OpenKeyHash::operator()(const OpenKey &k) const
     return static_cast<std::size_t>(h);
 }
 
-TraceRecorder::TraceRecorder(const TraceConfig &cfg, std::uint64_t seed)
-    : cfg_(cfg), seedMix_(mix64(seed))
+TraceRecorder::TraceRecorder(const ObsOptions &opts, std::uint64_t seed)
+    : sampleEveryN_(opts.sampleEveryN), tailN_(opts.tailN),
+      maxSpans_(opts.maxSpans), seedMix_(mix64(seed))
 {
     // Pre-size the slab (fixed-size records, geometric growth only up
     // to the cap) and the open table, so steady-state recording
     // touches the allocator rarely and predictably.
-    spans_.reserve(std::min<std::size_t>(cfg_.maxSpans, 1u << 15));
+    spans_.reserve(std::min<std::size_t>(maxSpans_, 1u << 15));
     open_.reserve(1024);
 }
 
 bool
 TraceRecorder::sampled(std::uint64_t rootId) const
 {
-    if (cfg_.sampleEveryN <= 1)
+    if (sampleEveryN_ <= 1)
         return true;
-    return mix64(rootId ^ seedMix_) % cfg_.sampleEveryN == 0;
+    return mix64(rootId ^ seedMix_) % sampleEveryN_ == 0;
 }
 
 void
@@ -153,10 +154,10 @@ TraceRecorder::record(SpanKind kind, Time start, Time end,
                       std::uint64_t rootId, SpanSite site,
                       std::uint32_t arg)
 {
-    if (spans_.size() >= cfg_.maxSpans) {
+    if (spans_.size() >= maxSpans_) {
         if (!truncated_) {
             truncated_ = true;
-            warn("trace slab full (", cfg_.maxSpans,
+            warn("trace slab full (", maxSpans_,
                  " spans); further spans dropped");
         }
         return;
@@ -219,7 +220,7 @@ TraceRecorder::exportSpans() const
     // export regardless of sampling. Selected here — offline — from
     // the Root spans themselves, so the run pays no ring bookkeeping.
     std::unordered_set<std::uint64_t> tail;
-    if (cfg_.tailN > 0) {
+    if (tailN_ > 0) {
         std::vector<const SpanRecord *> roots;
         for (const SpanRecord &s : spans_) {
             if (s.kind == SpanKind::Root)
@@ -234,7 +235,7 @@ TraceRecorder::exportSpans() const
                       return a->rootId < b->rootId;
                   });
         const std::size_t n = std::min<std::size_t>(
-            roots.size(), static_cast<std::size_t>(cfg_.tailN));
+            roots.size(), static_cast<std::size_t>(tailN_));
         for (std::size_t i = 0; i < n; ++i)
             tail.insert(roots[i]->rootId);
     }

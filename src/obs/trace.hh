@@ -37,6 +37,8 @@
 namespace tpv {
 namespace obs {
 
+/** Never defined: the type of ObsOptions::sink's always-null second
+ *  argument. */
 class MetricsRegistry;
 class TraceRecorder;
 
@@ -113,9 +115,15 @@ struct SpanSite
     bool operator==(const SpanSite &) const = default;
 };
 
-/** Recorder knobs (the trace part of ObsOptions). */
-struct TraceConfig
+/**
+ * Observability knobs of one run, carried by core::ExperimentConfig.
+ * Everything defaults off: an ObsOptions-free run records nothing,
+ * allocates nothing, and stays bit-identical to pre-obs builds.
+ */
+struct ObsOptions
 {
+    /** Enable span recording. */
+    bool trace = false;
     /** Head-based sampling: record roots whose seeded hash lands on
      *  0 mod N (<= 1 records every root). */
     std::uint32_t sampleEveryN = 1;
@@ -128,41 +136,14 @@ struct TraceConfig
     /** Span cap; the slab stops growing past it and the recorder
      *  reports truncated(). */
     std::size_t maxSpans = std::size_t(1) << 20;
-};
-
-/**
- * Observability knobs of one run, carried by core::ExperimentConfig.
- * Everything defaults off: an ObsOptions-free run records nothing,
- * allocates nothing, and stays bit-identical to pre-obs builds.
- */
-struct ObsOptions
-{
-    /** Enable span recording. */
-    bool trace = false;
-    std::uint32_t sampleEveryN = 1;
-    int tailN = 0;
-    std::size_t maxSpans = std::size_t(1) << 20;
-    /** Timeline-metrics sampling period; 0 disables metrics. */
-    Time metricsPeriod = 0;
     /**
      * Called at the end of the run, before teardown, with the run's
-     * recorder and registry (null for whichever is disabled) — the
-     * hook tests and examples use to export.
+     * recorder (null when tracing is off) — the hook tests and
+     * examples use to export. The second argument is always null; it
+     * stays so that existing two-argument sinks keep compiling.
      */
     std::function<void(const TraceRecorder *, const MetricsRegistry *)>
         sink;
-
-    bool any() const { return trace || metricsPeriod > 0; }
-
-    TraceConfig
-    traceConfig() const
-    {
-        TraceConfig t;
-        t.sampleEveryN = sampleEveryN;
-        t.tailN = tailN;
-        t.maxSpans = maxSpans;
-        return t;
-    }
 };
 
 /**
@@ -197,10 +178,10 @@ class TraceRecorder
     };
 
     /**
-     * @param cfg sampling/tail/cap knobs; @p seed the run seed (the
-     * sampling hash mixes it).
+     * @param opts sampling/tail/cap knobs (sampleEveryN, tailN,
+     * maxSpans); @p seed the run seed (the sampling hash mixes it).
      */
-    TraceRecorder(const TraceConfig &cfg, std::uint64_t seed);
+    TraceRecorder(const ObsOptions &opts, std::uint64_t seed);
 
     /** Is @p rootId head-sampled? Pure function of (seed, rootId). */
     bool sampled(std::uint64_t rootId) const;
@@ -213,7 +194,7 @@ class TraceRecorder
     bool
     wants(std::uint64_t rootId) const
     {
-        return cfg_.tailN > 0 || sampled(rootId);
+        return tailN_ > 0 || sampled(rootId);
     }
 
     /**
@@ -265,8 +246,6 @@ class TraceRecorder
     /** True when the slab hit maxSpans and dropped spans. */
     bool truncated() const { return truncated_; }
 
-    const TraceConfig &config() const { return cfg_; }
-
     /**
      * The export set: spans of sampled roots, of the tailN slowest
      * completed roots, and global markers — canonically ordered by
@@ -298,7 +277,9 @@ class TraceRecorder
     void record(SpanKind kind, Time start, Time end, std::uint64_t rootId,
                 SpanSite site, std::uint32_t arg);
 
-    TraceConfig cfg_;
+    std::uint32_t sampleEveryN_ = 1;
+    int tailN_ = 0;
+    std::size_t maxSpans_ = 0;
     std::uint64_t seedMix_ = 0;
     std::vector<SpanRecord> spans_;
     std::unordered_map<OpenKey, OpenValue, OpenKeyHash> open_;

@@ -23,6 +23,10 @@ HdSearchCluster::HdSearchCluster(Simulator &sim,
         fatal("HdSearchParams::replicas must be >= 1, got ",
               params_.replicas);
     }
+    requireNonNegative("HdSearchParams::midPreWork", params_.midPreWork);
+    requireNonNegative("HdSearchParams::midMergeWork",
+                       params_.midMergeWork);
+    requireNonNegative("HdSearchParams::midPostWork", params_.midPostWork);
 
     hw::Machine &mid = graph_.addMachine(serverCfg, "hds-midtier");
 
@@ -41,7 +45,9 @@ HdSearchCluster::HdSearchCluster(Simulator &sim,
     TierParams bktP;
     bktP.name = "hds-bucket";
     bktP.workers = params_.bucketWorkers;
-    bktP.work = lognormalWork(params_.bucketMean, params_.bucketSd);
+    bktP.work = lognormalWork(params_.bucketMean, params_.bucketSd,
+                              "HdSearchParams::bucketMean",
+                              "HdSearchParams::bucketSd");
     bktP.requestBytes = params_.subRequestBytes;
     bktP.responseBytes = params_.subResponseBytes;
     bktP.admission = params_.traffic.admission;

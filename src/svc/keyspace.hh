@@ -10,8 +10,7 @@
  * to a slow backing store.
  *
  * KeyspaceModel is the single keyed-workload interface shared by the
- * ETC generator, the cache tier and (eventually) the trace replayer;
- * EtcModel remains as a compatibility alias over it.
+ * ETC generator, the cache tier and (eventually) the trace replayer.
  */
 
 #ifndef TPV_SVC_KEYSPACE_HH
@@ -73,9 +72,8 @@ class ZipfSampler
 
 /**
  * The keyed memcached workload: ETC size/op fits plus Zipf key
- * popularity. With keys == 0 (the default) the model is unkeyed and
- * behaves exactly as the historical EtcModel — sizes and ops only —
- * so every existing configuration is untouched.
+ * popularity. With keys == 0 (the default) the model is unkeyed —
+ * sizes and ops only — which is what the single-tier server uses.
  */
 struct KeyspaceModel
 {
@@ -119,9 +117,6 @@ struct KeyspaceModel
      */
     std::uint32_t valueBytesForKey(std::uint64_t key) const;
 };
-
-/** Historical name: the ETC fits, now with popularity knobs. */
-using EtcModel = KeyspaceModel;
 
 } // namespace svc
 } // namespace tpv

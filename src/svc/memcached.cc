@@ -1,11 +1,8 @@
 #include "svc/memcached.hh"
 
-#include <algorithm>
 #include <cmath>
-#include <memory>
 #include <utility>
 
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
 
@@ -24,51 +21,21 @@ constexpr std::uint8_t kMissFlag = 0x80;
 
 /**
  * The lognormal base-time distribution of the memcached work model,
- * built once per server or cache tier.
+ * built once per server or cache tier; fatal() naming the field on a
+ * base-time, per-byte or SET knob that would panic mid-run.
  */
 Rng::Lognormal
 baseWorkModel(const MemcachedParams &p)
 {
-    if (p.serviceTimeSd < 0) {
-        fatal("MemcachedParams::serviceTimeSd must be >= 0, got ",
-              p.serviceTimeSd);
+    if (!std::isfinite(p.nsPerValueByte) || p.nsPerValueByte < 0) {
+        fatal("MemcachedParams::nsPerValueByte must be finite and >= 0, "
+              "got ",
+              p.nsPerValueByte);
     }
-    return Rng::Lognormal(static_cast<double>(p.baseServiceTime),
-                          static_cast<double>(p.serviceTimeSd));
-}
-
-/**
- * The memcached work model shared by the single-tier server and the
- * sharded cluster's cache tier, so the two deployments stay provably
- * identical: lognormal base time (@p base, from baseWorkModel()) plus
- * a per-byte cost of the ETC-sampled value (stored through
- * @p valueBytes for the response size), SETs paying the store/LRU
- * extra.
- */
-Time
-etcServiceWork(const MemcachedParams &p, const Rng::Lognormal &base,
-               const net::Message &req, std::uint32_t *valueBytes, Rng &rng)
-{
-    Time work = static_cast<Time>(rng.lognormal(base));
-
-    // The value is sampled at service time: GETs pay to read and copy
-    // it into the response; SETs pay to store it plus bookkeeping.
-    *valueBytes = p.etc.sampleValueBytes(rng);
-    work += static_cast<Time>(p.nsPerValueByte *
-                              static_cast<double>(*valueBytes));
-    if (static_cast<MemcachedOp>(req.kind) == MemcachedOp::Set)
-        work += p.setExtraTime;
-    return work;
-}
-
-/** Response size matching etcServiceWork's sampled value. */
-std::uint32_t
-etcResponseBytes(const MemcachedParams &p, const net::Message &req,
-                 std::uint32_t valueBytes)
-{
-    if (static_cast<MemcachedOp>(req.kind) == MemcachedOp::Get)
-        return p.responseOverhead + valueBytes;
-    return p.responseOverhead; // SET: status only
+    requireNonNegative("MemcachedParams::setExtraTime", p.setExtraTime);
+    return lognormalModel(p.baseServiceTime, p.serviceTimeSd,
+                          "MemcachedParams::baseServiceTime",
+                          "MemcachedParams::serviceTimeSd");
 }
 
 } // namespace
@@ -86,22 +53,32 @@ MemcachedServer::MemcachedServer(Simulator &sim, hw::Machine &machine,
 Time
 MemcachedServer::serviceWork(const net::Message &req, Rng &rng)
 {
-    return etcServiceWork(params_, baseWork_, req, &lastValueBytes_, rng);
+    Time work = static_cast<Time>(rng.lognormal(baseWork_));
+
+    // The value is sampled at service time: GETs pay to read and copy
+    // it into the response; SETs pay to store it plus bookkeeping.
+    lastValueBytes_ = params_.etc.sampleValueBytes(rng);
+    work += static_cast<Time>(params_.nsPerValueByte *
+                              static_cast<double>(lastValueBytes_));
+    if (static_cast<MemcachedOp>(req.kind) == MemcachedOp::Set)
+        work += params_.setExtraTime;
+    return work;
 }
 
 std::uint32_t
 MemcachedServer::responseBytes(const net::Message &req, Rng &rng)
 {
     (void)rng;
-    return etcResponseBytes(params_, req, lastValueBytes_);
+    if (static_cast<MemcachedOp>(req.kind) == MemcachedOp::Get)
+        return params_.responseOverhead + lastValueBytes_;
+    return params_.responseOverhead; // SET: status only
 }
 
 int
-MemcachedCluster::shardOf(std::uint64_t id, int shards)
+MemcachedCluster::shardOf(std::uint64_t key, int shards)
 {
-    // SplitMix64 finaliser: the id stands in for the key, so the
-    // shard choice is uniform and deterministic per request.
-    std::uint64_t h = id + 0x9e3779b97f4a7c15ULL;
+    // SplitMix64 finaliser: uniform and deterministic per key.
+    std::uint64_t h = key + 0x9e3779b97f4a7c15ULL;
     h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
     h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
     h ^= h >> 31;
@@ -125,6 +102,15 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
               params_.replicas);
     }
     params_.cache.validate();
+    if (!params_.cache.enabled()) {
+        fatal("MemcachedParams::shards = ", params_.shards,
+              " / replicas = ", params_.replicas,
+              " need a cache shape (CacheShape::keys > 0): the cluster "
+              "routes on the key");
+    }
+    requireNonNegative("MemcachedParams::routerWork", params_.routerWork);
+    requireNonNegative("MemcachedParams::routerMergeWork",
+                       params_.routerMergeWork);
 
     // mcrouter-style proxy: fixed parse + key-hash cost, not scaled
     // by the environment factor (protocol work, not data work).
@@ -136,10 +122,12 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
     router_ = &graph_.addTier(graph_.addMachine(serverCfg, "mc-router"),
                               std::move(routerP));
 
-    // The cache tier mirrors MemcachedServer's work model: lognormal
-    // base time plus a per-byte cost of the value, SETs paying the
-    // store/LRU extra.
-    const bool keyed = params_.cache.enabled();
+    // The cache tier: the request's Zipf rank is looked up in the
+    // shard's finite cache. A hit pays MemcachedServer's base time
+    // plus the value-copy cost and stashes the stored value size in
+    // the message's byte count for the response hook; a miss marks
+    // the opcode so the completion handler cascades to the backing
+    // store instead of replying. SETs store through the cache.
     const MemcachedParams p = params_;
     const Rng::Lognormal baseWork = baseWorkModel(p);
     TierParams cacheP;
@@ -147,80 +135,57 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
     cacheP.workers = p.workers;
     cacheP.requestBytes = p.subRequestBytes;
     cacheP.admission = params_.traffic.admission;
-    if (!keyed) {
-        // Unkeyed (historical) shape: an infinite cache — the value
-        // is ETC-sampled at service time and shared with the
-        // response-size hook, like the single-tier server's
-        // lastValueBytes_.
-        auto lastValue = std::make_shared<std::uint32_t>(0);
-        cacheP.work = [p, baseWork, lastValue](const net::Message &req,
-                                               Rng &r) {
-            return etcServiceWork(p, baseWork, req, lastValue.get(), r);
-        };
-        cacheP.responseBytesFn = [p, lastValue](const net::Message &req,
-                                                Rng &) {
-            return etcResponseBytes(p, req, *lastValue);
-        };
-    } else {
-        // Keyed shape: the request's Zipf rank is looked up in the
-        // shard's finite cache. A hit pays the value-copy cost and
-        // stashes the stored value size in the message's byte count
-        // for the response hook; a miss marks the opcode so the
-        // completion handler cascades to the backing store instead
-        // of replying. SETs store through the cache.
-        cacheP.work = [this, p, baseWork](net::Message &req, Rng &r) {
-            auto work = static_cast<Time>(r.lognormal(baseWork));
-            CacheModel &c = cacheFor(req);
-            ServiceStats &s = graph_.mutableStats();
-            TierBreakdown &tb = s.tiers[static_cast<std::size_t>(
-                cache_->tierIndex())];
-            if (static_cast<MemcachedOp>(req.kind) == MemcachedOp::Get) {
-                const CacheModel::Result res = c.get(req.key);
-                if (res.hit) {
-                    ++s.cacheHits;
-                    ++tb.cacheHits;
-                    req.bytes = res.valueBytes;
-                    work += static_cast<Time>(
-                        p.nsPerValueByte *
-                        static_cast<double>(res.valueBytes));
-                    if (obs::TraceRecorder *tr = graph_.trace()) {
-                        tr->instant(obs::SpanKind::CacheHit,
-                                    graph_.sim().now(), localRoot(req),
-                                    {cache_->tierIndex(), req.shard,
-                                     req.replica},
-                                    res.valueBytes);
-                    }
-                } else {
-                    ++s.cacheMisses;
-                    ++tb.cacheMisses;
-                    req.kind |= kMissFlag;
-                    if (obs::TraceRecorder *tr = graph_.trace()) {
-                        tr->instant(obs::SpanKind::CacheMiss,
-                                    graph_.sim().now(), localRoot(req),
-                                    {cache_->tierIndex(), req.shard,
-                                     req.replica},
-                                    req.key);
-                    }
+    cacheP.work = [this, p, baseWork](net::Message &req, Rng &r) {
+        auto work = static_cast<Time>(r.lognormal(baseWork));
+        CacheModel &c = cacheFor(req);
+        ServiceStats &s = graph_.mutableStats();
+        TierBreakdown &tb =
+            s.tiers[static_cast<std::size_t>(cache_->tierIndex())];
+        if (static_cast<MemcachedOp>(req.kind) == MemcachedOp::Get) {
+            const CacheModel::Result res = c.get(req.key);
+            if (res.hit) {
+                ++s.cacheHits;
+                ++tb.cacheHits;
+                req.bytes = res.valueBytes;
+                work += static_cast<Time>(
+                    p.nsPerValueByte * static_cast<double>(res.valueBytes));
+                if (obs::TraceRecorder *tr = graph_.trace()) {
+                    tr->instant(obs::SpanKind::CacheHit, graph_.sim().now(),
+                                localRoot(req),
+                                {cache_->tierIndex(), req.shard,
+                                 req.replica},
+                                res.valueBytes);
                 }
             } else {
-                const std::uint32_t v = p.etc.valueBytesForKey(req.key);
-                s.cacheEvictions += c.put(req.key, v);
-                req.bytes = v;
-                work += static_cast<Time>(
-                            p.nsPerValueByte * static_cast<double>(v)) +
-                        p.setExtraTime;
+                ++s.cacheMisses;
+                ++tb.cacheMisses;
+                req.kind |= kMissFlag;
+                if (obs::TraceRecorder *tr = graph_.trace()) {
+                    tr->instant(obs::SpanKind::CacheMiss, graph_.sim().now(),
+                                localRoot(req),
+                                {cache_->tierIndex(), req.shard,
+                                 req.replica},
+                                req.key);
+                }
             }
-            return work;
-        };
-        cacheP.responseBytesFn = [p](const net::Message &req, Rng &) {
-            const auto op = static_cast<MemcachedOp>(
-                req.kind & static_cast<std::uint8_t>(~kMissFlag));
-            if (op == MemcachedOp::Get)
-                return p.responseOverhead + req.bytes;
-            return p.responseOverhead; // SET: status only
-        };
-        cacheP.trackShards = params_.shards;
-    }
+        } else {
+            const std::uint32_t v = p.etc.valueBytesForKey(req.key);
+            s.cacheEvictions += c.put(req.key, v);
+            req.bytes = v;
+            work += static_cast<Time>(p.nsPerValueByte *
+                                      static_cast<double>(v)) +
+                    p.setExtraTime;
+        }
+        return work;
+    };
+    cacheP.responseBytesFn = [p](const net::Message &req, Rng &) {
+        const auto op = static_cast<MemcachedOp>(
+            req.kind & static_cast<std::uint8_t>(~kMissFlag));
+        if (op == MemcachedOp::Get)
+            return p.responseOverhead + req.bytes;
+        return p.responseOverhead; // SET: status only
+    };
+    cacheP.trackShards = params_.shards;
     cache_ = &graph_.addReplicatedTier(serverCfg, params_.replicas,
                                        std::move(cacheP));
 
@@ -229,19 +194,12 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
     f.replicas = params_.replicas;
     f.hedgeDelay = params_.hedgeDelay;
     f.policy = params_.hedgePolicy;
-    if (keyed) {
-        // The key on the wire is the routing input, and shards pin to
-        // replicas so a shard's working set lives in one cache.
-        f.route = [shards = params_.shards](const net::Message &req) {
-            return shardOf(req.key, shards);
-        };
-        f.pinShardToReplica = true;
-        f.propagateKey = true;
-    } else {
-        f.route = [shards = params_.shards](const net::Message &req) {
-            return shardOf(req.id, shards);
-        };
-    }
+    // The key on the wire is the routing input (routing also pins
+    // shards to replicas, so a shard's working set lives in one
+    // cache).
+    f.route = [shards = params_.shards](const net::Message &req) {
+        return shardOf(req.key, shards);
+    };
     f.mergeWork = params_.routerMergeWork;
     f.postWork = 0;
     f.link = params_.interLink;
@@ -262,122 +220,99 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
         [this](const net::Message &req, Time) { fanout_->scatter(req); });
     graph_.setEntry(*router_);
 
-    if (keyed) {
-        // Backing store: one slow tier behind every cache shard's
-        // misses, reached through a second route-one fan-out so link
-        // delay, queueing and fault machinery apply to the detour.
-        TierParams storeP;
-        storeP.name = "mc-store";
-        storeP.workers = params_.storeWorkers;
-        storeP.work = lognormalWork(params_.storeTime,
-                                    params_.storeTimeSd);
-        storeP.requestBytes = params_.subRequestBytes;
-        storeP.responseBytesFn = [p](const net::Message &req, Rng &) {
-            return p.responseOverhead + p.etc.valueBytesForKey(req.key);
-        };
-        store_ = &graph_.addTier(
-            graph_.addMachine(serverCfg, "mc-store"), std::move(storeP));
+    // Backing store: one slow tier behind every cache shard's
+    // misses, reached through a second route-one fan-out so link
+    // delay, queueing and fault machinery apply to the detour.
+    TierParams storeP;
+    storeP.name = "mc-store";
+    storeP.workers = params_.storeWorkers;
+    storeP.work = lognormalWork(params_.storeTime, params_.storeTimeSd,
+                                "MemcachedParams::storeTime",
+                                "MemcachedParams::storeTimeSd");
+    storeP.requestBytes = params_.subRequestBytes;
+    storeP.responseBytesFn = [p](const net::Message &req, Rng &) {
+        return p.responseOverhead + p.etc.valueBytesForKey(req.key);
+    };
+    store_ = &graph_.addTier(
+        graph_.addMachine(serverCfg, "mc-store"), std::move(storeP));
 
-        FanoutParams fs;
-        fs.shards = 1;
-        fs.replicas = 1;
-        fs.route = [](const net::Message &) { return 0; };
-        fs.propagateKey = true;
-        fs.mergeWork = 0;
-        // The returning fill pays the SET-side bookkeeping on the
-        // cache tier before the reply continues to the router.
-        fs.postWork = params_.setExtraTime;
-        fs.link = params_.storeLink;
-        storeFanout_ = &graph_.addFanout(
-            *cache_, *store_, fs, [this](const net::Message &req) {
-                // The store answered: fill the cache and re-enter the
-                // router fan-out's merge path as a (now slow) cache
-                // reply. The cache's own lookup work rode along in
-                // serviceWork.
-                net::Message m = req;
-                m.kind = static_cast<std::uint8_t>(
-                    m.kind & static_cast<std::uint8_t>(~kMissFlag));
-                const std::uint32_t v =
-                    params_.etc.valueBytesForKey(m.key);
-                ServiceStats &s = graph_.mutableStats();
-                ++s.cacheFills;
-                s.cacheEvictions += cacheFor(m).put(m.key, v);
-                m.bytes = v;
-                if (obs::TraceRecorder *tr = graph_.trace()) {
-                    tr->instant(obs::SpanKind::CacheFill, graph_.sim().now(),
-                                localRoot(m),
-                                {cache_->tierIndex(), m.shard, m.replica}, v);
-                }
-                fanout_->replyFromChild(
-                    m, static_cast<Time>(m.serviceWork));
-            });
-
-        // The cache tier's completion: reply on a hit or a SET,
-        // cascade to the store on a miss. Installed after the store
-        // fan-out exists (it replaced the router fan-out's default).
-        cache_->setHandler([this](const net::Message &msg, Time work) {
-            if ((msg.kind & kMissFlag) != 0) {
-                net::Message m = msg;
-                m.serviceWork = static_cast<std::uint32_t>(work);
-                storeFanout_->scatter(m);
-                return;
+    FanoutParams fs;
+    fs.shards = 1;
+    fs.replicas = 1;
+    fs.route = [](const net::Message &) { return 0; };
+    fs.mergeWork = 0;
+    // The returning fill pays the SET-side bookkeeping on the
+    // cache tier before the reply continues to the router.
+    fs.postWork = params_.setExtraTime;
+    fs.link = params_.storeLink;
+    storeFanout_ = &graph_.addFanout(
+        *cache_, *store_, fs, [this](const net::Message &req) {
+            // The store answered: fill the cache and re-enter the
+            // router fan-out's merge path as a (now slow) cache
+            // reply. The cache's own lookup work rode along in
+            // serviceWork.
+            net::Message m = req;
+            m.kind = static_cast<std::uint8_t>(
+                m.kind & static_cast<std::uint8_t>(~kMissFlag));
+            const std::uint32_t v =
+                params_.etc.valueBytesForKey(m.key);
+            ServiceStats &s = graph_.mutableStats();
+            ++s.cacheFills;
+            s.cacheEvictions += cacheFor(m).put(m.key, v);
+            m.bytes = v;
+            if (obs::TraceRecorder *tr = graph_.trace()) {
+                tr->instant(obs::SpanKind::CacheFill, graph_.sim().now(),
+                            localRoot(m),
+                            {cache_->tierIndex(), m.shard, m.replica}, v);
             }
-            fanout_->replyFromChild(msg, work);
+            fanout_->replyFromChild(
+                m, static_cast<Time>(m.serviceWork));
         });
 
-        // One finite cache per (replica, shard), each with its own
-        // rng stream (sampled-LFU / random eviction), prewarmed with
-        // the hottest keys of its shard unless the study asks for a
-        // cold start. Replica-major order keeps construction (and
-        // the rng fork sequence) deterministic.
-        caches_.reserve(static_cast<std::size_t>(params_.replicas) *
-                        static_cast<std::size_t>(params_.shards));
-        const std::vector<std::vector<std::uint32_t>> hottest =
-            params_.cache.coldStart
-                ? std::vector<std::vector<std::uint32_t>>{}
-                : hottestPerShard();
-        const int cacheTier = cache_->tierIndex();
-        for (int r = 0; r < params_.replicas; ++r) {
-            for (int s = 0; s < params_.shards; ++s) {
-                caches_.emplace_back(params_.cache,
-                                     graph_.rng().fork());
-                if (!params_.cache.coldStart)
-                    prewarm(caches_.back(),
-                            hottest[static_cast<std::size_t>(s)]);
-                caches_.back().resetCounters();
-                // Capacity churn as global markers (rootId 0): which
-                // replica/shard evicted, not which request triggered
-                // it.
-                caches_.back().setObserver([this, cacheTier, r, s] {
-                    if (obs::TraceRecorder *tr = graph_.trace()) {
-                        const Time now = graph_.sim().now();
-                        tr->marker(obs::SpanKind::CacheEvict, now, now,
-                                   {cacheTier, s, r});
-                    }
-                });
-            }
+    // The cache tier's completion: reply on a hit or a SET,
+    // cascade to the store on a miss. Installed after the store
+    // fan-out exists (it replaced the router fan-out's default).
+    cache_->setHandler([this](const net::Message &msg, Time work) {
+        if ((msg.kind & kMissFlag) != 0) {
+            net::Message m = msg;
+            m.serviceWork = static_cast<std::uint32_t>(work);
+            storeFanout_->scatter(m);
+            return;
         }
+        fanout_->replyFromChild(msg, work);
+    });
 
-        // Per-replica cache hit rate on the metrics timeline: summed
-        // over the shards the replica owns.
-        graph_.onRegisterMetrics([this](obs::MetricsRegistry &m) {
-            for (int r = 0; r < params_.replicas; ++r) {
-                m.add("cache_hitrate.r" + std::to_string(r), [this, r]() {
-                    std::uint64_t hit = 0;
-                    std::uint64_t miss = 0;
-                    for (int s = 0; s < params_.shards; ++s) {
-                        CacheModel &c = cacheModel(r, s);
-                        hit += c.hits();
-                        miss += c.misses();
-                    }
-                    const std::uint64_t total = hit + miss;
-                    if (total == 0)
-                        return 0.0;
-                    return static_cast<double>(hit) /
-                           static_cast<double>(total);
-                });
-            }
-        });
+    // One finite cache per (replica, shard), each with its own
+    // rng stream (sampled-LFU / random eviction), prewarmed with
+    // the hottest keys of its shard unless the study asks for a
+    // cold start. Replica-major order keeps construction (and
+    // the rng fork sequence) deterministic.
+    caches_.reserve(static_cast<std::size_t>(params_.replicas) *
+                    static_cast<std::size_t>(params_.shards));
+    const std::vector<std::vector<std::uint32_t>> hottest =
+        params_.cache.coldStart
+            ? std::vector<std::vector<std::uint32_t>>{}
+            : hottestPerShard();
+    const int cacheTier = cache_->tierIndex();
+    for (int r = 0; r < params_.replicas; ++r) {
+        for (int s = 0; s < params_.shards; ++s) {
+            caches_.emplace_back(params_.cache,
+                                 graph_.rng().fork());
+            if (!params_.cache.coldStart)
+                prewarm(caches_.back(),
+                        hottest[static_cast<std::size_t>(s)]);
+            caches_.back().resetCounters();
+            // Capacity churn as global markers (rootId 0): which
+            // replica/shard evicted, not which request triggered
+            // it.
+            caches_.back().setObserver([this, cacheTier, r, s] {
+                if (obs::TraceRecorder *tr = graph_.trace()) {
+                    const Time now = graph_.sim().now();
+                    tr->marker(obs::SpanKind::CacheEvict, now, now,
+                               {cacheTier, s, r});
+                }
+            });
+        }
     }
 }
 
@@ -394,7 +329,6 @@ MemcachedCluster::cacheFor(const net::Message &msg)
 CacheModel &
 MemcachedCluster::cacheModel(int replica, int shard)
 {
-    TPV_ASSERT(!caches_.empty(), "cacheModel() needs keyed mode");
     return caches_.at(static_cast<std::size_t>(replica) *
                           static_cast<std::size_t>(params_.shards) +
                       static_cast<std::size_t>(shard));

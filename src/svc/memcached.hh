@@ -37,14 +37,14 @@ struct MemcachedParams
     std::uint32_t responseOverhead = 30;
     /** Per-run environment factor sd on service times. */
     double runVariability = 0.025;
-    EtcModel etc;
+    KeyspaceModel etc;
 
     // ---- keyed workload / finite caches (MemcachedCluster only) ----
-    // Enabling the cache shape (cache.keys > 0) keys the cluster:
-    // requests carry a Zipf rank, shard routing hashes the key, each
+    // The cluster needs a cache shape (cache.keys > 0): requests
+    // carry a Zipf rank, shard routing hashes the key, each
     // (replica, shard) pair gets a finite CacheModel, and GET misses
-    // cascade to a backing-store tier. All knobs default off, leaving
-    // the historical infinite-cache cluster byte-identical.
+    // cascade to a backing-store tier. The single-tier server ignores
+    // these knobs.
 
     /** Keyspace / capacity / eviction axis. */
     CacheShape cache{};
@@ -58,9 +58,11 @@ struct MemcachedParams
     net::Link::Params storeLink{};
 
     // ---- sharded-cluster shape (MemcachedCluster) ----
-    // The stock single-tier server is built while shards == 1 and
-    // replicas == 1; any wider shape routes through a mcrouter-style
-    // front tier that key-hashes each request to one cache shard.
+    // The stock single-tier server is built while shards == 1,
+    // replicas == 1 and the cache shape is off; any wider shape routes
+    // through a mcrouter-style front tier that key-hashes each request
+    // to one cache shard, and needs a cache shape (runOnce fatal()s
+    // without one).
 
     /** Logical key-space shards (key-hash routed, not scattered). */
     int shards = 1;
@@ -116,16 +118,15 @@ class MemcachedServer : public SingleTierServer
  * key-hashes every request to one cache shard, served by a replicated
  * cache tier through a route-one Fanout — so hedging, tied requests
  * and replica failover apply to a cache exactly as to a search
- * fan-out. In the historical (unkeyed) shape the wire model carries
- * no key, so the request id stands in for the key hash (ids are
- * uniform across the key space).
+ * fan-out.
  *
- * With params.cache enabled the cluster becomes keyed: requests
- * carry a Zipf popularity rank (Message::key), routing hashes that
- * key, every (replica, shard) pair owns a finite CacheModel, and a
- * GET that misses cascades through a second route-one Fanout to a
- * slow backing-store tier before replying — so hedging, failover and
- * traffic management compose with cache misses for free.
+ * The cluster is keyed (params.cache must be enabled, else the
+ * constructor fatal()s): requests carry a Zipf popularity rank
+ * (Message::key), routing hashes that key, every (replica, shard)
+ * pair owns a finite CacheModel, and a GET that misses cascades
+ * through a second route-one Fanout to a slow backing-store tier
+ * before replying — so hedging, failover and traffic management
+ * compose with cache misses for free.
  */
 class MemcachedCluster : public net::Endpoint
 {
@@ -157,11 +158,10 @@ class MemcachedCluster : public net::Endpoint
     /** The route-one edge (tests / diagnostics). */
     const Fanout &fanout() const { return *fanout_; }
 
-    /** Deterministic key-hash shard for a request id (unkeyed mode)
-     *  or key rank (keyed mode). */
-    static int shardOf(std::uint64_t id, int shards);
+    /** Deterministic key-hash shard of a key rank. */
+    static int shardOf(std::uint64_t key, int shards);
 
-    /** Cache model of (replica, shard); keyed mode only. */
+    /** Cache model of (replica, shard). */
     CacheModel &cacheModel(int replica, int shard);
 
   private:
@@ -182,11 +182,11 @@ class MemcachedCluster : public net::Endpoint
     Tier *router_;
     Tier *cache_;
     Fanout *fanout_;
-    /** Backing store behind cache misses (keyed mode; else null). */
+    /** Backing store behind cache misses. */
     Tier *store_ = nullptr;
     Fanout *storeFanout_ = nullptr;
     /** Finite caches, replica-major: caches_[replica * shards +
-     *  shard]. Empty in unkeyed mode. */
+     *  shard]. */
     std::vector<CacheModel> caches_;
 };
 

@@ -1,5 +1,6 @@
 #include "svc/socialnet.hh"
 
+#include <string>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -24,7 +25,10 @@ SocialNetworkApp::SocialNetworkApp(Simulator &sim,
         t.name = s.name;
         t.workers = s.workers;
         t.firstCore = s.firstCore;
-        t.work = lognormalWork(s.workMean, s.workSd);
+        const std::string stage = " of stage '" + s.name + "'";
+        t.work = lognormalWork(s.workMean, s.workSd,
+                               "SocialStage::workMean" + stage,
+                               "SocialStage::workSd" + stage);
         t.responseBytes = params_.responseBytes;
         stages_.push_back(&graph_.addTier(machine, std::move(t)));
     }

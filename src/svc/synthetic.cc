@@ -1,7 +1,5 @@
 #include "svc/synthetic.hh"
 
-#include "sim/logging.hh"
-
 namespace tpv {
 namespace svc {
 
@@ -12,13 +10,12 @@ SyntheticServer::SyntheticServer(Simulator &sim, hw::Machine &machine,
     : SingleTierServer(sim, machine, replyLink, client, params.workers,
                        rng, params.runVariability),
       params_(params),
-      baseWork_(static_cast<double>(params_.baseServiceTime),
-                static_cast<double>(params_.serviceTimeSd))
+      baseWork_(lognormalModel(params_.baseServiceTime,
+                               params_.serviceTimeSd,
+                               "SyntheticParams::baseServiceTime",
+                               "SyntheticParams::serviceTimeSd"))
 {
-    if (params_.serviceTimeSd < 0) {
-        fatal("SyntheticParams::serviceTimeSd must be >= 0, got ",
-              params_.serviceTimeSd);
-    }
+    requireNonNegative("SyntheticParams::addedDelay", params_.addedDelay);
 }
 
 Time

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
 
@@ -112,11 +111,29 @@ fixedWork(Time work)
     return [work](const net::Message &, Rng &) { return work; };
 }
 
-TierWork
-lognormalWork(Time mean, Time sd)
+void
+requireNonNegative(const std::string &field, Time value)
 {
-    const Rng::Lognormal dist(static_cast<double>(mean),
-                              static_cast<double>(sd));
+    if (value < 0)
+        fatal(field, " must be >= 0, got ", value);
+}
+
+Rng::Lognormal
+lognormalModel(Time mean, Time sd, const std::string &meanField,
+               const std::string &sdField)
+{
+    if (mean <= 0)
+        fatal(meanField, " must be > 0, got ", mean);
+    requireNonNegative(sdField, sd);
+    return Rng::Lognormal(static_cast<double>(mean),
+                          static_cast<double>(sd));
+}
+
+TierWork
+lognormalWork(Time mean, Time sd, const std::string &meanField,
+              const std::string &sdField)
+{
+    const Rng::Lognormal dist = lognormalModel(mean, sd, meanField, sdField);
     return [dist](const net::Message &, Rng &rng) {
         return static_cast<Time>(rng.lognormal(dist));
     };
@@ -526,7 +543,9 @@ Fanout::hedgeReplica(std::uint64_t id, int shard, int replicas)
 int
 Fanout::primaryFor(std::uint64_t id, int shard) const
 {
-    if (params_.pinShardToReplica)
+    // A routed (keyed) edge pins each shard to one replica, so a
+    // shard's working set lives in one cache.
+    if (params_.route)
         return shard % params_.replicas;
     return primaryReplica(id, shard, params_.replicas);
 }
@@ -562,7 +581,7 @@ Fanout::makeSub(const net::Message &req, std::uint32_t slot, int shard,
     sub.conn = static_cast<std::uint16_t>(
         req.conn * static_cast<std::uint32_t>(params_.shards) +
         static_cast<std::uint32_t>(shard));
-    if (params_.propagateKey) {
+    if (params_.route) {
         // Keyed tiers act on the opcode/key, and the sub-request's
         // wire size is the keyed request's own (header + key, + value
         // for a SET) instead of the tier's flat estimate.
@@ -1074,23 +1093,6 @@ Fanout::installTrace(int parentDepth)
     }
 }
 
-void
-Fanout::registerMetrics(obs::MetricsRegistry &m)
-{
-    const Fanout *self = this;
-    m.add("inflight." + child_.params().name,
-          [self] { return static_cast<double>(self->inFlight()); });
-    for (std::size_t r = 0; r < breakers_.size(); ++r) {
-        const CircuitBreaker *br = &breakers_[r];
-        m.add("breaker." + child_.params().name + ".r" +
-                  std::to_string(r + 1),
-              [br] {
-                  return static_cast<double>(
-                      static_cast<int>(br->state()));
-              });
-    }
-}
-
 ServiceGraph::ServiceGraph(Simulator &sim, net::Link &replyLink,
                            net::Endpoint &client, Rng rng,
                            double runVariability)
@@ -1240,41 +1242,6 @@ ServiceGraph::setTrace(obs::TraceRecorder *recorder)
         t->traceLocal_ = depthOf(*t) <= 1;
     for (auto &f : fanouts_)
         f->installTrace(depthOf(f->parent()));
-}
-
-void
-ServiceGraph::onRegisterMetrics(
-    std::function<void(obs::MetricsRegistry &)> fn)
-{
-    metricRegistrars_.push_back(std::move(fn));
-}
-
-void
-ServiceGraph::registerMetrics(obs::MetricsRegistry &m)
-{
-    // Per-replica worker-queue depth.
-    for (auto &t : tiers_) {
-        for (int r = 0; r < t->replicaCount(); ++r) {
-            std::string name = "qdepth." + t->params().name;
-            if (t->replicaCount() > 1)
-                name += ".r" + std::to_string(r + 1);
-            WorkerPool *pool = &t->pool(r);
-            m.add(std::move(name), [pool] {
-                return static_cast<double>(pool->queuedTotal());
-            });
-        }
-    }
-    // Per-edge in-flight calls and breaker states.
-    for (auto &f : fanouts_)
-        f->registerMetrics(m);
-    // Cumulative dispatched service work — the utilisation numerator;
-    // differentiate adjacent rows for a rate.
-    const ServiceStats *st = &stats_;
-    m.add("work_ns", [st] {
-        return static_cast<double>(st->serviceWorkDispatched);
-    });
-    for (auto &fn : metricRegistrars_)
-        fn(m);
 }
 
 } // namespace svc

@@ -48,7 +48,6 @@
 namespace tpv {
 
 namespace obs {
-class MetricsRegistry;
 class TraceRecorder;
 } // namespace obs
 
@@ -265,8 +264,23 @@ using TierBytes = std::function<std::uint32_t(const net::Message &, Rng &)>;
 /** Work model: every request costs exactly @p work. */
 TierWork fixedWork(Time work);
 
-/** Work model: lognormal with the given mean / sd (sd 0 = fixed). */
-TierWork lognormalWork(Time mean, Time sd);
+/** fatal() naming @p field unless @p value >= 0 (a work time or a
+ *  delay: negative ones would panic only mid-run, in the core). */
+void requireNonNegative(const std::string &field, Time value);
+
+/**
+ * The lognormal distribution of a (mean, sd) work knob pair (sd 0 =
+ * fixed); fatal() naming @p meanField unless @p mean > 0 and
+ * @p sdField unless @p sd >= 0.
+ */
+Rng::Lognormal lognormalModel(Time mean, Time sd,
+                              const std::string &meanField,
+                              const std::string &sdField);
+
+/** Work model: lognormal with the given mean / sd, checked as in
+ *  lognormalModel(). */
+TierWork lognormalWork(Time mean, Time sd, const std::string &meanField,
+                       const std::string &sdField);
 
 /** Tunables of one tier. */
 struct TierParams
@@ -486,23 +500,13 @@ struct FanoutParams
      * Single-shard routing (a sharded key-value tier): when set,
      * each request goes to route(req) % shards only, instead of
      * scattering to every shard — key-hash routing through the same
-     * replica-selection, hedging and failover machinery.
+     * replica-selection, hedging and failover machinery. A routed
+     * edge is keyed: sub-requests carry the parent's opcode, key and
+     * wire size, and each shard is pinned to primary replica
+     * shard % replicas (a shard's working set lives in one replica's
+     * cache; hedges and retries still go to other replicas).
      */
     std::function<int(const net::Message &)> route;
-    /**
-     * Pin each shard to a fixed primary replica (shard % replicas)
-     * instead of rotating primaries per request id. A cache tier
-     * needs this: a shard's working set lives in one replica's cache,
-     * and spraying its requests across replicas would split (and
-     * halve) every cache. Hedges/retries still go to other replicas.
-     */
-    bool pinShardToReplica = false;
-    /**
-     * Copy the parent request's opcode, key id and wire size onto
-     * sub-requests (keyed tiers act on them); off keeps the
-     * historical opaque sub-request of scatter-gather services.
-     */
-    bool propagateKey = false;
     /** Parent-tier work per accepted shard reply (merge). */
     Time mergeWork = 0;
     /** Parent-tier work after the last shard reply (top-k, marshal). */
@@ -759,10 +763,6 @@ class Fanout
      */
     void installTrace(int parentDepth);
 
-    /** Register this edge's timeline probes (in-flight calls,
-     *  breaker states) with @p m. */
-    void registerMetrics(obs::MetricsRegistry &m);
-
     ServiceGraph &graph_;
     Tier &parent_;
     Tier &child_;
@@ -876,7 +876,7 @@ class ServiceGraph : public net::Endpoint
      */
     void countLost(int tierIndex);
 
-    // ---- observability (flight recorder + timeline metrics) ----
+    // ---- observability (flight recorder) ----
 
     /**
      * Install @p recorder as this run's flight recorder (nullptr
@@ -890,18 +890,6 @@ class ServiceGraph : public net::Endpoint
 
     /** The run's flight recorder; nullptr when tracing is off. */
     obs::TraceRecorder *trace() const { return trace_; }
-
-    /**
-     * Register this graph's timeline probes with @p m: per-replica
-     * worker-queue depth, per-edge in-flight calls and breaker
-     * states, cumulative dispatched work, plus anything hooked in via
-     * onRegisterMetrics.
-     */
-    void registerMetrics(obs::MetricsRegistry &m);
-
-    /** Hook for services owning extra probe-worthy state (cache hit
-     *  rates): @p fn runs at the end of registerMetrics(). */
-    void onRegisterMetrics(std::function<void(obs::MetricsRegistry &)> fn);
 
     const ServiceStats &stats() const { return stats_; }
     ServiceStats &mutableStats() { return stats_; }
@@ -926,9 +914,6 @@ class ServiceGraph : public net::Endpoint
     std::vector<std::unique_ptr<Fanout>> fanouts_;
     /** Flight recorder of the current run (null = tracing off). */
     obs::TraceRecorder *trace_ = nullptr;
-    /** Extra probe registrars (onRegisterMetrics). */
-    std::vector<std::function<void(obs::MetricsRegistry &)>>
-        metricRegistrars_;
     ServiceStats stats_;
 };
 

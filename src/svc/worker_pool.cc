@@ -42,18 +42,5 @@ WorkerPool::irqThreadIndex(std::uint32_t conn) const
     return coreIdx;
 }
 
-std::size_t
-WorkerPool::queuedTotal()
-{
-    std::size_t total = 0;
-    for (int w = 0; w < workers_; ++w) {
-        total += machine_
-                     .core(static_cast<std::size_t>(firstCore_ + w))
-                     .thread(0)
-                     .queued();
-    }
-    return total;
-}
-
 } // namespace svc
 } // namespace tpv

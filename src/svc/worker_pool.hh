@@ -48,9 +48,6 @@ class WorkerPool
     /** Worker count. */
     int workers() const { return workers_; }
 
-    /** Sum of queued tasks across service threads (diagnostics). */
-    std::size_t queuedTotal();
-
   private:
     hw::Machine &machine_;
     int workers_;

@@ -37,8 +37,12 @@ quickKeyedConfig(double qps)
 auto
 quickFactory()
 {
-    return [](const std::string &label, const svc::CacheShape &) {
+    return [](const std::string &label, const svc::CacheShape &shape) {
         auto cfg = quickKeyedConfig(20e3);
+        // The "nocache" control cell runs on the single-tier server:
+        // the sharded cluster routes on the key, so it needs a shape.
+        if (!shape.enabled())
+            cfg.memcached.shards = 1;
         cfg.label = label;
         return cfg;
     };
@@ -87,9 +91,11 @@ TEST(CacheGrid, DisabledShapeMatchesBaselineBitForBit)
 {
     // The knobs-off guarantee, stated end to end: applying a disabled
     // CacheShape must leave the run bit-identical to never touching
-    // the cache axis at all.
+    // the cache axis at all. Without a shape memcached runs on the
+    // single-tier server (the sharded cluster needs a keyspace).
     auto base = quickKeyedConfig(20e3);
-    auto touched = quickKeyedConfig(20e3);
+    base.memcached.shards = 1;
+    auto touched = base;
     applyCacheShape(touched, svc::CacheShape{});
     const RunResult a = runOnce(base);
     const RunResult b = runOnce(touched);

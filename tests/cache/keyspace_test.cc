@@ -129,16 +129,6 @@ TEST(KeyspaceModel, OpMixMatchesGetFraction)
     EXPECT_NEAR(static_cast<double>(gets) / n, etc.getFraction, 0.005);
 }
 
-TEST(KeyspaceModel, EtcModelAliasStillWorks)
-{
-    // Satellite guarantee: EtcModel is a compatibility alias, so
-    // historical call sites compile and behave identically.
-    const EtcModel etc;
-    Rng a(3), b(3);
-    const KeyspaceModel &ks = etc;
-    EXPECT_EQ(etc.sampleKeyBytes(a), ks.sampleKeyBytes(b));
-}
-
 } // namespace
 } // namespace svc
 } // namespace tpv

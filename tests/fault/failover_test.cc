@@ -273,6 +273,9 @@ TEST(Failover, ShardedMemcachedRoutesOneShardAndSurvivesAKill)
     p.replicas = 2;
     p.runVariability = 0;
     p.interLink.jitterFrac = 0;
+    // Unbounded prewarmed caches hold every key, so every GET hits and
+    // no miss detours through the backing store.
+    p.cache.keys = 512;
     svc::MemcachedCluster cluster(sim, hw::HwConfig::serverBaseline(),
                                   reply, client, Rng(2), p);
     const int n = 60;
@@ -283,6 +286,7 @@ TEST(Failover, ShardedMemcachedRoutesOneShardAndSurvivesAKill)
             req.id = id;
             req.conn = static_cast<std::uint32_t>(id);
             req.kind = 0; // GET
+            req.key = static_cast<std::uint32_t>((id * 37) % 512);
             req.bytes = 56;
             cluster.onMessage(req);
         });
@@ -296,6 +300,7 @@ TEST(Failover, ShardedMemcachedRoutesOneShardAndSurvivesAKill)
 
     expectLedgerExact(s);
     EXPECT_EQ(s.responsesSent, static_cast<std::uint64_t>(n));
+    EXPECT_EQ(s.cacheMisses, 0u);
     // Key-hash routing: exactly one sub-request per request, spread
     // across the shard space.
     EXPECT_EQ(s.subRequestsSent, static_cast<std::uint64_t>(n));

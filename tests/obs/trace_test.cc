@@ -17,7 +17,6 @@
 #include <string>
 
 #include "core/experiment.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 
 namespace tpv {
@@ -38,31 +37,27 @@ tracedConfig()
     return cfg;
 }
 
-/** Run @p cfg with tracing + metrics on, returning the exports. */
+/** Run @p cfg with tracing on, returning the export. */
 struct Export
 {
     std::string traceJson;
-    std::string metricsCsv;
     std::uint64_t recorded = 0;
     core::RunResult result;
 };
 
 Export
 runTraced(core::ExperimentConfig cfg, std::uint32_t sampleEveryN = 1,
-          int tailN = 4, Time metricsPeriod = msec(1))
+          int tailN = 4)
 {
     Export out;
     cfg.obs.trace = true;
     cfg.obs.sampleEveryN = sampleEveryN;
     cfg.obs.tailN = tailN;
-    cfg.obs.metricsPeriod = metricsPeriod;
     cfg.obs.sink = [&out](const obs::TraceRecorder *tr,
-                          const obs::MetricsRegistry *m) {
+                          const obs::MetricsRegistry *) {
         ASSERT_NE(tr, nullptr);
         out.traceJson = tr->exportJson();
         out.recorded = tr->recorded();
-        if (m != nullptr)
-            out.metricsCsv = m->csv();
     };
     out.result = core::runOnce(cfg);
     return out;
@@ -74,7 +69,6 @@ TEST(TraceDeterminism, ExportIsByteIdenticalRunToRun)
     const Export b = runTraced(tracedConfig());
     ASSERT_GT(a.recorded, 0u);
     EXPECT_EQ(a.traceJson, b.traceJson);
-    EXPECT_EQ(a.metricsCsv, b.metricsCsv);
 }
 
 /** 64-bit FNV-1a digest of @p s. */
@@ -92,13 +86,11 @@ fnv1a(const std::string &s)
 TEST(TraceDeterminism, ExportsMatchGoldenDigests)
 {
     // Captured at commit 5bac912, whose intra-run parallel engine
-    // exported the same trace bytes: the JSON and CSV are pinned to
-    // the byte, not just to their run-to-run agreement.
+    // exported the same trace bytes: the JSON is pinned to the byte,
+    // not just to its run-to-run agreement.
     const Export e = runTraced(tracedConfig());
     EXPECT_EQ(e.traceJson.size(), 7057304u);
     EXPECT_EQ(fnv1a(e.traceJson), 0xaa457fe2c462fa8dull);
-    EXPECT_EQ(e.metricsCsv.size(), 3508u);
-    EXPECT_EQ(fnv1a(e.metricsCsv), 0x226b9c1753bd7fabull);
 }
 
 /** HDSearch s4r3 under overload with every traffic policy on, bucket
@@ -126,7 +118,7 @@ TEST(TraceDeterminism, TrafficPolicySpansMatchGoldenDigest)
 {
     // Captured at commit 8f84776 with the config's CoDel target
     // removed, the build before delay shedding was deleted.
-    const Export e = runTraced(trafficPolicyConfig(), 1, 4, 0);
+    const Export e = runTraced(trafficPolicyConfig(), 1, 4);
     for (const char *name : {"\"retry\"", "\"breaker_skip\"",
                              "\"breaker\"", "\"shed\""}) {
         EXPECT_NE(e.traceJson.find(name), std::string::npos)
@@ -139,10 +131,9 @@ TEST(TraceDeterminism, TrafficPolicySpansMatchGoldenDigest)
 TEST(TraceDeterminism, TracingOffChangesNothing)
 {
     core::RunResult plain = core::runOnce(tracedConfig());
-    // Trace-only (no metrics ticks): recording rides entirely inside
-    // existing event callbacks, so even the executed-event count must
-    // be untouched.
-    const Export traced = runTraced(tracedConfig(), 1, 4, 0);
+    // Recording rides entirely inside existing event callbacks, so
+    // even the executed-event count must be untouched.
+    const Export traced = runTraced(tracedConfig());
     EXPECT_EQ(plain.latency.mean, traced.result.latency.mean);
     EXPECT_EQ(plain.latency.p99, traced.result.latency.p99);
     EXPECT_EQ(plain.sent, traced.result.sent);
@@ -151,15 +142,6 @@ TEST(TraceDeterminism, TracingOffChangesNothing)
     EXPECT_EQ(plain.service.serviceWorkDispatched,
               traced.result.service.serviceWorkDispatched);
     EXPECT_EQ(plain.service.hedgesSent, traced.result.service.hedgesSent);
-
-    // Metrics ticks add their own (inert) events — everything but the
-    // event count still matches the untraced run.
-    const Export metered = runTraced(tracedConfig());
-    EXPECT_EQ(plain.latency.mean, metered.result.latency.mean);
-    EXPECT_EQ(plain.latency.p99, metered.result.latency.p99);
-    EXPECT_EQ(plain.received, metered.result.received);
-    EXPECT_EQ(plain.service.serviceWorkDispatched,
-              metered.result.service.serviceWorkDispatched);
 }
 
 TEST(TraceDeterminism, ExportContainsTheExpectedSpanTaxonomy)
@@ -208,21 +190,6 @@ TEST(TraceDeterminism, SamplingReducesRecordingTailKeepsSlowest)
         EXPECT_LE(latency, prev); // slowest first
         prev = latency;
     }
-}
-
-TEST(TraceDeterminism, MetricsCsvHasProbesAndTicks)
-{
-    const Export e = runTraced(tracedConfig());
-    EXPECT_NE(e.metricsCsv.find("time_ns"), std::string::npos);
-    EXPECT_NE(e.metricsCsv.find("qdepth.hds-bucket"), std::string::npos);
-    EXPECT_NE(e.metricsCsv.find("inflight.hds-bucket"),
-              std::string::npos);
-    EXPECT_NE(e.metricsCsv.find("work_ns"), std::string::npos);
-    // ~45ms of run at a 1ms period: tens of rows.
-    int rows = 0;
-    for (char c : e.metricsCsv)
-        rows += c == '\n' ? 1 : 0;
-    EXPECT_GE(rows, 20);
 }
 
 TEST(TraceDeterminism, KeyedMemcachedEmitsCacheSpans)

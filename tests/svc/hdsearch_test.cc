@@ -185,6 +185,42 @@ TEST(HdSearchDeathTest, FanoutMustBePositive)
                  "fanout");
 }
 
+TEST(HdSearchDeathTest, RejectsInvalidWorkKnobs)
+{
+    struct Case
+    {
+        void (*set)(HdSearchParams &);
+        const char *field;
+    };
+    const Case cases[] = {
+        {[](HdSearchParams &p) { p.bucketMean = 0; },
+         "HdSearchParams::bucketMean"},
+        {[](HdSearchParams &p) { p.bucketMean = -usec(1); },
+         "HdSearchParams::bucketMean"},
+        {[](HdSearchParams &p) { p.bucketSd = -1; },
+         "HdSearchParams::bucketSd"},
+        {[](HdSearchParams &p) { p.midPreWork = -1; },
+         "HdSearchParams::midPreWork"},
+        {[](HdSearchParams &p) { p.midMergeWork = -1; },
+         "HdSearchParams::midMergeWork"},
+        {[](HdSearchParams &p) { p.midPostWork = -1; },
+         "HdSearchParams::midPostWork"},
+    };
+    for (const Case &c : cases) {
+        HdSearchParams p;
+        c.set(p);
+        EXPECT_EXIT(
+            {
+                Simulator sim;
+                net::Link reply(sim, Rng(1));
+                ClientSink client(sim);
+                HdSearchCluster(sim, hw::HwConfig::serverBaseline(), reply,
+                                client, Rng(2), p);
+            },
+            ::testing::ExitedWithCode(1), c.field);
+    }
+}
+
 } // namespace
 } // namespace svc
 } // namespace tpv

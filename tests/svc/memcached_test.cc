@@ -7,6 +7,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/experiment.hh"
 #include "sim/simulator.hh"
 #include "stats/descriptive.hh"
 
@@ -37,7 +38,7 @@ TEST(EtcModel, ValueSizesMatchGpdMean)
 {
     // GPD(15, 214.476, 0.348) has mean mu + sigma/(1-xi) ~ 344B
     // (clamping trims the far tail slightly).
-    EtcModel etc;
+    KeyspaceModel etc;
     Rng rng(3);
     double sum = 0;
     const int n = 100000;
@@ -48,7 +49,7 @@ TEST(EtcModel, ValueSizesMatchGpdMean)
 
 TEST(EtcModel, KeySizesNearGevLocation)
 {
-    EtcModel etc;
+    KeyspaceModel etc;
     Rng rng(5);
     double sum = 0;
     const int n = 100000;
@@ -66,7 +67,7 @@ TEST(EtcModel, KeySizesNearGevLocation)
 
 TEST(EtcModel, GetFractionRespected)
 {
-    EtcModel etc;
+    KeyspaceModel etc;
     Rng rng(7);
     int gets = 0;
     const int n = 100000;
@@ -77,7 +78,7 @@ TEST(EtcModel, GetFractionRespected)
 
 TEST(EtcModel, SetRequestsCarryTheValue)
 {
-    EtcModel etc;
+    KeyspaceModel etc;
     EXPECT_GT(etc.requestBytes(MemcachedOp::Set, 30, 300),
               etc.requestBytes(MemcachedOp::Get, 30, 300));
 }
@@ -174,23 +175,88 @@ TEST(MemcachedServer, TenWorkersByDefault)
     EXPECT_EQ(rig.server.pool().workers(), 10);
 }
 
+/** Build a cluster from @p p (fatal() on an invalid shape). */
+void
+buildCluster(const MemcachedParams &p)
+{
+    Simulator sim;
+    net::Link link(sim, Rng(1));
+    ClientSink client;
+    MemcachedCluster cluster(sim, serverCfg(), link, client, Rng(2), p);
+}
+
+/** A valid keyed cluster shape: 2 shards over a 1K-key keyspace. */
+MemcachedParams
+keyedParams()
+{
+    MemcachedParams p;
+    p.shards = 2;
+    p.cache.keys = 1 << 10;
+    return p;
+}
+
 TEST(MemcachedDeathTest, RejectsNegativeServiceTimeSd)
 {
     MemcachedParams p;
     p.serviceTimeSd = -1;
     EXPECT_EXIT(Rig rig(p), ::testing::ExitedWithCode(1),
                 "MemcachedParams::serviceTimeSd");
-    // The sharded cluster's cache tier builds the same work model.
-    p.shards = 2;
-    EXPECT_EXIT(
-        {
-            Simulator sim;
-            net::Link link(sim, Rng(1));
-            ClientSink client;
-            MemcachedCluster cluster(sim, serverCfg(), link, client, Rng(2),
-                                     p);
-        },
-        ::testing::ExitedWithCode(1), "MemcachedParams::serviceTimeSd");
+    // The keyed cluster's cache tier builds the same work model.
+    p = keyedParams();
+    p.serviceTimeSd = -1;
+    EXPECT_EXIT(buildCluster(p), ::testing::ExitedWithCode(1),
+                "MemcachedParams::serviceTimeSd");
+}
+
+TEST(MemcachedDeathTest, RejectsInvalidWorkKnobs)
+{
+    // Knobs of the work model both deployments share: checked by the
+    // single-tier server and by the cluster's cache tier.
+    struct Case
+    {
+        void (*set)(MemcachedParams &);
+        const char *field;
+    };
+    const Case shared[] = {
+        {[](MemcachedParams &p) { p.baseServiceTime = 0; },
+         "MemcachedParams::baseServiceTime"},
+        {[](MemcachedParams &p) { p.baseServiceTime = -usec(1); },
+         "MemcachedParams::baseServiceTime"},
+        {[](MemcachedParams &p) { p.nsPerValueByte = -1; },
+         "MemcachedParams::nsPerValueByte"},
+        {[](MemcachedParams &p) { p.nsPerValueByte = std::nan(""); },
+         "MemcachedParams::nsPerValueByte"},
+        {[](MemcachedParams &p) { p.nsPerValueByte = INFINITY; },
+         "MemcachedParams::nsPerValueByte"},
+        {[](MemcachedParams &p) { p.setExtraTime = -1; },
+         "MemcachedParams::setExtraTime"},
+    };
+    for (const Case &c : shared) {
+        MemcachedParams p;
+        c.set(p);
+        EXPECT_EXIT(Rig rig(p), ::testing::ExitedWithCode(1), c.field);
+        p = keyedParams();
+        c.set(p);
+        EXPECT_EXIT(buildCluster(p), ::testing::ExitedWithCode(1),
+                    c.field);
+    }
+    // Knobs of the cluster's router and backing store.
+    const Case cluster[] = {
+        {[](MemcachedParams &p) { p.storeTime = 0; },
+         "MemcachedParams::storeTime"},
+        {[](MemcachedParams &p) { p.storeTimeSd = -1; },
+         "MemcachedParams::storeTimeSd"},
+        {[](MemcachedParams &p) { p.routerWork = -1; },
+         "MemcachedParams::routerWork"},
+        {[](MemcachedParams &p) { p.routerMergeWork = -1; },
+         "MemcachedParams::routerMergeWork"},
+    };
+    for (const Case &c : cluster) {
+        MemcachedParams p = keyedParams();
+        c.set(p);
+        EXPECT_EXIT(buildCluster(p), ::testing::ExitedWithCode(1),
+                    c.field);
+    }
 }
 
 TEST(MemcachedCluster, PrewarmHoldsHottestRanksPerShard)
@@ -241,22 +307,19 @@ TEST(MemcachedCluster, PrewarmHoldsHottestRanksPerShard)
     }
 }
 
-/** Build a cluster from @p p (fatal() on an invalid shape). */
-void
-buildCluster(const MemcachedParams &p)
-{
-    Simulator sim;
-    net::Link link(sim, Rng(1));
-    ClientSink client;
-    MemcachedCluster cluster(sim, serverCfg(), link, client, Rng(2), p);
-}
-
 TEST(MemcachedClusterDeathTest, RejectsZeroShards)
 {
     MemcachedParams p;
     p.shards = 0;
     EXPECT_EXIT(buildCluster(p), ::testing::ExitedWithCode(1),
                 "MemcachedParams::shards");
+    // Through runOnce too, rather than quietly on the single-tier
+    // server.
+    auto cfg = core::ExperimentConfig::forMemcached(20e3);
+    cfg.gen.duration = msec(5);
+    cfg.memcached.shards = 0;
+    EXPECT_EXIT(core::runOnce(cfg), ::testing::ExitedWithCode(1),
+                "MemcachedParams::shards must be >= 1");
 }
 
 TEST(MemcachedClusterDeathTest, RejectsZeroReplicas)
@@ -265,6 +328,21 @@ TEST(MemcachedClusterDeathTest, RejectsZeroReplicas)
     p.replicas = 0;
     EXPECT_EXIT(buildCluster(p), ::testing::ExitedWithCode(1),
                 "MemcachedParams::replicas");
+}
+
+TEST(MemcachedClusterDeathTest, RejectsShardsWithoutACacheShape)
+{
+    // The cluster routes on the key, so widening a memcached run
+    // without a keyspace is rejected rather than built unkeyed.
+    auto cfg = core::ExperimentConfig::forMemcached(20e3);
+    cfg.gen.duration = msec(5);
+    cfg.memcached.shards = 4;
+    EXPECT_EXIT(core::runOnce(cfg), ::testing::ExitedWithCode(1),
+                "MemcachedParams::shards.*CacheShape::keys");
+    cfg.memcached.shards = 1;
+    cfg.memcached.replicas = 2;
+    EXPECT_EXIT(core::runOnce(cfg), ::testing::ExitedWithCode(1),
+                "replicas.*CacheShape::keys");
 }
 
 TEST(MemcachedClusterDeathTest, RejectsAnInvalidCacheShape)

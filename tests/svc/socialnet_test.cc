@@ -150,6 +150,23 @@ TEST(SocialNetworkDeathTest, RejectsEmptyStages)
                 "SocialNetworkParams::stages must not be empty");
 }
 
+TEST(SocialNetworkDeathTest, RejectsInvalidStageWork)
+{
+    // The message names the field and the stage it belongs to.
+    SocialNetworkParams p = deterministicParams();
+    p.stages[1].workMean = 0;
+    EXPECT_EXIT(Rig{p}, ::testing::ExitedWithCode(1),
+                "SocialStage::workMean of stage 'user-timeline'");
+    p = deterministicParams();
+    p.stages[2].workMean = -usec(1);
+    EXPECT_EXIT(Rig{p}, ::testing::ExitedWithCode(1),
+                "SocialStage::workMean of stage 'post-storage-1'");
+    p = deterministicParams();
+    p.stages[0].workSd = -1;
+    EXPECT_EXIT(Rig{p}, ::testing::ExitedWithCode(1),
+                "SocialStage::workSd of stage 'frontend'");
+}
+
 } // namespace
 } // namespace svc
 } // namespace tpv

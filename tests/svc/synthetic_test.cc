@@ -135,6 +135,28 @@ TEST(SyntheticDeathTest, RejectsNegativeServiceTimeSd)
         ::testing::ExitedWithCode(1), "SyntheticParams::serviceTimeSd");
 }
 
+TEST(SyntheticDeathTest, RejectsInvalidWorkKnobs)
+{
+    const auto build = [](const SyntheticParams &p) {
+        Simulator sim;
+        hw::Machine machine(sim, serverCfg());
+        net::Link link(sim, Rng(1));
+        ClientSink client(sim);
+        SyntheticServer server(sim, machine, link, client, Rng(2), p);
+    };
+    SyntheticParams p;
+    p.baseServiceTime = 0;
+    EXPECT_EXIT(build(p), ::testing::ExitedWithCode(1),
+                "SyntheticParams::baseServiceTime");
+    p.baseServiceTime = -usec(1);
+    EXPECT_EXIT(build(p), ::testing::ExitedWithCode(1),
+                "SyntheticParams::baseServiceTime");
+    p = SyntheticParams{};
+    p.addedDelay = -usec(100);
+    EXPECT_EXIT(build(p), ::testing::ExitedWithCode(1),
+                "SyntheticParams::addedDelay");
+}
+
 } // namespace
 } // namespace svc
 } // namespace tpv
