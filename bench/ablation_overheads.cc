@@ -106,8 +106,8 @@ main()
         scaleIdx.push_back(probes.add(scaled));
     }
 
-    // (3b) Idle-governor policy (DESIGN.md ablation #2): Linux menu
-    // vs the two bracketing policies.
+    // (3b) Idle-governor policy: Linux menu vs the two bracketing
+    // policies.
     const std::vector<hw::IdleGovernorKind> governors{
         hw::IdleGovernorKind::Menu, hw::IdleGovernorKind::AlwaysDeepest,
         hw::IdleGovernorKind::AlwaysShallowest};
@@ -118,7 +118,7 @@ main()
         governorIdx.push_back(probes.add(cfg));
     }
 
-    // (4) Point of measurement (DESIGN.md ablation #4).
+    // (4) Point of measurement.
     const std::vector<loadgen::MeasurePoint> measurePoints{
         loadgen::MeasurePoint::InApp, loadgen::MeasurePoint::Kernel,
         loadgen::MeasurePoint::Nic};
@@ -147,8 +147,7 @@ main()
                 "LP w/ performance governor (no DVFS dips)", perfAvg,
                 100.0 * (lpAvg - perfAvg) / (lpAvg - hpAvg));
 
-    std::printf("\nC-state exit-latency sensitivity (DESIGN.md ablation "
-                "#1):\n");
+    std::printf("\nC-state exit-latency sensitivity:\n");
     for (std::size_t i = 0; i < scales.size(); ++i)
         std::printf("  irq/exit path scale %.2fx -> avg %10.2f us\n",
                     scales[i], probes.meanAvg(scaleIdx[i]));

@@ -17,9 +17,11 @@
  *   cold      the same cache starting empty — the flash-crowd
  *             restart transient — against the prewarmed baseline.
  *
- * A final serial re-run verifies the grid is bit-identical to the
- * parallel one; the binary exits non-zero if not. BENCH_cache.json
- * tracks the headline numbers per commit.
+ * The binary exits non-zero unless the LRU hit rate strictly falls
+ * as capacity shrinks (16K > 4K > 1K > 256), the cold 4K cache misses
+ * more than the warm one, and a final serial re-run reproduces the
+ * parallel grid bit for bit. BENCH_cache.json tracks the headline
+ * numbers per commit.
  */
 
 #include <algorithm>
@@ -199,6 +201,23 @@ main()
     metrics.push_back({"cold_extra_misses", missCold - missWarm,
                        "misses/run"});
 
+    // The claims behind headlines 1 and 3.
+    bool wallHolds = true;
+    for (std::size_t i = 1; i < 4; ++i) {
+        if (!(hitRate(cellOf(shapes[i]).result) <
+              hitRate(cellOf(shapes[i - 1]).result)))
+            wallHolds = false;
+    }
+    const bool coldMissesMore = missCold > missWarm;
+    std::printf("hit rate strictly falls as LRU capacity shrinks: %s\n",
+                wallHolds ? "PASS" : "FAIL");
+    std::printf("cold cache misses more than warm: %s\n",
+                coldMissesMore ? "PASS" : "FAIL");
+    metrics.push_back(
+        {"hit_rate_falls_with_capacity", wallHolds ? 1.0 : 0.0, "bool"});
+    metrics.push_back(
+        {"cold_misses_more", coldMissesMore ? 1.0 : 0.0, "bool"});
+
     // Determinism gate: the keyed cache grid, re-run serially, must
     // match the parallel run above bit for bit.
     RunnerOptions serial = opt.runner();
@@ -216,5 +235,5 @@ main()
     metrics.push_back(
         {"serial_parallel_identical", identical ? 1.0 : 0.0, "bool"});
     writeBenchJson("cache", metrics, &opt);
-    return identical ? 0 : 1;
+    return wallHolds && coldMissesMore && identical ? 0 : 1;
 }

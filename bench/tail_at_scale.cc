@@ -11,6 +11,10 @@
  * because every query waits for its slowest shard, while hedged
  * requests buy the tail back at a measurable duplicate-work cost,
  * which the ServiceStats hedge counters price exactly.
+ *
+ * The driver checks both halves of that claim and exits 1 unless
+ * p99 rises with the fan-out (s1 < s4 < s8) and hedging at 400us
+ * lowers p99 below the unhedged s8r2 cell.
  */
 
 #include <cstdio>
@@ -84,5 +88,19 @@ main()
     std::printf("\np99 ratio hedged/unhedged at s8r2: %.3f "
                 "(< 1 means hedging bought the tail back)\n",
                 hedged.medianP99() / wide.medianP99());
-    return 0;
+
+    // The claim: every query waits for its slowest shard, so p99
+    // rises with the fan-out, and a hedge buys the tail back.
+    const auto p99Of = [&](const char *cell) {
+        return grid.at(std::string("HP/") + cell, qps).result.medianP99();
+    };
+    const bool widens =
+        p99Of("s1") < p99Of("s4") && p99Of("s4") < p99Of("s8");
+    const bool hedgeWins = hedged.medianP99() < wide.medianP99();
+    const bool ok = widens && hedgeWins;
+    std::printf("claim %s: p99 rises with fan-out s1 < s4 < s8 (%s), "
+                "hedging at 400us lowers s8r2 p99 (%s)\n",
+                ok ? "ok" : "FAIL", widens ? "yes" : "no",
+                hedgeWins ? "yes" : "no");
+    return ok ? 0 : 1;
 }

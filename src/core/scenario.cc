@@ -16,10 +16,6 @@ Scenario::label() const
     out += clientTuned ? "tuned" : "not-tuned";
     out += ", response ";
     out += bigResponseTime ? "big" : "small";
-    if (loadShape != loadgen::LoadProfileKind::Constant) {
-        out += ", load ";
-        out += toString(loadShape);
-    }
     return out;
 }
 
@@ -36,8 +32,6 @@ tableIIIScenarios()
 {
     using loadgen::MeasurePoint;
     using loadgen::SendMode;
-    // Row builder over the defaulted Scenario, so defaulted fields
-    // (loadShape) need no per-row mention.
     const auto row = [](SendMode ia, bool tuned, bool big,
                         const char *sections) {
         Scenario s;
@@ -54,24 +48,6 @@ tableIIIScenarios()
         row(SendMode::BusyWait, true, true, "5.2"),
         row(SendMode::BusyWait, false, true, "5.2"),
     };
-}
-
-std::vector<Scenario>
-nonstationaryScenarios()
-{
-    using loadgen::LoadProfileKind;
-    std::vector<Scenario> out;
-    for (const Scenario &base : tableIIIScenarios()) {
-        for (LoadProfileKind shape :
-             {LoadProfileKind::Diurnal, LoadProfileKind::Step,
-              LoadProfileKind::Mmpp}) {
-            Scenario s = base;
-            s.loadShape = shape;
-            s.sections = "non-stationary extension";
-            out.push_back(std::move(s));
-        }
-    }
-    return out;
 }
 
 Scenario

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "loadgen/load_profile.hh"
 #include "loadgen/params.hh"
 #include "sim/time.hh"
 
@@ -31,12 +30,6 @@ struct Scenario
     bool bigResponseTime = false;
     /** Paper sections evaluating this scenario. */
     std::string sections;
-    /**
-     * Offered-load shape. The paper's rows are all stationary
-     * (Constant); the non-stationary extensions re-evaluate each row
-     * under diurnal, flash-crowd, and MMPP arrival schedules.
-     */
-    loadgen::LoadProfileKind loadShape = loadgen::LoadProfileKind::Constant;
 
     /** Human-readable row label. */
     std::string label() const;
@@ -51,16 +44,6 @@ bool risky(const Scenario &s);
 
 /** All four rows of Table III. */
 std::vector<Scenario> tableIIIScenarios();
-
-/**
- * Table III's rows crossed with the non-stationary load shapes
- * (diurnal / step / MMPP): every paper row re-stated under
- * time-varying load. The risk rule is unchanged — a bursty schedule
- * spends part of its time at low instantaneous rate, where the
- * client-side measurement pitfalls bite exactly as at a low fixed
- * load point.
- */
-std::vector<Scenario> nonstationaryScenarios();
 
 /**
  * Classify an arbitrary setup the way Table III would: services with

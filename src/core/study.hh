@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/runner.hh"
-#include "loadgen/load_profile.hh"
 
 namespace tpv {
 namespace core {
@@ -113,25 +112,6 @@ struct FaultPlanAxis
     }
 };
 
-/** Axis of offered-load profiles (constant / diurnal / flash /
- *  MMPP); cells record the base (unmodulated) rate. */
-struct ProfileAxis
-{
-    using Value = loadgen::LoadProfileParams;
-    static std::string label(const Value &v)
-    {
-        return toString(v.kind);
-    }
-    static void apply(ExperimentConfig &cfg, const Value &v)
-    {
-        cfg.gen.profile = v;
-    }
-    static double qps(const ExperimentConfig &cfg, const Value &)
-    {
-        return cfg.gen.qps;
-    }
-};
-
 /** Axis of memcached cache shapes (keyspace skew / capacity /
  *  eviction); the disabled shape renders as "nocache". */
 struct CacheAxis
@@ -161,7 +141,8 @@ struct CacheAxis
  *
  * Cells are labelled "<config>/<Axis::label(value)>" (bare "<config>"
  * when the label is empty, as on the load axis), with repeated labels
- * disambiguated ("diurnal", "diurnal#2", ...). The factory is called
+ * disambiguated ("kill-r0@30ms", "kill-r0@30ms#2", ...: two kills
+ * that differ only in detectDelay share a label). The factory is called
  * as factory(config, value) and materialises each cell first, then
  * Axis::apply() lands the value on it, so factories may set other axes
  * (topology, faults) and the swept value wins on its own. Cells are
@@ -184,8 +165,8 @@ sweep(const std::vector<std::string> &configs,
       const std::function<void(const StudyCell &)> &progress = nullptr)
 {
     // Two passes over the labels: repeats are counted against the
-    // *raw* labels so an already-suffixed "diurnal#2" never shifts
-    // later counts.
+    // *raw* labels so an already-suffixed "kill-r0@30ms#2" never
+    // shifts later counts.
     std::vector<std::string> raw(values.size());
     for (std::size_t i = 0; i < values.size(); ++i)
         raw[i] = Axis::label(values[i]);

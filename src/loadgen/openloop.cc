@@ -57,25 +57,6 @@ OpenLoopGenerator::OpenLoopGenerator(Simulator &sim, hw::Machine &client,
               "mean gap), got ", perThreadRate);
     }
 
-    // Materialise a non-constant load profile up front (MMPP samples
-    // its burst trajectory here, so the whole schedule is fixed by the
-    // run seed). The Constant default takes no fork and leaves the
-    // RNG stream — and therefore every stationary result — untouched.
-    if (params_.profile.kind != LoadProfileKind::Constant) {
-        profile_ = std::make_unique<LoadProfile>(
-            params_.profile, params_.windowEnd(), rng.fork());
-        // Thinning draws candidates at the peak rate: past 1e9 per
-        // thread its mean gap rounds below 1 ns and the base-rate
-        // acceptance odds make nextArrival spin.
-        const double peakRate = perThreadRate * profile_->maxMultiplier();
-        if (peakRate > 1e9) {
-            fatal("LoadProfileParams: the peak rate OpenLoopParams::qps / "
-                  "threads x the profile's peak multiplier must be <= 1e9 "
-                  "(a 1 ns mean gap), got ",
-                  peakRate);
-        }
-    }
-
     gens_.resize(static_cast<std::size_t>(params_.threads));
     for (std::size_t g = 0; g < gens_.size(); ++g) {
         gens_[g].threadIdx = g; // thread 0 of core g
@@ -93,7 +74,6 @@ OpenLoopGenerator::start()
     recorder_.reserveFor(params_.qps, params_.duration);
     sendDeadline_ = now + params_.windowEnd();
     windowEnd_ = now + params_.windowEnd();
-    profileEpoch_ = now;
 
     for (auto &g : gens_) {
         if (params_.sendMode == SendMode::BusyWait) {
@@ -101,20 +81,9 @@ OpenLoopGenerator::start()
             client_.thread(g.threadIdx).setAlwaysBusy(true);
         }
         // Stagger thread start phases like independent connections.
-        g.nextIntended = now + drawGap(g, now);
+        g.nextIntended = now + g.rng.exponentialTime(perThreadGapMean_);
         scheduleNext(g);
     }
-}
-
-Time
-OpenLoopGenerator::drawGap(GenThread &g, Time from)
-{
-    if (profile_) {
-        const Time since = from - profileEpoch_;
-        return profile_->nextArrival(since, perThreadGapMean_, g.rng) -
-               since;
-    }
-    return g.rng.exponentialTime(perThreadGapMean_);
 }
 
 void
@@ -178,7 +147,7 @@ OpenLoopGenerator::doSend(GenThread &g, Time intended)
 
     // Open loop: the next request follows the schedule regardless of
     // this one's completion.
-    g.nextIntended += drawGap(g, g.nextIntended);
+    g.nextIntended += g.rng.exponentialTime(perThreadGapMean_);
     scheduleNext(g);
 }
 

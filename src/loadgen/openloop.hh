@@ -10,11 +10,9 @@
 #define TPV_LOADGEN_OPENLOOP_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "hw/machine.hh"
-#include "loadgen/load_profile.hh"
 #include "loadgen/params.hh"
 #include "loadgen/recorder.hh"
 #include "net/link.hh"
@@ -73,13 +71,6 @@ class OpenLoopGenerator : public net::Endpoint
         Rng rng{0};
     };
 
-    /**
-     * Exponential gap to the next intended send after @p from (an
-     * intended send time, so the schedule stays independent of
-     * completions). Under a non-constant profile it samples the exact
-     * non-homogeneous Poisson process by thinning.
-     */
-    Time drawGap(GenThread &g, Time from);
     void scheduleNext(GenThread &g);
     void doSend(GenThread &g, Time intended);
     void handleResponse(const net::Message &resp, Time nicTime);
@@ -91,11 +82,6 @@ class OpenLoopGenerator : public net::Endpoint
     OpenLoopParams params_;
     LatencyRecorder recorder_;
     std::vector<GenThread> gens_;
-    /** Materialised rate schedule; null for the Constant profile (the
-     *  stationary fast path, bit-identical to the pre-profile code). */
-    std::unique_ptr<LoadProfile> profile_;
-    /** Sim time of start(); profile times are relative to this. */
-    Time profileEpoch_ = 0;
     Time perThreadGapMean_ = 0;
     Time sendDeadline_ = 0;
     Time windowEnd_ = 0;

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "loadgen/load_profile.hh"
 #include "net/message.hh"
 #include "sim/random.hh"
 #include "sim/time.hh"
@@ -87,15 +86,6 @@ struct OpenLoopParams
     std::uint32_t requestBytes = 100;
     /** Optional service-specific request filler. */
     RequestModel requestModel;
-    /**
-     * Offered-load schedule: the base qps is modulated by this
-     * profile's time-varying multiplier (diurnal swing, flash crowd,
-     * MMPP bursts). The default Constant profile reproduces the
-     * stationary arrival process bit-for-bit. The peak rate,
-     * qps / threads x the profile's peak multiplier, must also leave
-     * a mean gap of at least 1 ns.
-     */
-    LoadProfileParams profile;
 
     /** End of the recording window relative to start(). */
     Time windowEnd() const { return warmup + duration; }

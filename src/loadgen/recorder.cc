@@ -29,9 +29,9 @@ LatencyRecorder::reserveFor(double perSecond, Time window)
 {
     if (perSecond <= 0 || window <= 0)
         return;
-    // 25% headroom over the expectation: bursts (and non-stationary
-    // profiles) overshoot the mean; one slightly generous block beats
-    // a realloc + copy mid-measurement. Capped, because the estimate
+    // 25% headroom over the expectation: Poisson bursts overshoot
+    // the mean; one slightly generous block beats a realloc + copy
+    // mid-measurement. Capped, because the estimate
     // can be far above what a run can physically record (an
     // overloaded service answers at its own rate, not the offered
     // one) and sweeps run many recorders concurrently —

@@ -65,6 +65,34 @@ TEST(Study, ConfidentOrderingDetectsSeparation)
               +1);
 }
 
+TEST(Study, DuplicateAxisLabelsGetDistinctCells)
+{
+    // Two kills that differ only in detection delay share the label
+    // "kill-r0@..." and must land in separately addressable cells.
+    const std::vector<fault::FaultPlan> plans = {
+        fault::FaultPlan::replicaKill("hds-bucket", 0, msec(10), msec(5)),
+        fault::FaultPlan::replicaKill("hds-bucket", 0, msec(10), msec(5),
+                                      msec(2)),
+    };
+    RunnerOptions opt;
+    opt.runs = 1;
+    const auto factory = [](const std::string &,
+                            const fault::FaultPlan &) {
+        auto cfg = ExperimentConfig::forHdSearch(2000);
+        cfg.gen.warmup = msec(5);
+        cfg.gen.duration = msec(20);
+        applyTopology(cfg, svc::TopologyShape{4, 2});
+        return cfg;
+    };
+    const auto grid = sweep<FaultPlanAxis>({"HP"}, plans, factory, opt);
+    const std::string tag = plans[0].label();
+    ASSERT_EQ(grid.cells.size(), 2u);
+    EXPECT_EQ(grid.cells[0].config, "HP/" + tag);
+    EXPECT_EQ(grid.cells[1].config, "HP/" + tag + "#2");
+    // Both reachable through the keyed lookup.
+    EXPECT_EQ(&grid.at("HP/" + tag + "#2", 2000), &grid.cells[1]);
+}
+
 TEST(TableReporter, CsvRoundTrip)
 {
     TableReporter t("demo");
