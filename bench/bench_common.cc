@@ -64,6 +64,13 @@ BenchOptions::fromEnv()
     return opt;
 }
 
+bool
+BenchOptions::atDefaultScale() const
+{
+    const BenchOptions defaults;
+    return runs >= defaults.runs && duration >= defaults.duration;
+}
+
 core::RunnerOptions
 BenchOptions::runner() const
 {

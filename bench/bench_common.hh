@@ -42,6 +42,13 @@ struct BenchOptions
 
     /** RunnerOptions with these settings. */
     core::RunnerOptions runner() const;
+
+    /**
+     * At least the default run count and window: the scale at which a
+     * claim that needs default-scale statistics is asserted. Below it
+     * (CI's smoke scale) such a claim prints n/a.
+     */
+    bool atDefaultScale() const;
 };
 
 /** Apply bench timing to an experiment config. */

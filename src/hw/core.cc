@@ -29,12 +29,12 @@ void
 HwThread::submit(Time nominalWork, Callback &&done)
 {
     TPV_ASSERT(nominalWork >= 0, "negative work submitted");
-    if (!running_ && queue_.empty() &&
-        core_.power_ == Core::PowerState::Active) {
+    if (startsNow()) {
         // Nothing ahead of it and the core can execute: start it now,
         // exactly as the trySchedule() behind onThreadQueued() would,
         // without parking the callback in the run queue on the way.
-        start(static_cast<double>(nominalWork), std::move(done));
+        currentDone_ = std::move(done);
+        start(static_cast<double>(nominalWork));
         return;
     }
     queue_.push_back(Task{static_cast<double>(nominalWork),
@@ -67,13 +67,20 @@ HwThread::sleepUntil(Time when, DispatchFn dispatchWork, Callback fn)
     TPV_ASSERT(when >= sim_.now(), "sleepUntil into the past");
     core_.armTimer(when);
     // Park the callback pair in the sleep pool: the timer event then
-    // captures a 4-byte index and fits the queue's inline budget.
-    const std::uint32_t idx =
-        sleeps_.acquire(Sleep{std::move(dispatchWork), std::move(fn)});
+    // captures a 4-byte index and fits the queue's inline budget. The
+    // pair moves straight into its slot and straight out of it.
+    const std::uint32_t idx = sleeps_.acquireSlot();
+    Sleep &parked = sleeps_.at(idx);
+    parked.dispatch = std::move(dispatchWork);
+    parked.fn = std::move(fn);
     sim_.at(when, [this, when, idx] {
         core_.disarmTimer(when);
-        Sleep s = sleeps_.take(idx);
-        submit(s.dispatch ? s.dispatch() : 0, std::move(s.fn));
+        Sleep &s = sleeps_.at(idx);
+        const Time work = s.dispatch ? s.dispatch() : 0;
+        s.dispatch = nullptr;
+        Callback done = std::move(s.fn);
+        sleeps_.release(idx);
+        submit(work, std::move(done));
     });
 }
 
@@ -97,7 +104,8 @@ HwThread::trySchedule()
                 continue;
             }
         }
-        start(task.remaining, std::move(task.done));
+        currentDone_ = std::move(task.done);
+        start(task.remaining);
         return;
     }
     // Every queued task was abandoned by its guard: the wake was for
@@ -107,12 +115,11 @@ HwThread::trySchedule()
 }
 
 void
-HwThread::start(double nominalWork, Callback &&done)
+HwThread::start(double nominalWork)
 {
     running_ = true;
     remaining_ = nominalWork;
     workCompleted_ += static_cast<Time>(nominalWork);
-    currentDone_ = std::move(done);
     lastUpdate_ = sim_.now();
     // The run-state change re-clocks the running threads on the core
     // (SMT contention), this one included, which schedules this task's
@@ -207,21 +214,65 @@ Core::currentPowerW() const
 void
 Core::accrueEnergy()
 {
-    // watts * ns -> joules; shared with the const read path.
-    (void)energyJoules();
-}
-
-double
-Core::energyJoules() const
-{
-    // Const-friendly accrual so reads are always current.
+    syncTurboBin();
+    // watts * ns -> joules
     const Time now = sim_.now();
     if (now > lastEnergyAt_) {
         energyJ_ += currentPowerW() *
                     (static_cast<double>(now - lastEnergyAt_) * 1e-9);
         lastEnergyAt_ = now;
     }
+}
+
+double
+Core::energyJoules()
+{
+    syncTurboBin();
+    const Time now = sim_.now();
+    if (now > lastEnergyAt_) {
+        return energyJ_ + currentPowerW() *
+                              (static_cast<double>(now - lastEnergyAt_) *
+                               1e-9);
+    }
     return energyJ_;
+}
+
+FreqDomain &
+Core::freq()
+{
+    syncTurboBin();
+    return freq_;
+}
+
+void
+Core::syncTurboBin()
+{
+    if (!countedActive_ && binCursor_ < machine_.binLog_.size())
+        replayTurboBins();
+}
+
+void
+Core::replayTurboBins()
+{
+    // An idle core runs no thread, so a move re-clocks nothing, and
+    // its power (poll or C-state) does not depend on the frequency:
+    // each move bills the interval up to it at that one power level,
+    // exactly as the accrueEnergy() at the move did.
+    TPV_ASSERT(power_ == PowerState::PollIdle ||
+                   power_ == PowerState::Sleeping,
+               "turbo-bin replay on a core that is not idle");
+    const double idleW = currentPowerW();
+    const auto &log = machine_.binLog_;
+    for (; binCursor_ < log.size(); ++binCursor_) {
+        const Machine::BinMove &move = log[binCursor_];
+        if (!freq_.moveWhileIdle(move.ghz))
+            continue;
+        if (move.at > lastEnergyAt_) {
+            energyJ_ += idleW *
+                        (static_cast<double>(move.at - lastEnergyAt_) * 1e-9);
+            lastEnergyAt_ = move.at;
+        }
+    }
 }
 
 HwThread &
@@ -241,26 +292,20 @@ Core::anyThreadBusy() const
     return false;
 }
 
-double
-Core::speedFor(const HwThread &t) const
-{
-    double smtFactor = 1.0;
-    if (threads_.size() == 2) {
-        const HwThread &sibling = *threads_[t.index() == 0 ? 1 : 0];
-        if (sibling.running())
-            smtFactor = cfg_->smtThroughput;
-    }
-    return freq_.speedFactor() * smtFactor;
-}
-
 void
 Core::refreshSpeeds()
 {
     // A stopped thread's speed is never read: a task that starts is
-    // re-clocked by the onThreadRunChanged() that starts it.
+    // re-clocked by the onThreadRunChanged() that starts it. Speed is
+    // the frequency's speed factor, times the SMT throughput share
+    // while the sibling runs too; both are computed once per call.
+    const double full = freq_.speedFactor();
+    const bool shared = threads_.size() == 2 && threads_[0]->running_ &&
+                        threads_[1]->running_;
+    const double speed = shared ? full * cfg_->smtThroughput : full;
     for (auto &t : threads_) {
         if (t->running_)
-            t->applySpeed(speedFor(*t));
+            t->applySpeed(speed);
     }
 }
 
@@ -276,7 +321,7 @@ Core::onThreadQueued(HwThread &t)
         power_ = PowerState::Active;
         if (!countedActive_) {
             countedActive_ = true;
-            machine_.onCoreActiveChanged(+1);
+            machine_.onCoreActiveChanged(*this, +1);
         }
         t.trySchedule();
         return;
@@ -305,7 +350,7 @@ Core::beginWake()
 
     if (!countedActive_) {
         countedActive_ = true;
-        machine_.onCoreActiveChanged(+1);
+        machine_.onCoreActiveChanged(*this, +1);
     }
 
     const Time exit = table_->exitLatency(cstate_);
@@ -347,7 +392,7 @@ Core::maybeEnterIdle()
         cstate_ = CState::C0;
         if (countedActive_) {
             countedActive_ = false;
-            machine_.onCoreActiveChanged(-1);
+            machine_.onCoreActiveChanged(*this, -1);
         }
         return;
     }
@@ -370,7 +415,7 @@ Core::maybeEnterIdle()
     freq_.onCoreIdle(sim_.now() - lastWakeEnd_);
     if (countedActive_) {
         countedActive_ = false;
-        machine_.onCoreActiveChanged(-1);
+        machine_.onCoreActiveChanged(*this, -1);
     }
 }
 

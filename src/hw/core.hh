@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "hw/cstate.hh"
@@ -30,6 +31,7 @@
 #include "hw/idle_governor.hh"
 #include "sim/fixed_containers.hh"
 #include "sim/inline_function.hh"
+#include "sim/logging.hh"
 #include "sim/simulator.hh"
 #include "sim/time.hh"
 
@@ -80,6 +82,14 @@ class HwThread
      * thread with an empty queue on an active core starts at once.
      */
     void submit(Time nominalWork, Callback &&done);
+
+    /**
+     * submit() of a callable built straight into its run-queue slot
+     * (or into the in-flight slot when it starts at once), instead of
+     * into a temporary Callback that relocates there.
+     */
+    template <BuildsInPlace<Callback> F>
+    void submit(Time nominalWork, F &&done);
 
     /**
      * Guarded submission: like submit(), but @p guard is consulted
@@ -168,8 +178,13 @@ class HwThread
     /** Start the head-of-queue task if the core allows execution. */
     void trySchedule();
 
-    /** Make @p nominalWork the in-flight task; @p done fires at its end. */
-    void start(double nominalWork, Callback &&done);
+    /** True when a submission would start at once: nothing in
+     *  flight or queued, and the core can execute. */
+    bool startsNow() const;
+
+    /** Make @p nominalWork the in-flight task.
+     *  @pre currentDone_ holds its completion callback (or nothing) */
+    void start(double nominalWork);
 
     /** Re-clock the in-flight task for a new speed factor.
      *  @pre running() */
@@ -224,8 +239,11 @@ class Core
     /**
      * Energy consumed so far (joules), integrating the power model
      * over this core's activity/idle/frequency history up to now().
+     * Reading bills nothing: the interval since the last accrual is
+     * added to the returned value only, so a mid-run read leaves every
+     * later accrual, and the final total, the same bits as no read.
      */
-    double energyJoules() const;
+    double energyJoules();
 
     Core(Simulator &sim, Machine &machine, const HwConfig &cfg,
          const CStateTable &table, int id);
@@ -250,17 +268,15 @@ class Core
     /** C-state currently (or last) entered. */
     CState currentCState() const { return cstate_; }
 
-    /** Current execution speed for thread @p t. */
-    double speedFor(const HwThread &t) const;
-
     /** Register an armed timer (governor wake-up hint). */
     void armTimer(Time when);
 
     /** Remove a previously armed timer. */
     void disarmTimer(Time when);
 
-    /** Frequency domain (tests / reports). */
-    FreqDomain &freq() { return freq_; }
+    /** Frequency domain (tests / reports), with every turbo-bin move
+     *  the core slept through applied. */
+    FreqDomain &freq();
 
     /** Idle governor (tests / reports). */
     MenuGovernor &governor() { return governor_; }
@@ -287,6 +303,15 @@ class Core
 
     /** Fold the elapsed interval into the energy counter. */
     void accrueEnergy();
+
+    /**
+     * Apply the turbo-bin moves this idle core has not seen yet
+     * (Machine's bin log): each does what FreqDomain's frequency
+     * change did when the machine visited every core. Called before
+     * the core wakes, accrues energy or is read.
+     */
+    void syncTurboBin();
+    void replayTurboBins();
 
     void onThreadQueued(HwThread &t);
     void onThreadRunChanged();
@@ -320,9 +345,36 @@ class Core
     Time nextTick_ = kTimeNever;
     Stats stats_;
     bool countedActive_ = true;
-    mutable double energyJ_ = 0;
-    mutable Time lastEnergyAt_ = 0;
+    /** Next entry of Machine's bin log this core has to replay; read
+     *  only while the core is not counted active. */
+    std::size_t binCursor_ = 0;
+    double energyJ_ = 0;
+    Time lastEnergyAt_ = 0;
 };
+
+inline bool
+HwThread::startsNow() const
+{
+    return !running_ && queue_.empty() &&
+           core_.power_ == Core::PowerState::Active;
+}
+
+template <BuildsInPlace<HwThread::Callback> F>
+void
+HwThread::submit(Time nominalWork, F &&done)
+{
+    TPV_ASSERT(nominalWork >= 0, "negative work submitted");
+    if (startsNow()) {
+        currentDone_.emplace(std::forward<F>(done));
+        start(static_cast<double>(nominalWork));
+        return;
+    }
+    Task &task = queue_.emplace_back();
+    task.remaining = static_cast<double>(nominalWork);
+    task.done.emplace(std::forward<F>(done));
+    task.guard = kNoGuard;
+    core_.onThreadQueued(*this);
+}
 
 } // namespace hw
 } // namespace tpv

@@ -73,9 +73,10 @@ class FreqDomain
      * The machine's turbo bin moved to @p binGhz (turboBinGhz() of the
      * new active-core count): move there. Only for domains that follow
      * the bin (followsTurboBin()). Such a domain's frequency moves only
-     * here and in onCoreWake(), and both set it to the current bin, so
-     * it always sits at the current bin; Machine relies on that to call
-     * this only when the bin changes.
+     * here, in onCoreWake() and in Core's replay of a move it slept
+     * through, and all of them set it to the current bin, so it always
+     * sits at the current bin; Machine relies on that to call this only
+     * when the bin changes.
      */
     void onTurboBinChanged(double binGhz) { setFreq(binGhz); }
 
@@ -108,7 +109,26 @@ class FreqDomain
     double rampTargetGhz() const;
 
   private:
+    friend class Core;
+
     void setFreq(double ghz);
+
+    /**
+     * setFreq() for a turbo-bin move the core slept through, replayed
+     * by Core: no energy billing and no re-clock, which Core handles
+     * (an idle core runs nothing and its power does not depend on the
+     * frequency). @return whether the frequency changed.
+     */
+    bool
+    moveWhileIdle(double ghz)
+    {
+        if (ghz == currentGhz_)
+            return false;
+        currentGhz_ = ghz;
+        ++transitions_;
+        return true;
+    }
+
     void scheduleRamp(Time delay);
 
     /** Frequency a utilisation-driven governor grants on wake. */

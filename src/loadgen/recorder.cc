@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
+#include "stats/sort.hh"
 
 namespace tpv {
 namespace loadgen {
@@ -18,8 +19,8 @@ LatencyRecorder::setWindow(Time start, Time end)
 std::pair<stats::Summary, stats::Summary>
 LatencyRecorder::summarizeInPlace()
 {
-    std::sort(latencies_.begin(), latencies_.end());
-    std::sort(lateness_.begin(), lateness_.end());
+    stats::sortSamples(latencies_);
+    stats::sortSamples(lateness_);
     return {stats::Summary::ofSorted(latencies_),
             stats::Summary::ofSorted(lateness_)};
 }

@@ -8,13 +8,8 @@
 namespace tpv {
 
 std::uint32_t
-EventQueue::acquireSlot()
+EventQueue::growSlots()
 {
-    if (!freeSlots_.empty()) {
-        const std::uint32_t slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        return slot;
-    }
     TPV_ASSERT(slots_.size() <= kSlotMask,
                "more than 2^24 events pending in one queue");
     if (slots_.capacity() == 0) {
@@ -54,8 +49,14 @@ EventQueue::schedule(Time when, Callback &&cb)
 {
     TPV_ASSERT(cb != nullptr, "scheduling a null callback");
     const std::uint32_t slot = acquireSlot();
+    slots_[slot].cb = std::move(cb);
+    return enqueue(when, slot);
+}
+
+EventHandle
+EventQueue::enqueue(Time when, std::uint32_t slot)
+{
     Slot &s = slots_[slot];
-    s.cb = std::move(cb);
     ++s.gen;
 
     const Entry e = makeEntry(when, slot);

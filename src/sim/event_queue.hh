@@ -40,6 +40,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_function.hh"
@@ -90,6 +91,20 @@ class EventQueue
      * @return a handle that can cancel the event before it fires.
      */
     EventHandle schedule(Time when, Callback &&cb);
+
+    /**
+     * Schedule callable @p f at @p when, built straight into its slot
+     * (no temporary Callback to relocate). Orders exactly like the
+     * Callback overload.
+     */
+    template <BuildsInPlace<Callback> F>
+    EventHandle
+    schedule(Time when, F &&f)
+    {
+        const std::uint32_t slot = acquireSlot();
+        slots_[slot].cb.emplace(std::forward<F>(f));
+        return enqueue(when, slot);
+    }
 
     /**
      * Cancel a previously scheduled event.
@@ -194,8 +209,23 @@ class EventQueue
         std::uint32_t gen = 0;
     };
 
-    /** Take a free slot, growing the tables if none is free. */
-    std::uint32_t acquireSlot();
+    /** Take a free slot, growing the tables if none is free. The
+     *  recycled case, every schedule in steady state, is inline. */
+    std::uint32_t
+    acquireSlot()
+    {
+        if (freeSlots_.empty())
+            return growSlots();
+        const std::uint32_t slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        return slot;
+    }
+
+    /** Append a slot to the tables. @pre no slot is free */
+    std::uint32_t growSlots();
+
+    /** Queue the filled @p slot at @p when. */
+    EventHandle enqueue(Time when, std::uint32_t slot);
 
     /** A fresh entry for @p slot at @p when, taking the next seq. */
     Entry makeEntry(Time when, std::uint32_t slot);

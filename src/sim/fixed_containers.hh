@@ -70,6 +70,23 @@ class RingQueue
         ++count_;
     }
 
+    /**
+     * Append a slot and return it for the caller to fill in place, so
+     * a large element is written once instead of built and moved in.
+     * The slot holds whatever its last occupant left (a moved-from or
+     * reset element, or a default-constructed one): the caller must
+     * assign every field it will read.
+     */
+    T &
+    emplace_back()
+    {
+        if (count_ == buf_.size())
+            grow();
+        T &slot = buf_[(head_ + count_) & mask_];
+        ++count_;
+        return slot;
+    }
+
     /** @pre !empty() */
     T &
     front()

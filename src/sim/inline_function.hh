@@ -17,7 +17,9 @@
  * trivially copyable capture — pointers, integers, a net::Message —
  * relocates with one fixed-size memcpy of the buffer and needs no
  * destroy; only a capture with a non-trivial member pays an indirect
- * relocate thunk per move and a destroy thunk at the end.
+ * relocate thunk per move and a destroy thunk at the end. The hot
+ * schedule and submit overloads skip the first move altogether: they
+ * build a lambda straight into its slot with emplace().
  *
  * The capacity is a hard budget: a capture that does not fit fails to
  * compile (static_assert) instead of silently spilling to the heap.
@@ -40,6 +42,16 @@
 namespace tpv {
 
 /**
+ * A callable argument that an InplaceFunction type @p Fn builds in
+ * place (see InplaceFunction::emplace): anything but a pre-built Fn
+ * or nullptr, which keep the overloads that take an Fn.
+ */
+template <typename F, typename Fn>
+concept BuildsInPlace =
+    !std::is_same_v<std::decay_t<F>, Fn> &&
+    !std::is_same_v<std::decay_t<F>, std::nullptr_t>;
+
+/**
  * A move-only callable of signature R() whose target is stored inline
  * in a Capacity-byte buffer. No heap, ever: construction from a
  * callable larger than Capacity is a compile error.
@@ -57,26 +69,10 @@ class InplaceFunction
     InplaceFunction() noexcept = default;
     InplaceFunction(std::nullptr_t) noexcept {}
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InplaceFunction> &&
-                  !std::is_same_v<std::decay_t<F>, std::nullptr_t>>>
+    template <BuildsInPlace<InplaceFunction> F>
     InplaceFunction(F &&f)
     {
-        using Fn = std::decay_t<F>;
-        static_assert(std::is_invocable_r_v<R, Fn &>,
-                      "callable is not invocable as R()");
-        static_assert(sizeof(Fn) <= Capacity,
-                      "capture exceeds the inline budget: shrink the "
-                      "capture (capture fields or pool indices, not "
-                      "whole payloads) or box a cold-path callable "
-                      "with tpv::heapWrap()");
-        static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                      "over-aligned capture");
-        static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                      "captures must be nothrow-movable");
-        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
-        ops_ = opsFor<Fn>();
+        construct(std::forward<F>(f));
     }
 
     InplaceFunction(InplaceFunction &&other) noexcept
@@ -120,6 +116,20 @@ class InplaceFunction
     operator()()
     {
         return ops_->invoke(buf_);
+    }
+
+    /**
+     * Destroy the current target (if any) and build @p f straight into
+     * the buffer: a container slot that owns an InplaceFunction takes
+     * a callable without first building a temporary InplaceFunction
+     * and relocating it in.
+     */
+    template <BuildsInPlace<InplaceFunction> F>
+    void
+    emplace(F &&f)
+    {
+        reset();
+        construct(std::forward<F>(f));
     }
 
     /** Destroy the target (if any) and become empty. */
@@ -168,6 +178,27 @@ class InplaceFunction
             };
             return &table;
         }
+    }
+
+    /** Build @p f in the (empty) buffer. */
+    template <typename F>
+    void
+    construct(F &&f)
+    {
+        using Fn = std::decay_t<F>;
+        static_assert(std::is_invocable_r_v<R, Fn &>,
+                      "callable is not invocable as R()");
+        static_assert(sizeof(Fn) <= Capacity,
+                      "capture exceeds the inline budget: shrink the "
+                      "capture (capture fields or pool indices, not "
+                      "whole payloads) or box a cold-path callable "
+                      "with tpv::heapWrap()");
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "over-aligned capture");
+        static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                      "captures must be nothrow-movable");
+        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
+        ops_ = opsFor<Fn>();
     }
 
     /** Relocate other's target into this (empty) object. */

@@ -13,8 +13,10 @@
 #define TPV_SIM_SIMULATOR_HH
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.hh"
+#include "sim/logging.hh"
 #include "sim/time.hh"
 
 namespace tpv {
@@ -42,11 +44,30 @@ class Simulator
      */
     EventHandle schedule(Time delay, EventQueue::Callback &&cb);
 
+    /** schedule() of a callable built straight into its event slot. */
+    template <BuildsInPlace<EventQueue::Callback> F>
+    EventHandle
+    schedule(Time delay, F &&f)
+    {
+        TPV_ASSERT(delay >= 0, "negative delay ", delay);
+        return queue_.schedule(now_ + delay, std::forward<F>(f));
+    }
+
     /**
      * Schedule @p cb at absolute time @p when.
      * @pre when >= now()
      */
     EventHandle at(Time when, EventQueue::Callback &&cb);
+
+    /** at() of a callable built straight into its event slot. */
+    template <BuildsInPlace<EventQueue::Callback> F>
+    EventHandle
+    at(Time when, F &&f)
+    {
+        TPV_ASSERT(when >= now_, "scheduling into the past: when=", when,
+                   " now=", now_);
+        return queue_.schedule(when, std::forward<F>(f));
+    }
 
     /**
      * Move pending event @p h to @p delay after now(), keeping its

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "sim/logging.hh"
+#include "stats/sort.hh"
 
 namespace tpv {
 namespace stats {
@@ -47,7 +48,7 @@ std::vector<double>
 sorted(const std::vector<double> &xs)
 {
     std::vector<double> ys(xs);
-    std::sort(ys.begin(), ys.end());
+    sortSamples(ys);
     return ys;
 }
 

@@ -35,6 +35,19 @@ TEST_F(BenchOptionsEnv, UnsetKeepsDefaults)
     EXPECT_EQ(opt.parallelism, 0);
 }
 
+TEST_F(BenchOptionsEnv, DefaultScaleNeedsDefaultRunsAndWindow)
+{
+    EXPECT_TRUE(BenchOptions::fromEnv().atDefaultScale());
+    setenv("TPV_RUNS", "50", 1);
+    setenv("TPV_DURATION_S", "0.5", 1);
+    EXPECT_TRUE(BenchOptions::fromEnv().atDefaultScale());
+    setenv("TPV_DURATION_S", "0.05", 1);
+    EXPECT_FALSE(BenchOptions::fromEnv().atDefaultScale());
+    setenv("TPV_RUNS", "2", 1);
+    setenv("TPV_DURATION_S", "0.2", 1);
+    EXPECT_FALSE(BenchOptions::fromEnv().atDefaultScale());
+}
+
 TEST_F(BenchOptionsEnv, WellFormedValuesParse)
 {
     setenv("TPV_RUNS", "5", 1);

@@ -186,6 +186,95 @@ TEST(HwThread, GuardedAndUnguardedSubmissionsKeepFifo)
     EXPECT_EQ(t.workCompleted(), usec(12));
 }
 
+/** plainConfig() with a C1E sleep, so submissions to an idle core
+ *  queue behind its wake. */
+HwConfig
+c1eConfigForGuards()
+{
+    HwConfig c = plainConfig();
+    c.cstates = {CState::C0, CState::C1E};
+    c.idleGovernor = IdleGovernorKind::AlwaysDeepest;
+    return c;
+}
+
+TEST(HwThread, InPlaceAndPrebuiltSubmissionsKeepFifo)
+{
+    // A lambda built into its run-queue (or in-flight) slot and a
+    // pre-built Callback queue alike, whichever starts at once.
+    Simulator sim;
+    Machine m(sim, plainConfig());
+    HwThread &t = m.thread(0);
+    std::vector<int> done;
+    auto mark = [&done](int i) { return [&done, i] { done.push_back(i); }; };
+    t.submit(usec(1), HwThread::Callback(mark(1))); // starts at once
+    t.submit(usec(1), mark(2));
+    t.submit(usec(1), HwThread::Callback(mark(3)));
+    t.submit(usec(1), mark(4));
+    sim.at(usec(10), [&] {
+        t.submit(usec(1), mark(5)); // starts at once, built in place
+        t.submit(usec(1), HwThread::Callback(mark(6)));
+        t.submit(usec(1), mark(7));
+    });
+    sim.run();
+    EXPECT_EQ(done, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+    EXPECT_EQ(t.workCompleted(), usec(7));
+}
+
+TEST(HwThread, GuardRefusedAtRingFrontKeepsRunQueueConsistent)
+{
+    // Refused tasks leave the ring front without running. Queue on a
+    // waking core so every guard is met as the wake finishes, then
+    // reuse the ring across a wrap and a growth.
+    HwConfig cfg = c1eConfigForGuards();
+    Simulator sim;
+    Machine m(sim, cfg);
+    HwThread &t = m.thread(0);
+    std::vector<int> done;
+    auto mark = [&done](int i) { return [&done, i] { done.push_back(i); }; };
+    int refused = 0;
+    sim.at(msec(1), [&] {
+        for (int i = 0; i < 3; ++i) {
+            t.submitGuarded(usec(1), mark(-1), [&refused] {
+                ++refused;
+                return false;
+            });
+        }
+        t.submit(usec(2), mark(1));
+        t.submitGuarded(usec(1), mark(-1), [&refused] {
+            ++refused;
+            return false;
+        });
+        t.submitGuarded(usec(1), mark(2), [] { return true; });
+        t.submit(usec(1), HwThread::Callback(mark(3)));
+        EXPECT_EQ(t.queued(), 7u);
+    });
+    // Every queued task refused: the wake was for nothing, the core
+    // settles back to idle and the queue is empty.
+    sim.at(msec(2), [&] {
+        t.submitGuarded(usec(1), mark(-1), [&refused] {
+            ++refused;
+            return false;
+        });
+    });
+    sim.run();
+    EXPECT_EQ(done, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(refused, 5);
+    EXPECT_EQ(t.queued(), 0u);
+    EXPECT_FALSE(t.busy());
+    EXPECT_TRUE(m.core(0).sleeping());
+    EXPECT_EQ(t.tasksCompleted(), 3u);
+    EXPECT_EQ(t.workCompleted(), usec(4));
+    // The ring still queues and starts work after the refusals.
+    sim.at(msec(3), [&] {
+        for (int i = 4; i < 80; ++i)
+            t.submit(usec(1), mark(i));
+    });
+    sim.run();
+    ASSERT_EQ(done.size(), 79u);
+    for (int i = 1; i < 80; ++i)
+        EXPECT_EQ(done[static_cast<std::size_t>(i - 1)], i);
+}
+
 // --- C-state wake latency --------------------------------------------
 
 HwConfig

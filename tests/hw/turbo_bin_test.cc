@@ -2,12 +2,13 @@
  * @file
  * Turbo-bin invariant: a Performance core always sits at the machine's
  * current active-core turbo bin. Machine::onCoreActiveChanged() visits
- * the cores only when the bin moves, which is exact only while that
- * invariant holds, so a wide machine is driven through a seeded random
- * mix of submits, timer sleeps and idle gaps and checked after every
- * simulated instant, then compared with the counters the ungated
- * refresh loop (visit every core on every active-count change)
- * produced on the same drive.
+ * the cores only when the bin moves, and then only the active ones
+ * (idle cores replay the move from the machine's bin log later), which
+ * is exact only while that invariant holds, so a wide machine is
+ * driven through a seeded random mix of submits, timer sleeps and idle
+ * gaps and checked after every simulated instant, then compared with
+ * the counters the ungated refresh loop (visit every core on every
+ * active-count change) produced on the same drive.
  */
 
 #include "hw/machine.hh"
@@ -27,11 +28,24 @@ struct Drive
     MachineStats stats;
     std::set<double> binsSeen;
     std::uint64_t instants = 0;
+    /** Instants whose bin differs from the previous instant's: a
+     *  lower bound on the bin moves. */
+    std::uint64_t binChanges = 0;
 };
 
+/** How much of the machine a drive reads between instants. */
+enum class Reads
+{
+    /** Nothing until the final MachineStats. */
+    None,
+    /** Every core's freq() after every instant. */
+    Freq,
+    /** freq() as above, plus a full stats() read every instant. */
+    FreqAndStats,
+};
 
 Drive
-drive(const HwConfig &cfg, std::uint64_t seed)
+drive(const HwConfig &cfg, std::uint64_t seed, Reads reads = Reads::Freq)
 {
     Simulator sim;
     Machine m(sim, cfg, "client", seed);
@@ -67,9 +81,14 @@ drive(const HwConfig &cfg, std::uint64_t seed)
 
     Drive d;
     const Time horizon = at + msec(1);
+    double lastBin = 0;
     while (sim.pendingEvents() > 0 && sim.queue().nextTime() <= horizon) {
         sim.runUntil(sim.queue().nextTime());
         ++d.instants;
+        if (reads == Reads::None)
+            continue;
+        if (reads == Reads::FreqAndStats)
+            (void)m.stats();
         for (std::size_t c = 0; c < m.coreCount(); ++c) {
             const FreqDomain &f = m.core(c).freq();
             if (f.currentGhz() != f.maxAvailableGhz()) {
@@ -79,7 +98,10 @@ drive(const HwConfig &cfg, std::uint64_t seed)
                 return d;
             }
         }
-        d.binsSeen.insert(m.core(0).freq().maxAvailableGhz());
+        const double bin = m.core(0).freq().maxAvailableGhz();
+        d.binsSeen.insert(bin);
+        d.binChanges += bin != lastBin;
+        lastBin = bin;
     }
     d.stats = m.stats();
     return d;
@@ -151,6 +173,28 @@ TEST_P(TurboBin, PerformanceCoresSitAtCurrentBin)
     EXPECT_EQ(d.stats.freqTransitions, g.freqTransitions);
     EXPECT_EQ(d.stats.energyJoules, g.energyJoules)
         << std::hexfloat << d.stats.energyJoules;
+}
+
+TEST_P(TurboBin, ReadsMidRunChangeNoBits)
+{
+    // Idle cores take bin moves from the machine's bin log, replayed
+    // on wake, energy accrual or a read, and the log is flushed every
+    // 256 moves. A twin read through stats() and freq() after every
+    // instant must end with the same counters as a machine read only
+    // at the end, and both with the ungated golden.
+    const Golden g = GetParam();
+    const Drive unread = drive(wideHp(g), g.seed, Reads::None);
+    const Drive read = drive(wideHp(g), g.seed, Reads::FreqAndStats);
+    ASSERT_FALSE(HasFailure());
+    EXPECT_GT(read.binChanges, 2u * 256u) << "the log never flushed twice";
+    EXPECT_EQ(unread.instants, read.instants);
+    for (const Drive *d : {&unread, &read}) {
+        EXPECT_EQ(d->stats.freqTransitions, g.freqTransitions);
+        EXPECT_EQ(d->stats.energyJoules, g.energyJoules)
+            << std::hexfloat << d->stats.energyJoules;
+        EXPECT_EQ(d->stats.wakes, read.stats.wakes);
+        EXPECT_EQ(d->stats.exitLatencyPaid, read.stats.exitLatencyPaid);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -275,5 +275,28 @@ TEST(EventQueue, RescheduleOrdersLikeCancelPlusSchedule)
     EXPECT_EQ(order, (std::vector<int>{4, 3, 1, 2}));
 }
 
+TEST(EventQueue, InPlaceAndPrebuiltCallbacksOrderTheSame)
+{
+    // A lambda built straight into its slot and a pre-built Callback
+    // take sequence numbers in call order alike: FIFO at one time,
+    // also when scheduled from inside a running event (held root).
+    EventQueue q;
+    std::vector<int> order;
+    auto mark = [&order](int i) { return [&order, i] { order.push_back(i); }; };
+    q.schedule(10, mark(1));
+    q.schedule(10, EventQueue::Callback(mark(2)));
+    q.schedule(10, mark(3));
+    q.schedule(5, [&] {
+        order.push_back(0);
+        q.schedule(10, EventQueue::Callback(mark(4)));
+        q.schedule(10, mark(5));
+    });
+    EventQueue::Callback prebuilt(mark(6));
+    q.schedule(10, std::move(prebuilt));
+    while (!q.empty())
+        q.runNext();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 6, 4, 5}));
+}
+
 } // namespace
 } // namespace tpv

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace tpv {
 namespace {
@@ -84,6 +85,31 @@ TEST(RingQueue, ClearKeepsCapacity)
     EXPECT_EQ(q.capacity(), cap);
     q.push_back(7);
     EXPECT_EQ(q.pop_front(), 7);
+}
+
+TEST(RingQueue, EmplaceBackKeepsFifoAcrossWrapAndGrowth)
+{
+    // emplace_back hands out the recycled slot, which still holds its
+    // last occupant's moved-from value; the caller overwrites it.
+    RingQueue<std::unique_ptr<int>> q;
+    q.reserve(8);
+    std::vector<int> out;
+    int next = 0;
+    // Fill in place, drain, wrap the ring, then outgrow it.
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 6; ++i)
+            q.emplace_back() = std::make_unique<int>(next++);
+        for (int i = 0; i < 5; ++i)
+            out.push_back(*q.pop_front());
+    }
+    for (int i = 0; i < 20; ++i)
+        q.emplace_back() = std::make_unique<int>(next++);
+    while (!q.empty())
+        out.push_back(*q.pop_front());
+    std::vector<int> want(static_cast<std::size_t>(next));
+    for (int i = 0; i < next; ++i)
+        want[static_cast<std::size_t>(i)] = i;
+    EXPECT_EQ(out, want);
 }
 
 TEST(SlotPool, AcquireTakeRoundTrip)

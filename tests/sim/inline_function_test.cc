@@ -242,5 +242,22 @@ TEST(InplaceCallback, NonTrivialCaptureDestroyedOnceOnReset)
     EXPECT_EQ(destroyed, 1);
 }
 
+TEST(InplaceCallback, EmplaceReplacesTargetInPlace)
+{
+    int destroyed = 0;
+    int calls = 0;
+    InplaceCallback<64> a([c = DtorCounter(&destroyed)] { (void)c; });
+    a.emplace([&calls] { ++calls; });
+    // The old target is destroyed before the new one is built.
+    EXPECT_EQ(destroyed, 1);
+    a();
+    EXPECT_EQ(calls, 1);
+    InplaceCallback<64> empty;
+    empty.emplace([c = DtorCounter(&destroyed)] { (void)c; });
+    EXPECT_TRUE(static_cast<bool>(empty));
+    empty.reset();
+    EXPECT_EQ(destroyed, 2);
+}
+
 } // namespace
 } // namespace tpv
