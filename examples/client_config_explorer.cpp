@@ -46,11 +46,6 @@ variants()
     out.push_back({"LP + performance gov", v});
 
     v = hw::HwConfig::clientLP();
-    v.governor = hw::FreqGovernor::Ondemand;
-    v.name = "LP, ondemand gov";
-    out.push_back({"LP + ondemand gov", v});
-
-    v = hw::HwConfig::clientLP();
     v.uncoreDynamic = false;
     v.name = "LP, fixed uncore";
     out.push_back({"LP + fixed uncore", v});

@@ -44,8 +44,6 @@ toString(FreqGovernor g)
         return "performance";
       case FreqGovernor::Powersave:
         return "powersave";
-      case FreqGovernor::Ondemand:
-        return "ondemand";
       case FreqGovernor::Userspace:
         return "userspace";
     }

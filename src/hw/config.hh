@@ -35,10 +35,9 @@ const char *toString(FreqDriver d);
 
 /**
  * CPUFreq governors. The paper's LP client uses powersave, the HP
- * client and server use performance. Ondemand and userspace are
- * implemented for completeness / ablations.
+ * client and server use performance; userspace pins nominal.
  */
-enum class FreqGovernor { Performance, Powersave, Ondemand, Userspace };
+enum class FreqGovernor { Performance, Powersave, Userspace };
 
 /** @return governor name as sysfs spells it. */
 const char *toString(FreqGovernor g);
@@ -116,12 +115,11 @@ struct HwConfig
      */
     Time dvfsTransition = usec(30);
     /**
-     * Utilisation sampling period of the powersave/ondemand
-     * governors: a core must stay busy this long before the governor
-     * re-evaluates and grants the ramp target. Microsecond-scale
-     * response handlers finish before this fires, so they run
-     * entirely at the wake frequency — the persistent DVFS penalty
-     * of the LP client.
+     * Utilisation sampling period of the powersave governor: a core
+     * must stay busy this long before the governor re-evaluates and
+     * grants the ramp target. Microsecond-scale response handlers
+     * finish before this fires, so they run entirely at the wake
+     * frequency — the persistent DVFS penalty of the LP client.
      */
     Time psSamplePeriod = usec(500);
 

@@ -54,14 +54,6 @@ HwThread::submitGuarded(Time nominalWork, Callback &&done, Guard guard)
 }
 
 void
-HwThread::sleepUntil(Time when, Time dispatchWork, Callback fn)
-{
-    sleepUntil(
-        when, [dispatchWork]() -> Time { return dispatchWork; },
-        std::move(fn));
-}
-
-void
 HwThread::sleepUntil(Time when, DispatchFn dispatchWork, Callback fn)
 {
     TPV_ASSERT(when >= sim_.now(), "sleepUntil into the past");
@@ -214,7 +206,6 @@ Core::currentPowerW() const
 void
 Core::accrueEnergy()
 {
-    syncTurboBin();
     // watts * ns -> joules
     const Time now = sim_.now();
     if (now > lastEnergyAt_) {
@@ -225,9 +216,8 @@ Core::accrueEnergy()
 }
 
 double
-Core::energyJoules()
+Core::energyJoules() const
 {
-    syncTurboBin();
     const Time now = sim_.now();
     if (now > lastEnergyAt_) {
         return energyJ_ + currentPowerW() *
@@ -235,44 +225,6 @@ Core::energyJoules()
                                1e-9);
     }
     return energyJ_;
-}
-
-FreqDomain &
-Core::freq()
-{
-    syncTurboBin();
-    return freq_;
-}
-
-void
-Core::syncTurboBin()
-{
-    if (!countedActive_ && binCursor_ < machine_.binLog_.size())
-        replayTurboBins();
-}
-
-void
-Core::replayTurboBins()
-{
-    // An idle core runs no thread, so a move re-clocks nothing, and
-    // its power (poll or C-state) does not depend on the frequency:
-    // each move bills the interval up to it at that one power level,
-    // exactly as the accrueEnergy() at the move did.
-    TPV_ASSERT(power_ == PowerState::PollIdle ||
-                   power_ == PowerState::Sleeping,
-               "turbo-bin replay on a core that is not idle");
-    const double idleW = currentPowerW();
-    const auto &log = machine_.binLog_;
-    for (; binCursor_ < log.size(); ++binCursor_) {
-        const Machine::BinMove &move = log[binCursor_];
-        if (!freq_.moveWhileIdle(move.ghz))
-            continue;
-        if (move.at > lastEnergyAt_) {
-            energyJ_ += idleW *
-                        (static_cast<double>(move.at - lastEnergyAt_) * 1e-9);
-            lastEnergyAt_ = move.at;
-        }
-    }
 }
 
 HwThread &
@@ -321,7 +273,7 @@ Core::onThreadQueued(HwThread &t)
         power_ = PowerState::Active;
         if (!countedActive_) {
             countedActive_ = true;
-            machine_.onCoreActiveChanged(*this, +1);
+            machine_.onCoreActiveChanged(+1);
         }
         t.trySchedule();
         return;
@@ -350,7 +302,7 @@ Core::beginWake()
 
     if (!countedActive_) {
         countedActive_ = true;
-        machine_.onCoreActiveChanged(*this, +1);
+        machine_.onCoreActiveChanged(+1);
     }
 
     const Time exit = table_->exitLatency(cstate_);
@@ -392,7 +344,7 @@ Core::maybeEnterIdle()
         cstate_ = CState::C0;
         if (countedActive_) {
             countedActive_ = false;
-            machine_.onCoreActiveChanged(*this, -1);
+            machine_.onCoreActiveChanged(-1);
         }
         return;
     }
@@ -415,7 +367,7 @@ Core::maybeEnterIdle()
     freq_.onCoreIdle(sim_.now() - lastWakeEnd_);
     if (countedActive_) {
         countedActive_ = false;
-        machine_.onCoreActiveChanged(*this, -1);
+        machine_.onCoreActiveChanged(-1);
     }
 }
 

@@ -99,19 +99,14 @@ class HwThread
     void submitGuarded(Time nominalWork, Callback &&done, Guard guard);
 
     /**
-     * Timer-armed sleep: at absolute time @p when, run
-     * @p dispatchWork (e.g. the kernel timer softirq + event-loop
-     * dispatch) and then invoke @p fn. The armed timer is visible to
-     * the menu governor as a wake-up hint, exactly like a real
-     * timerfd/epoll timeout.
-     */
-    void sleepUntil(Time when, Time dispatchWork, Callback fn);
-
-    /**
-     * Variant whose dispatch work is computed *at fire time* — lets
-     * an event loop charge the full wake path only when it was
-     * actually blocked (epoll batching: events picked up while the
-     * loop is already running skip the IRQ + context switch).
+     * Timer-armed sleep: at absolute time @p when, run the CPU work
+     * @p dispatchWork returns (e.g. the kernel timer softirq +
+     * event-loop dispatch) and then invoke @p fn. The work is computed
+     * *at fire time*, so an event loop charges the full wake path only
+     * when it was actually blocked (epoll batching: events picked up
+     * while the loop is already running skip the IRQ + context
+     * switch). The armed timer is visible to the menu governor as a
+     * wake-up hint, exactly like a real timerfd/epoll timeout.
      */
     void sleepUntil(Time when, DispatchFn dispatchWork, Callback fn);
 
@@ -243,7 +238,7 @@ class Core
      * added to the returned value only, so a mid-run read leaves every
      * later accrual, and the final total, the same bits as no read.
      */
-    double energyJoules();
+    double energyJoules() const;
 
     Core(Simulator &sim, Machine &machine, const HwConfig &cfg,
          const CStateTable &table, int id);
@@ -274,9 +269,8 @@ class Core
     /** Remove a previously armed timer. */
     void disarmTimer(Time when);
 
-    /** Frequency domain (tests / reports), with every turbo-bin move
-     *  the core slept through applied. */
-    FreqDomain &freq();
+    /** Frequency domain (tests / reports). */
+    FreqDomain &freq() { return freq_; }
 
     /** Idle governor (tests / reports). */
     MenuGovernor &governor() { return governor_; }
@@ -303,15 +297,6 @@ class Core
 
     /** Fold the elapsed interval into the energy counter. */
     void accrueEnergy();
-
-    /**
-     * Apply the turbo-bin moves this idle core has not seen yet
-     * (Machine's bin log): each does what FreqDomain's frequency
-     * change did when the machine visited every core. Called before
-     * the core wakes, accrues energy or is read.
-     */
-    void syncTurboBin();
-    void replayTurboBins();
 
     void onThreadQueued(HwThread &t);
     void onThreadRunChanged();
@@ -345,9 +330,6 @@ class Core
     Time nextTick_ = kTimeNever;
     Stats stats_;
     bool countedActive_ = true;
-    /** Next entry of Machine's bin log this core has to replay; read
-     *  only while the core is not counted active. */
-    std::size_t binCursor_ = 0;
     double energyJ_ = 0;
     Time lastEnergyAt_ = 0;
 };

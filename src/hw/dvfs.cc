@@ -17,7 +17,6 @@ FreqDomain::FreqDomain(Simulator &sim, const HwConfig &cfg,
         currentGhz_ = maxAvailableGhz();
         break;
       case FreqGovernor::Powersave:
-      case FreqGovernor::Ondemand:
         currentGhz_ = cfg_->minGhz;
         break;
       case FreqGovernor::Userspace:
@@ -91,29 +90,21 @@ FreqDomain::onCoreWake(Time idleDuration)
         return;
       case FreqGovernor::Userspace:
         return;
-      case FreqGovernor::Powersave:
-      case FreqGovernor::Ondemand: {
+      case FreqGovernor::Powersave: {
         // Fold the finished busy/idle cycle into the busy-fraction
         // EWMA (intel_pstate's per-sample utilisation tracking).
         const Time cycle = lastBusy_ + idleDuration;
         if (cycle > 0) {
             const double inst = static_cast<double>(lastBusy_) /
                                 static_cast<double>(cycle);
-            const double alpha =
-                cfg_->governor == FreqGovernor::Powersave ? 0.25 : 0.10;
-            util_ = alpha * inst + (1.0 - alpha) * util_;
+            util_ = 0.25 * inst + 0.75 * util_;
         }
         setFreq(utilFreqGhz());
         // A core that *stays* busy earns the ramp target after the
         // governor's next utilisation sample plus the hardware
-        // transition (ondemand samples more slowly).
-        const Time delay =
-            (cfg_->governor == FreqGovernor::Powersave
-                 ? cfg_->psSamplePeriod
-                 : 2 * cfg_->psSamplePeriod) +
-            cfg_->dvfsTransition;
+        // transition.
         if (currentGhz_ < rampTargetGhz())
-            scheduleRamp(delay);
+            scheduleRamp(cfg_->psSamplePeriod + cfg_->dvfsTransition);
         return;
       }
     }

@@ -52,10 +52,10 @@ class FreqDomain
 
     /**
      * Core finished a sleep of @p idleDuration and is running again.
-     * Utilisation-driven governors (powersave, ondemand) pick the
-     * wake frequency from the busy-fraction EWMA — a mostly idle LP
-     * client core restarts near its minimum frequency — and schedule
-     * the busy-ramp that lifts a *continuously* busy core to the ramp
+     * The utilisation-driven powersave governor picks the wake
+     * frequency from the busy-fraction EWMA — a mostly idle LP client
+     * core restarts near its minimum frequency — and schedules the
+     * busy-ramp that lifts a *continuously* busy core to the ramp
      * target after the DVFS transition latency.
      */
     void onCoreWake(Time idleDuration);
@@ -73,10 +73,9 @@ class FreqDomain
      * The machine's turbo bin moved to @p binGhz (turboBinGhz() of the
      * new active-core count): move there. Only for domains that follow
      * the bin (followsTurboBin()). Such a domain's frequency moves only
-     * here, in onCoreWake() and in Core's replay of a move it slept
-     * through, and all of them set it to the current bin, so it always
-     * sits at the current bin; Machine relies on that to call this only
-     * when the bin changes.
+     * here and in onCoreWake(), and both set it to the current bin, so
+     * it always sits at the current bin; Machine relies on that to call
+     * this only when the bin changes.
      */
     void onTurboBinChanged(double binGhz) { setFreq(binGhz); }
 
@@ -102,33 +101,14 @@ class FreqDomain
 
     /**
      * Frequency a utilisation-driven ramp climbs to. Performance
-     * claims the full turbo bin; powersave/ondemand settle at nominal
+     * claims the full turbo bin; powersave settles at nominal
      * (intel_pstate's powersave energy-performance preference rarely
      * sustains turbo residency).
      */
     double rampTargetGhz() const;
 
   private:
-    friend class Core;
-
     void setFreq(double ghz);
-
-    /**
-     * setFreq() for a turbo-bin move the core slept through, replayed
-     * by Core: no energy billing and no re-clock, which Core handles
-     * (an idle core runs nothing and its power does not depend on the
-     * frequency). @return whether the frequency changed.
-     */
-    bool
-    moveWhileIdle(double ghz)
-    {
-        if (ghz == currentGhz_)
-            return false;
-        currentGhz_ = ghz;
-        ++transitions_;
-        return true;
-    }
-
     void scheduleRamp(Time delay);
 
     /** Frequency a utilisation-driven governor grants on wake. */

@@ -1,7 +1,6 @@
 #include "hw/machine.hh"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -41,12 +40,6 @@ Machine::Machine(Simulator &sim, const HwConfig &cfg, std::string name,
     // Cores are constructed notionally active; count them, then let
     // each settle into its idle state and start its tick source.
     activeCores_ = cfg_.cores;
-    if (FreqDomain::followsTurboBin(cfg_)) {
-        activeSet_.assign((cores_.size() + 63) / 64, 0);
-        for (std::size_t i = 0; i < cores_.size(); ++i)
-            activeSet_[i / 64] |= std::uint64_t{1} << (i % 64);
-        binLog_.reserve(kBinLogFlush);
-    }
     for (auto &c : cores_) {
         c->startTickLoop();
         c->maybeEnterIdle();
@@ -96,7 +89,7 @@ Machine::uncorePenalty()
 }
 
 void
-Machine::onCoreActiveChanged(Core &core, int delta)
+Machine::onCoreActiveChanged(int delta)
 {
     activeCores_ += delta;
     TPV_ASSERT(activeCores_ >= 0 &&
@@ -111,53 +104,17 @@ Machine::onCoreActiveChanged(Core &core, int delta)
     // always pushes.
     if (!FreqDomain::followsTurboBin(cfg_))
         return;
-    const auto id = static_cast<std::size_t>(core.id());
-    const std::uint64_t bit = std::uint64_t{1} << (id % 64);
-    if (delta > 0) {
-        // The core replayed the log before it started counting (its
-        // accrueEnergy() on the way out of idle).
-        TPV_ASSERT(core.binCursor_ >= binLog_.size(),
-                   "core woke with turbo-bin moves unreplayed");
-        activeSet_[id / 64] |= bit;
-    } else {
-        activeSet_[id / 64] &= ~bit;
-        core.binCursor_ = binLog_.size();
-    }
     const double bin = FreqDomain::turboBinGhz(cfg_, activeCores_);
     if (bin == pushedBinGhz_)
         return;
     pushedBinGhz_ = bin;
-    // Active cores move now, in index order: their re-clocks take the
-    // same event sequence numbers as when every core was visited (an
-    // idle core's move schedules nothing).
-    for (std::size_t w = 0; w < activeSet_.size(); ++w) {
-        for (std::uint64_t set = activeSet_[w]; set != 0; set &= set - 1) {
-            const std::size_t i =
-                w * 64 + static_cast<std::size_t>(std::countr_zero(set));
-            cores_[i]->freq_.onTurboBinChanged(bin);
-        }
-    }
-    binLog_.push_back({sim_.now(), bin});
-    if (binLog_.size() >= kBinLogFlush)
-        flushBinLog();
-}
-
-void
-Machine::flushBinLog()
-{
-    for (auto &c : cores_) {
-        c->syncTurboBin();
-        c->binCursor_ = 0;
-    }
-    binLog_.clear();
+    for (auto &c : cores_)
+        c->freq().onTurboBinChanged(bin);
 }
 
 MachineStats
 Machine::stats() const
 {
-    // Reading replays each idle core's pending bin moves (Core::freq()
-    // and Core::energyJoules()), which bills exactly what the moves
-    // billed when they happened, and adds no accrual of its own.
     MachineStats s;
     for (const auto &c : cores_) {
         s.wakes += c->stats().wakes;

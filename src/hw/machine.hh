@@ -107,32 +107,13 @@ class Machine
   private:
     friend class Core;
 
-    /** A turbo-bin move, kept for the cores that were idle at it. */
-    struct BinMove
-    {
-        Time at;
-        double ghz;
-    };
-
-    /** Bin-log length at which every idle core replays and the log
-     *  starts over. */
-    static constexpr std::size_t kBinLogFlush = 256;
-
     /**
-     * Core active-count bookkeeping for @p core, which just started
-     * (+1) or stopped (-1) counting as active. Cores that follow the
-     * turbo bin (FreqDomain::followsTurboBin) always sit at the
-     * current bin, so they are visited only when the count moves the
-     * bin, and each domain is handed the new bin instead of
-     * re-deriving it. Only counted-active cores are visited, in core
-     * index order; an idle core runs nothing a move could re-clock,
-     * so the move goes into binLog_ and the core replays it before it
-     * next wakes, accrues energy or is read (Core::syncTurboBin).
+     * Core active-count bookkeeping. Cores that follow the turbo bin
+     * (FreqDomain::followsTurboBin) always sit at the current bin, so
+     * they are visited only when the count moves the bin, and each
+     * domain is handed the new bin instead of re-deriving it.
      */
-    void onCoreActiveChanged(Core &core, int delta);
-
-    /** Replay the bin log into every idle core and empty it. */
-    void flushBinLog();
+    void onCoreActiveChanged(int delta);
 
     /** Uncore DVFS penalty for I/O hitting an idle package. */
     Time uncorePenalty();
@@ -154,12 +135,6 @@ class Machine
     int activeCores_ = 0;
     /** Turbo bin last pushed to the cores; no bin is negative. */
     double pushedBinGhz_ = -1.0;
-    /** Counted-active cores, one bit per core index (turbo-bin
-     *  machines only). */
-    std::vector<std::uint64_t> activeSet_;
-    /** Bin moves since the last flush; idle cores replay from their
-     *  Core::binCursor_. */
-    std::vector<BinMove> binLog_;
     Time lastPackageActivity_ = 0;
     std::uint64_t irqsDelivered_ = 0;
     std::uint64_t uncoreWakePenalties_ = 0;

@@ -114,7 +114,8 @@ TEST(HwThread, SleepUntilFiresAtRequestedTime)
     Simulator sim;
     Machine m(sim, plainConfig());
     Time fired = -1;
-    m.thread(0).sleepUntil(usec(100), 0, [&] { fired = sim.now(); });
+    m.thread(0).sleepUntil(
+        usec(100), [] { return Time{0}; }, [&] { fired = sim.now(); });
     sim.run();
     EXPECT_EQ(fired, usec(100));
 }
@@ -124,7 +125,8 @@ TEST(HwThread, SleepUntilDispatchWorkDelaysCallback)
     Simulator sim;
     Machine m(sim, plainConfig());
     Time fired = -1;
-    m.thread(0).sleepUntil(usec(100), usec(5), [&] { fired = sim.now(); });
+    m.thread(0).sleepUntil(
+        usec(100), [] { return usec(5); }, [&] { fired = sim.now(); });
     sim.run();
     EXPECT_EQ(fired, usec(105));
 }

@@ -140,20 +140,6 @@ TEST(FreqDomain, UserspaceNeverMoves)
     EXPECT_EQ(d.transitions(), 0u);
 }
 
-TEST(FreqDomain, OndemandRampsSlowerThanPowersave)
-{
-    DomainFixture f;
-    HwConfig cfg = powersaveConfig();
-    cfg.governor = FreqGovernor::Ondemand;
-    auto d = f.make(cfg);
-    d.onCoreWake(msec(1));
-    // Powersave would ramp after one sample period; ondemand needs two.
-    f.sim.runUntil(cfg.psSamplePeriod + cfg.dvfsTransition + 1);
-    EXPECT_DOUBLE_EQ(d.currentGhz(), cfg.minGhz);
-    f.sim.runUntil(2 * cfg.psSamplePeriod + cfg.dvfsTransition + 1);
-    EXPECT_DOUBLE_EQ(d.currentGhz(), cfg.nominalGhz);
-}
-
 TEST(FreqDomain, TurboBinsByActiveCores)
 {
     DomainFixture f;
