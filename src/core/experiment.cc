@@ -198,12 +198,7 @@ runOnce(const ExperimentConfig &cfg)
     // Service construction; single-tier services get their own server
     // machine, the multi-tier clusters build their machines inside.
     std::unique_ptr<hw::Machine> serverMachine;
-    std::unique_ptr<net::Endpoint> service;
-    svc::ServiceGraph *serviceGraph = nullptr;
-    auto adopt = [&](auto srv) {
-        serviceGraph = &srv->graph();
-        service = std::move(srv);
-    };
+    std::unique_ptr<svc::ServiceGraph> service;
     switch (cfg.workload) {
       case WorkloadKind::Memcached:
         if (cfg.memcached.shards != 1 || cfg.memcached.replicas != 1 ||
@@ -212,33 +207,33 @@ runOnce(const ExperimentConfig &cfg)
             // key-hash-routed cluster, which fatal()s on a shard or
             // replica count below 1 and without a cache shape (it
             // routes on the key).
-            adopt(std::make_unique<svc::MemcachedCluster>(
+            service = std::make_unique<svc::MemcachedCluster>(
                 sim, cfg.server, serverToClient, gen, rootRng.fork(),
-                cfg.memcached));
+                cfg.memcached);
             break;
         }
         serverMachine = std::make_unique<hw::Machine>(
             sim, cfg.server, "server", rootRng.u64());
-        adopt(std::make_unique<svc::MemcachedServer>(
+        service = std::make_unique<svc::MemcachedServer>(
             sim, *serverMachine, serverToClient, gen, rootRng.fork(),
-            cfg.memcached));
+            cfg.memcached);
         break;
       case WorkloadKind::Synthetic:
         serverMachine = std::make_unique<hw::Machine>(
             sim, cfg.server, "server", rootRng.u64());
-        adopt(std::make_unique<svc::SyntheticServer>(
+        service = std::make_unique<svc::SyntheticServer>(
             sim, *serverMachine, serverToClient, gen, rootRng.fork(),
-            cfg.synthetic));
+            cfg.synthetic);
         break;
       case WorkloadKind::HdSearch:
-        adopt(std::make_unique<svc::HdSearchCluster>(
+        service = std::make_unique<svc::HdSearchCluster>(
             sim, cfg.server, serverToClient, gen, rootRng.fork(),
-            cfg.hdsearch));
+            cfg.hdsearch);
         break;
       case WorkloadKind::SocialNetwork:
-        adopt(std::make_unique<svc::SocialNetworkApp>(
+        service = std::make_unique<svc::SocialNetworkApp>(
             sim, cfg.server, serverToClient, gen, rootRng.fork(),
-            cfg.socialnet));
+            cfg.socialnet);
         break;
     }
     serverDoor.target = service.get();
@@ -248,7 +243,7 @@ runOnce(const ExperimentConfig &cfg)
     std::unique_ptr<obs::TraceRecorder> trace;
     if (cfg.obs.trace) {
         trace = std::make_unique<obs::TraceRecorder>(cfg.obs, cfg.seed);
-        serviceGraph->setTrace(trace.get());
+        service->setTrace(trace.get());
         auto wireObs = [&sim, tr = trace.get()](const net::Message &m,
                                                 Time delay) {
             tr->span(obs::SpanKind::Wire, sim.now(), sim.now() + delay,
@@ -270,7 +265,7 @@ runOnce(const ExperimentConfig &cfg)
     // scheduled window events call back into it.
     std::unique_ptr<fault::Injector> injector;
     if (!cfg.faultPlan.empty()) {
-        injector = std::make_unique<fault::Injector>(sim, *serviceGraph,
+        injector = std::make_unique<fault::Injector>(sim, *service,
                                                      cfg.faultPlan);
         injector->arm(horizon);
     }
@@ -299,7 +294,7 @@ runOnce(const ExperimentConfig &cfg)
     out.clientHw = clientMachine.stats();
     if (serverMachine)
         out.serverHw = serverMachine->stats();
-    out.service = serviceGraph->stats();
+    out.service = service->stats();
     out.events = sim.executedEvents();
     return out;
 }

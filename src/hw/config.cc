@@ -44,8 +44,6 @@ toString(FreqGovernor g)
         return "performance";
       case FreqGovernor::Powersave:
         return "powersave";
-      case FreqGovernor::Userspace:
-        return "userspace";
     }
     return "?";
 }

@@ -35,9 +35,9 @@ const char *toString(FreqDriver d);
 
 /**
  * CPUFreq governors. The paper's LP client uses powersave, the HP
- * client and server use performance; userspace pins nominal.
+ * client and server use performance.
  */
-enum class FreqGovernor { Performance, Powersave, Userspace };
+enum class FreqGovernor { Performance, Powersave };
 
 /** @return governor name as sysfs spells it. */
 const char *toString(FreqGovernor g);

@@ -19,9 +19,6 @@ FreqDomain::FreqDomain(Simulator &sim, const HwConfig &cfg,
       case FreqGovernor::Powersave:
         currentGhz_ = cfg_->minGhz;
         break;
-      case FreqGovernor::Userspace:
-        currentGhz_ = cfg_->nominalGhz;
-        break;
     }
 }
 
@@ -87,8 +84,6 @@ FreqDomain::onCoreWake(Time idleDuration)
     switch (cfg_->governor) {
       case FreqGovernor::Performance:
         setFreq(maxAvailableGhz());
-        return;
-      case FreqGovernor::Userspace:
         return;
       case FreqGovernor::Powersave: {
         // Fold the finished busy/idle cycle into the busy-fraction

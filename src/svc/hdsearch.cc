@@ -12,8 +12,8 @@ HdSearchCluster::HdSearchCluster(Simulator &sim,
                                  net::Link &replyLink,
                                  net::Endpoint &client, Rng rng,
                                  HdSearchParams params)
-    : params_(params),
-      graph_(sim, replyLink, client, rng, params.runVariability)
+    : ServiceGraph(sim, replyLink, client, rng, params.runVariability),
+      params_(params)
 {
     if (params_.fanout < 1) {
         fatal("HdSearchParams::fanout must be >= 1, got ",
@@ -28,7 +28,7 @@ HdSearchCluster::HdSearchCluster(Simulator &sim,
                        params_.midMergeWork);
     requireNonNegative("HdSearchParams::midPostWork", params_.midPostWork);
 
-    hw::Machine &mid = graph_.addMachine(serverCfg, "hds-midtier");
+    hw::Machine &mid = addMachine(serverCfg, "hds-midtier");
 
     // The midtier's parse/merge/marshal costs are fixed protocol work;
     // only the leaf scans carry the run's environment factor (as in
@@ -38,7 +38,7 @@ HdSearchCluster::HdSearchCluster(Simulator &sim,
     midP.workers = params_.midtierWorkers;
     midP.work = fixedWork(params_.midPreWork);
     midP.envSensitive = false;
-    midtier_ = &graph_.addTier(mid, std::move(midP));
+    midtier_ = &addTier(mid, std::move(midP));
 
     // One bucket machine per replica: a hedge to the backup replica
     // lands on an independent server with independent queues.
@@ -51,8 +51,8 @@ HdSearchCluster::HdSearchCluster(Simulator &sim,
     bktP.requestBytes = params_.subRequestBytes;
     bktP.responseBytes = params_.subResponseBytes;
     bktP.admission = params_.traffic.admission;
-    bucket_ = &graph_.addReplicatedTier(serverCfg, params_.replicas,
-                                        std::move(bktP));
+    bucket_ = &addReplicatedTier(serverCfg, params_.replicas,
+                                 std::move(bktP));
 
     FanoutParams f;
     f.shards = params_.fanout;
@@ -63,17 +63,17 @@ HdSearchCluster::HdSearchCluster(Simulator &sim,
     f.postWork = params_.midPostWork;
     f.link = params_.interLink;
     f.traffic = params_.traffic;
-    fanout_ = &graph_.addFanout(
+    fanout_ = &addFanout(
         *midtier_, *bucket_, f, [this](const net::Message &req) {
             net::Message resp = req;
             resp.isResponse = true;
             resp.bytes = params_.responseBytes;
-            graph_.respond(resp);
+            respond(resp);
         });
 
     midtier_->setHandler(
         [this](const net::Message &req, Time) { fanout_->scatter(req); });
-    graph_.setEntry(*midtier_);
+    setEntry(*midtier_);
 }
 
 } // namespace svc

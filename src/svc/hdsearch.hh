@@ -71,10 +71,11 @@ struct HdSearchParams
  * to the client. Both machines share the server-side HwConfig, so the
  * SMT / C1E studies of Figure 4 toggle the knob on every tier.
  */
-class HdSearchCluster : public net::Endpoint
+class HdSearchCluster : public ServiceGraph
 {
   public:
     /**
+     * Client requests enter at the midtier.
      * @param serverCfg hardware config applied to midtier and bucket.
      * @param replyLink link carrying final responses to the client.
      */
@@ -82,13 +83,6 @@ class HdSearchCluster : public net::Endpoint
                     net::Link &replyLink, net::Endpoint &client, Rng rng,
                     HdSearchParams params = {});
 
-    /** Client request arrives at the midtier NIC. */
-    void onMessage(const net::Message &req) override
-    {
-        graph_.onMessage(req);
-    }
-
-    const ServiceStats &stats() const { return graph_.stats(); }
     const HdSearchParams &params() const { return params_; }
 
     hw::Machine &midtier() { return midtier_->machine(); }
@@ -102,15 +96,8 @@ class HdSearchCluster : public net::Endpoint
     /** The scatter-gather edge (tests / diagnostics). */
     const Fanout &fanout() const { return *fanout_; }
 
-    /** The underlying graph (fault injection, diagnostics). */
-    ServiceGraph &graph() { return graph_; }
-
-    /** This run's service-time environment factor. */
-    double envFactor() const { return graph_.envFactor(); }
-
   private:
     HdSearchParams params_;
-    ServiceGraph graph_;
     Tier *midtier_;
     Tier *bucket_;
     Fanout *fanout_;

@@ -44,34 +44,27 @@ MemcachedServer::MemcachedServer(Simulator &sim, hw::Machine &machine,
                                  net::Link &replyLink,
                                  net::Endpoint &client, Rng rng,
                                  MemcachedParams params)
-    : SingleTierServer(sim, machine, replyLink, client, params.workers,
-                       rng, params.runVariability),
+    : ServiceGraph(sim, replyLink, client, rng, params.runVariability),
       params_(params), baseWork_(baseWorkModel(params_))
 {
-}
-
-Time
-MemcachedServer::serviceWork(const net::Message &req, Rng &rng)
-{
-    Time work = static_cast<Time>(rng.lognormal(baseWork_));
-
+    TierParams p = serverTier(params_.workers);
     // The value is sampled at service time: GETs pay to read and copy
     // it into the response; SETs pay to store it plus bookkeeping.
-    lastValueBytes_ = params_.etc.sampleValueBytes(rng);
-    work += static_cast<Time>(params_.nsPerValueByte *
-                              static_cast<double>(lastValueBytes_));
-    if (static_cast<MemcachedOp>(req.kind) == MemcachedOp::Set)
-        work += params_.setExtraTime;
-    return work;
-}
-
-std::uint32_t
-MemcachedServer::responseBytes(const net::Message &req, Rng &rng)
-{
-    (void)rng;
-    if (static_cast<MemcachedOp>(req.kind) == MemcachedOp::Get)
-        return params_.responseOverhead + lastValueBytes_;
-    return params_.responseOverhead; // SET: status only
+    p.work = [this](net::Message &req, Rng &r) {
+        auto work = static_cast<Time>(r.lognormal(baseWork_));
+        lastValueBytes_ = params_.etc.sampleValueBytes(r);
+        work += static_cast<Time>(params_.nsPerValueByte *
+                                  static_cast<double>(lastValueBytes_));
+        if (static_cast<MemcachedOp>(req.kind) == MemcachedOp::Set)
+            work += params_.setExtraTime;
+        return work;
+    };
+    p.responseBytesFn = [this](const net::Message &req, Rng &) {
+        if (static_cast<MemcachedOp>(req.kind) == MemcachedOp::Get)
+            return params_.responseOverhead + lastValueBytes_;
+        return params_.responseOverhead; // SET: status only
+    };
+    setEntry(addTier(machine, std::move(p)));
 }
 
 int
@@ -90,8 +83,8 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                                    net::Link &replyLink,
                                    net::Endpoint &client, Rng rng,
                                    MemcachedParams params)
-    : params_(params),
-      graph_(sim, replyLink, client, rng, params.runVariability)
+    : ServiceGraph(sim, replyLink, client, rng, params.runVariability),
+      params_(params)
 {
     if (params_.shards < 1) {
         fatal("MemcachedParams::shards must be >= 1, got ",
@@ -119,8 +112,8 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
     routerP.workers = params_.routerWorkers;
     routerP.work = fixedWork(params_.routerWork);
     routerP.envSensitive = false;
-    router_ = &graph_.addTier(graph_.addMachine(serverCfg, "mc-router"),
-                              std::move(routerP));
+    router_ = &addTier(addMachine(serverCfg, "mc-router"),
+                       std::move(routerP));
 
     // The cache tier: the request's Zipf rank is looked up in the
     // shard's finite cache. A hit pays MemcachedServer's base time
@@ -138,7 +131,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
     cacheP.work = [this, p, baseWork](net::Message &req, Rng &r) {
         auto work = static_cast<Time>(r.lognormal(baseWork));
         CacheModel &c = cacheFor(req);
-        ServiceStats &s = graph_.mutableStats();
+        ServiceStats &s = mutableStats();
         TierBreakdown &tb =
             s.tiers[static_cast<std::size_t>(cache_->tierIndex())];
         if (static_cast<MemcachedOp>(req.kind) == MemcachedOp::Get) {
@@ -149,8 +142,8 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                 req.bytes = res.valueBytes;
                 work += static_cast<Time>(
                     p.nsPerValueByte * static_cast<double>(res.valueBytes));
-                if (obs::TraceRecorder *tr = graph_.trace()) {
-                    tr->instant(obs::SpanKind::CacheHit, graph_.sim().now(),
+                if (obs::TraceRecorder *tr = trace()) {
+                    tr->instant(obs::SpanKind::CacheHit, this->sim().now(),
                                 localRoot(req),
                                 {cache_->tierIndex(), req.shard,
                                  req.replica},
@@ -160,8 +153,8 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                 ++s.cacheMisses;
                 ++tb.cacheMisses;
                 req.kind |= kMissFlag;
-                if (obs::TraceRecorder *tr = graph_.trace()) {
-                    tr->instant(obs::SpanKind::CacheMiss, graph_.sim().now(),
+                if (obs::TraceRecorder *tr = trace()) {
+                    tr->instant(obs::SpanKind::CacheMiss, this->sim().now(),
                                 localRoot(req),
                                 {cache_->tierIndex(), req.shard,
                                  req.replica},
@@ -186,8 +179,8 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
         return p.responseOverhead; // SET: status only
     };
     cacheP.trackShards = params_.shards;
-    cache_ = &graph_.addReplicatedTier(serverCfg, params_.replicas,
-                                       std::move(cacheP));
+    cache_ = &addReplicatedTier(serverCfg, params_.replicas,
+                                std::move(cacheP));
 
     FanoutParams f;
     f.shards = params_.shards;
@@ -204,7 +197,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
     f.postWork = 0;
     f.link = params_.interLink;
     f.traffic = params_.traffic;
-    fanout_ = &graph_.addFanout(
+    fanout_ = &addFanout(
         *router_, *cache_, f, [this](const net::Message &req) {
             // req.bytes carries the cache shard's reply size (the
             // Fanout completion contract), so the client-facing
@@ -213,12 +206,12 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
             // the single-tier server.
             net::Message resp = req;
             resp.isResponse = true;
-            graph_.respond(resp);
+            respond(resp);
         });
 
     router_->setHandler(
         [this](const net::Message &req, Time) { fanout_->scatter(req); });
-    graph_.setEntry(*router_);
+    setEntry(*router_);
 
     // Backing store: one slow tier behind every cache shard's
     // misses, reached through a second route-one fan-out so link
@@ -233,8 +226,8 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
     storeP.responseBytesFn = [p](const net::Message &req, Rng &) {
         return p.responseOverhead + p.etc.valueBytesForKey(req.key);
     };
-    store_ = &graph_.addTier(
-        graph_.addMachine(serverCfg, "mc-store"), std::move(storeP));
+    store_ = &addTier(addMachine(serverCfg, "mc-store"),
+                      std::move(storeP));
 
     FanoutParams fs;
     fs.shards = 1;
@@ -245,7 +238,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
     // cache tier before the reply continues to the router.
     fs.postWork = params_.setExtraTime;
     fs.link = params_.storeLink;
-    storeFanout_ = &graph_.addFanout(
+    storeFanout_ = &addFanout(
         *cache_, *store_, fs, [this](const net::Message &req) {
             // The store answered: fill the cache and re-enter the
             // router fan-out's merge path as a (now slow) cache
@@ -256,12 +249,12 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                 m.kind & static_cast<std::uint8_t>(~kMissFlag));
             const std::uint32_t v =
                 params_.etc.valueBytesForKey(m.key);
-            ServiceStats &s = graph_.mutableStats();
+            ServiceStats &s = mutableStats();
             ++s.cacheFills;
             s.cacheEvictions += cacheFor(m).put(m.key, v);
             m.bytes = v;
-            if (obs::TraceRecorder *tr = graph_.trace()) {
-                tr->instant(obs::SpanKind::CacheFill, graph_.sim().now(),
+            if (obs::TraceRecorder *tr = trace()) {
+                tr->instant(obs::SpanKind::CacheFill, this->sim().now(),
                             localRoot(m),
                             {cache_->tierIndex(), m.shard, m.replica}, v);
             }
@@ -296,8 +289,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
     const int cacheTier = cache_->tierIndex();
     for (int r = 0; r < params_.replicas; ++r) {
         for (int s = 0; s < params_.shards; ++s) {
-            caches_.emplace_back(params_.cache,
-                                 graph_.rng().fork());
+            caches_.emplace_back(params_.cache, this->rng().fork());
             if (!params_.cache.coldStart)
                 prewarm(caches_.back(),
                         hottest[static_cast<std::size_t>(s)]);
@@ -306,8 +298,8 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
             // replica/shard evicted, not which request triggered
             // it.
             caches_.back().setObserver([this, cacheTier, r, s] {
-                if (obs::TraceRecorder *tr = graph_.trace()) {
-                    const Time now = graph_.sim().now();
+                if (obs::TraceRecorder *tr = trace()) {
+                    const Time now = this->sim().now();
                     tr->marker(obs::SpanKind::CacheEvict, now, now,
                                {cacheTier, s, r});
                 }

@@ -12,7 +12,7 @@
 
 #include "svc/cache.hh"
 #include "svc/keyspace.hh"
-#include "svc/service.hh"
+#include "svc/topology.hh"
 
 namespace tpv {
 namespace svc {
@@ -92,24 +92,30 @@ struct MemcachedParams
  * The Memcached server. GET responses carry an ETC-sampled value;
  * service time scales with the value size.
  */
-class MemcachedServer : public SingleTierServer
+class MemcachedServer : public ServiceGraph
 {
   public:
+    /** One "server" tier on @p machine (external to the graph). */
     MemcachedServer(Simulator &sim, hw::Machine &machine,
                     net::Link &replyLink, net::Endpoint &client, Rng rng,
                     MemcachedParams params = {});
 
     const MemcachedParams &params() const { return params_; }
 
-  protected:
-    Time serviceWork(const net::Message &req, Rng &rng) override;
-    std::uint32_t responseBytes(const net::Message &req,
-                                Rng &rng) override;
-
   private:
     MemcachedParams params_;
     /** Lognormal(baseServiceTime, serviceTimeSd). */
     Rng::Lognormal baseWork_;
+    /**
+     * Value size drawn by the last request dispatched on this server.
+     * A GET's reply reads it at completion, so when another request
+     * is dispatched in between, the reply (and the reply link's
+     * serialization delay) carries that request's value size, not its
+     * own. Fixing it moves the memcached benchmark references, so it
+     * waits for the model-change step of ROADMAP item 5, which stamps
+     * the size on the request as MemcachedCluster's cache tier does
+     * with Message::bytes.
+     */
     std::uint32_t lastValueBytes_ = 0;
 };
 
@@ -128,24 +134,15 @@ class MemcachedServer : public SingleTierServer
  * before replying — so hedging, failover and traffic management
  * compose with cache misses for free.
  */
-class MemcachedCluster : public net::Endpoint
+class MemcachedCluster : public ServiceGraph
 {
   public:
+    /** Client requests enter at the router tier. */
     MemcachedCluster(Simulator &sim, const hw::HwConfig &serverCfg,
                      net::Link &replyLink, net::Endpoint &client, Rng rng,
                      MemcachedParams params = {});
 
-    /** Client request arrives at the router NIC. */
-    void onMessage(const net::Message &req) override
-    {
-        graph_.onMessage(req);
-    }
-
-    const ServiceStats &stats() const { return graph_.stats(); }
     const MemcachedParams &params() const { return params_; }
-
-    /** The underlying graph (fault injection, diagnostics). */
-    ServiceGraph &graph() { return graph_; }
 
     hw::Machine &router() { return router_->machine(); }
 
@@ -178,7 +175,6 @@ class MemcachedCluster : public net::Endpoint
                  const std::vector<std::uint32_t> &ranks);
 
     MemcachedParams params_;
-    ServiceGraph graph_;
     Tier *router_;
     Tier *cache_;
     Fanout *fanout_;

@@ -13,13 +13,13 @@ SocialNetworkApp::SocialNetworkApp(Simulator &sim,
                                    net::Link &replyLink,
                                    net::Endpoint &client, Rng rng,
                                    SocialNetworkParams params)
-    : params_(std::move(params)),
-      graph_(sim, replyLink, client, rng, params_.runVariability)
+    : ServiceGraph(sim, replyLink, client, rng, params.runVariability),
+      params_(std::move(params))
 {
     if (params_.stages.empty())
         fatal("SocialNetworkParams::stages must not be empty");
 
-    hw::Machine &machine = graph_.addMachine(serverCfg, "socialnet");
+    hw::Machine &machine = addMachine(serverCfg, "socialnet");
     for (const SocialStage &s : params_.stages) {
         TierParams t;
         t.name = s.name;
@@ -30,9 +30,9 @@ SocialNetworkApp::SocialNetworkApp(Simulator &sim,
                                "SocialStage::workMean" + stage,
                                "SocialStage::workSd" + stage);
         t.responseBytes = params_.responseBytes;
-        stages_.push_back(&graph_.addTier(machine, std::move(t)));
+        stages_.push_back(&addTier(machine, std::move(t)));
     }
-    loopback_ = &graph_.addLink(params_.loopback);
+    loopback_ = &addLink(params_.loopback);
 
     // Chain the stages over the loopback link; the last stage keeps
     // the default handler and replies to the client via the graph.
@@ -45,7 +45,7 @@ SocialNetworkApp::SocialNetworkApp(Simulator &sim,
                 loopback_->send(hop, *next);
             });
     }
-    graph_.setEntry(*stages_.front());
+    setEntry(*stages_.front());
 }
 
 } // namespace svc

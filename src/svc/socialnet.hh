@@ -70,29 +70,19 @@ struct SocialNetworkParams
  * partitioning one machine's cores, wired stage-to-stage over the
  * loopback link.
  */
-class SocialNetworkApp : public net::Endpoint
+class SocialNetworkApp : public ServiceGraph
 {
   public:
+    /** Client requests enter at the frontend (stage 0). */
     SocialNetworkApp(Simulator &sim, const hw::HwConfig &serverCfg,
                      net::Link &replyLink, net::Endpoint &client, Rng rng,
                      SocialNetworkParams params = {});
 
-    /** Client request enters at the frontend (stage 0). */
-    void onMessage(const net::Message &msg) override
-    {
-        graph_.onMessage(msg);
-    }
-
-    const ServiceStats &stats() const { return graph_.stats(); }
     const SocialNetworkParams &params() const { return params_; }
     hw::Machine &machine() { return stages_.front()->machine(); }
 
-    /** The underlying graph (fault injection, diagnostics). */
-    ServiceGraph &graph() { return graph_; }
-
   private:
     SocialNetworkParams params_;
-    ServiceGraph graph_;
     std::vector<Tier *> stages_;
     net::Link *loopback_;
 };

@@ -1,5 +1,7 @@
 #include "svc/synthetic.hh"
 
+#include <utility>
+
 namespace tpv {
 namespace svc {
 
@@ -7,8 +9,7 @@ SyntheticServer::SyntheticServer(Simulator &sim, hw::Machine &machine,
                                  net::Link &replyLink,
                                  net::Endpoint &client, Rng rng,
                                  SyntheticParams params)
-    : SingleTierServer(sim, machine, replyLink, client, params.workers,
-                       rng, params.runVariability),
+    : ServiceGraph(sim, replyLink, client, rng, params.runVariability),
       params_(params),
       baseWork_(lognormalModel(params_.baseServiceTime,
                                params_.serviceTimeSd,
@@ -16,23 +17,15 @@ SyntheticServer::SyntheticServer(Simulator &sim, hw::Machine &machine,
                                "SyntheticParams::serviceTimeSd"))
 {
     requireNonNegative("SyntheticParams::addedDelay", params_.addedDelay);
-}
-
-Time
-SyntheticServer::serviceWork(const net::Message &req, Rng &rng)
-{
-    (void)req;
+    TierParams p = serverTier(params_.workers);
     // Busy-wait extension: accounted as service time on the worker,
     // never as idle time (paper Section IV-B).
-    return static_cast<Time>(rng.lognormal(baseWork_)) + params_.addedDelay;
-}
-
-std::uint32_t
-SyntheticServer::responseBytes(const net::Message &req, Rng &rng)
-{
-    (void)req;
-    (void)rng;
-    return params_.responseBytes;
+    p.work = [this](const net::Message &, Rng &r) {
+        return static_cast<Time>(r.lognormal(baseWork_)) +
+               params_.addedDelay;
+    };
+    p.responseBytes = params_.responseBytes;
+    setEntry(addTier(machine, std::move(p)));
 }
 
 } // namespace svc

@@ -8,7 +8,7 @@
 #ifndef TPV_SVC_SYNTHETIC_HH
 #define TPV_SVC_SYNTHETIC_HH
 
-#include "svc/service.hh"
+#include "svc/topology.hh"
 
 namespace tpv {
 namespace svc {
@@ -39,19 +39,15 @@ struct SyntheticParams
  * whole latency distribution right by ~100 us (Figure 7c validates
  * the linearity).
  */
-class SyntheticServer : public SingleTierServer
+class SyntheticServer : public ServiceGraph
 {
   public:
+    /** One "server" tier on @p machine (external to the graph). */
     SyntheticServer(Simulator &sim, hw::Machine &machine,
                     net::Link &replyLink, net::Endpoint &client, Rng rng,
                     SyntheticParams params = {});
 
     const SyntheticParams &params() const { return params_; }
-
-  protected:
-    Time serviceWork(const net::Message &req, Rng &rng) override;
-    std::uint32_t responseBytes(const net::Message &req,
-                                Rng &rng) override;
 
   private:
     SyntheticParams params_;

@@ -139,6 +139,16 @@ lognormalWork(Time mean, Time sd, const std::string &meanField,
     };
 }
 
+TierParams
+serverTier(int workers)
+{
+    TierParams p;
+    p.name = "server";
+    p.workers = workers;
+    p.txWork = nsec(500);
+    return p;
+}
+
 Tier::Tier(ServiceGraph &graph, std::vector<hw::Machine *> hosts,
            TierParams params)
     : graph_(graph), params_(std::move(params))

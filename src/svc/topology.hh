@@ -12,7 +12,9 @@
  *    machine (NIC IRQ -> pinned worker -> service work -> handler);
  *  - ServiceGraph: owns the machines, tiers, fan-outs and intra-
  *    cluster links of one service, looks like a single net::Endpoint
- *    to the client, and keeps the service-wide counters;
+ *    to the client, and keeps the service-wide counters. Every
+ *    service model is a ServiceGraph subclass that wires its tiers in
+ *    its constructor;
  *  - Fanout: scatter-gather RPC from a parent tier to a sharded child
  *    tier, with optional replication and cancellable hedged requests.
  *
@@ -319,6 +321,11 @@ struct TierParams
      */
     AdmissionPolicy admission{};
 };
+
+/** The one tier of a single-tier server (memcached, synthetic):
+ *  "server" with @p workers workers, each reply also paying the CPU
+ *  cost of the transmit syscall path. */
+TierParams serverTier(int workers);
 
 class Fanout;
 class ServiceGraph;

@@ -98,7 +98,7 @@ TEST(Failover, KillingOneOfThreeReplicasCompletesAllRequests)
     for (int i = 0; i < n; ++i)
         rig.sendAt(msec(1) + i * usec(500),
                    static_cast<std::uint64_t>(i + 1));
-    Injector inj(rig.sim, rig.cluster.graph(),
+    Injector inj(rig.sim, rig.cluster,
                  FaultPlan::replicaKill("hds-bucket", 0, msec(5)));
     inj.arm(msec(60));
     rig.sim.run();
@@ -123,7 +123,7 @@ TEST(Failover, CrashAndRestartKeepsServingAndCountsPerTier)
         rig.sendAt(msec(1) + i * usec(500),
                    static_cast<std::uint64_t>(i + 1));
     // Down for 10ms in the middle of the stream, then back.
-    Injector inj(rig.sim, rig.cluster.graph(),
+    Injector inj(rig.sim, rig.cluster,
                  FaultPlan::replicaKill("hds-bucket", 0, msec(10),
                                         msec(10)));
     inj.arm(msec(60));
@@ -165,7 +165,7 @@ TEST(Failover, DetectionLatencyDefersFailoverButStillRecovers)
     s.start = msec(5);
     s.detectDelay = msec(7);
     const FaultPlan plan{s};
-    Injector inj(rig.sim, rig.cluster.graph(), plan);
+    Injector inj(rig.sim, rig.cluster, plan);
     inj.arm(msec(60));
     rig.sim.run();
 
@@ -214,7 +214,7 @@ TEST(Failover, TiedRequestsSurviveAReplicaKill)
     for (int i = 0; i < n; ++i)
         rig.sendAt(msec(1) + i * usec(500),
                    static_cast<std::uint64_t>(i + 1));
-    Injector inj(rig.sim, rig.cluster.graph(),
+    Injector inj(rig.sim, rig.cluster,
                  FaultPlan::replicaKill("hds-bucket", 0, msec(5),
                                         msec(20)));
     inj.arm(msec(60));
@@ -291,7 +291,7 @@ TEST(Failover, ShardedMemcachedRoutesOneShardAndSurvivesAKill)
             cluster.onMessage(req);
         });
     }
-    Injector inj(sim, cluster.graph(),
+    Injector inj(sim, cluster,
                  FaultPlan::replicaKill("mc-cache", 0, msec(5)));
     inj.arm(msec(60));
     sim.run();

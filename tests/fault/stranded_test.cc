@@ -107,7 +107,7 @@ TEST(StrandedSubRequest, SilentShortCrashWithoutRetriesLosesTheRequest)
 {
     HdsRig rig(strandedParams());
     rig.sendAt(msec(6), 1); // lands inside the 5..8ms dead window
-    Injector inj(rig.sim, rig.cluster.graph(), silentShortCrash());
+    Injector inj(rig.sim, rig.cluster, silentShortCrash());
     inj.arm(msec(60));
     rig.sim.run();
 
@@ -130,7 +130,7 @@ TEST(StrandedSubRequest, DeadlineRetryRecoversTheSwallowedSubRequest)
     p.traffic.retry.maxAttempts = 3;
     HdsRig rig(p);
     rig.sendAt(msec(6), 1);
-    Injector inj(rig.sim, rig.cluster.graph(), silentShortCrash());
+    Injector inj(rig.sim, rig.cluster, silentShortCrash());
     inj.arm(msec(60));
     rig.sim.run();
 
@@ -169,7 +169,7 @@ TEST(StrandedSubRequest, StreamThroughSilentCrashCompletesEverything)
     s.duration = msec(3);
     s.detectDelay = msec(7);
     const FaultPlan plan{s};
-    Injector inj(rig.sim, rig.cluster.graph(), plan);
+    Injector inj(rig.sim, rig.cluster, plan);
     inj.arm(msec(60));
     rig.sim.run();
 
@@ -223,7 +223,7 @@ TEST(StrandedSubRequest, ExhaustedRetriesCountTheLossOnce)
     s.duration = msec(30); // outlives deadline * maxAttempts
     s.detectDelay = msec(40);
     const FaultPlan plan{s};
-    Injector inj(rig.sim, rig.cluster.graph(), plan);
+    Injector inj(rig.sim, rig.cluster, plan);
     inj.arm(msec(60));
     rig.sim.run();
 

@@ -25,7 +25,6 @@ plainConfig()
     c.smt = false;
     c.idlePoll = false;
     c.cstates = {CState::C0}; // sleep costs nothing
-    c.governor = FreqGovernor::Userspace;
     c.turbo = false;
     c.tickless = true;
     return c;

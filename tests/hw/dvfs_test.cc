@@ -128,18 +128,6 @@ TEST(FreqDomain, PowersaveIdleCancelsPendingRamp)
     EXPECT_DOUBLE_EQ(d.currentGhz(), cfg.minGhz);
 }
 
-TEST(FreqDomain, UserspaceNeverMoves)
-{
-    DomainFixture f;
-    HwConfig cfg = perfConfig();
-    cfg.governor = FreqGovernor::Userspace;
-    auto d = f.make(cfg);
-    d.onCoreWake(seconds(1));
-    f.sim.runUntil(msec(10));
-    EXPECT_DOUBLE_EQ(d.currentGhz(), cfg.nominalGhz);
-    EXPECT_EQ(d.transitions(), 0u);
-}
-
 TEST(FreqDomain, TurboBinsByActiveCores)
 {
     DomainFixture f;

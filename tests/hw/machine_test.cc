@@ -20,7 +20,6 @@ basicConfig()
     c.cores = 4;
     c.smt = false;
     c.cstates = {CState::C0};
-    c.governor = FreqGovernor::Userspace;
     c.tickless = true;
     return c;
 }

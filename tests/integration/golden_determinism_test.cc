@@ -274,6 +274,33 @@ const GoldenShape kShapes[] = {
      "747780606 1192 hedge 1184 8 0 1184 361338029 shed 0 0 0 fault "
      "0 0 0 cache 0 0 0 0 | hds-midtier 298 11920000 0 | hds-bucket "
      "2376 717384606 0"},
+    // The two single-tier services, captured at commit 1ed645d, the
+    // last build that ran them through a separate single-tier server
+    // layer over the graph. At 300K QPS requests overlap on the
+    // memcached workers.
+    {"memcached_single_tier",
+     [] {
+         auto cfg = core::ExperimentConfig::forMemcached(300000);
+         cfg.client = hw::HwConfig::clientLP();
+         cfg.gen.warmup = msec(2);
+         cfg.gen.duration = msec(12);
+         return cfg;
+     },
+     "lat 0x1.2059ca27a022ep+6 0x1.beeae7d566cf2p+6 "
+     "0x1.2ca5e353f7ceep+7 late 0x1.1544f320cafa1p+5 io 4151 4151 "
+     "45177 svc 4151 4151 39262443 0 hedge 0 0 0 0 0 shed 0 0 0 "
+     "fault 0 0 0 cache 0 0 0 0 | server 4151 39262443 0"},
+    {"synthetic_delay",
+     [] {
+         auto cfg = core::ExperimentConfig::forSynthetic(20000, usec(100));
+         cfg.gen.warmup = msec(2);
+         cfg.gen.duration = msec(12);
+         return cfg;
+     },
+     "lat 0x1.b944a5baff875p+7 0x1.73a848beb5b2ap+8 "
+     "0x1.9863126e978d5p+8 late 0x1.16babfd9431a8p+6 io 303 303 "
+     "10670 svc 303 303 36186563 0 hedge 0 0 0 0 0 shed 0 0 0 "
+     "fault 0 0 0 cache 0 0 0 0 | server 303 36186563 0"},
 };
 
 /** runFingerprint plus the policy counters it leaves out: tied
@@ -405,6 +432,16 @@ TEST(GoldenDeterminism, ReplicaKillMatchesGolden)
 TEST(GoldenDeterminism, PeriodicServerTicksMatchesGolden)
 {
     expectShapeMatchesGolden("periodic_ticks");
+}
+
+TEST(GoldenDeterminism, SingleTierMemcachedMatchesGolden)
+{
+    expectShapeMatchesGolden("memcached_single_tier");
+}
+
+TEST(GoldenDeterminism, SyntheticServerMatchesGolden)
+{
+    expectShapeMatchesGolden("synthetic_delay");
 }
 
 TEST(GoldenDeterminism, TiedRequestsUnderReplicaKillMatchGolden)

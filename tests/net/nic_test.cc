@@ -21,7 +21,6 @@ receiverConfig()
     hw::HwConfig c;
     c.cores = 2;
     c.cstates = {hw::CState::C0, hw::CState::C1E};
-    c.governor = hw::FreqGovernor::Userspace;
     c.tickless = true;
     c.irqWork = usec(2);
     return c;

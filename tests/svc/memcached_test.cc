@@ -172,7 +172,7 @@ TEST(MemcachedServer, SetsCostMoreThanGets)
 TEST(MemcachedServer, TenWorkersByDefault)
 {
     Rig rig;
-    EXPECT_EQ(rig.server.pool().workers(), 10);
+    EXPECT_EQ(rig.server.tier(0).pool().workers(), 10);
 }
 
 /** Build a cluster from @p p (fatal() on an invalid shape). */

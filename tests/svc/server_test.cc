@@ -1,10 +1,13 @@
-/** @file Tests for the worker pool and single-tier server runtime. */
+/** @file Tests for the worker pool and the single-tier server path:
+ *  a one-tier ServiceGraph, as MemcachedServer and SyntheticServer
+ *  build it. */
 
-#include "svc/service.hh"
+#include "svc/topology.hh"
 #include "svc/worker_pool.hh"
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -20,7 +23,6 @@ serverConfig(bool smt = false)
     c.cores = 4;
     c.smt = smt;
     c.cstates = {hw::CState::C0};
-    c.governor = hw::FreqGovernor::Userspace;
     c.tickless = true;
     c.irqWork = usec(1);
     return c;
@@ -42,24 +44,19 @@ struct ClientSink : net::Endpoint
     }
 };
 
-/** Fixed-service-time test server. */
-class FixedServer : public SingleTierServer
+/** Fixed-service-time test server: one serverTier() tier. */
+class FixedServer : public ServiceGraph
 {
   public:
-    using SingleTierServer::SingleTierServer;
-    Time fixedWork = usec(10);
-
-  protected:
-    Time
-    serviceWork(const net::Message &, Rng &) override
+    FixedServer(Simulator &sim, hw::Machine &machine, net::Link &replyLink,
+                net::Endpoint &client, int workers, Rng rng,
+                double runVariability = 0.0)
+        : ServiceGraph(sim, replyLink, client, rng, runVariability)
     {
-        return fixedWork;
-    }
-
-    std::uint32_t
-    responseBytes(const net::Message &, Rng &) override
-    {
-        return 64;
+        TierParams p = serverTier(workers);
+        p.work = fixedWork(usec(10));
+        p.responseBytes = 64;
+        setEntry(addTier(machine, std::move(p)));
     }
 };
 

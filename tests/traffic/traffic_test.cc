@@ -253,7 +253,7 @@ TEST(Breaker, RoutesAroundAnUndetectedDeadReplica)
     s.duration = msec(12);
     s.detectDelay = msec(60); // never detected: the breaker's job
     const fault::FaultPlan plan{s};
-    fault::Injector inj(rig.sim, rig.cluster.graph(), plan);
+    fault::Injector inj(rig.sim, rig.cluster, plan);
     inj.arm(msec(80));
     rig.sim.run();
 
